@@ -9,7 +9,6 @@
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
-#include "core/budget.h"
 #include "core/greedy.h"
 #include "core/valid_pairs.h"
 
@@ -49,13 +48,10 @@ struct Outcome {
 };
 
 Outcome Emitted(const PairPool& pool) {
-  std::vector<char> wu(3, 0);
-  std::vector<char> tu(3, 0);
-  BudgetTracker budget(100.0, 0.5);
   std::vector<int32_t> ids(pool.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
-  std::vector<int32_t> selected;
-  GreedySelect(pool, ids, &wu, &tu, &budget, &selected);
+  const std::vector<int32_t> selected =
+      GreedySelect(pool, ids, /*budget=*/100.0, /*delta=*/0.5);
   Outcome out;
   for (const int32_t id : selected) {
     if (pool.InvolvesPredicted(id)) continue;

@@ -15,13 +15,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/budget.h"
 #include "core/greedy.h"
 #include "core/valid_pairs.h"
 
 namespace {
 
-using mqa::BudgetTracker;
 using mqa::CandidatePair;
 using mqa::GreedySelect;
 using mqa::PairPool;
@@ -64,15 +62,10 @@ struct Outcome {
 // Runs one greedy round over `pool` and accumulates the emitted
 // current-current pairs; predicted selections steer but are not emitted.
 Outcome RunRound(const PairPool& pool, const char* label) {
-  std::vector<char> worker_used(3, 0);
-  std::vector<char> task_used(3, 0);
-  BudgetTracker budget(/*budget=*/100.0, /*delta=*/0.5);
-  std::vector<int32_t> selected;
-  GreedySelect(pool, [&] {
-    std::vector<int32_t> ids(pool.size());
-    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
-    return ids;
-  }(), &worker_used, &task_used, &budget, &selected);
+  std::vector<int32_t> ids(pool.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
+  const std::vector<int32_t> selected =
+      GreedySelect(pool, ids, /*budget=*/100.0, /*delta=*/0.5);
 
   Outcome out;
   for (const int32_t id : selected) {

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/logging.h"
-#include "core/budget.h"
 #include "core/cost_model.h"
 #include "core/decomposition.h"
 #include "core/greedy.h"
@@ -27,20 +26,6 @@ double SubproblemDegree(const Subproblem& sub) {
   if (sub.task_indices.empty()) return 0.0;
   return static_cast<double>(sub.pair_ids.size()) /
          static_cast<double>(sub.task_indices.size());
-}
-
-// Greedy over exactly the pairs of `pair_ids` with fresh state; used for
-// leaf subproblems and for the budget-constrained reselection.
-std::vector<int32_t> GreedyOver(const ProblemInstance& instance,
-                                const PairPool& pool,
-                                const std::vector<int32_t>& pair_ids,
-                                double delta) {
-  std::vector<char> worker_used(instance.workers().size(), 0);
-  std::vector<char> task_used(instance.tasks().size(), 0);
-  BudgetTracker budget(instance.budget(), delta);
-  std::vector<int32_t> selected;
-  GreedySelect(pool, pair_ids, &worker_used, &task_used, &budget, &selected);
-  return selected;
 }
 
 // True when the selected set's cost upper bounds respect both budget pots
@@ -78,7 +63,7 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
   if (problem.num_tasks() == 1) {
     // Leaf: pick the best worker for the single task greedily (Fig. 9
     // line 8).
-    return GreedyOver(instance, pool, problem.pair_ids, delta);
+    return GreedySelect(pool, problem.pair_ids, instance.budget(), delta);
   }
 
   const int g =
@@ -96,7 +81,7 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
         sub.num_tasks() > 1
             ? SolveRecursive(instance, pool, sub, delta, branching, depth + 1,
                              exec)
-            : GreedyOver(instance, pool, sub.pair_ids, delta);
+            : GreedySelect(pool, sub.pair_ids, instance.budget(), delta);
   };
   if (exec != nullptr && subproblems.size() > 1 &&
       problem.num_tasks() >= kMinParallelTasksPerNode) {
@@ -123,7 +108,7 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
   MQA_TRACE_SPAN_IF(problem.num_tasks() >= kMinParallelTasksPerNode,
                     "dc/budget_reselect",
                     static_cast<int64_t>(merged.size()));
-  return GreedyOver(instance, pool, merged, delta);
+  return GreedySelect(pool, merged, instance.budget(), delta);
 }
 
 }  // namespace
@@ -172,7 +157,7 @@ AssignmentResult RunDivideConquer(const ProblemInstance& instance,
   // The merge phase does not re-check budgets after replacements; enforce
   // the hard constraint once at the top before emitting.
   if (!WithinBudgetUpperBound(pool, selected, instance.budget())) {
-    selected = GreedyOver(instance, pool, selected, delta);
+    selected = GreedySelect(pool, selected, instance.budget(), delta);
   }
   return EmitCurrentPairs(instance, pool, selected);
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/budget.h"
 #include "core/valid_pairs.h"
 #include "model/assignment.h"
 #include "model/problem_instance.h"
@@ -13,19 +12,24 @@ namespace mqa {
 
 /// The greedy selection loop shared by MQA_Greedy (paper Fig. 5), the
 /// divide-and-conquer leaf case, and MQA_Budget_Constrained_Selection
-/// (paper Fig. 9 lines 17-28).
+/// (paper Fig. 9 lines 17-28), run with fresh state: no worker or task
+/// used yet and a fresh BudgetTracker(budget, delta).
 ///
-/// Repeatedly builds the pruned candidate set S_p over the still-active
-/// pairs of `pair_ids` (skipping pairs whose worker or task is already
-/// used and pairs failing the line-6 quick budget check), selects the
-/// Eq. 10 best admissible pair, commits it against `budget`, and marks
-/// its endpoints used. Stops when no pair is admissible.
+/// Each iteration builds the pruned candidate set S_p over the alive
+/// pairs of `pair_ids` (worker and task unused, line-6 quick budget check
+/// passed), selects the Eq. 10 best admissible pair, commits it against
+/// the budget, and marks its endpoints used. Stops when no pair is
+/// admissible. Returns the selected pair ids in selection order.
 ///
-/// Selected pair ids are appended to `selected`. `worker_used` /
-/// `task_used` must be sized to the instance's worker/task vectors.
-void GreedySelect(const PairPool& pool, const std::vector<int32_t>& pair_ids,
-                  std::vector<char>* worker_used, std::vector<char>* task_used,
-                  BudgetTracker* budget, std::vector<int32_t>* selected);
+/// S_p is maintained incrementally (src/core/README.md, "Greedy
+/// selection"): the pairs are sorted once in offer order and a min-cost
+/// tree over that order yields each S_p in O(|S_p| log n). Dead pairs are
+/// retired from the tree as they are met. The selections are identical to
+/// rebuilding S_p from every alive pair each iteration
+/// (tests/greedy_property_test.cc).
+std::vector<int32_t> GreedySelect(const PairPool& pool,
+                                  const std::vector<int32_t>& pair_ids,
+                                  double budget, double delta);
 
 /// Converts selected pool pairs into an AssignmentResult, keeping only
 /// current-current pairs (paper Fig. 5 line 14) and accumulating their

@@ -19,9 +19,11 @@ namespace mqa {
 ///   3. ties break toward the lower expected traveling cost, then the
 ///      lower pair id (determinism).
 /// Returns the chosen pair id, or -1 when no candidate is admissible.
+/// When `capped` is set, it reports whether more admissible candidates
+/// than the Eq. 10 evaluation cap (48, see selection.cc) were cut.
 int32_t SelectBestPair(const PairPool& pool,
                        const std::vector<int32_t>& candidate_ids,
-                       const BudgetTracker& budget);
+                       const BudgetTracker& budget, bool* capped = nullptr);
 
 }  // namespace mqa
 

@@ -1,4 +1,5 @@
-#include "core/candidate_set.h"
+// The reference candidate set (tests/greedy_reference.h) and the Eq. 10
+// selection over it.
 
 #include <algorithm>
 #include <utility>
@@ -6,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include "core/selection.h"
+#include "tests/greedy_reference.h"
 
 namespace mqa {
 namespace {
+
+using testing_util::CandidateSet;
 
 PairPool FixedPool(const std::vector<std::pair<double, double>>& cost_quality) {
   PairPoolBuilder builder(cost_quality.size(), cost_quality.size());
@@ -170,7 +174,9 @@ TEST(SelectBestPairTest, TopKCapStillFindsMaxQuality) {
   std::vector<int32_t> ids;
   for (int32_t i = 0; i <= 200; ++i) ids.push_back(i);
   BudgetTracker budget(100.0, 0.5);
-  EXPECT_EQ(SelectBestPair(pool, ids, budget), 200);
+  bool capped = false;
+  EXPECT_EQ(SelectBestPair(pool, ids, budget, &capped), 200);
+  EXPECT_TRUE(capped);
 }
 
 TEST(SelectBestPairTest, CapRespectsBudgetFilterFirst) {
@@ -185,7 +191,9 @@ TEST(SelectBestPairTest, CapRespectsBudgetFilterFirst) {
   std::vector<int32_t> ids;
   for (int32_t i = 0; i <= 100; ++i) ids.push_back(i);
   BudgetTracker budget(10.0, 0.5);
-  EXPECT_EQ(SelectBestPair(pool, ids, budget), 100);
+  bool capped = true;
+  EXPECT_EQ(SelectBestPair(pool, ids, budget, &capped), 100);
+  EXPECT_FALSE(capped) << "the cap counts admissible candidates only";
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "core/assigner.h"
+#include "obs/metrics.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
 #include "stream/streaming_simulator.h"
@@ -264,6 +265,35 @@ TEST(SeedStabilityGoldenTest, CorpusChecksumsMatchGoldenFile) {
       << "assignment checksums drifted from tests/data/golden_checksums.txt."
       << " If intentional, rerun with MQA_GOLDEN_REBASELINE=1 and commit"
       << " the updated file (docs/TESTING.md).";
+}
+
+// ------------------------------------------------- Eq. 10 evaluation cap
+
+// SelectBestPair evaluates Eq. 10 over at most 48 admissible candidates
+// (core/selection.cc). Over the whole corpus, through greedy and D&C in
+// batch and stream, the cap never truncates: the largest candidate set
+// S_p has 11 pairs.
+TEST(GreedyCountersTest, Eq10CapNeverBindsOnCorpus) {
+#if defined(MQA_OBS_DISABLED)
+  GTEST_SKIP() << "metrics compiled out";
+#endif
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  registry.Reset();
+  const Variant canonical{IndexBackend::kGrid, 1, false};
+  for (const char* name : kCorpus) {
+    const auto loaded = TraceReader::ReadFile(DataPath(name));
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const TraceData& trace = loaded.value();
+    for (const AssignerKind kind :
+         {AssignerKind::kGreedy, AssignerKind::kDivideConquer}) {
+      RunBatch(trace.ToArrivalStream(), kind, canonical);
+      RunStream(EventQueue::FromScenario(trace.scenario), trace.horizon,
+                kind, canonical);
+    }
+  }
+  EXPECT_GT(registry.counter("mqa.greedy.iterations")->value(), 0);
+  EXPECT_EQ(registry.counter("mqa.greedy.eq10_cap_hits")->value(), 0);
+  EXPECT_EQ(registry.histogram("mqa.greedy.max_candidates")->max(), 11.0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/exact_assigner.h"
+#include "obs/metrics.h"
 #include "quality/range_quality.h"
 #include "tests/test_util.h"
 
@@ -40,16 +41,10 @@ PairPool HandPool(int num_workers, int num_tasks,
   return std::move(builder).Build();
 }
 
-std::vector<int32_t> RunGreedyOnPool(const PairPool& pool, int num_workers,
-                                     int num_tasks, double budget) {
-  std::vector<char> worker_used(static_cast<size_t>(num_workers), 0);
-  std::vector<char> task_used(static_cast<size_t>(num_tasks), 0);
-  BudgetTracker tracker(budget, 0.5);
+std::vector<int32_t> RunGreedyOnPool(const PairPool& pool, double budget) {
   std::vector<int32_t> ids(pool.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
-  std::vector<int32_t> selected;
-  GreedySelect(pool, ids, &worker_used, &task_used, &tracker, &selected);
-  return selected;
+  return GreedySelect(pool, ids, budget, 0.5);
 }
 
 double TotalQuality(const PairPool& pool, const std::vector<int32_t>& ids) {
@@ -71,7 +66,7 @@ TEST(GreedySelectTest, PicksQualityOrderUnderBudget) {
   const PairPool pool = HandPool(
       2, 2, {{0, 0, 1.0, 3.0}, {0, 1, 2.0, 2.0}, {1, 0, 1.0, 4.0},
              {1, 1, 3.0, 2.0}});
-  const auto selected = RunGreedyOnPool(pool, 2, 2, 100.0);
+  const auto selected = RunGreedyOnPool(pool, 100.0);
   // Highest quality first: w1-t0 (q4); then w0 takes t1 (q2).
   ASSERT_EQ(selected.size(), 2u);
   EXPECT_DOUBLE_EQ(TotalQuality(pool, selected), 6.0);
@@ -80,7 +75,7 @@ TEST(GreedySelectTest, PicksQualityOrderUnderBudget) {
 TEST(GreedySelectTest, BudgetStopsSelection) {
   const PairPool pool =
       HandPool(2, 2, {{0, 0, 5.0, 3.0}, {1, 1, 6.0, 4.0}});
-  const auto selected = RunGreedyOnPool(pool, 2, 2, 8.0);
+  const auto selected = RunGreedyOnPool(pool, 8.0);
   // Only the q=4 pair fits (6 <= 8); adding the other would need 11.
   ASSERT_EQ(selected.size(), 1u);
   EXPECT_DOUBLE_EQ(TotalQuality(pool, selected), 4.0);
@@ -89,14 +84,43 @@ TEST(GreedySelectTest, BudgetStopsSelection) {
 TEST(GreedySelectTest, NoDoubleAssignment) {
   const PairPool pool = HandPool(
       1, 3, {{0, 0, 1.0, 3.0}, {0, 1, 1.0, 2.0}, {0, 2, 1.0, 1.0}});
-  const auto selected = RunGreedyOnPool(pool, 1, 3, 100.0);
+  const auto selected = RunGreedyOnPool(pool, 100.0);
   ASSERT_EQ(selected.size(), 1u);  // one worker serves at most one task
   EXPECT_DOUBLE_EQ(TotalQuality(pool, selected), 3.0);
 }
 
 TEST(GreedySelectTest, EmptyPool) {
   const PairPool pool = HandPool(2, 2, {});
-  EXPECT_TRUE(RunGreedyOnPool(pool, 2, 2, 10.0).empty());
+  EXPECT_TRUE(RunGreedyOnPool(pool, 10.0).empty());
+}
+
+TEST(GreedySelectTest, CountersDescribeTheWork) {
+#if defined(MQA_OBS_DISABLED)
+  GTEST_SKIP() << "metrics compiled out";
+#endif
+  // Pair 2 is dead on entry (cost 50 > B = 10). Iteration 1: S_p = {0}
+  // (pair 1 costs more), select 0. Iteration 2: retire 0, S_p = {1},
+  // select 1. Then 1 is retired and S_p comes out empty.
+  const PairPool pool = HandPool(
+      3, 3, {{0, 0, 1.0, 3.0}, {1, 1, 2.0, 2.0}, {2, 2, 50.0, 9.0}});
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  const auto value = [&registry](const char* name) {
+    return registry.counter(name)->value();
+  };
+  const int64_t iterations = value("mqa.greedy.iterations");
+  const int64_t candidates = value("mqa.greedy.candidates");
+  const int64_t retired = value("mqa.greedy.retired_pairs");
+  const int64_t cap_hits = value("mqa.greedy.eq10_cap_hits");
+  const int64_t calls =
+      registry.histogram("mqa.greedy.max_candidates")->count();
+
+  EXPECT_EQ(RunGreedyOnPool(pool, 10.0), (std::vector<int32_t>{0, 1}));
+  EXPECT_EQ(value("mqa.greedy.iterations") - iterations, 2);
+  EXPECT_EQ(value("mqa.greedy.candidates") - candidates, 2);
+  EXPECT_EQ(value("mqa.greedy.retired_pairs") - retired, 3);
+  EXPECT_EQ(value("mqa.greedy.eq10_cap_hits") - cap_hits, 0);
+  EXPECT_EQ(registry.histogram("mqa.greedy.max_candidates")->count() - calls,
+            1);
 }
 
 // ----------------------------------------- the paper's running example
@@ -112,7 +136,7 @@ TEST(RunningExampleTest, LocalStrategyGetsQuality7Cost5) {
   // Instance p: only w1, t1, t2 exist (Fig. 1a).
   const PairPool pool_p =
       HandPool(3, 3, {{0, 0, 1.0, 3.0}, {0, 1, 2.0, 2.0}});
-  const auto sel_p = RunGreedyOnPool(pool_p, 3, 3, 100.0);
+  const auto sel_p = RunGreedyOnPool(pool_p, 100.0);
   ASSERT_EQ(sel_p.size(), 1u);
   EXPECT_EQ(pool_p.TaskIndex(sel_p[0]), 0)
       << "local strategy assigns w1 to t1";
@@ -121,7 +145,7 @@ TEST(RunningExampleTest, LocalStrategyGetsQuality7Cost5) {
   const PairPool pool_p1 = HandPool(
       3, 3,
       {{1, 1, 3.0, 2.0}, {1, 2, 2.0, 1.0}, {2, 1, 3.0, 1.0}, {2, 2, 1.0, 2.0}});
-  const auto sel_p1 = RunGreedyOnPool(pool_p1, 3, 3, 100.0);
+  const auto sel_p1 = RunGreedyOnPool(pool_p1, 100.0);
   const double quality =
       TotalQuality(pool_p, sel_p) + TotalQuality(pool_p1, sel_p1);
   const double cost = TotalCost(pool_p, sel_p) + TotalCost(pool_p1, sel_p1);
@@ -141,7 +165,7 @@ TEST(RunningExampleTest, PredictionStrategyGetsQuality8Cost4) {
     predicted.push_back(!(w == 0 && t <= 1));
   }
   const PairPool pool = HandPool(3, 3, kTableI, predicted);
-  const auto selected = RunGreedyOnPool(pool, 3, 3, 100.0);
+  const auto selected = RunGreedyOnPool(pool, 100.0);
 
   // The predicted pair <ŵ2, t1> (q=4) outranks <w1, t1> (q=3), so w1 is
   // steered to t2. Emitted current pair at p: <w1, t2>.
@@ -163,7 +187,7 @@ TEST(RunningExampleTest, PredictionStrategyGetsQuality8Cost4) {
   const PairPool pool_p1 = HandPool(
       3, 3,
       {{1, 0, 1.0, 4.0}, {1, 2, 2.0, 1.0}, {2, 0, 5.0, 2.0}, {2, 2, 1.0, 2.0}});
-  const auto sel_p1 = RunGreedyOnPool(pool_p1, 3, 3, 100.0);
+  const auto sel_p1 = RunGreedyOnPool(pool_p1, 100.0);
   emitted_quality += TotalQuality(pool_p1, sel_p1);
   emitted_cost += TotalCost(pool_p1, sel_p1);
 

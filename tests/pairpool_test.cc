@@ -232,7 +232,8 @@ TEST(LazyStatsCounters, GreedySamplesWhatItCompares) {
     (void)result;
   }
   ASSERT_GT(stats.predicted_pairs, 0);
-  // The greedy quality sort touches every pair's distribution.
+  // The greedy quality sort touches the distribution of every pair the
+  // quick budget check keeps (here all of them).
   EXPECT_TRUE(stats.stats_materialized);
   EXPECT_DOUBLE_EQ(stats.lazy_skipped_fraction, 0.0);
   EXPECT_GT(stats.pool_bytes, 0);
