@@ -10,12 +10,16 @@
 //   mqa_cli --scenario=bursty --stream --epoch-policy=backlog --backlog-threshold=200
 //   mqa_cli --scenario=rush-hour --stream --epoch-policy=interval --epoch-interval=0.5
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "core/assigner.h"
 #include "exec/parallel_runner.h"
@@ -66,8 +70,6 @@ struct CliOptions {
   bool rejoin = false;
   bool csv = false;
   bool pairpool_stats = false;
-  bool delta_pool = false;
-  bool repair = false;
   bool phase_timing = false;
   bool perf_counters = false;
   double watchdog_seconds = 0.0;  // 0 = off
@@ -142,11 +144,48 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+/// The sign a numeric flag's value must have; kPositive integers are >= 1.
+enum class Domain { kNonNegative, kPositive };
+
+/// Parses all of `s` as a finite number that fits T and lies in `domain`.
 template <typename T>
-bool ParseNumeric(const char* arg, const char* name, T* out) {
+bool ParseValue(const std::string& s, Domain domain, T* out) {
+  const char* begin = s.c_str();
+  char* end = nullptr;
+  errno = 0;
+  T v;
+  if constexpr (std::is_integral_v<T>) {
+    const long long n = std::strtoll(begin, &end, 10);
+    if (errno == ERANGE || n < 0 ||
+        static_cast<unsigned long long>(n) >
+            static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+      return false;
+    }
+    v = static_cast<T>(n);
+  } else {
+    v = std::strtod(begin, &end);
+    if (!std::isfinite(v) || v < 0) return false;
+  }
+  if (end == begin || *end != '\0') return false;
+  if (domain == Domain::kPositive && v == 0) return false;
+  *out = v;
+  return true;
+}
+
+/// Matches `--name=V` for a numeric flag. A V that ParseValue rejects
+/// ends the run here with exit status 2, like an unknown flag.
+template <typename T>
+bool ParseNumeric(const char* arg, const char* name, T* out,
+                  Domain domain = Domain::kNonNegative) {
   std::string value;
   if (!ParseFlag(arg, name, &value)) return false;
-  *out = static_cast<T>(std::atof(value.c_str()));
+  if (!ParseValue(value, domain, out)) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (expected a %s %s)\n",
+                 name, value.c_str(),
+                 domain == Domain::kPositive ? "positive" : "non-negative",
+                 std::is_integral_v<T> ? "integer" : "number");
+    std::exit(2);
+  }
   return true;
 }
 
@@ -172,13 +211,8 @@ void PrintUsage() {
       "  --replay-trace=FILE (replace workload generation with a recorded\n"
       "      trace; replays byte-identically through batch and stream —\n"
       "      see src/trace/README.md and docs/TESTING.md)\n"
-      "  --delta-pool (delta-maintain the pair pool across epochs:\n"
-      "      per-epoch build cost O(churn), byte-identical assignments)\n"
-      "  --repair (re-solve only the churn-reachable subgraph each epoch;\n"
-      "      results-changing latency/quality tradeoff)\n"
       "  --pairpool-stats (per-epoch pair-pool columns: pair count,\n"
-      "      bytes/pair, arena slabs, lazily-skipped sampling fraction,\n"
-      "      churn ratio, delta-reuse fraction)\n"
+      "      bytes/pair, arena slabs, lazily-skipped sampling fraction)\n"
       "  --phase-timing (per-epoch phase wall-time CSV columns)\n"
       "  --trace=FILE (Chrome trace-event JSON of the epoch lifecycle,\n"
       "      loadable in Perfetto; see docs/OBSERVABILITY.md)\n"
@@ -203,17 +237,14 @@ void PrintUsage() {
 void PrintPoolStatsHeader() {
   std::printf("\npair-pool per epoch (columnar, arena-backed; see "
               "src/core/README.md):\n");
-  std::printf("%5s %12s %8s %7s %13s %10s %7s %7s %6s\n", "epoch", "pairs",
-              "B/pair", "slabs", "arena_peak_B", "lazy_skip", "churn",
-              "reuse", "delta");
+  std::printf("%5s %12s %8s %7s %13s %10s\n", "epoch", "pairs", "B/pair",
+              "slabs", "arena_peak_B", "lazy_skip");
 }
 
 // CSV mode appends these as extra columns on the per-epoch rows instead
 // of a second table, keeping the output machine-parseable.
 void PrintPoolStatsCsvColumns() {
-  std::printf(",pool_pairs,pool_bytes,pool_arena_slabs,pool_lazy_skipped"
-              ",churn_ratio,pool_delta_reuse,pool_delta_applied"
-              ",pool_rows_reused,pool_rows_rebuilt");
+  std::printf(",pool_pairs,pool_bytes,pool_arena_slabs,pool_lazy_skipped");
 }
 
 void PrintPoolStatsCsvValues(const InstanceMetrics& m) {
@@ -221,10 +252,6 @@ void PrintPoolStatsCsvValues(const InstanceMetrics& m) {
               static_cast<long long>(m.pool_bytes),
               static_cast<long long>(m.pool_arena_slabs),
               m.pool_lazy_skipped_fraction);
-  std::printf(",%.4f,%.4f,%d,%lld,%lld", m.churn_ratio,
-              m.pool_delta_reuse_fraction, m.pool_delta_applied ? 1 : 0,
-              static_cast<long long>(m.pool_rows_reused),
-              static_cast<long long>(m.pool_rows_rebuilt));
 }
 
 // Per-epoch phase wall-time breakdown (--phase-timing). Timing fields are
@@ -252,14 +279,12 @@ void PrintPoolStatsRow(const InstanceMetrics& m) {
           ? static_cast<double>(m.pool_bytes) /
                 static_cast<double>(m.pool_pairs)
           : 0.0;
-  std::printf("%5lld %12lld %8.1f %7lld %13lld %9.1f%% %6.1f%% %6.1f%% %6s\n",
+  std::printf("%5lld %12lld %8.1f %7lld %13lld %9.1f%%\n",
               static_cast<long long>(m.instance),
               static_cast<long long>(m.pool_pairs), bytes_per_pair,
               static_cast<long long>(m.pool_arena_slabs),
               static_cast<long long>(m.pool_arena_peak_bytes),
-              100.0 * m.pool_lazy_skipped_fraction, 100.0 * m.churn_ratio,
-              100.0 * m.pool_delta_reuse_fraction,
-              m.pool_delta_applied ? "yes" : "no");
+              100.0 * m.pool_lazy_skipped_fraction);
 }
 
 SpatialDistribution ParseDist(const std::string& s) {
@@ -366,33 +391,37 @@ int main(int argc, char** argv) {
         ParseFlag(a, "--metrics-json", &opt.metrics_file) ||
         ParseFlag(a, "--run-report", &opt.run_report_file) ||
         ParseFlag(a, "--timeline", &opt.timeline_file) ||
-        ParseNumeric(a, "--timeline-every", &opt.timeline_every) ||
+        ParseNumeric(a, "--timeline-every", &opt.timeline_every,
+                     Domain::kPositive) ||
         ParseNumeric(a, "--stats-port", &opt.stats_port) ||
         ParseNumeric(a, "--stats-linger", &opt.stats_linger) ||
         ParseNumeric(a, "--slo-p99", &opt.slo_p99) ||
         ParseNumeric(a, "--slo-deadline", &opt.slo_deadline) ||
         ParseNumeric(a, "--slo-backlog", &opt.slo_backlog) ||
-        ParseNumeric(a, "--slo-window", &opt.slo_window) ||
+        ParseNumeric(a, "--slo-window", &opt.slo_window, Domain::kPositive) ||
         ParseNumeric(a, "--watchdog", &opt.watchdog_seconds) ||
         ParseNumeric(a, "--workers", &opt.workers) ||
         ParseNumeric(a, "--tasks", &opt.tasks) ||
-        ParseNumeric(a, "--instances", &opt.instances) ||
+        ParseNumeric(a, "--instances", &opt.instances, Domain::kPositive) ||
         ParseNumeric(a, "--budget", &opt.budget) ||
         ParseNumeric(a, "--unit-price", &opt.unit_price) ||
         ParseNumeric(a, "--q-lo", &opt.q_lo) ||
         ParseNumeric(a, "--q-hi", &opt.q_hi) ||
         ParseNumeric(a, "--e-lo", &opt.e_lo) ||
         ParseNumeric(a, "--e-hi", &opt.e_hi) ||
-        ParseNumeric(a, "--v-lo", &opt.v_lo) ||
-        ParseNumeric(a, "--v-hi", &opt.v_hi) ||
-        ParseNumeric(a, "--gamma", &opt.gamma) ||
-        ParseNumeric(a, "--window", &opt.window) ||
-        ParseNumeric(a, "--epoch-interval", &opt.epoch_interval) ||
-        ParseNumeric(a, "--epoch-k", &opt.epoch_k) ||
-        ParseNumeric(a, "--backlog-threshold", &opt.backlog_threshold) ||
-        ParseNumeric(a, "--max-interval", &opt.max_interval) ||
+        ParseNumeric(a, "--v-lo", &opt.v_lo, Domain::kPositive) ||
+        ParseNumeric(a, "--v-hi", &opt.v_hi, Domain::kPositive) ||
+        ParseNumeric(a, "--gamma", &opt.gamma, Domain::kPositive) ||
+        ParseNumeric(a, "--window", &opt.window, Domain::kPositive) ||
+        ParseNumeric(a, "--epoch-interval", &opt.epoch_interval,
+                     Domain::kPositive) ||
+        ParseNumeric(a, "--epoch-k", &opt.epoch_k, Domain::kPositive) ||
+        ParseNumeric(a, "--backlog-threshold", &opt.backlog_threshold,
+                     Domain::kPositive) ||
+        ParseNumeric(a, "--max-interval", &opt.max_interval,
+                     Domain::kPositive) ||
         ParseNumeric(a, "--seed", &opt.seed) ||
-        ParseNumeric(a, "--threads", &opt.threads)) {
+        ParseNumeric(a, "--threads", &opt.threads, Domain::kPositive)) {
       continue;
     }
     if (std::strcmp(a, "--no-prediction") == 0) {
@@ -405,10 +434,6 @@ int main(int argc, char** argv) {
       opt.csv = true;
     } else if (std::strcmp(a, "--pairpool-stats") == 0) {
       opt.pairpool_stats = true;
-    } else if (std::strcmp(a, "--delta-pool") == 0) {
-      opt.delta_pool = true;
-    } else if (std::strcmp(a, "--repair") == 0) {
-      opt.repair = true;
     } else if (std::strcmp(a, "--phase-timing") == 0) {
       opt.phase_timing = true;
     } else if (std::strcmp(a, "--perf-counters") == 0) {
@@ -419,6 +444,23 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a);
       PrintUsage();
+      return 2;
+    }
+  }
+  if (opt.stats_port > 65535) {
+    std::fprintf(stderr, "invalid value for --stats-port: '%d' (expected a "
+                 "port <= 65535)\n", opt.stats_port);
+    return 2;
+  }
+  const struct {
+    const char* flags;
+    double lo, hi;
+  } ranges[] = {{"--q-lo/--q-hi", opt.q_lo, opt.q_hi},
+                {"--e-lo/--e-hi", opt.e_lo, opt.e_hi},
+                {"--v-lo/--v-hi", opt.v_lo, opt.v_hi}};
+  for (const auto& r : ranges) {
+    if (r.lo > r.hi) {
+      std::fprintf(stderr, "invalid range %s: %g > %g\n", r.flags, r.lo, r.hi);
       return 2;
     }
   }
@@ -442,7 +484,7 @@ int main(int argc, char** argv) {
   if (!opt.timeline_file.empty()) {
     TimelineConfig tconfig;
     tconfig.sink_path = opt.timeline_file;
-    tconfig.every_epochs = opt.timeline_every > 0 ? opt.timeline_every : 1;
+    tconfig.every_epochs = opt.timeline_every;
     const Status status = TimelineRecorder::Get().Start(tconfig);
     if (!status.ok()) {
       std::fprintf(stderr, "--timeline: %s\n", status.ToString().c_str());
@@ -488,8 +530,6 @@ int main(int argc, char** argv) {
     report.SetConfig("seed", static_cast<int64_t>(opt.seed));
     report.SetConfig("threads", static_cast<int64_t>(opt.threads));
     report.SetConfig("perf_counters", opt.perf_counters);
-    report.SetConfig("delta_pool", opt.delta_pool);
-    report.SetConfig("repair", opt.repair);
   }
 
   ScenarioKind scenario_kind = ScenarioKind::kPaper;
@@ -632,15 +672,10 @@ int main(int argc, char** argv) {
   // and --index only change wall-clock time.
   config.num_threads = opt.threads;
   config.index_backend = index_backend;
-  // Delta pool maintenance never changes assignments; repair does (both
-  // documented in sim/simulator_config.h).
-  config.incremental_pool = opt.delta_pool;
-  config.repair = opt.repair;
 
   AssignerOptions assigner_options;
   assigner_options.seed = opt.seed;
   assigner_options.index_backend = index_backend;
-  assigner_options.repair = opt.repair;
   auto assigner = CreateAssigner(kind, assigner_options);
 
   if (opt.stream) {

@@ -35,10 +35,6 @@ HEADLINE_GAUGES = (
     ("mqa.slo.window.p99_latency_seconds", "slo p99 s"),
     ("mqa.slo.window.overrun_ratio", "slo overrun ratio"),
     ("mqa.slo.breaches_active", "slo breaches active"),
-    # Incremental epoch pipeline (recorded per epoch as histograms; the
-    # p50 of the run-so-far distribution is the steady-state view).
-    ('mqa.epoch.churn_ratio{quantile="0.5"}', "epoch churn p50"),
-    ('mqa.pool.delta.reuse_fraction{quantile="0.5"}', "pool reuse p50"),
 )
 
 
@@ -136,16 +132,6 @@ class FileSource:
             for name, v in self.last_snapshot.get("gauges", {}).items():
                 if v is not None:
                     metrics[name] = v
-            # Mirror the exposition's histogram-quantile key shape so the
-            # headline lookups work against either source.
-            for name, h in self.last_snapshot.get("hist", {}).items():
-                if not isinstance(h, dict):
-                    continue
-                for label, key in (("0.5", "p50"), ("0.9", "p90"),
-                                   ("0.99", "p99")):
-                    v = h.get(key)
-                    if v is not None:
-                        metrics[f'{name}{{quantile="{label}"}}'] = v
         return metrics, self.last_snapshot
 
     def describe(self):

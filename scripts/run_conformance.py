@@ -3,13 +3,11 @@
 
 Replays each trace through the built ``mqa_cli`` across every combination
 of assignment algorithm x spatial-index backend x thread count x engine
-({batch, batch --delta-pool, stream}) and asserts the determinism
-contracts on the per-epoch assignment checksums extracted from
-``--run-report`` JSON:
+({batch, stream}) and asserts the determinism contracts on the per-epoch
+assignment checksums extracted from ``--run-report`` JSON:
 
   1. backend-equivalence  — brute/grid/rtree replay to identical bits;
-  2. thread-equivalence   — 1 and 4 threads replay to identical bits
-     (and --delta-pool never changes assignments);
+  2. thread-equivalence   — 1 and 4 threads replay to identical bits;
   3. batch/stream-equivalence — for integer-time traces (recorded
      arrival streams), the streaming engine under --epoch-policy=instance
      reproduces the batch checksums byte-for-byte. Continuous-time
@@ -81,8 +79,6 @@ def run_variant(cli, trace, algo, backend, threads, engine, report_path):
     ] + BASE_FLAGS
     if engine == "stream":
         cmd += ["--stream", "--epoch-policy=instance"]
-    elif engine == "delta":
-        cmd += ["--delta-pool"]
     elif engine != "batch":
         raise ValueError(engine)
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -104,7 +100,7 @@ def sweep_trace(cli, trace, tmpdir):
         runs = 0
         for backend in BACKENDS:
             for threads in THREADS:
-                for engine in ("batch", "delta", "stream"):
+                for engine in ("batch", "stream"):
                     label = f"{algo}/{backend}/t{threads}/{engine}"
                     report = os.path.join(tmpdir, "report.json")
                     checksums = run_variant(
@@ -113,9 +109,9 @@ def sweep_trace(cli, trace, tmpdir):
                     runs += 1
                     if not checksums:
                         sys.exit(f"FAIL: {label} produced no epochs")
-                    # batch and delta-pool share one contract class; the
-                    # stream engine replays raw timestamps, so it only
-                    # joins that class for integer-time traces.
+                    # The stream engine replays raw timestamps, so it only
+                    # joins the batch contract class for integer-time
+                    # traces.
                     key = ("batch"
                            if engine != "stream" or integral else "stream")
                     if key not in reference:

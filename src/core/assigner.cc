@@ -56,8 +56,7 @@ class GreedyAssigner : public OptionsAssigner {
 
   Result<AssignmentResult> Assign(const ProblemInstance& instance) override {
     MQA_TRACE_SPAN("assign/greedy");
-    return RunGreedy(instance, options_.delta, PoolOptions(),
-                     options_.repair);
+    return RunGreedy(instance, options_.delta, PoolOptions());
   }
 
   const char* name() const override { return "GREEDY"; }
@@ -71,7 +70,7 @@ class DivideConquerAssigner : public OptionsAssigner {
   Result<AssignmentResult> Assign(const ProblemInstance& instance) override {
     MQA_TRACE_SPAN("assign/dc");
     return RunDivideConquer(instance, options_.delta, options_.dc_branching,
-                            PoolOptions(), options_.repair);
+                            PoolOptions());
   }
 
   const char* name() const override { return "D&C"; }
@@ -84,8 +83,7 @@ class RandomAssigner : public OptionsAssigner {
 
   Result<AssignmentResult> Assign(const ProblemInstance& instance) override {
     MQA_TRACE_SPAN("assign/random");
-    return RunRandom(instance, options_.delta, next_seed_++, PoolOptions(),
-                     options_.repair);
+    return RunRandom(instance, options_.delta, next_seed_++, PoolOptions());
   }
 
   const char* name() const override { return "RANDOM"; }

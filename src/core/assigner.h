@@ -54,15 +54,6 @@ struct AssignerOptions {
   /// (SimulatorConfig::num_threads) still applies. A fully sequential
   /// run therefore needs both knobs at their defaults.
   int num_threads = 1;
-
-  /// Assignment *repair* mode: solve only over the pair subgraph
-  /// reachable from this epoch's churn instead of the whole instance
-  /// (core/repair.h). Requires the instance to carry a PoolDeltaCache
-  /// (SimulatorConfig::repair wires one up); degrades to the full solve
-  /// otherwise, and always on the first epoch. Results-changing — bench
-  /// reports the quality-vs-latency tradeoff against the global
-  /// re-solve. GREEDY, D&C and RANDOM honor it; EXACT ignores it.
-  bool repair = false;
 };
 
 /// A one-instance MQA solver. Implementations are stateless across calls

@@ -1,14 +1,12 @@
 #include "core/divide_conquer.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/logging.h"
 #include "core/cost_model.h"
 #include "core/decomposition.h"
 #include "core/greedy.h"
 #include "core/merge.h"
-#include "core/repair.h"
 #include "core/valid_pairs.h"
 #include "exec/thread_pool.h"
 #include "obs/trace.h"
@@ -115,33 +113,17 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
 
 AssignmentResult RunDivideConquer(const ProblemInstance& instance,
                                   double delta, int branching,
-                                  const PairPoolOptions& pool_options,
-                                  bool repair) {
+                                  const PairPoolOptions& pool_options) {
   PairPoolOptions options = pool_options;
   options.include_predicted = true;
   const PairPool pool = BuildPairPool(instance, options);
-
-  // Repair mode shrinks the root to the churn-reachable pair subgraph; a
-  // bitmap filter keeps each task's per-span ascending id order intact.
-  std::optional<std::vector<int32_t>> scope;
-  if (repair) scope = ComputeRepairPairIds(instance, pool);
-  std::vector<char> in_scope;
-  if (scope.has_value()) {
-    in_scope.assign(pool.size(), 0);
-    for (const int32_t id : *scope) in_scope[static_cast<size_t>(id)] = 1;
-  }
 
   Subproblem root;
   for (size_t j = 0; j < instance.tasks().size(); ++j) {
     const PairIdSpan ids = pool.PairsByTask(static_cast<int32_t>(j));
     if (ids.empty()) continue;
-    const size_t before = root.pair_ids.size();
-    for (const int32_t id : ids) {
-      if (!in_scope.empty() && !in_scope[static_cast<size_t>(id)]) continue;
-      root.pair_ids.push_back(id);
-    }
-    if (root.pair_ids.size() == before) continue;
     root.task_indices.push_back(static_cast<int32_t>(j));
+    root.pair_ids.insert(root.pair_ids.end(), ids.begin(), ids.end());
   }
 
   // Same precedence as BuildPairPool: the assigner's own pool, then the

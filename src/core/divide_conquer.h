@@ -18,13 +18,9 @@ namespace mqa {
 ///      the greedy core restricted to the merged pairs
 ///      (MQA_Budget_Constrained_Selection).
 /// Only current-current pairs are emitted.
-/// With `repair` the root subproblem covers only the churn-reachable pair
-/// subgraph (core/repair.h) — a results-changing latency optimization;
-/// full solve when no churn plan is available.
 AssignmentResult RunDivideConquer(const ProblemInstance& instance,
                                   double delta, int branching = 0,
-                                  const PairPoolOptions& pool_options = {},
-                                  bool repair = false);
+                                  const PairPoolOptions& pool_options = {});
 
 }  // namespace mqa
 

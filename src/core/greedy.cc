@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
-#include <utility>
 
 #include "core/budget.h"
-#include "core/repair.h"
 #include "core/selection.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -222,23 +219,18 @@ AssignmentResult EmitCurrentPairs(const ProblemInstance& instance,
 }
 
 AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
-                           const PairPoolOptions& pool_options, bool repair) {
+                           const PairPoolOptions& pool_options) {
   PairPoolOptions options = pool_options;
   options.include_predicted = true;
   const PairPool pool = BuildPairPool(instance, options);
 
-  std::vector<int32_t> ids;
-  std::optional<std::vector<int32_t>> scope;
-  if (repair) scope = ComputeRepairPairIds(instance, pool);
-  if (scope.has_value()) {
-    ids = std::move(*scope);
-  } else {
-    ids.resize(pool.size());
-    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
+  std::vector<int32_t> all_ids(pool.size());
+  for (size_t i = 0; i < all_ids.size(); ++i) {
+    all_ids[i] = static_cast<int32_t>(i);
   }
 
   const std::vector<int32_t> selected =
-      GreedySelect(pool, ids, instance.budget(), delta);
+      GreedySelect(pool, all_ids, instance.budget(), delta);
   return EmitCurrentPairs(instance, pool, selected);
 }
 

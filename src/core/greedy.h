@@ -43,12 +43,8 @@ AssignmentResult EmitCurrentPairs(const ProblemInstance& instance,
 /// B, Eq. 9 confidence `delta`), and emit the current-current pairs.
 /// `pool_options.include_predicted` is overridden to true; the remaining
 /// fields pick the candidate-generation index (see valid_pairs.h).
-/// With `repair` the greedy loop runs over the churn-reachable pair
-/// subgraph only (core/repair.h) — a results-changing latency
-/// optimization; full solve when no churn plan is available.
 AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
-                           const PairPoolOptions& pool_options = {},
-                           bool repair = false);
+                           const PairPoolOptions& pool_options = {});
 
 }  // namespace mqa
 

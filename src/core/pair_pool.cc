@@ -194,7 +194,6 @@ PairPool& PairPool::operator=(PairPool&& other) noexcept {
   arena_ = other.arena_;
   stats_sink_ = other.stats_sink_;
   build_seconds_ = other.build_seconds_;
-  delta_ = other.delta_;
 
   other.num_pairs_ = 0;
   other.num_workers_ = 0;
@@ -300,7 +299,6 @@ PairPoolStats PairPool::Stats() const {
   PairPoolStats stats;
   stats.pairs = static_cast<int64_t>(num_pairs_);
   stats.build_seconds = build_seconds_;
-  stats.delta = delta_;
 
   int64_t column_bytes = 0;
   if (num_pairs_ > 0) {

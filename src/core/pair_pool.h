@@ -34,36 +34,6 @@ enum class PairQualityKind : uint8_t {
   kExplicitPredicted = 5,  // builder-supplied, involves predicted
 };
 
-/// Cross-epoch delta-maintenance measurements (see core/pool_delta.h).
-/// All zero unless the epoch ran under a PoolDeltaCache. Rows are
-/// worker-major pool rows; "reused" rows replayed their cached bytes,
-/// "rebuilt" rows were re-scanned (churned or predicted workers), and
-/// "invalidated" rows belonged to departed workers or to a snapshot the
-/// ordering checks rejected wholesale.
-struct PoolDeltaStats {
-  bool tracked = false;  // a delta cache observed this epoch
-  bool applied = false;  // the delta build path actually ran
-
-  int64_t rows_reused = 0;
-  int64_t rows_rebuilt = 0;
-  int64_t rows_invalidated = 0;
-
-  int64_t pairs_reused = 0;     // replayed from the cache
-  int64_t pairs_rescanned = 0;  // churn-driven fresh scans and merges
-  int64_t pairs_dropped = 0;    // cached entries that failed the re-filter
-
-  int64_t churned_workers = 0;  // arrivals + departures, current workers
-  int64_t churned_tasks = 0;
-
-  /// (churned workers + tasks) / (current + departed entities); 1.0 on
-  /// the first epoch.
-  double churn_ratio = 0.0;
-
-  /// pairs_reused / pool pairs (0 when the pool is empty or the delta
-  /// path did not run).
-  double reuse_fraction = 0.0;
-};
-
 /// Per-pool measurements surfaced by PairPool::Stats() and flushed to the
 /// sink (PairPoolOptions::stats_sink / ProblemInstance::pool_stats) when
 /// the pool is destroyed — i.e. after the consuming algorithm ran, so the
@@ -93,11 +63,6 @@ struct PairPoolStats {
   /// Fraction of predicted pairs whose Case 1-3 distribution was never
   /// materialized (0 when the pool has no predicted pairs).
   double lazy_skipped_fraction = 0.0;
-
-  /// Cross-epoch delta-maintenance block (zeros without a cache). Like
-  /// build_seconds this describes *how* the pool was produced, never its
-  /// contents — excluded from the byte-identity contract.
-  PoolDeltaStats delta;
 };
 
 /// Memoized Case 1-3 quality/existence distributions, materialized on
@@ -319,10 +284,6 @@ class PairPool {
   /// Build wall time, recorded by BuildPairPool and surfaced via Stats().
   void set_build_seconds(double s) { build_seconds_ = s; }
 
-  /// Delta-maintenance measurements of the build that produced this pool,
-  /// recorded by BuildPairPool when a PoolDeltaCache was active.
-  void set_delta_stats(const PoolDeltaStats& delta) { delta_ = delta; }
-
   /// Takes ownership of the arena the columns were allocated from
   /// (BuildPairPool's private-arena fallback).
   void AdoptArena(std::unique_ptr<PairArena> arena);
@@ -369,7 +330,6 @@ class PairPool {
   PairArena* arena_ = nullptr;  // owned_arena_.get() or the caller's
   PairPoolStats* stats_sink_ = nullptr;
   double build_seconds_ = 0.0;
-  PoolDeltaStats delta_;
 };
 
 /// A lightweight view of one pool pair — the successor of the materialized

@@ -2,32 +2,21 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
-#include <utility>
 
 #include "common/rng.h"
 #include "core/budget.h"
 #include "core/greedy.h"
-#include "core/repair.h"
 #include "core/valid_pairs.h"
 
 namespace mqa {
 
 AssignmentResult RunRandom(const ProblemInstance& instance, double delta,
-                           uint64_t seed, const PairPoolOptions& pool_options,
-                           bool repair) {
+                           uint64_t seed, const PairPoolOptions& pool_options) {
   PairPoolOptions options = pool_options;
   options.include_predicted = true;
   const PairPool pool = BuildPairPool(instance, options);
-  std::vector<int32_t> order;
-  std::optional<std::vector<int32_t>> scope;
-  if (repair) scope = ComputeRepairPairIds(instance, pool);
-  if (scope.has_value()) {
-    order = std::move(*scope);
-  } else {
-    order.resize(pool.size());
-    std::iota(order.begin(), order.end(), 0);
-  }
+  std::vector<int32_t> order(pool.size());
+  std::iota(order.begin(), order.end(), 0);
   Rng rng(seed);
   std::shuffle(order.begin(), order.end(), rng.engine());
 

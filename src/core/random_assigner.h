@@ -15,12 +15,9 @@ namespace mqa {
 /// prediction enabled the shuffle also covers predicted pairs (these
 /// consume the next-instance pot and are dropped from the output), which
 /// is what the paper's RANDOM_WP variant does.
-/// With `repair` only the churn-reachable pair subgraph is shuffled
-/// (core/repair.h); full solve when no churn plan is available.
 AssignmentResult RunRandom(const ProblemInstance& instance, double delta,
                            uint64_t seed,
-                           const PairPoolOptions& pool_options = {},
-                           bool repair = false);
+                           const PairPoolOptions& pool_options = {});
 
 }  // namespace mqa
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "core/pool_delta.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "exec/pair_arena.h"
@@ -58,15 +57,6 @@ void CollectCandidates(const ProblemInstance& instance,
   });
 }
 
-/// The travel-cost distribution of one pair — a pure function of the two
-/// location boxes and the unit price, shared by the from-scratch fill and
-/// the delta path's churn merges so both produce identical bytes.
-Uncertain PairCost(const ProblemInstance& instance, const Worker& w,
-                   const Task& t) {
-  return DistanceBetween(w.location, t.location)
-      .AffineTransform(instance.unit_price(), 0.0);
-}
-
 /// Pass 2: fills column slot `at` for worker `i` and candidate `c`. The
 /// cost moments are computed here (same closed-form calls, same order as
 /// the eager builder); quality is the fixed score for current-current
@@ -81,7 +71,8 @@ void FillPairSlot(const ProblemInstance& instance, PairPoolBuilder* builder,
   builder->worker_col()[at] = static_cast<int32_t>(i);
   builder->task_col()[at] = c.task;
 
-  const Uncertain cost = PairCost(instance, w, t);
+  const Uncertain cost = DistanceBetween(w.location, t.location)
+                             .AffineTransform(instance.unit_price(), 0.0);
   builder->cost_mean_col()[at] = cost.mean();
   builder->cost_var_col()[at] = cost.variance();
   builder->cost_lb_col()[at] = cost.lb();
@@ -101,317 +92,6 @@ void FillPairSlot(const ProblemInstance& instance, PairPoolBuilder* builder,
   }
   builder->fixed_quality_col()[at] = fixed_quality;
   builder->qkind_col()[at] = static_cast<uint8_t>(kind);
-}
-
-/// Snapshots the current-current rows of a from-scratch build into the
-/// delta cache so the *next* epoch can replay them. Candidates are
-/// worker-major and ascending by task, so each row's current-current part
-/// is a prefix; cost moments are read back from the freshly filled
-/// columns rather than recomputed.
-void CommitFromScratchBuild(const ProblemInstance& instance,
-                            PoolDeltaCache* cache, size_t num_workers,
-                            const WorkerCandidates* candidates,
-                            const size_t* offsets, PairPoolBuilder* builder) {
-  const size_t ncw = instance.num_current_workers();
-  const size_t nct = instance.num_current_tasks();
-  std::vector<CachedCandidate>* rows = cache->TakeRowStorage();
-  std::vector<int64_t>* row_begin = cache->TakeOffsetStorage();
-  row_begin->reserve(ncw + 1);
-  row_begin->push_back(0);
-  for (size_t i = 0; i < ncw; ++i) {
-    const WorkerCandidates& wc = candidates[i];
-    for (size_t k = 0; k < wc.count; ++k) {
-      const Candidate& c = wc.data[k];
-      if (static_cast<size_t>(c.task) >= nct) break;  // cc prefix ends
-      const size_t at = offsets[i] + k;
-      CachedCandidate cc;
-      cc.task = c.task;
-      cc.min_dist = c.min_dist;
-      cc.score = c.score;
-      cc.cost_mean = builder->cost_mean_col()[at];
-      cc.cost_var = builder->cost_var_col()[at];
-      cc.cost_lb = builder->cost_lb_col()[at];
-      cc.cost_ub = builder->cost_ub_col()[at];
-      rows->push_back(cc);
-    }
-    row_begin->push_back(static_cast<int64_t>(rows->size()));
-  }
-  PoolDeltaStats& ds = cache->stats();
-  ds.rows_rebuilt += static_cast<int64_t>(num_workers);
-  ds.pairs_rescanned += static_cast<int64_t>(offsets[num_workers]);
-  cache->Commit(instance.workers(), ncw, instance.tasks(), nct, {});
-}
-
-/// The delta builder (core/pool_delta.h): replays every carried worker's
-/// cached row and re-scans only the churn. Produces a pool byte-identical
-/// to the from-scratch paths:
-///   1. (sequential) role-swapped worker-index queries collect the
-///      candidates of churned and predicted *tasks* among carried
-///      workers, bucketed per worker (stable, so ascending task order is
-///      preserved);
-///   2. (sequential) per-worker row assembly — carried rows remap their
-///      cached candidates through the task plan, re-apply the exact
-///      CanReachAtDistance predicate against the aged deadline, and merge
-///      the step-1 extras; churned/predicted workers re-scan the task
-///      index exactly like the from-scratch path. Current-current
-///      candidates stage straight into the cache's next snapshot;
-///      predicted-involving ones into arena scratch;
-///   3. (parallel, per worker) columns fill from the assembled records —
-///      cached values copy bit-for-bit, churn values were computed by the
-///      same PairCost/Score calls the scratch path makes;
-///   4. (sequential) CSR + lazy table via PairPoolBuilder::Build, as
-///      always.
-PairPool BuildPairPoolDelta(const ProblemInstance& instance,
-                            const SpatialIndex* task_index,
-                            size_t num_workers, size_t num_tasks,
-                            double max_deadline, bool has_predicted,
-                            ThreadPool* pool, PairArena* arena,
-                            PoolDeltaCache* cache) {
-  const QualityModel& model = *instance.quality_model();
-  const size_t ncw = instance.num_current_workers();
-  const size_t nct = instance.num_current_tasks();
-  const std::vector<Worker>& workers = instance.workers();
-  const std::vector<Task>& tasks = instance.tasks();
-  PoolDeltaStats& ds = cache->stats();
-  const std::vector<int32_t>& prev_of_cur = cache->worker_prev_of_cur();
-  const std::vector<int32_t>& remap = cache->task_cur_of_prev();
-
-  // --- 1. Churned/predicted-task extras for carried workers. ---
-  struct Extra {
-    int32_t worker = 0;
-    int32_t task = 0;
-    double min_dist = 0.0;
-  };
-  std::vector<Extra> extras;
-  {
-    MQA_TRACE_SPAN("pool/delta_extras");
-    double max_velocity = 0.0;
-    for (size_t i = 0; i < ncw; ++i) {
-      max_velocity = std::max(max_velocity, workers[i].velocity);
-    }
-    const SpatialIndex* worker_index = instance.worker_index();
-    const auto scan_task = [&](int32_t j) {
-      const Task& t = tasks[static_cast<size_t>(j)];
-      // Role-swapped reachability (see index/worker_index_cache.h): with
-      // velocity := deadline and the bound roles flipped, the emission
-      // predicate min_dist <= d_t * v_w is symmetric in (v, d) — the
-      // index hands back a superset, and the exact filter below is the
-      // same call the worker-centric scan makes. min_dist is recomputed
-      // with the operands in the scan's order so the stored value is
-      // bitwise the one a from-scratch build stores.
-      worker_index->QueryReachable(
-          t.location, t.deadline, max_velocity,
-          [&](int64_t wid, const BBox&, double) {
-            if (wid >= static_cast<int64_t>(ncw)) return;
-            if (prev_of_cur[static_cast<size_t>(wid)] < 0) return;
-            const Worker& w = workers[static_cast<size_t>(wid)];
-            const double min_dist = w.location.MinDistance(t.location);
-            if (!instance.CanReachAtDistance(w, t, min_dist)) return;
-            extras.push_back({static_cast<int32_t>(wid), j, min_dist});
-          });
-    };
-    for (const int32_t j : cache->new_current_tasks()) scan_task(j);
-    for (size_t j = nct; j < num_tasks; ++j) {
-      scan_task(static_cast<int32_t>(j));
-    }
-  }
-  // Bucket extras per worker; the task-ascending generation order above
-  // is preserved (stable counting sort).
-  std::vector<int64_t> extra_begin(ncw + 1, 0);
-  for (const Extra& e : extras) {
-    ++extra_begin[static_cast<size_t>(e.worker) + 1];
-  }
-  for (size_t i = 0; i < ncw; ++i) extra_begin[i + 1] += extra_begin[i];
-  std::vector<Extra> extras_by_worker(extras.size());
-  {
-    std::vector<int64_t> cursor(extra_begin.begin(), extra_begin.end() - 1);
-    for (const Extra& e : extras) {
-      extras_by_worker[static_cast<size_t>(
-          cursor[static_cast<size_t>(e.worker)]++)] = e;
-    }
-  }
-
-  // --- 2. Row assembly. ---
-  MQA_TRACE_SPAN("pool/delta_assemble");
-  std::vector<CachedCandidate>* cc_rows = cache->TakeRowStorage();
-  std::vector<int64_t>* cc_begin = cache->TakeOffsetStorage();
-  cc_begin->reserve(ncw + 1);
-  cc_begin->push_back(0);
-  std::vector<int64_t> row_epochs;
-  row_epochs.reserve(ncw);
-
-  ArenaVector<CachedCandidate> pred_buf(arena);
-  int64_t* pred_begin = arena->AllocateArray<int64_t>(num_workers + 1);
-  pred_begin[0] = 0;
-
-  std::vector<Candidate> scan_out;
-  std::vector<std::pair<int32_t, double>> scan_scratch;
-  const auto emit_scanned = [&](size_t i) {
-    // Fresh scan for a churned or predicted worker — identical calls to
-    // the from-scratch CollectCandidates + PairCost sequence.
-    scan_out.clear();
-    CollectCandidates(instance, model, *task_index, i, max_deadline,
-                      num_tasks, &scan_scratch, &scan_out);
-    const Worker& w = workers[i];
-    for (const Candidate& c : scan_out) {
-      const Task& t = tasks[static_cast<size_t>(c.task)];
-      const Uncertain cost = PairCost(instance, w, t);
-      CachedCandidate cc;
-      cc.task = c.task;
-      cc.min_dist = c.min_dist;
-      cc.score = c.score;
-      cc.cost_mean = cost.mean();
-      cc.cost_var = cost.variance();
-      cc.cost_lb = cost.lb();
-      cc.cost_ub = cost.ub();
-      if (i < ncw && static_cast<size_t>(c.task) < nct) {
-        cc_rows->push_back(cc);
-      } else {
-        pred_buf.push_back(cc);
-      }
-    }
-    ds.rows_rebuilt += 1;
-    ds.pairs_rescanned += static_cast<int64_t>(scan_out.size());
-  };
-
-  for (size_t i = 0; i < num_workers; ++i) {
-    if (i >= ncw || prev_of_cur[i] < 0) {
-      emit_scanned(i);
-      if (i < ncw) {
-        cc_begin->push_back(static_cast<int64_t>(cc_rows->size()));
-        row_epochs.push_back(cache->epoch());
-      }
-      pred_begin[i + 1] = static_cast<int64_t>(pred_buf.size());
-      continue;
-    }
-
-    // Carried worker: replay the cached row, merging churned-task extras
-    // in ascending task order (the two task sets are disjoint — extras
-    // are tasks with no snapshot match, cached entries only remap to
-    // matched ones).
-    const Worker& w = workers[i];
-    const int32_t prev = prev_of_cur[i];
-    const PoolDeltaCache::Row prow = cache->prev_row(prev);
-    const Extra* x = extras_by_worker.data() + extra_begin[i];
-    const Extra* xe = extras_by_worker.data() + extra_begin[i + 1];
-    const Extra* xcc_end = x;
-    while (xcc_end != xe && static_cast<size_t>(xcc_end->task) < nct) {
-      ++xcc_end;
-    }
-
-    const auto emit_extra = [&](const Extra& e) {
-      const Task& t = tasks[static_cast<size_t>(e.task)];
-      const Uncertain cost = PairCost(instance, w, t);
-      CachedCandidate cc;
-      cc.task = e.task;
-      cc.min_dist = e.min_dist;
-      cc.score = static_cast<size_t>(e.task) < nct ? model.Score(w, t) : 0.0;
-      cc.cost_mean = cost.mean();
-      cc.cost_var = cost.variance();
-      cc.cost_lb = cost.lb();
-      cc.cost_ub = cost.ub();
-      ds.pairs_rescanned += 1;
-      return cc;
-    };
-
-    size_t k = 0;
-    CachedCandidate pending;
-    bool have_pending = false;
-    while (true) {
-      while (!have_pending && k < prow.count) {
-        CachedCandidate c = prow.data[k++];
-        const int32_t j = remap[static_cast<size_t>(c.task)];
-        if (j < 0) {
-          ds.pairs_dropped += 1;
-          continue;
-        }
-        // Deadlines only shrink for a matched task, so today's survivors
-        // are a subset of the cached row — the exact predicate on the
-        // cached min_dist is all that can change.
-        if (!instance.CanReachAtDistance(w, tasks[static_cast<size_t>(j)],
-                                         c.min_dist)) {
-          ds.pairs_dropped += 1;
-          continue;
-        }
-        c.task = j;
-        pending = c;
-        have_pending = true;
-      }
-      if (!have_pending && x == xcc_end) break;
-      if (!have_pending || (x != xcc_end && x->task < pending.task)) {
-        cc_rows->push_back(emit_extra(*x));
-        ++x;
-      } else {
-        cc_rows->push_back(pending);
-        have_pending = false;
-        ds.pairs_reused += 1;
-      }
-    }
-    for (; x != xe; ++x) pred_buf.push_back(emit_extra(*x));
-
-    ds.rows_reused += 1;
-    cc_begin->push_back(static_cast<int64_t>(cc_rows->size()));
-    row_epochs.push_back(cache->prev_row_epoch(prev));
-    pred_begin[i + 1] = static_cast<int64_t>(pred_buf.size());
-  }
-
-  // --- 3. Column fill from the assembled records. ---
-  size_t* offsets = arena->AllocateArray<size_t>(num_workers + 1);
-  offsets[0] = 0;
-  for (size_t i = 0; i < num_workers; ++i) {
-    const int64_t cc =
-        i < ncw ? (*cc_begin)[i + 1] - (*cc_begin)[i] : 0;
-    const int64_t pred = pred_begin[i + 1] - pred_begin[i];
-    offsets[i + 1] = offsets[i] + static_cast<size_t>(cc + pred);
-  }
-
-  PairPoolBuilder builder(workers.size(), tasks.size(), ncw, nct,
-                          offsets[num_workers], arena, has_predicted);
-  {
-    MQA_TRACE_SPAN("pool/fill");
-    const CachedCandidate* cc_data = cc_rows->data();
-    const auto fill_worker = [&](int64_t wi) {
-      const size_t i = static_cast<size_t>(wi);
-      size_t at = offsets[i];
-      const auto put = [&](const CachedCandidate& c, PairQualityKind kind,
-                           double fixed_quality) {
-        builder.worker_col()[at] = static_cast<int32_t>(i);
-        builder.task_col()[at] = c.task;
-        builder.cost_mean_col()[at] = c.cost_mean;
-        builder.cost_var_col()[at] = c.cost_var;
-        builder.cost_lb_col()[at] = c.cost_lb;
-        builder.cost_ub_col()[at] = c.cost_ub;
-        builder.fixed_quality_col()[at] = fixed_quality;
-        builder.qkind_col()[at] = static_cast<uint8_t>(kind);
-        ++at;
-      };
-      if (i < ncw) {
-        for (int64_t k = (*cc_begin)[i]; k < (*cc_begin)[i + 1]; ++k) {
-          put(cc_data[k], PairQualityKind::kCurrent, cc_data[k].score);
-        }
-      }
-      for (int64_t k = pred_begin[i]; k < pred_begin[i + 1]; ++k) {
-        const CachedCandidate& c = pred_buf[static_cast<size_t>(k)];
-        const PairQualityKind kind =
-            i < ncw ? PairQualityKind::kCase2
-                    : (static_cast<size_t>(c.task) < nct
-                           ? PairQualityKind::kCase1
-                           : PairQualityKind::kCase3);
-        put(c, kind, 0.0);
-      }
-    };
-    if (pool != nullptr && pool->num_threads() > 1) {
-      pool->ParallelFor(static_cast<int64_t>(num_workers), fill_worker);
-    } else {
-      for (size_t i = 0; i < num_workers; ++i) {
-        fill_worker(static_cast<int64_t>(i));
-      }
-    }
-  }
-
-  ds.applied = true;
-  cache->Commit(workers, ncw, tasks, nct, std::move(row_epochs));
-  return std::move(builder).Build();
 }
 
 /// The sharded parallel builder. Produces a pool byte-identical to the
@@ -436,7 +116,7 @@ PairPool BuildPairPoolSharded(const ProblemInstance& instance,
                               const SpatialIndex* prebuilt, size_t num_workers,
                               size_t num_tasks, double max_deadline,
                               bool has_predicted, ThreadPool* pool,
-                              PairArena* arena, PoolDeltaCache* cache) {
+                              PairArena* arena) {
   const QualityModel& model = *instance.quality_model();
   const ShardingPlan plan =
       ShardByRegion(instance, num_workers, num_tasks, max_deadline,
@@ -510,10 +190,6 @@ PairPool BuildPairPoolSharded(const ProblemInstance& instance,
       }
     });
   }
-  if (cache != nullptr) {
-    CommitFromScratchBuild(instance, cache, num_workers, candidates, offsets,
-                           &builder);
-  }
   return std::move(builder).Build();
 }
 
@@ -522,7 +198,7 @@ PairPool BuildPairPoolSequential(const ProblemInstance& instance,
                                  const SpatialIndex* prebuilt,
                                  size_t num_workers, size_t num_tasks,
                                  double max_deadline, bool has_predicted,
-                                 PairArena* arena, PoolDeltaCache* cache) {
+                                 PairArena* arena) {
   const QualityModel& model = *instance.quality_model();
 
   const SpatialIndex* index = prebuilt;
@@ -568,14 +244,6 @@ PairPool BuildPairPoolSequential(const ProblemInstance& instance,
         FillPairSlot(instance, &builder, k, i, buffer[k]);
       }
     }
-  }
-  if (cache != nullptr) {
-    std::vector<WorkerCandidates> candidates(num_workers);
-    for (size_t i = 0; i < num_workers; ++i) {
-      candidates[i] = {buffer.data() + offsets[i], offsets[i + 1] - offsets[i]};
-    }
-    CommitFromScratchBuild(instance, cache, num_workers, candidates.data(),
-                           offsets, &builder);
   }
   return std::move(builder).Build();
 }
@@ -630,47 +298,21 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   ThreadPool* thread_pool = options.thread_pool != nullptr
                                 ? options.thread_pool
                                 : instance.thread_pool();
-
-  // Delta replay requires the caller-maintained indexes (tasks for churn
-  // re-scans, workers for the role-swapped churned-task queries) and an
-  // applicable plan; a second build in the same epoch, a first epoch, or
-  // an ordering violation all fall back to the from-scratch paths, which
-  // still commit a fresh snapshot when a cache is attached.
-  PoolDeltaCache* delta_cache = instance.pool_delta();
-  const bool delta_ok = delta_cache != nullptr &&
-                        delta_cache->apply_deltas() &&
-                        delta_cache->delta_applicable() &&
-                        prebuilt != nullptr &&
-                        instance.worker_index() != nullptr;
-
   const auto t_build = std::chrono::steady_clock::now();
   MQA_TRACE_SPAN("pool/build");
   PairPool pool =
-      delta_ok
-          ? BuildPairPoolDelta(instance, prebuilt, num_workers, num_tasks,
-                               max_deadline, has_predicted, thread_pool, arena,
-                               delta_cache)
-          : (thread_pool != nullptr && thread_pool->num_threads() > 1 &&
-             num_workers >= kMinShardableWorkers)
-              ? BuildPairPoolSharded(instance, options, prebuilt, num_workers,
-                                     num_tasks, max_deadline, has_predicted,
-                                     thread_pool, arena, delta_cache)
-              : BuildPairPoolSequential(instance, options, prebuilt,
-                                        num_workers, num_tasks, max_deadline,
-                                        has_predicted, arena, delta_cache);
+      (thread_pool != nullptr && thread_pool->num_threads() > 1 &&
+       num_workers >= kMinShardableWorkers)
+          ? BuildPairPoolSharded(instance, options, prebuilt, num_workers,
+                                 num_tasks, max_deadline, has_predicted,
+                                 thread_pool, arena)
+          : BuildPairPoolSequential(instance, options, prebuilt, num_workers,
+                                    num_tasks, max_deadline, has_predicted,
+                                    arena);
   pool.set_build_seconds(std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t_build)
                              .count());
   MQA_METRIC_COUNT("mqa.pool.pairs_total", static_cast<int64_t>(pool.size()));
-  if (delta_cache != nullptr) {
-    PoolDeltaStats& ds = delta_cache->stats();
-    ds.reuse_fraction = pool.size() > 0
-                            ? static_cast<double>(ds.pairs_reused) /
-                                  static_cast<double>(pool.size())
-                            : 0.0;
-    pool.set_delta_stats(ds);
-    MQA_METRIC_COUNT("mqa.pool.delta.builds_applied", ds.applied ? 1 : 0);
-  }
   if (owned_arena != nullptr) pool.AdoptArena(std::move(owned_arena));
   pool.set_stats_sink(options.stats_sink != nullptr ? options.stats_sink
                                                     : instance.pool_stats());

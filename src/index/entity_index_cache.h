@@ -19,10 +19,15 @@ struct IndexChurnStats {
   /// Arrivals (no live match) and departures (live entry not matched).
   int64_t inserted = 0;
   int64_t erased = 0;
-  /// True when the insert+erase volume crossed the rebuild threshold and
-  /// the cache bulk-rebuilt instead of churning entries one by one.
+  /// True when the insert+erase volume crossed kIndexRebuildChurnFraction
+  /// and the cache bulk-rebuilt instead of churning entries one by one.
   bool bulk_rebuilt = false;
 };
+
+/// EntityIndexCache's rebuild break-even: BeginInstance bulk-rebuilds once
+/// the insert+erase volume exceeds this fraction of the incoming entity
+/// vector.
+inline constexpr double kIndexRebuildChurnFraction = 0.5;
 
 /// Maintains an entity spatial index *across* simulation epochs so the
 /// per-epoch index cost is proportional to the churn, not the pool. This
@@ -50,7 +55,7 @@ struct IndexChurnStats {
 /// only weaken pruning; the exact downstream filter stays authoritative).
 ///
 /// Rebuild break-even: per-entry churn beats a rebuild only while the
-/// churn is small. Past rebuild_threshold() (default: insert+erase volume
+/// churn is small. Past kIndexRebuildChurnFraction (insert+erase volume
 /// above 50% of the incoming vector) BeginInstance bulk-rebuilds the warm
 /// index instead — one BulkLoad at the right grid resolution, with
 /// *refreshed* pruning bounds (refreshing only sharpens pruning; query
@@ -114,11 +119,11 @@ class EntityIndexCache {
     last_churn_.inserted = static_cast<int64_t>(inserts);
     last_churn_.erased = static_cast<int64_t>(erases);
 
-    // Break-even: past the threshold, per-entry Insert/Erase (plus the
+    // Break-even: past the churn fraction, per-entry Insert/Erase (plus the
     // grid imbalance a drifted population accumulates) costs more than
     // one bulk build at a freshly tuned resolution.
     if (static_cast<double>(inserts + erases) >
-        rebuild_threshold_ * static_cast<double>(entities.size())) {
+        kIndexRebuildChurnFraction * static_cast<double>(entities.size())) {
       last_churn_.bulk_rebuilt = true;
       live_.clear();
       BulkRebuild(entities);
@@ -167,15 +172,6 @@ class EntityIndexCache {
 
   /// What the last BeginInstance did (churn counts, rebuild decision).
   const IndexChurnStats& last_churn() const { return last_churn_; }
-
-  /// Churn volume (inserts + erases) as a fraction of the incoming entity
-  /// vector above which BeginInstance bulk-rebuilds. 0 rebuilds on any
-  /// churn; anything >= 2 never rebuilds a warm index (volume is bounded
-  /// by entities + previous entries).
-  double rebuild_threshold() const { return rebuild_threshold_; }
-  void set_rebuild_threshold(double threshold) {
-    rebuild_threshold_ = threshold;
-  }
 
   /// Index over the entities of the last BeginInstance call; entry ids
   /// are indices into that vector. Valid until the next BeginInstance.
@@ -285,7 +281,6 @@ class EntityIndexCache {
   std::vector<int32_t> match_;  // pass-1 scratch, capacity recycled
   std::unique_ptr<View> view_;
   IndexChurnStats last_churn_;
-  double rebuild_threshold_ = 0.5;
 };
 
 }  // namespace mqa

@@ -13,7 +13,6 @@ namespace mqa {
 
 class PairArena;
 struct PairPoolStats;
-class PoolDeltaCache;
 class QualityModel;
 class SpatialIndex;
 class ThreadPool;
@@ -103,16 +102,6 @@ class ProblemInstance {
   PairPoolStats* pool_stats() const { return pool_stats_; }
   void set_pool_stats(PairPoolStats* stats) { pool_stats_ = stats; }
 
-  /// Optional cross-epoch pair-pool delta cache (see core/pool_delta.h).
-  /// When set, BuildPairPool commits each epoch's current-current rows
-  /// into it and — when the cache's apply gate and ordering checks allow
-  /// — replays unchanged rows instead of re-scanning them; the repair
-  /// solve mode reads its churn plan. Non-owning; EpochRunner owns the
-  /// cache and calls BeginEpoch before handing out the instance. Null
-  /// (the default) keeps every build from-scratch.
-  PoolDeltaCache* pool_delta() const { return pool_delta_; }
-  void set_pool_delta(PoolDeltaCache* cache) { pool_delta_ = cache; }
-
   /// Unit price C per distance unit (paper Section II-C).
   double unit_price() const { return unit_price_; }
 
@@ -148,7 +137,6 @@ class ProblemInstance {
   ThreadPool* thread_pool_ = nullptr;
   PairArena* pair_arena_ = nullptr;
   PairPoolStats* pool_stats_ = nullptr;
-  PoolDeltaCache* pool_delta_ = nullptr;
   double unit_price_ = 1.0;
   double budget_ = 0.0;
 };

@@ -226,11 +226,7 @@ void WriteEpochRow(std::ostream& out, const EpochReportRow& row) {
   WriteDouble(out, row.ingest_seconds);
   out << ",\"backlog_scan\":";
   WriteDouble(out, row.backlog_scan_seconds);
-  out << "},\"churn_ratio\":";
-  WriteDouble(out, row.churn_ratio);
-  out << ",\"pool_delta_reuse\":";
-  WriteDouble(out, row.pool_delta_reuse_fraction);
-  out << "}";
+  out << "}}";
 }
 
 }  // namespace

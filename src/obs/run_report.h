@@ -32,11 +32,6 @@ struct EpochReportRow {
   double apply_seconds = 0.0;
   double ingest_seconds = 0.0;
   double backlog_scan_seconds = 0.0;
-  // Incremental epoch pipeline: entity churn this epoch and the fraction
-  // of the pair pool replayed from the cross-epoch delta cache (both 0
-  // when delta maintenance is off).
-  double churn_ratio = 0.0;
-  double pool_delta_reuse_fraction = 0.0;
 };
 
 /// The unified run artifact: one JSON file joining everything needed to

@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "core/pair_pool.h"
-#include "core/pool_delta.h"
 #include "model/assignment.h"
 #include "obs/metrics.h"
 #include "obs/slo_monitor.h"
@@ -66,17 +65,10 @@ EpochRunner::EpochRunner(const SimulatorConfig& config,
       // not O(|T|), and BuildPairPool never re-buckets carried-over
       // tasks. Without reuse it is recreated per epoch in RunEpoch.
       task_index_cache_(std::make_unique<TaskIndexCache>(config.index_backend)),
-      // Delta pool builds and repair both query workers task-centrically,
-      // so either implies the worker index.
-      worker_index_cache_((config.maintain_worker_index ||
-                           config.incremental_pool || config.repair)
+      worker_index_cache_(config.maintain_worker_index
                               ? std::make_unique<WorkerIndexCache>(
                                     config.index_backend)
                               : nullptr),
-      pool_delta_cache_((config.incremental_pool || config.repair)
-                            ? std::make_unique<PoolDeltaCache>(
-                                  /*apply_deltas=*/config.incremental_pool)
-                            : nullptr),
       // Pool shared by all epochs of the run (threads spin up once); the
       // assigner sees it through ProblemInstance::thread_pool, like the
       // task index. Sequential configs carry a null pool.
@@ -181,12 +173,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
     if (worker_index_cache_) {
       worker_index_cache_->BeginInstance(inst_workers);
     }
-    if (pool_delta_cache_) {
-      // Match this epoch's entities against the previous snapshot (the
-      // churn plan for the delta build and the repair scope).
-      pool_delta_cache_->BeginEpoch(inst_workers, num_current_workers,
-                                    inst_tasks, num_current_tasks);
-    }
   }
   {
     const IndexChurnStats& tc = task_index_cache_->last_churn();
@@ -221,9 +207,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   instance.set_pair_arena(&pair_arena_);
   PairPoolStats pool_stats;
   instance.set_pool_stats(&pool_stats);
-  if (pool_delta_cache_) {
-    instance.set_pool_delta(pool_delta_cache_.get());
-  }
 
   // --- Assign (line 5). ---
   {
@@ -239,24 +222,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.pool_arena_peak_bytes = pool_stats.arena_peak_bytes;
   metrics.pool_lazy_skipped_fraction = pool_stats.lazy_skipped_fraction;
   metrics.pool_build_seconds = pool_stats.build_seconds;
-  if (pool_stats.delta.tracked) {
-    const PoolDeltaStats& ds = pool_stats.delta;
-    metrics.pool_delta_applied = ds.applied;
-    metrics.pool_rows_reused = ds.rows_reused;
-    metrics.pool_rows_rebuilt = ds.rows_rebuilt;
-    metrics.pool_rows_invalidated = ds.rows_invalidated;
-    metrics.pool_pairs_reused = ds.pairs_reused;
-    metrics.pool_delta_reuse_fraction = ds.reuse_fraction;
-    metrics.churn_ratio = ds.churn_ratio;
-    MQA_METRIC_COUNT("mqa.pool.delta.rows_reused", ds.rows_reused);
-    MQA_METRIC_COUNT("mqa.pool.delta.rows_rebuilt", ds.rows_rebuilt);
-    MQA_METRIC_COUNT("mqa.pool.delta.rows_invalidated", ds.rows_invalidated);
-    MQA_METRIC_COUNT("mqa.pool.delta.pairs_reused", ds.pairs_reused);
-    MQA_METRIC_COUNT("mqa.pool.delta.pairs_rescanned", ds.pairs_rescanned);
-    MQA_METRIC_COUNT("mqa.pool.delta.pairs_dropped", ds.pairs_dropped);
-    MQA_METRIC_RECORD("mqa.pool.delta.reuse_fraction", ds.reuse_fraction);
-    MQA_METRIC_RECORD("mqa.epoch.churn_ratio", ds.churn_ratio);
-  }
 
   if (config_.validate_assignments) {
     MQA_TRACE_SPAN("epoch/validate");

@@ -18,8 +18,6 @@
 
 namespace mqa {
 
-class PoolDeltaCache;
-
 /// Everything one assignment epoch produces besides side effects on the
 /// runner's prediction/index state. The caller owns the entity pools and
 /// applies the outcome to them (remove assigned entities, route rejoin
@@ -105,10 +103,6 @@ class EpochRunner {
   GridPredictor predictor_;
   std::unique_ptr<TaskIndexCache> task_index_cache_;
   std::unique_ptr<WorkerIndexCache> worker_index_cache_;
-  // Cross-epoch pair-pool row cache (core/pool_delta.h); created when
-  // incremental_pool or repair is on, with delta *builds* gated on
-  // incremental_pool (repair only needs the churn plan).
-  std::unique_ptr<PoolDeltaCache> pool_delta_cache_;
   ParallelRunner runner_;
 
   // Per-epoch pair-pool arena, Reset (slabs retained) at the start of

@@ -18,8 +18,6 @@ EpochReportRow ToEpochReportRow(const InstanceMetrics& m) {
   row.apply_seconds = m.apply_seconds;
   row.ingest_seconds = m.ingest_seconds;
   row.backlog_scan_seconds = m.backlog_scan_seconds;
-  row.churn_ratio = m.churn_ratio;
-  row.pool_delta_reuse_fraction = m.pool_delta_reuse_fraction;
   return row;
 }
 

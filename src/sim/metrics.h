@@ -79,22 +79,6 @@ struct InstanceMetrics {
   /// skipped; 0 when the pool had no predicted pairs).
   double pool_lazy_skipped_fraction = 0.0;
 
-  /// Pair-pool delta-maintenance block (PoolDeltaStats; all zero unless a
-  /// PoolDeltaCache is attached — SimulatorConfig::incremental_pool or
-  /// repair). Like the arena fields these describe execution, not the
-  /// computed assignment, and are excluded from the byte-identity
-  /// contract.
-  bool pool_delta_applied = false;      // this epoch used the delta path
-  int64_t pool_rows_reused = 0;         // worker rows replayed from cache
-  int64_t pool_rows_rebuilt = 0;        // worker rows re-scanned
-  int64_t pool_rows_invalidated = 0;    // cached rows unusable this epoch
-  int64_t pool_pairs_reused = 0;        // pairs copied without recompute
-  double pool_delta_reuse_fraction = 0.0;  // pairs_reused / pool size
-
-  /// Entity churn this epoch: (new + departed) / (current + departed)
-  /// over workers and tasks combined; 1.0 on the first epoch.
-  double churn_ratio = 0.0;
-
   /// Index-cache sync churn (EntityIndexCache::BeginInstance), task and
   /// worker caches combined; bulk_rebuilt counts caches that crossed the
   /// rebuild break-even this epoch.

@@ -48,23 +48,8 @@ struct SimulatorConfig {
   /// Also maintain an incremental *worker* index (WorkerIndexCache) and
   /// expose it through ProblemInstance::worker_index. Off by default —
   /// no built-in assigner consumes it yet; the streaming engine turns it
-  /// on for task-centric backlog-coverage queries. Implied by
-  /// incremental_pool and repair, which both need worker-centric queries.
+  /// on for task-centric backlog-coverage queries.
   bool maintain_worker_index = false;
-
-  /// Delta-maintain the pair pool across epochs (core/pool_delta.h):
-  /// carried workers replay their cached candidate rows and only the
-  /// churn is re-scanned, making the per-epoch pool-build cost O(churn)
-  /// instead of O(|W| x reach-degree). Byte-identical assignments to the
-  /// from-scratch build (property-tested); off by default so the seed
-  /// behavior stays the reference path.
-  bool incremental_pool = false;
-
-  /// Assignment repair mode (AssignerOptions::repair): re-solve only the
-  /// churn-reachable pair subgraph each epoch. Results-changing; the
-  /// runner attaches the churn-tracking PoolDeltaCache, and the driver
-  /// must also set AssignerOptions::repair on the assigner it passes in.
-  bool repair = false;
 
   /// Total threads the per-instance assignment work fans across: the
   /// simulator hands each ProblemInstance a pool through

@@ -1,0 +1,51 @@
+#!/usr/bin/env python3
+"""mqa_cli rejects malformed flag values and unknown flags cleanly.
+
+Every invocation below must end with exit status 2 (the usage-error
+status) and a message naming the offending flag: never an abort (134)
+and never a run (0).
+
+Usage: cli_flags_test.py PATH/TO/mqa_cli
+"""
+
+import subprocess
+import sys
+
+# A tiny run, so a flag that is wrongly accepted still finishes quickly.
+BASE = ["--workers=20", "--tasks=20", "--instances=2", "--csv"]
+
+# (argument, text the error message must contain)
+CASES = [
+    ("--workers=-5", "--workers"),
+    ("--instances=-1", "--instances"),
+    ("--gamma=0", "--gamma"),
+    ("--window=0", "--window"),
+    ("--budget=nan", "--budget"),
+    ("--threads=abc", "--threads"),
+    ("--stats-port=70000", "--stats-port"),
+    ("--v-lo=0.5", "--v-lo/--v-hi"),
+    ("--delta-pool", "--delta-pool"),
+    ("--repair", "--repair"),
+]
+
+
+def main():
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    cli = sys.argv[1]
+    failures = []
+    for arg, needle in CASES:
+        proc = subprocess.run([cli] + BASE + [arg], capture_output=True,
+                              text=True, timeout=120)
+        if proc.returncode != 2 or needle not in proc.stderr:
+            failures.append(f"{arg}: exit {proc.returncode}, stderr "
+                            f"{proc.stderr.strip()[-200:]!r}")
+    for failure in failures:
+        print("FAIL", failure)
+    print(f"{len(CASES) - len(failures)}/{len(CASES)} invocations rejected "
+          "with exit 2")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,7 @@
 // Differential conformance harness: every recorded trace in the corpus
 // (tests/data/*.trace.csv) is swept across algorithms x index backends x
-// thread counts x {batch, stream, delta-pool}, and the three determinism
-// contracts are asserted via the per-epoch assignment checksums:
+// thread counts x {batch, stream}, and the three determinism contracts
+// are asserted via the per-epoch assignment checksums:
 //
 //   1. backend-equivalence   — brute/grid/rtree produce identical bits;
 //   2. thread-equivalence    — any thread count produces identical bits;
@@ -65,12 +65,10 @@ const RangeQualityModel& Quality() {
 struct Variant {
   IndexBackend backend;
   int threads;
-  bool delta_pool;
 
   std::string Name() const {
     std::string name = IndexBackendToString(backend);
     name += "_t" + std::to_string(threads);
-    if (delta_pool) name += "_delta";
     return name;
   }
 };
@@ -81,9 +79,7 @@ std::vector<Variant> SweepVariants() {
        {IndexBackend::kBruteForce, IndexBackend::kGrid,
         IndexBackend::kRTree}) {
     for (const int threads : {1, 4}) {
-      for (const bool delta : {false, true}) {
-        variants.push_back({backend, threads, delta});
-      }
+      variants.push_back({backend, threads});
     }
   }
   return variants;
@@ -93,7 +89,6 @@ SimulatorConfig VariantConfig(const Variant& v) {
   SimulatorConfig config = PropertySimConfig();
   config.num_threads = v.threads;
   config.index_backend = v.backend;
-  config.incremental_pool = v.delta_pool;
   return config;
 }
 
@@ -161,8 +156,8 @@ TEST_P(ConformanceTest, AllContractsHoldAcrossTheSweep) {
        {AssignerKind::kGreedy, AssignerKind::kDivideConquer,
         AssignerKind::kRandom}) {
     SCOPED_TRACE(AssignerKindToString(kind));
-    // The reference run: batch, brute force, single thread, no delta.
-    const Variant reference{IndexBackend::kBruteForce, 1, false};
+    // The reference run: batch, brute force, single thread.
+    const Variant reference{IndexBackend::kBruteForce, 1};
     const std::vector<uint64_t> expected_batch =
         RunBatch(bucketed, kind, reference);
     ASSERT_FALSE(expected_batch.empty());
@@ -172,8 +167,7 @@ TEST_P(ConformanceTest, AllContractsHoldAcrossTheSweep) {
 
     for (const Variant& v : SweepVariants()) {
       SCOPED_TRACE(v.Name());
-      // Contracts 1, 2 (+ the delta-pool guarantee): batch bits never
-      // depend on backend, threads, or incremental pool maintenance.
+      // Contracts 1, 2: batch bits never depend on backend or threads.
       EXPECT_EQ(RunBatch(bucketed, kind, v), expected_batch);
       // Contract 3: streaming the bucketed arrivals under the
       // per-instance policy reproduces the batch run byte-for-byte.
@@ -207,7 +201,7 @@ std::string GoldenBlock(const std::string& name) {
   if (!loaded.ok()) return "";
   const TraceData& trace = loaded.value();
   const ArrivalStream bucketed = trace.ToArrivalStream();
-  const Variant canonical{IndexBackend::kGrid, 1, false};
+  const Variant canonical{IndexBackend::kGrid, 1};
 
   std::ostringstream out;
   for (const AssignerKind kind :
@@ -279,7 +273,7 @@ TEST(GreedyCountersTest, Eq10CapNeverBindsOnCorpus) {
 #endif
   MetricsRegistry& registry = MetricsRegistry::Get();
   registry.Reset();
-  const Variant canonical{IndexBackend::kGrid, 1, false};
+  const Variant canonical{IndexBackend::kGrid, 1};
   for (const char* name : kCorpus) {
     const auto loaded = TraceReader::ReadFile(DataPath(name));
     ASSERT_TRUE(loaded.ok()) << loaded.status();

@@ -10,7 +10,6 @@
 //  * the lazy counters report what the consuming algorithm touched.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,12 +21,10 @@
 #include "core/divide_conquer.h"
 #include "core/exact_assigner.h"
 #include "core/greedy.h"
-#include "core/pool_delta.h"
 #include "core/random_assigner.h"
 #include "core/valid_pairs.h"
 #include "exec/pair_arena.h"
 #include "exec/parallel_runner.h"
-#include "exec/thread_pool.h"
 #include "index/spatial_index.h"
 #include "quality/range_quality.h"
 #include "tests/test_util.h"
@@ -375,191 +372,6 @@ TEST(PairPoolTest, HandBuiltPoolRoundTrips) {
   const Uncertain thinned = pool.pair(0).ExistenceThinnedQuality();
   EXPECT_DOUBLE_EQ(thinned.mean(), 1.5 * 0.75);
 }
-
-// ------------------------- delta-maintained pool == from-scratch build
-
-struct DeltaPoolCase {
-  int threads;
-  IndexBackend backend;
-  double churn;  // exact per-epoch fraction of each population replaced
-};
-
-std::string DeltaCaseName(const ::testing::TestParamInfo<DeltaPoolCase>& info) {
-  const DeltaPoolCase& c = info.param;
-  std::string name = IndexBackendToString(c.backend);
-  name += "_t" + std::to_string(c.threads);
-  name += "_churn" + std::to_string(static_cast<int>(c.churn * 100 + 0.5));
-  return name;
-}
-
-class DeltaPoolProperty : public ::testing::TestWithParam<DeltaPoolCase> {};
-
-// Evolves worker/task populations across epochs under the simulators'
-// carryover contract (order-preserving compaction, arrivals appended,
-// deadlines shrink-only) at an exactly controlled churn fraction, and
-// checks the PoolDeltaCache-assisted build is byte-identical to a
-// from-scratch build of the same instance — the core invariant of the
-// incremental epoch pipeline (core/pool_delta.h).
-TEST_P(DeltaPoolProperty, DeltaBuildByteIdenticalToScratch) {
-  const DeltaPoolCase& c = GetParam();
-  const RangeQualityModel quality(1.0, 2.0, 7);
-  Rng rng(401 + static_cast<uint64_t>(c.churn * 100.0));
-
-  constexpr int kPopulation = 36;
-  constexpr int kPredicted = 4;
-  constexpr int kEpochs = 6;
-  std::vector<Worker> cur_workers;
-  std::vector<Task> cur_tasks;
-  int64_t next_id = 0;
-  auto new_worker = [&] {
-    return MakeWorker(next_id++, rng.Uniform(), rng.Uniform(),
-                      rng.Uniform(0.05, 0.5));
-  };
-  auto new_task = [&] {
-    return MakeTask(next_id++, rng.Uniform(), rng.Uniform(),
-                    rng.Uniform(0.6, 2.0));
-  };
-  for (int i = 0; i < kPopulation; ++i) cur_workers.push_back(new_worker());
-  for (int j = 0; j < kPopulation; ++j) cur_tasks.push_back(new_task());
-
-  // Exactly round(churn * n) departures per epoch: (i * 7 + epoch) % n
-  // walks every residue once (gcd(7, 36) == 1), so comparing against k
-  // selects k distinct, deterministic positions.
-  const int replaced =
-      static_cast<int>(c.churn * kPopulation + 0.5);
-  auto departs = [&](size_t i, int epoch) {
-    return static_cast<int>((i * 7 + static_cast<size_t>(epoch)) %
-                            kPopulation) < replaced;
-  };
-
-  PoolDeltaCache cache(/*apply_deltas=*/true);
-  std::unique_ptr<ThreadPool> thread_pool;
-  if (c.threads > 1) thread_pool = std::make_unique<ThreadPool>(c.threads);
-
-  int delta_epochs = 0;
-  for (int epoch = 0; epoch < kEpochs; ++epoch) {
-    if (epoch > 0) {
-      std::vector<Worker> kept_workers;
-      for (size_t i = 0; i < cur_workers.size(); ++i) {
-        if (!departs(i, epoch)) kept_workers.push_back(cur_workers[i]);
-      }
-      while (kept_workers.size() < kPopulation) {
-        kept_workers.push_back(new_worker());
-      }
-      cur_workers = std::move(kept_workers);
-
-      std::vector<Task> kept_tasks;
-      for (size_t j = 0; j < cur_tasks.size(); ++j) {
-        if (departs(j, epoch + 3)) continue;
-        Task t = cur_tasks[j];
-        t.deadline -= 0.08;  // shrink-only aging, stays positive
-        kept_tasks.push_back(t);
-      }
-      while (kept_tasks.size() < kPopulation) {
-        kept_tasks.push_back(new_task());
-      }
-      cur_tasks = std::move(kept_tasks);
-    }
-
-    // Instance vectors: current prefix + fresh predicted tail, identical
-    // bytes for the scratch and delta instances.
-    std::vector<Worker> inst_workers = cur_workers;
-    std::vector<Task> inst_tasks = cur_tasks;
-    for (int k = 0; k < kPredicted; ++k) {
-      inst_workers.push_back(MakePredictedWorker(
-          next_id++,
-          BBox::KernelBox({rng.Uniform(), rng.Uniform()},
-                          rng.Uniform(0.0, 0.15), rng.Uniform(0.0, 0.15)),
-          rng.Uniform(0.05, 0.5)));
-      inst_tasks.push_back(MakePredictedTask(
-          next_id++,
-          BBox::KernelBox({rng.Uniform(), rng.Uniform()},
-                          rng.Uniform(0.0, 0.15), rng.Uniform(0.0, 0.15)),
-          rng.Uniform(0.6, 2.0)));
-    }
-    const size_t ncw = cur_workers.size();
-    const size_t nct = cur_tasks.size();
-
-    // Prebuilt indexes, the simulator's shape: task entries bounded by
-    // deadline, worker entries bounded by velocity.
-    std::vector<IndexEntry> task_entries;
-    for (size_t j = 0; j < inst_tasks.size(); ++j) {
-      task_entries.push_back(IndexEntry{static_cast<int64_t>(j),
-                                        inst_tasks[j].location,
-                                        inst_tasks[j].deadline});
-    }
-    std::unique_ptr<SpatialIndex> task_index = CreateSpatialIndex(c.backend);
-    task_index->BulkLoad(task_entries);
-    std::vector<IndexEntry> worker_entries;
-    for (size_t i = 0; i < inst_workers.size(); ++i) {
-      worker_entries.push_back(IndexEntry{static_cast<int64_t>(i),
-                                          inst_workers[i].location,
-                                          inst_workers[i].velocity});
-    }
-    std::unique_ptr<SpatialIndex> worker_index =
-        CreateSpatialIndex(c.backend);
-    worker_index->BulkLoad(worker_entries);
-
-    cache.BeginEpoch(inst_workers, ncw, inst_tasks, nct);
-
-    PairPoolOptions options;
-    options.task_index = task_index.get();
-    options.thread_pool = thread_pool.get();
-
-    std::vector<Worker> scratch_workers = inst_workers;
-    std::vector<Task> scratch_tasks = inst_tasks;
-    const ProblemInstance scratch_inst(std::move(scratch_workers), ncw,
-                                       std::move(scratch_tasks), nct,
-                                       &quality, 1.0, 6.0);
-    const PairPool scratch = BuildPairPool(scratch_inst, options);
-
-    ProblemInstance delta_inst(std::move(inst_workers), ncw,
-                               std::move(inst_tasks), nct, &quality, 1.0,
-                               6.0);
-    delta_inst.set_worker_index(worker_index.get());
-    delta_inst.set_pool_delta(&cache);
-    const PairPool delta = BuildPairPool(delta_inst, options);
-
-    ExpectSamePool(scratch, delta);
-
-    const PoolDeltaStats& ds = cache.stats();
-    if (epoch == 0) {
-      EXPECT_FALSE(ds.applied) << "no snapshot to delta against yet";
-    } else {
-      EXPECT_TRUE(ds.applied) << "epoch " << epoch;
-      if (ds.applied) ++delta_epochs;
-      if (c.churn == 0.0) {
-        EXPECT_EQ(ds.rows_reused, static_cast<int64_t>(ncw))
-            << "zero churn must replay every current row (epoch " << epoch
-            << ")";
-      }
-      if (c.churn >= 1.0) {
-        EXPECT_EQ(ds.rows_reused, 0)
-            << "full churn has nothing to replay (epoch " << epoch << ")";
-      }
-    }
-  }
-  EXPECT_EQ(delta_epochs, kEpochs - 1);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, DeltaPoolProperty,
-    ::testing::Values(
-        DeltaPoolCase{1, IndexBackend::kGrid, 0.0},
-        DeltaPoolCase{1, IndexBackend::kGrid, 0.05},
-        DeltaPoolCase{1, IndexBackend::kGrid, 0.5},
-        DeltaPoolCase{1, IndexBackend::kGrid, 1.0},
-        DeltaPoolCase{4, IndexBackend::kGrid, 0.0},
-        DeltaPoolCase{4, IndexBackend::kGrid, 0.05},
-        DeltaPoolCase{4, IndexBackend::kGrid, 0.5},
-        DeltaPoolCase{4, IndexBackend::kGrid, 1.0},
-        DeltaPoolCase{1, IndexBackend::kRTree, 0.0},
-        DeltaPoolCase{1, IndexBackend::kRTree, 0.05},
-        DeltaPoolCase{1, IndexBackend::kRTree, 0.5},
-        DeltaPoolCase{1, IndexBackend::kRTree, 1.0},
-        DeltaPoolCase{4, IndexBackend::kRTree, 0.05},
-        DeltaPoolCase{4, IndexBackend::kRTree, 0.5}),
-    DeltaCaseName);
 
 }  // namespace
 }  // namespace mqa

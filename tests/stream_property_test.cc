@@ -147,101 +147,5 @@ INSTANTIATE_TEST_SUITE_P(
         StreamCase{AssignerKind::kRandom, 4, true, true, true, false}),
     CaseName);
 
-// ---------------- incremental pool: delta builds must not change results
-
-struct DeltaStreamCase {
-  AssignerKind kind;
-  int threads;
-  IndexBackend backend;
-  bool stream;  // batch Simulator vs streaming engine as the driver
-};
-
-std::string DeltaStreamCaseName(
-    const ::testing::TestParamInfo<DeltaStreamCase>& info) {
-  const DeltaStreamCase& c = info.param;
-  std::string name = AssignerKindToString(c.kind);
-  for (char& ch : name) {
-    if (ch == '&') ch = 'n';
-  }
-  name += "_t" + std::to_string(c.threads);
-  name += "_";
-  name += IndexBackendToString(c.backend);
-  name += c.stream ? "_stream" : "_batch";
-  return name;
-}
-
-class DeltaEquivalenceTest
-    : public ::testing::TestWithParam<DeltaStreamCase> {};
-
-// SimulatorConfig::incremental_pool swaps the per-epoch pool build for
-// the PoolDeltaCache replay (real churn: assignment consumption, rejoin,
-// expiry, prediction refresh every epoch). The assignments must stay
-// byte-for-byte what the from-scratch build produces.
-TEST_P(DeltaEquivalenceTest, IncrementalPoolMatchesScratchByteForByte) {
-  const DeltaStreamCase& c = GetParam();
-  const ArrivalStream stream = SmallSyntheticStream(280, 280, 6, 7);
-  const RangeQualityModel quality(1.0, 2.0, 13);
-
-  SimulatorConfig sim_config = PropertySimConfig();
-  sim_config.num_threads = c.threads;
-  sim_config.index_backend = c.backend;
-
-  auto run = [&](bool incremental) {
-    RecordingAssigner assigner(CreateAssigner(c.kind, {.seed = 99}));
-    SimulatorConfig config = sim_config;
-    config.incremental_pool = incremental;
-    if (c.stream) {
-      StreamingConfig stream_config;
-      stream_config.sim = config;
-      stream_config.sim.maintain_worker_index = true;
-      stream_config.policy.kind = EpochPolicyKind::kPerInstance;
-      StreamingSimulator streaming(stream_config, &quality);
-      const auto summary =
-          streaming.Run(EventQueue::FromArrivalStream(stream), &assigner);
-      EXPECT_TRUE(summary.ok()) << summary.status();
-    } else {
-      Simulator batch(config, &quality);
-      const auto summary = batch.Run(stream, &assigner);
-      EXPECT_TRUE(summary.ok()) << summary.status();
-    }
-    return assigner.recorded();
-  };
-
-  const std::vector<AssignmentResult> scratch = run(false);
-  const std::vector<AssignmentResult> delta = run(true);
-  ASSERT_EQ(scratch.size(), delta.size());
-  for (size_t p = 0; p < scratch.size(); ++p) {
-    const AssignmentResult& a = scratch[p];
-    const AssignmentResult& b = delta[p];
-    ASSERT_EQ(a.pairs.size(), b.pairs.size()) << "instance " << p;
-    for (size_t k = 0; k < a.pairs.size(); ++k) {
-      EXPECT_EQ(a.pairs[k].worker_index, b.pairs[k].worker_index)
-          << "instance " << p << " pair " << k;
-      EXPECT_EQ(a.pairs[k].task_index, b.pairs[k].task_index)
-          << "instance " << p << " pair " << k;
-    }
-    EXPECT_EQ(std::memcmp(&a.total_quality, &b.total_quality, sizeof(double)),
-              0)
-        << "instance " << p;
-    EXPECT_EQ(std::memcmp(&a.total_cost, &b.total_cost, sizeof(double)), 0)
-        << "instance " << p;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, DeltaEquivalenceTest,
-    ::testing::Values(
-        DeltaStreamCase{AssignerKind::kGreedy, 1, IndexBackend::kGrid, false},
-        DeltaStreamCase{AssignerKind::kGreedy, 4, IndexBackend::kGrid, true},
-        DeltaStreamCase{AssignerKind::kGreedy, 1, IndexBackend::kRTree, true},
-        DeltaStreamCase{AssignerKind::kDivideConquer, 1, IndexBackend::kGrid,
-                        true},
-        DeltaStreamCase{AssignerKind::kDivideConquer, 4, IndexBackend::kRTree,
-                        false},
-        DeltaStreamCase{AssignerKind::kRandom, 1, IndexBackend::kGrid, true},
-        DeltaStreamCase{AssignerKind::kRandom, 4, IndexBackend::kRTree,
-                        true}),
-    DeltaStreamCaseName);
-
 }  // namespace
 }  // namespace mqa
