@@ -207,12 +207,12 @@ PoolPhaseResult MeasurePoolPhase(const ProblemInstance& instance, int n,
   // nothing.
   PairArena arena;
   result.build_reuse_s = 1e100;
-  PairPoolOptions reuse_options = lazy_options;
-  reuse_options.arena = &arena;
+  ProblemInstance reuse_instance = instance;
+  reuse_instance.set_pair_arena(&arena);
   for (int r = 0; r < reps + 2; ++r) {
     arena.Reset();
     const auto start = std::chrono::steady_clock::now();
-    const PairPool pool = BuildPairPool(instance, reuse_options);
+    const PairPool pool = BuildPairPool(reuse_instance, lazy_options);
     if (r > 0) {  // skip the cold build that grows the arena
       result.build_reuse_s = std::min(result.build_reuse_s, Now(start));
     }

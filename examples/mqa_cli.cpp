@@ -675,7 +675,6 @@ int main(int argc, char** argv) {
 
   AssignerOptions assigner_options;
   assigner_options.seed = opt.seed;
-  assigner_options.index_backend = index_backend;
   auto assigner = CreateAssigner(kind, assigner_options);
 
   if (opt.stream) {

@@ -72,4 +72,14 @@ std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
   return all;
 }
 
+uint64_t ShardSeed(uint64_t seed, int64_t stream) {
+  // SplitMix64 (Steele et al.) over the combined word: cheap, and any two
+  // (seed, stream) inputs land in well-separated streams.
+  uint64_t z = seed + 0x9e3779b97f4a7c15ull *
+                          (static_cast<uint64_t>(stream) + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 }  // namespace mqa

@@ -56,6 +56,13 @@ class Rng {
   std::vector<double> zipf_cdf_;
 };
 
+/// Deterministic seed for stream `stream` of a generator seeded with
+/// `seed` (SplitMix64 over seed + stream). Parallel randomized stages give
+/// each chunk of work its own Rng(ShardSeed(seed, chunk)), so the draws
+/// depend only on how the work is chunked, never on which thread runs a
+/// chunk.
+uint64_t ShardSeed(uint64_t seed, int64_t stream);
+
 }  // namespace mqa
 
 #endif  // MQA_COMMON_RNG_H_

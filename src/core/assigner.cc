@@ -4,8 +4,6 @@
 #include "core/exact_assigner.h"
 #include "core/greedy.h"
 #include "core/random_assigner.h"
-#include "core/valid_pairs.h"
-#include "exec/parallel_runner.h"
 #include "obs/trace.h"
 
 namespace mqa {
@@ -26,27 +24,13 @@ const char* AssignerKindToString(AssignerKind kind) {
 
 namespace {
 
-// Shared plumbing: options storage plus the assigner's ParallelRunner
-// (whose pool is null at num_threads <= 1 — that rule lives in the
-// runner alone). The runner and its threads live as long as the
-// assigner, so the per-Assign cost of parallelism is only the fan-out,
-// never thread creation.
+// Shared plumbing: options storage.
 class OptionsAssigner : public Assigner {
  protected:
   explicit OptionsAssigner(const AssignerOptions& options)
-      : options_(options), runner_(options.num_threads) {}
-
-  PairPoolOptions PoolOptions() const {
-    PairPoolOptions pool;
-    pool.backend = options_.index_backend;
-    pool.thread_pool = runner_.pool();
-    return pool;
-  }
+      : options_(options) {}
 
   AssignerOptions options_;
-
- private:
-  ParallelRunner runner_;
 };
 
 class GreedyAssigner : public OptionsAssigner {
@@ -56,7 +40,7 @@ class GreedyAssigner : public OptionsAssigner {
 
   Result<AssignmentResult> Assign(const ProblemInstance& instance) override {
     MQA_TRACE_SPAN("assign/greedy");
-    return RunGreedy(instance, options_.delta, PoolOptions());
+    return RunGreedy(instance, options_.delta);
   }
 
   const char* name() const override { return "GREEDY"; }
@@ -69,8 +53,7 @@ class DivideConquerAssigner : public OptionsAssigner {
 
   Result<AssignmentResult> Assign(const ProblemInstance& instance) override {
     MQA_TRACE_SPAN("assign/dc");
-    return RunDivideConquer(instance, options_.delta, options_.dc_branching,
-                            PoolOptions());
+    return RunDivideConquer(instance, options_.delta, options_.dc_branching);
   }
 
   const char* name() const override { return "D&C"; }
@@ -83,7 +66,7 @@ class RandomAssigner : public OptionsAssigner {
 
   Result<AssignmentResult> Assign(const ProblemInstance& instance) override {
     MQA_TRACE_SPAN("assign/random");
-    return RunRandom(instance, options_.delta, next_seed_++, PoolOptions());
+    return RunRandom(instance, options_.delta, next_seed_++);
   }
 
   const char* name() const override { return "RANDOM"; }
@@ -99,7 +82,7 @@ class ExactAssigner : public OptionsAssigner {
 
   Result<AssignmentResult> Assign(const ProblemInstance& instance) override {
     MQA_TRACE_SPAN("assign/exact");
-    return RunExact(instance, kExactMaxEntities, PoolOptions());
+    return RunExact(instance, kExactMaxEntities);
   }
 
   const char* name() const override { return "EXACT"; }

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/result.h"
-#include "index/spatial_index.h"
 #include "model/assignment.h"
 #include "model/problem_instance.h"
 
@@ -23,7 +22,9 @@ enum class AssignerKind {
 /// Short display name ("GREEDY", "D&C", "RANDOM", "EXACT").
 const char* AssignerKindToString(AssignerKind kind);
 
-/// Tunables shared by the assigners.
+/// Tunables shared by the assigners. The execution context (task index,
+/// thread pool, pair arena) travels on the ProblemInstance instead; the
+/// simulator sets it every epoch.
 struct AssignerOptions {
   /// Eq. 9 confidence level delta for the chance-constrained budget.
   double delta = 0.5;
@@ -34,26 +35,6 @@ struct AssignerOptions {
 
   /// Seed for the RANDOM baseline's shuffle.
   uint64_t seed = 42;
-
-  /// Spatial-index backend for valid-pair generation (see
-  /// src/index/README.md). Ignored when the instance carries a prebuilt
-  /// task index (ProblemInstance::task_index), as the simulator's
-  /// incrementally maintained index does.
-  IndexBackend index_backend = IndexBackend::kAuto;
-
-  /// Total threads (including the calling one) the assigner fans work
-  /// across: sharded pair generation for every algorithm, plus the
-  /// subproblem solves of the divide-and-conquer recursion. Any count
-  /// produces byte-identical assignments — thread count only changes
-  /// wall-clock time (the determinism contract of src/exec/README.md,
-  /// property-tested in tests/parallel_property_test.cc).
-  ///
-  /// Precedence: > 1 gives the assigner its own pool, which overrides
-  /// any pool on the instance; <= 1 (the default) means "no pool of my
-  /// own", in which case a pool the instance carries
-  /// (SimulatorConfig::num_threads) still applies. A fully sequential
-  /// run therefore needs both knobs at their defaults.
-  int num_threads = 1;
 };
 
 /// A one-instance MQA solver. Implementations are stateless across calls

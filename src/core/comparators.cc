@@ -33,71 +33,6 @@ double ProbLessEqMoments(double mean_a, double var_a, double mean_b,
   return StdNormalCdf(-diff / std::sqrt(var_sum));
 }
 
-// Accessor shims so each predicate has exactly one implementation (the
-// templates below) shared by the production PairRef path and the
-// materialized CandidatePair path — a rule tweak cannot diverge between
-// them. Quality is fetched only on the branches that read it: for a
-// PairRef that is what keeps cost-only comparisons (and cost-bound
-// early-outs) from materializing the pair's lazy Case 1-3 distribution.
-double CostMeanOf(const PairRef& p) { return p.cost_mean(); }
-double CostVarOf(const PairRef& p) { return p.cost_variance(); }
-double CostLbOf(const PairRef& p) { return p.cost_lb(); }
-double CostUbOf(const PairRef& p) { return p.cost_ub(); }
-Uncertain QualityOf(const PairRef& p) { return p.EffectiveQuality(); }
-
-double CostMeanOf(const CandidatePair& p) { return p.cost.mean(); }
-double CostVarOf(const CandidatePair& p) { return p.cost.variance(); }
-double CostLbOf(const CandidatePair& p) { return p.cost.lb(); }
-double CostUbOf(const CandidatePair& p) { return p.cost.ub(); }
-const Uncertain& QualityOf(const CandidatePair& p) {
-  return p.EffectiveQuality();
-}
-
-template <typename P>
-double ProbQualityGreaterImpl(const P& a, const P& b) {
-  const Uncertain qa = QualityOf(a);
-  const Uncertain qb = QualityOf(b);
-  return ProbGreaterMoments(qa.mean(), qa.variance(), qb.mean(),
-                            qb.variance());
-}
-
-template <typename P>
-double ProbCostLessEqImpl(const P& a, const P& b) {
-  return ProbLessEqMoments(CostMeanOf(a), CostVarOf(a), CostMeanOf(b),
-                           CostVarOf(b));
-}
-
-template <typename P>
-bool DominatesImpl(const P& a, const P& b) {
-  if (!(CostUbOf(a) < CostLbOf(b))) return false;
-  return QualityOf(a).lb() > QualityOf(b).ub();
-}
-
-// For the normal/CLT approximation the comparison probability crosses 0.5
-// exactly at equal means: Pr{A > B} = Phi((E(A)-E(B)) / sqrt(Var+Var)),
-// so Pr > 0.5 <=> E(A) > E(B). The dominance predicates below therefore
-// reduce to mean comparisons — no CDF evaluations in the pruning hot loop.
-
-template <typename P>
-bool ProbabilisticallyDominatesImpl(const P& a, const P& b) {
-  if (!(CostMeanOf(a) < CostMeanOf(b))) return false;
-  return QualityOf(a).mean() > QualityOf(b).mean();
-}
-
-template <typename P>
-bool WeaklyDominatesForPruningImpl(const P& a, const P& b) {
-  const double qa = QualityOf(a).mean();
-  const double qb = QualityOf(b).mean();
-  const double ca = CostMeanOf(a);
-  const double cb = CostMeanOf(b);
-  if (qa < qb || ca > cb) return false;
-  if (qa > qb || ca < cb) return true;
-  // Exact tie on both means: prune only true moment duplicates (the kept
-  // representative is interchangeable with the newcomer).
-  return CostVarOf(a) == CostVarOf(b) &&
-         QualityOf(a).variance() == QualityOf(b).variance();
-}
-
 }  // namespace
 
 double ProbGreater(const Uncertain& a, const Uncertain& b) {
@@ -109,45 +44,43 @@ double ProbLessEq(const Uncertain& a, const Uncertain& b) {
 }
 
 double ProbQualityGreater(const PairRef& a, const PairRef& b) {
-  return ProbQualityGreaterImpl(a, b);
-}
-
-double ProbQualityGreater(const CandidatePair& a, const CandidatePair& b) {
-  return ProbQualityGreaterImpl(a, b);
+  const Uncertain qa = a.EffectiveQuality();
+  const Uncertain qb = b.EffectiveQuality();
+  return ProbGreaterMoments(qa.mean(), qa.variance(), qb.mean(),
+                            qb.variance());
 }
 
 double ProbCostLessEq(const PairRef& a, const PairRef& b) {
-  return ProbCostLessEqImpl(a, b);
-}
-
-double ProbCostLessEq(const CandidatePair& a, const CandidatePair& b) {
-  return ProbCostLessEqImpl(a, b);
+  return ProbLessEqMoments(a.cost_mean(), a.cost_variance(), b.cost_mean(),
+                           b.cost_variance());
 }
 
 bool Dominates(const PairRef& a, const PairRef& b) {
-  return DominatesImpl(a, b);
+  if (!(a.cost_ub() < b.cost_lb())) return false;
+  return a.EffectiveQuality().lb() > b.EffectiveQuality().ub();
 }
 
-bool Dominates(const CandidatePair& a, const CandidatePair& b) {
-  return DominatesImpl(a, b);
-}
+// For the normal/CLT approximation the comparison probability crosses 0.5
+// exactly at equal means: Pr{A > B} = Phi((E(A)-E(B)) / sqrt(Var+Var)),
+// so Pr > 0.5 <=> E(A) > E(B). The dominance predicates below therefore
+// reduce to mean comparisons — no CDF evaluations in the pruning hot loop.
 
 bool ProbabilisticallyDominates(const PairRef& a, const PairRef& b) {
-  return ProbabilisticallyDominatesImpl(a, b);
-}
-
-bool ProbabilisticallyDominates(const CandidatePair& a,
-                                const CandidatePair& b) {
-  return ProbabilisticallyDominatesImpl(a, b);
+  if (!(a.cost_mean() < b.cost_mean())) return false;
+  return a.EffectiveQuality().mean() > b.EffectiveQuality().mean();
 }
 
 bool WeaklyDominatesForPruning(const PairRef& a, const PairRef& b) {
-  return WeaklyDominatesForPruningImpl(a, b);
-}
-
-bool WeaklyDominatesForPruning(const CandidatePair& a,
-                               const CandidatePair& b) {
-  return WeaklyDominatesForPruningImpl(a, b);
+  const Uncertain qa = a.EffectiveQuality();
+  const Uncertain qb = b.EffectiveQuality();
+  const double ca = a.cost_mean();
+  const double cb = b.cost_mean();
+  if (qa.mean() < qb.mean() || ca > cb) return false;
+  if (qa.mean() > qb.mean() || ca < cb) return true;
+  // Exact tie on both means: prune only true moment duplicates (the kept
+  // representative is interchangeable with the newcomer).
+  return a.cost_variance() == b.cost_variance() &&
+         qa.variance() == qb.variance();
 }
 
 }  // namespace mqa

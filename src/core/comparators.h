@@ -2,7 +2,6 @@
 #define MQA_CORE_COMPARATORS_H_
 
 #include "core/pair_pool.h"
-#include "model/candidate_pair.h"
 #include "stats/uncertain.h"
 
 namespace mqa {
@@ -19,32 +18,26 @@ double ProbGreater(const Uncertain& a, const Uncertain& b);
 /// predicates stay strict).
 double ProbLessEq(const Uncertain& a, const Uncertain& b);
 
-/// Each predicate below has one implementation shared by the PairRef
-/// (production) and CandidatePair (materialized/test) overloads; the
-/// PairRef path fetches a pair's (possibly lazy) quality only on the
-/// branches that read it — cost-only comparisons never materialize
-/// Case 1-3 statistics.
+/// The pair predicates below fetch a pair's (possibly lazy) quality only
+/// on the branches that read it — cost-only comparisons never
+/// materialize Case 1-3 statistics.
 ///
 /// Pr that pair `a` has a higher quality-score increase than pair `b`
 /// (Eq. 7 applied to the raw qualities; see model/candidate_pair.h).
 double ProbQualityGreater(const PairRef& a, const PairRef& b);
-double ProbQualityGreater(const CandidatePair& a, const CandidatePair& b);
 
 /// Pr that pair `a` has a traveling cost no larger than pair `b` (Eq. 8).
 double ProbCostLessEq(const PairRef& a, const PairRef& b);
-double ProbCostLessEq(const CandidatePair& a, const CandidatePair& b);
 
 /// Lemma 4.1 — bound-based dominance: `a` dominates `b` iff
 /// ub_cost(a) < lb_cost(b) and lb_quality(a) > ub_quality(b).
 bool Dominates(const PairRef& a, const PairRef& b);
-bool Dominates(const CandidatePair& a, const CandidatePair& b);
 
 /// Lemma 4.2 — probabilistic dominance: `a` prunes `b` iff `a` is likelier
 /// to have both higher quality and lower cost
 /// (Pr{q_a > q_b} > 0.5 and Pr{c_a <= c_b} > 0.5). See DESIGN.md §3.2 for
 /// the direction erratum in the paper's statement.
 bool ProbabilisticallyDominates(const PairRef& a, const PairRef& b);
-bool ProbabilisticallyDominates(const CandidatePair& a, const CandidatePair& b);
 
 /// The pruning predicate the candidate set actually uses: Lemma 4.2
 /// strengthened to *weak* dominance — `a` prunes `b` when a is at least
@@ -58,7 +51,6 @@ bool ProbabilisticallyDominates(const CandidatePair& a, const CandidatePair& b);
 /// contribute identical factors; the cheaper candidate is preferred by
 /// the tie-break) and restores near-linear candidate-set maintenance.
 bool WeaklyDominatesForPruning(const PairRef& a, const PairRef& b);
-bool WeaklyDominatesForPruning(const CandidatePair& a, const CandidatePair& b);
 
 }  // namespace mqa
 

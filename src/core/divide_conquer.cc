@@ -126,10 +126,9 @@ AssignmentResult RunDivideConquer(const ProblemInstance& instance,
     root.pair_ids.insert(root.pair_ids.end(), ids.begin(), ids.end());
   }
 
-  // Same precedence as BuildPairPool: the assigner's own pool, then the
-  // instance's (set by the simulator). Null runs the sequential solve.
-  ThreadPool* exec = options.thread_pool != nullptr ? options.thread_pool
-                                                    : instance.thread_pool();
+  // The instance's pool (set by the simulator); null runs the sequential
+  // solve.
+  ThreadPool* exec = instance.thread_pool();
   if (exec != nullptr && exec->num_threads() <= 1) exec = nullptr;
 
   std::vector<int32_t> selected =

@@ -42,7 +42,8 @@ AssignmentResult EmitCurrentPairs(const ProblemInstance& instance,
 /// entities, run the greedy loop with a fresh budget tracker (two pots of
 /// B, Eq. 9 confidence `delta`), and emit the current-current pairs.
 /// `pool_options.include_predicted` is overridden to true; the remaining
-/// fields pick the candidate-generation index (see valid_pairs.h).
+/// fields pick the fallback index backend and eager statistics (see
+/// valid_pairs.h).
 AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
                            const PairPoolOptions& pool_options = {});
 

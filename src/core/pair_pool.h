@@ -35,7 +35,7 @@ enum class PairQualityKind : uint8_t {
 };
 
 /// Per-pool measurements surfaced by PairPool::Stats() and flushed to the
-/// sink (PairPoolOptions::stats_sink / ProblemInstance::pool_stats) when
+/// sink (ProblemInstance::pool_stats) when
 /// the pool is destroyed — i.e. after the consuming algorithm ran, so the
 /// lazy counters reflect what the algorithm actually touched.
 struct PairPoolStats {

@@ -1,8 +1,7 @@
 #ifndef MQA_CORE_VALID_PAIRS_H_
 #define MQA_CORE_VALID_PAIRS_H_
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "core/pair_pool.h"
 #include "index/spatial_index.h"
@@ -10,54 +9,29 @@
 
 namespace mqa {
 
-class PairArena;
-class ThreadPool;
-
-/// How BuildPairPool enumerates candidate tasks per worker and where the
-/// resulting columns live.
+/// What BuildPairPool enumerates. The execution context — task index,
+/// thread pool, arena and stats sink — comes from the ProblemInstance
+/// (set_task_index, set_thread_pool, set_pair_arena, set_pool_stats).
 struct PairPoolOptions {
   /// When false, only current workers/tasks participate (the paper's WoP
   /// straw man and the exact oracle).
   bool include_predicted = true;
 
-  /// Index backend used when no prebuilt task index is available. kAuto
+  /// Index backend used when the instance carries no task index. kAuto
   /// picks the grid above kAutoBruteForceMaxPairs candidate pairs.
   IndexBackend backend = IndexBackend::kAuto;
-
-  /// Prebuilt index over the instance's tasks (entry ids = task indices,
-  /// covering *all* tasks, current and predicted). Overrides `backend`
-  /// and the instance's task_index(). The simulator threads its
-  /// TaskIndexCache through ProblemInstance::task_index instead.
-  const SpatialIndex* task_index = nullptr;
-
-  /// Thread pool for the sharded parallel builder (and, in the
-  /// divide-and-conquer assigner, for fanning out subproblem solves).
-  /// Precedence mirrors task_index: this field, then the instance's
-  /// thread_pool(). Null (the default) or a 1-thread pool selects the
-  /// sequential path; the parallel path produces a byte-identical pool
-  /// (see src/exec/README.md for the determinism contract).
-  ThreadPool* thread_pool = nullptr;
-
-  /// Arena backing the pool's columns, CSR adjacency and build scratch.
-  /// Precedence: this field, then the instance's pair_arena(); null (the
-  /// default) gives the pool a private arena. An external arena must
-  /// outlive the pool and is *not* Reset here — the owner (sim/
-  /// EpochRunner) resets it once per epoch, which is what makes the
-  /// steady state allocation-free. On the parallel path, per-shard
-  /// sub-arenas of this arena pin the candidate scratch to shards.
-  PairArena* arena = nullptr;
 
   /// Materialize every referenced Case 1-3 quality/existence distribution
   /// at build time instead of on first touch. Values are byte-identical
   /// either way (property-tested); this knob exists for benchmarks and
   /// the lazy-vs-eager tests.
   bool eager_stats = false;
-
-  /// When set (precedence: this field, then the instance's pool_stats()),
-  /// the pool writes its PairPoolStats here on destruction — after the
-  /// consuming algorithm ran, so the lazy counters are final.
-  PairPoolStats* stats_sink = nullptr;
 };
+
+/// Participating workers at/above which BuildPairPool scans and fills on
+/// the instance's thread pool; below it the fan-out costs more than it
+/// parallelizes and the build runs on the calling thread.
+inline constexpr size_t kMinParallelWorkers = 32;
 
 /// Enumerates valid pairs into a columnar PairPool and attaches
 /// cost/quality/existence statistics:
@@ -76,8 +50,11 @@ struct PairPoolOptions {
 /// velocity x deadline constraint — then the exact CanReach filter, so
 /// every backend produces the *identical* pool (same pair order, costs,
 /// qualities) as the seed's brute-force double loop; only the work done
-/// differs. Index precedence: options.task_index, then
-/// instance.task_index(), then an index built here per options.backend.
+/// differs. The index is instance.task_index() when set, else one built
+/// here per options.backend. The scan splits the workers into contiguous
+/// ranges, one per thread of instance.thread_pool(); candidates are kept
+/// per worker, so the pool is byte-identical for any thread count (see
+/// src/exec/README.md).
 PairPool BuildPairPool(const ProblemInstance& instance,
                        const PairPoolOptions& options);
 

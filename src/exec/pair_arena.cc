@@ -1,6 +1,11 @@
 #include "exec/pair_arena.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -10,6 +15,11 @@ namespace {
 
 size_t AlignUp(size_t value, size_t alignment) {
   return (value + alignment - 1) & ~(alignment - 1);
+}
+
+size_t PageSize() {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return page;
 }
 
 // Slab growth stops doubling here; larger requests still get a slab of
@@ -23,7 +33,9 @@ PairArena::PairArena(size_t min_slab_bytes)
   MQA_CHECK(min_slab_bytes > 0) << "arena slabs need a positive size";
 }
 
-PairArena::~PairArena() = default;
+PairArena::~PairArena() {
+  for (const Slab& slab : slabs_) munmap(slab.data, slab.size + PageSize());
+}
 
 void* PairArena::Allocate(size_t bytes, size_t alignment) {
   if (bytes == 0) return nullptr;
@@ -37,7 +49,7 @@ void* PairArena::Allocate(size_t bytes, size_t alignment) {
         offset_ = offset + bytes;
         allocated_ += bytes;
         peak_ = std::max(peak_, allocated_);
-        return slab.data.get() + offset;
+        return slab.data + offset;
       }
       // Retained slab exhausted (or, after Reset, too small for this
       // request): move on; its tail is reclaimed at the next Reset.
@@ -46,13 +58,23 @@ void* PairArena::Allocate(size_t bytes, size_t alignment) {
       continue;
     }
     // Grow: geometric target, but never smaller than the request (plus
-    // worst-case alignment padding).
-    size_t size = std::max(next_slab_bytes_, bytes + alignment);
+    // worst-case alignment padding), rounded up to whole pages so the
+    // guard page starts right at the slab's end.
+    const size_t page = PageSize();
+    const size_t size =
+        AlignUp(std::max(next_slab_bytes_, bytes + alignment), page);
     next_slab_bytes_ = std::min(next_slab_bytes_ * 2, kMaxSlabGrowthBytes);
+    void* mapped = mmap(nullptr, size + page, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    MQA_CHECK(mapped != MAP_FAILED)
+        << "arena slab mmap of " << size << " bytes failed: "
+        << std::strerror(errno);
     Slab slab;
-    slab.data = std::make_unique<unsigned char[]>(size);
+    slab.data = static_cast<unsigned char*>(mapped);
     slab.size = size;
-    slabs_.push_back(std::move(slab));
+    MQA_CHECK(mprotect(slab.data + size, page, PROT_NONE) == 0)
+        << "arena guard page mprotect failed: " << std::strerror(errno);
+    slabs_.push_back(slab);
   }
 }
 
@@ -60,38 +82,38 @@ void PairArena::Reset() {
   active_ = 0;
   offset_ = 0;
   allocated_ = 0;
-  for (const auto& shard : shards_) shard->Reset();
+  for (const auto& sub : subs_) sub->Reset();
 }
 
-PairArena* PairArena::shard(size_t i) {
-  while (shards_.size() <= i) {
-    shards_.push_back(std::make_unique<PairArena>(min_slab_bytes_));
+PairArena* PairArena::sub_arena(size_t i) {
+  while (subs_.size() <= i) {
+    subs_.push_back(std::make_unique<PairArena>(min_slab_bytes_));
   }
-  return shards_[i].get();
+  return subs_[i].get();
 }
 
 size_t PairArena::slab_count() const {
   size_t count = slabs_.size();
-  for (const auto& shard : shards_) count += shard->slab_count();
+  for (const auto& sub : subs_) count += sub->slab_count();
   return count;
 }
 
 size_t PairArena::allocated_bytes() const {
   size_t bytes = allocated_;
-  for (const auto& shard : shards_) bytes += shard->allocated_bytes();
+  for (const auto& sub : subs_) bytes += sub->allocated_bytes();
   return bytes;
 }
 
 size_t PairArena::capacity_bytes() const {
   size_t bytes = 0;
   for (const Slab& slab : slabs_) bytes += slab.size;
-  for (const auto& shard : shards_) bytes += shard->capacity_bytes();
+  for (const auto& sub : subs_) bytes += sub->capacity_bytes();
   return bytes;
 }
 
 size_t PairArena::peak_bytes() const {
   size_t bytes = peak_;
-  for (const auto& shard : shards_) bytes += shard->peak_bytes();
+  for (const auto& sub : subs_) bytes += sub->peak_bytes();
   return bytes;
 }
 

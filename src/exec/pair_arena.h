@@ -14,18 +14,26 @@ namespace mqa {
 /// scratch. Allocation is a pointer bump into the active slab; slabs grow
 /// geometrically and are *retained* across Reset(), so a caller that
 /// builds one pool per epoch (sim/EpochRunner, stream/StreamingSimulator)
-/// pays malloc/free only while the arena is still growing toward the
-/// epoch high-water mark — steady state allocates nothing.
+/// pays for mapping memory only while the arena is still growing toward
+/// the epoch high-water mark — steady state allocates nothing.
 ///
-/// Shard arenas: the parallel pair builder pins one sub-arena per region
-/// shard (shard(i)) so concurrent candidate collection never contends on
-/// one cursor or on the global allocator. Sub-arenas are owned by (and
-/// Reset with) the parent and are counted in its metrics.
+/// Slabs are anonymous mmap(2) mappings, each followed by a PROT_NONE
+/// guard page, and go back to the kernel with munmap on destruction.
+/// Pages are committed on first touch (no zero-fill pass), an overrun
+/// past a slab's end faults instead of corrupting a neighbour, and slabs
+/// grown on pool threads never land in the C allocator's per-thread
+/// heaps, which the process keeps and reuses poorly.
 ///
-/// Thread-safety: Allocate/Reset/shard are NOT thread-safe. The intended
-/// discipline (see src/core/README.md) is: the build's sequential spine
-/// allocates columns and creates the shard arenas up front; inside a
-/// parallel region each shard allocates only from its own shard arena.
+/// Sub-arenas: the pair builder's parallel scan pins one sub-arena per
+/// worker range (sub_arena(i)) so concurrent candidate collection never
+/// contends on one cursor. Sub-arenas are owned by (and Reset with) the
+/// parent and are counted in its metrics.
+///
+/// Thread-safety: Allocate/Reset/sub_arena are NOT thread-safe. The
+/// intended discipline (see src/core/README.md) is: the build's
+/// sequential spine allocates columns and creates the sub-arenas up
+/// front; inside a parallel region each range allocates only from its
+/// own sub-arena.
 ///
 /// Lifetime: memory handed out stays valid until Reset() or destruction —
 /// a PairPool built from an external arena must be dropped before the
@@ -53,25 +61,26 @@ class PairArena {
     return static_cast<T*>(Allocate(count * sizeof(T), alignof(T)));
   }
 
-  /// Rewinds every cursor (including shard arenas), retaining all slabs.
+  /// Rewinds every cursor (including sub-arenas), retaining all slabs.
   /// Invalidates all memory previously handed out.
   void Reset();
 
-  /// The i-th shard sub-arena, created on first use. Not thread-safe:
-  /// create all shard arenas before fanning out.
-  PairArena* shard(size_t i);
-  size_t num_shards() const { return shards_.size(); }
+  /// The i-th sub-arena, created on first use. Not thread-safe: create
+  /// all sub-arenas before fanning out.
+  PairArena* sub_arena(size_t i);
+  size_t num_sub_arenas() const { return subs_.size(); }
 
-  /// Metrics, aggregated over this arena and its shard arenas.
+  /// Metrics, aggregated over this arena and its sub-arenas.
   size_t slab_count() const;
   size_t allocated_bytes() const;  // live bytes since the last Reset
   size_t capacity_bytes() const;   // total bytes held in slabs
   size_t peak_bytes() const;       // high-water allocated_bytes ever seen
 
  private:
+  // A mapping of size + one guard page; unmapped in ~PairArena.
   struct Slab {
-    std::unique_ptr<unsigned char[]> data;
-    size_t size = 0;
+    unsigned char* data = nullptr;
+    size_t size = 0;  // usable bytes, a multiple of the page size
   };
 
   std::vector<Slab> slabs_;
@@ -81,14 +90,14 @@ class PairArena {
   size_t peak_ = 0;            // max of allocated_ ever
   size_t next_slab_bytes_;     // geometric growth target for the next slab
   size_t min_slab_bytes_;
-  std::vector<std::unique_ptr<PairArena>> shards_;
+  std::vector<std::unique_ptr<PairArena>> subs_;
 };
 
 /// A minimal growable array of trivially copyable elements backed by a
 /// PairArena: push_back bumps; growth allocates a doubled block from the
 /// arena and memcpys (the old block is reclaimed only at arena Reset, so
 /// transient waste is bounded by ~2x and recycled per epoch). Used for
-/// the per-shard candidate buffers of the parallel pair builder.
+/// the per-range candidate buffers of the pair builder's scan.
 template <typename T>
 class ArenaVector {
   static_assert(std::is_trivially_copyable_v<T>,

@@ -15,13 +15,13 @@ namespace mqa {
 /// consumer then takes its exact sequential code path, which is the
 /// determinism anchor the property tests compare against.
 ///
-/// Determinism contract (see src/exec/README.md): work is always split
-/// into shards/subproblems whose *content* depends only on the input
-/// (RegionSharder plans, D&C decompositions), results are written into
-/// per-index slots, and every reduction happens afterwards in stable
-/// index order on one thread. Thread count therefore changes wall-clock
-/// time and nothing else — assignments, scores, and simulator metrics are
-/// byte-identical across {1, 2, 4, 8, ...} threads.
+/// Determinism contract (see src/exec/README.md): every result element is
+/// a pure function of the input written into its own slot (a worker's
+/// candidates, a D&C subproblem's selection), however the work is split,
+/// and every reduction happens afterwards in stable index order on one
+/// thread. Thread count therefore changes wall-clock time and nothing
+/// else — assignments, scores, and simulator metrics are byte-identical
+/// across {1, 2, 4, 8, ...} threads.
 class ParallelRunner {
  public:
   /// A runner executing on `num_threads` total threads (the caller plus

@@ -74,13 +74,13 @@ class ProblemInstance {
   const SpatialIndex* worker_index() const { return worker_index_; }
   void set_worker_index(const SpatialIndex* index) { worker_index_ = index; }
 
-  /// Optional thread pool the assigner may fan work across (sharded pair
-  /// generation, divide-and-conquer subproblems); nullptr — the default —
-  /// selects the sequential code paths. Non-owning, must outlive the
-  /// instance; the simulator points this at the pool of its
-  /// SimulatorConfig::num_threads runner. Thread count never changes
-  /// results (see src/exec/README.md), so carrying the pool on the
-  /// instance is purely an execution hint.
+  /// Optional thread pool the assigner may fan work across (the pair
+  /// builder's worker-range scan and fill, divide-and-conquer
+  /// subproblems); nullptr — the default — selects the sequential code
+  /// paths. Non-owning, must outlive the instance; the simulator points
+  /// this at the pool of its SimulatorConfig::num_threads runner. Thread
+  /// count never changes results (see src/exec/README.md), so carrying
+  /// the pool on the instance is purely an execution hint.
   ThreadPool* thread_pool() const { return thread_pool_; }
   void set_thread_pool(ThreadPool* pool) { thread_pool_ = pool; }
 

@@ -23,7 +23,7 @@ struct TraceEvent {
   int64_t start_ns = 0;
   int64_t duration_ns = 0;
   /// Optional integer payload (kNoArg = none), e.g. the epoch index or a
-  /// shard id; exported as "args":{"v":N}.
+  /// worker-range index; exported as "args":{"v":N}.
   int64_t arg = kNoArg;
 
   /// Hardware-counter deltas over the span (--perf-counters): slot i is

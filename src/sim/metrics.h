@@ -65,7 +65,7 @@ struct InstanceMetrics {
   /// Pair-pool measurements of the epoch's assignment (flushed by the
   /// pool when the assigner finishes with it; see core/pair_pool.h).
   /// Pool size and bytes are deterministic; the arena fields describe
-  /// execution state (slab reuse across epochs, per-shard arenas) and may
+  /// execution state (slab reuse across epochs, per-range arenas) and may
   /// legitimately differ across thread counts — they are excluded from
   /// the byte-identity contract.
   int64_t pool_pairs = 0;

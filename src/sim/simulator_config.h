@@ -55,8 +55,7 @@ struct SimulatorConfig {
   /// simulator hands each ProblemInstance a pool through
   /// ProblemInstance::set_thread_pool, exactly like it hands the task
   /// index. <= 1 (the default) keeps every path sequential; results are
-  /// byte-identical for any value (see src/exec/README.md). An assigner
-  /// configured with its own AssignerOptions::num_threads overrides this.
+  /// byte-identical for any value (see src/exec/README.md).
   int num_threads = 1;
 };
 

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "exec/region_sharder.h"
+#include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "workload/synthetic.h"
 
@@ -205,8 +205,8 @@ ScenarioStream GenerateScenario(const ScenarioConfig& config,
   const int64_t task_chunks =
       (config.num_tasks + kWorkloadChunk - 1) / kWorkloadChunk;
 
-  // Chunked per-shard RNG streams exactly as in GenerateSynthetic: the
-  // chunk ordinal, never the executing thread, determines the stream.
+  // Per-chunk RNG streams exactly as in GenerateSynthetic: the chunk
+  // ordinal, never the executing thread, determines the stream.
   const auto fill_chunk = [&](int64_t c) {
     if (c < worker_chunks) {
       Rng rng(ShardSeed(config.seed ^ kWorkerStreamTag, c));

@@ -93,8 +93,8 @@ struct ScenarioStream {
 
 /// Generates a scenario. Arrival times are drawn by inverse-CDF from the
 /// scenario's intensity function, locations/attributes exactly as the
-/// synthetic generator draws them (drifted for kHotspotDrift). Chunked
-/// per-shard RNG streams as in GenerateSynthetic: pass a ThreadPool to
+/// synthetic generator draws them (drifted for kHotspotDrift). Per-chunk
+/// RNG streams as in GenerateSynthetic: pass a ThreadPool to
 /// parallelize; output is byte-identical for any thread count.
 ScenarioStream GenerateScenario(const ScenarioConfig& config,
                                 ThreadPool* pool = nullptr);

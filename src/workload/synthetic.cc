@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "exec/region_sharder.h"
+#include "common/rng.h"
 #include "exec/thread_pool.h"
 
 namespace mqa {

@@ -1,5 +1,7 @@
 #include "core/comparators.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace mqa {
@@ -21,6 +23,19 @@ CandidatePair UncertainPair(double cost_mean, double cost_var, double cost_lb,
   p.existence = existence;
   p.involves_predicted = true;
   return p;
+}
+
+/// A hand-built pool holding `a` as pair 0 and `b` as pair 1, so the
+/// predicates run on the PairRef views production code uses.
+PairPool PoolOf(CandidatePair a, CandidatePair b) {
+  PairPoolBuilder builder(/*num_workers=*/2, /*num_tasks=*/2);
+  a.worker_index = 0;
+  a.task_index = 0;
+  b.worker_index = 1;
+  b.task_index = 1;
+  builder.Add(a);
+  builder.Add(b);
+  return std::move(builder).Build();
 }
 
 TEST(ProbGreaterTest, FixedComparisons) {
@@ -72,53 +87,85 @@ TEST(ProbLessEqTest, FixedComparisons) {
 }
 
 TEST(DominanceTest, StrictDominance) {
-  const CandidatePair good = FixedPair(/*cost=*/1.0, /*quality=*/5.0);
-  const CandidatePair bad = FixedPair(/*cost=*/3.0, /*quality=*/2.0);
+  const PairPool pool = PoolOf(FixedPair(/*cost=*/1.0, /*quality=*/5.0),
+                               FixedPair(/*cost=*/3.0, /*quality=*/2.0));
+  const PairRef good = pool.pair(0);
+  const PairRef bad = pool.pair(1);
   EXPECT_TRUE(Dominates(good, bad));
   EXPECT_FALSE(Dominates(bad, good));
 }
 
 TEST(DominanceTest, NoDominanceOnTies) {
-  const CandidatePair a = FixedPair(1.0, 5.0);
-  const CandidatePair b = FixedPair(1.0, 2.0);  // same cost
-  EXPECT_FALSE(Dominates(a, b));  // ub_cost(a) < lb_cost(b) fails (equal)
+  const PairPool pool = PoolOf(FixedPair(1.0, 5.0),
+                               FixedPair(1.0, 2.0));  // same cost
+  // ub_cost(a) < lb_cost(b) fails (equal).
+  EXPECT_FALSE(Dominates(pool.pair(0), pool.pair(1)));
 }
 
 TEST(DominanceTest, OverlappingBoundsDoNotDominate) {
-  const CandidatePair a =
-      UncertainPair(1.0, 0.1, 0.5, 1.5, 4.0, 0.1, 3.0, 5.0);
-  const CandidatePair b =
-      UncertainPair(2.0, 0.1, 1.2, 2.8, 3.0, 0.1, 2.0, 4.0);
+  const PairPool pool =
+      PoolOf(UncertainPair(1.0, 0.1, 0.5, 1.5, 4.0, 0.1, 3.0, 5.0),
+             UncertainPair(2.0, 0.1, 1.2, 2.8, 3.0, 0.1, 2.0, 4.0));
+  const PairRef a = pool.pair(0);
+  const PairRef b = pool.pair(1);
   // Cost intervals [0.5,1.5] vs [1.2,2.8] overlap -> no Lemma 4.1 prune.
   EXPECT_FALSE(Dominates(a, b));
   // But a is probabilistically better on both dimensions.
   EXPECT_TRUE(ProbabilisticallyDominates(a, b));
   EXPECT_FALSE(ProbabilisticallyDominates(b, a));
+  EXPECT_GT(ProbCostLessEq(a, b), 0.5);
+  EXPECT_GT(ProbQualityGreater(a, b), 0.5);
 }
 
 TEST(DominanceTest, MixedStrengthNoProbabilisticDomination) {
   // a cheaper but worse quality: neither dominates.
-  const CandidatePair a = FixedPair(1.0, 2.0);
-  const CandidatePair b = FixedPair(2.0, 3.0);
+  const PairPool pool = PoolOf(FixedPair(1.0, 2.0), FixedPair(2.0, 3.0));
+  const PairRef a = pool.pair(0);
+  const PairRef b = pool.pair(1);
   EXPECT_FALSE(ProbabilisticallyDominates(a, b));
   EXPECT_FALSE(ProbabilisticallyDominates(b, a));
+  EXPECT_FALSE(WeaklyDominatesForPruning(a, b));
+  EXPECT_FALSE(WeaklyDominatesForPruning(b, a));
+}
+
+TEST(DominanceTest, WeakDominancePrunesTiesAndDuplicates) {
+  // Equal quality, cheaper: weakly dominates, strictly does not.
+  const PairPool cheaper = PoolOf(FixedPair(1.0, 2.0), FixedPair(2.0, 2.0));
+  EXPECT_TRUE(WeaklyDominatesForPruning(cheaper.pair(0), cheaper.pair(1)));
+  EXPECT_FALSE(WeaklyDominatesForPruning(cheaper.pair(1), cheaper.pair(0)));
+  EXPECT_FALSE(ProbabilisticallyDominates(cheaper.pair(0), cheaper.pair(1)));
+  // Identical moments prune each other; equal means with different
+  // variances do not.
+  const PairPool twins =
+      PoolOf(UncertainPair(1.0, 0.1, 0.5, 1.5, 2.0, 0.2, 1.0, 3.0),
+             UncertainPair(1.0, 0.1, 0.5, 1.5, 2.0, 0.2, 1.0, 3.0));
+  EXPECT_TRUE(WeaklyDominatesForPruning(twins.pair(0), twins.pair(1)));
+  const PairPool spread =
+      PoolOf(UncertainPair(1.0, 0.1, 0.5, 1.5, 2.0, 0.2, 1.0, 3.0),
+             UncertainPair(1.0, 0.1, 0.5, 1.5, 2.0, 0.4, 1.0, 3.0));
+  EXPECT_FALSE(WeaklyDominatesForPruning(spread.pair(0), spread.pair(1)));
 }
 
 TEST(EffectiveQualityTest, ComparisonsUseRawQuality) {
   // Eq. 7/10 compare raw quality distributions (paper pseudo-code);
   // the existence probability does not handicap predicted pairs.
-  const CandidatePair p =
-      UncertainPair(1.0, 0.0, 1.0, 1.0, 2.0, 0.0, 2.0, 2.0, /*existence=*/0.5);
+  const PairPool pool = PoolOf(
+      FixedPair(1.0, 1.2),
+      UncertainPair(1.0, 0.0, 1.0, 1.0, 2.0, 0.0, 2.0, 2.0,
+                    /*existence=*/0.5));
+  const PairRef sure = pool.pair(0);
+  const PairRef p = pool.pair(1);
   EXPECT_DOUBLE_EQ(p.EffectiveQuality().mean(), 2.0);
-  const CandidatePair sure = FixedPair(1.0, 1.2);
   EXPECT_LT(ProbQualityGreater(sure, p), 0.5);
 }
 
 TEST(EffectiveQualityTest, ThinnedVariantAvailable) {
   // The conservative Bernoulli-thinned ranking stays available.
-  const CandidatePair p =
-      UncertainPair(1.0, 0.0, 1.0, 1.0, 2.0, 0.0, 2.0, 2.0, /*existence=*/0.5);
-  const Uncertain thinned = p.ExistenceThinnedQuality();
+  const PairPool pool = PoolOf(
+      FixedPair(1.0, 1.0),
+      UncertainPair(1.0, 0.0, 1.0, 1.0, 2.0, 0.0, 2.0, 2.0,
+                    /*existence=*/0.5));
+  const Uncertain thinned = pool.pair(1).ExistenceThinnedQuality();
   EXPECT_DOUBLE_EQ(thinned.mean(), 1.0);
   EXPECT_GT(thinned.variance(), 0.0);
   EXPECT_DOUBLE_EQ(thinned.lb(), 0.0);

@@ -92,15 +92,10 @@ SimulatorConfig VariantConfig(const Variant& v) {
   return config;
 }
 
-std::unique_ptr<Assigner> VariantAssigner(AssignerKind kind,
-                                          const Variant& v) {
-  return CreateAssigner(kind, {.seed = 99, .index_backend = v.backend});
-}
-
 std::vector<uint64_t> RunBatch(const ArrivalStream& stream, AssignerKind kind,
                                const Variant& v) {
   Simulator sim(VariantConfig(v), &Quality());
-  auto assigner = VariantAssigner(kind, v);
+  auto assigner = CreateAssigner(kind, {.seed = 99});
   const auto summary = sim.Run(stream, assigner.get());
   EXPECT_TRUE(summary.ok()) << summary.status();
   std::vector<uint64_t> checksums;
@@ -120,7 +115,7 @@ std::vector<uint64_t> RunStream(EventQueue queue, double horizon,
   config.policy.kind = EpochPolicyKind::kPerInstance;
   config.horizon = horizon;
   StreamingSimulator sim(config, &Quality());
-  auto assigner = VariantAssigner(kind, v);
+  auto assigner = CreateAssigner(kind, {.seed = 99});
   const auto summary = sim.Run(std::move(queue), assigner.get());
   EXPECT_TRUE(summary.ok()) << summary.status();
   std::vector<uint64_t> checksums;

@@ -1,27 +1,17 @@
-// Unit and property tests for the parallel execution subsystem
-// (src/exec/): ThreadPool scheduling, RegionSharder coverage invariants,
-// and per-shard RNG stream derivation.
+// Unit tests for the parallel execution subsystem (src/exec/): ThreadPool
+// scheduling and the ParallelRunner owner.
 
 #include <atomic>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "exec/parallel_runner.h"
-#include "exec/region_sharder.h"
 #include "exec/thread_pool.h"
-#include "tests/test_util.h"
 
 namespace mqa {
 namespace {
-
-using testing_util::ConstantQualityModel;
-using testing_util::MakePredictedWorker;
-using testing_util::MakeTask;
-using testing_util::MakeWorker;
 
 TEST(ThreadPoolTest, RunsEveryItemExactlyOnce) {
   for (const int threads : {1, 2, 4, 8}) {
@@ -75,170 +65,6 @@ TEST(ParallelRunnerTest, SequentialRunnerHasNoPool) {
   const ParallelRunner par(4);
   ASSERT_NE(par.pool(), nullptr);
   EXPECT_EQ(par.num_threads(), 4);
-}
-
-ProblemInstance RandomShardingInstance(Rng* rng, const QualityModel* quality,
-                                       int num_workers, int num_tasks,
-                                       int num_pred_workers) {
-  std::vector<Worker> workers;
-  for (int i = 0; i < num_workers; ++i) {
-    workers.push_back(MakeWorker(i, rng->Uniform(), rng->Uniform(),
-                                 rng->Uniform(0.0, 0.4)));
-  }
-  for (int i = 0; i < num_pred_workers; ++i) {
-    workers.push_back(MakePredictedWorker(
-        1000 + i,
-        BBox::KernelBox({rng->Uniform(), rng->Uniform()},
-                        rng->Uniform(0.0, 0.25), rng->Uniform(0.0, 0.25)),
-        rng->Uniform(0.0, 0.4)));
-  }
-  std::vector<Task> tasks;
-  for (int j = 0; j < num_tasks; ++j) {
-    tasks.push_back(MakeTask(j, rng->Uniform(), rng->Uniform(),
-                             rng->Uniform(0.1, 2.0)));
-  }
-  return ProblemInstance(std::move(workers), static_cast<size_t>(num_workers),
-                         std::move(tasks), static_cast<size_t>(num_tasks),
-                         quality, 1.0, 10.0);
-}
-
-// The two invariants the parallel pair builder relies on: workers
-// partition exactly, and every task a worker could possibly reach is in
-// its shard's task entries.
-TEST(RegionSharderTest, PartitionAndReachCoverage) {
-  const ConstantQualityModel quality(1.0);
-  Rng rng(7);
-  for (int trial = 0; trial < 25; ++trial) {
-    const int num_workers = static_cast<int>(rng.UniformInt(1, 400));
-    const int num_tasks = static_cast<int>(rng.UniformInt(0, 300));
-    const int num_pred = static_cast<int>(rng.UniformInt(0, 30));
-    const ProblemInstance inst = RandomShardingInstance(
-        &rng, &quality, num_workers, num_tasks, num_pred);
-    const size_t all_workers = inst.workers().size();
-    const size_t all_tasks = inst.tasks().size();
-    double max_deadline = 0.0;
-    for (const Task& t : inst.tasks()) {
-      max_deadline = std::max(max_deadline, t.deadline);
-    }
-
-    const ShardingPlan plan =
-        ShardByRegion(inst, all_workers, all_tasks, max_deadline);
-
-    std::set<int32_t> seen;
-    for (const RegionShard& shard : plan.shards) {
-      EXPECT_FALSE(shard.worker_indices.empty());
-      for (size_t k = 0; k < shard.worker_indices.size(); ++k) {
-        if (k > 0) {
-          EXPECT_LT(shard.worker_indices[k - 1], shard.worker_indices[k]);
-        }
-        EXPECT_TRUE(seen.insert(shard.worker_indices[k]).second)
-            << "worker owned twice";
-      }
-
-      std::set<int64_t> shard_tasks;
-      for (const IndexEntry& e : shard.task_entries) shard_tasks.insert(e.id);
-      for (const int32_t wi : shard.worker_indices) {
-        const Worker& w = inst.workers()[static_cast<size_t>(wi)];
-        const double radius = ReachRadius(w, max_deadline);
-        for (size_t j = 0; j < all_tasks; ++j) {
-          if (w.location.MinDistance(inst.tasks()[j].location) > radius) {
-            continue;
-          }
-          EXPECT_TRUE(shard_tasks.count(static_cast<int64_t>(j)) > 0)
-              << "task " << j << " reachable by worker " << wi
-              << " missing from its shard";
-        }
-      }
-    }
-    EXPECT_EQ(seen.size(), all_workers);
-  }
-}
-
-TEST(RegionSharderTest, TaskExactlyAtMaxReachDistanceIsCovered) {
-  // Regression: a task at *exactly* a worker's maximum reach distance,
-  // where the expanded reach box's edge lands exactly on a region
-  // boundary. RegionCoord maps boundary coordinates to the higher
-  // region, so a naive region-range scan excludes the worker's region
-  // even though the inclusive Intersects/CanReach tests accept the pair.
-  const ConstantQualityModel quality(1.0);
-  std::vector<Worker> workers;
-  // 199 inert workers pin regions_per_side to 2 (cell width 0.5): 200
-  // participating workers -> ceil(sqrt(200/64)) = 2, reach cap 1/0.2 = 5.
-  for (int i = 0; i < 199; ++i) {
-    workers.push_back(MakeWorker(i, 0.1, 0.1, 0.0));
-  }
-  // Box [0.3, 0.55] x [0.3, 0.55]: center in region (0,0), overhang 0.05
-  // past the region, velocity * deadline = 0.2 -> shard band 0.25.
-  workers.push_back(
-      MakePredictedWorker(900, BBox({0.3, 0.3}, {0.55, 0.55}), 0.2));
-  std::vector<Task> tasks;
-  // min_dist to the worker box = 0.75 - 0.55 = 0.2 == the reach radius,
-  // and the reach box's low edge = 0.75 - 0.25 = 0.5 == region boundary.
-  tasks.push_back(MakeTask(0, 0.75, 0.425, 1.0));
-  const ProblemInstance inst(std::move(workers), 199, std::move(tasks), 1,
-                             &quality, 1.0, 10.0);
-
-  const ShardingPlan plan = ShardByRegion(inst, 200, 1, /*max_deadline=*/1.0);
-  ASSERT_EQ(plan.regions_per_side, 2);
-  bool found_worker_shard = false;
-  for (const RegionShard& shard : plan.shards) {
-    for (const int32_t wi : shard.worker_indices) {
-      if (wi != 199) continue;
-      found_worker_shard = true;
-      ASSERT_EQ(shard.task_entries.size(), 1u)
-          << "task at exact max reach distance missing from the shard";
-      EXPECT_EQ(shard.task_entries[0].id, 0);
-    }
-  }
-  EXPECT_TRUE(found_worker_shard);
-}
-
-TEST(RegionSharderTest, PlanIsDeterministic) {
-  const ConstantQualityModel quality(1.0);
-  Rng rng(21);
-  const ProblemInstance inst =
-      RandomShardingInstance(&rng, &quality, 300, 300, 20);
-  const auto plan_a = ShardByRegion(inst, inst.workers().size(),
-                                    inst.tasks().size(), 2.0);
-  const auto plan_b = ShardByRegion(inst, inst.workers().size(),
-                                    inst.tasks().size(), 2.0);
-  ASSERT_EQ(plan_a.shards.size(), plan_b.shards.size());
-  EXPECT_EQ(plan_a.regions_per_side, plan_b.regions_per_side);
-  for (size_t s = 0; s < plan_a.shards.size(); ++s) {
-    EXPECT_EQ(plan_a.shards[s].worker_indices,
-              plan_b.shards[s].worker_indices);
-    EXPECT_EQ(plan_a.shards[s].band, plan_b.shards[s].band);
-    ASSERT_EQ(plan_a.shards[s].task_entries.size(),
-              plan_b.shards[s].task_entries.size());
-  }
-}
-
-TEST(RegionSharderTest, SuggestRegionsScalesAndClamps) {
-  // Below the shardable threshold: a single region.
-  EXPECT_EQ(SuggestRegionsPerSide(0, 0.1), 1);
-  EXPECT_EQ(SuggestRegionsPerSide(16, 0.1), 1);
-  // At/above it: always more than one shard (no serial "parallel" path).
-  EXPECT_EQ(SuggestRegionsPerSide(32, 0.1), 2);
-  EXPECT_EQ(SuggestRegionsPerSide(100, 0.1), 2);
-  EXPECT_GE(SuggestRegionsPerSide(10000, 0.05), 8);
-  EXPECT_LE(SuggestRegionsPerSide(100000000, 0.0), 32);
-  // The reach cap: regions much finer than the reach radius only
-  // multiply border-band duplication. Paper-regime reach (~half the
-  // space) collapses to one region.
-  EXPECT_EQ(SuggestRegionsPerSide(10000, 0.45), 2);
-  EXPECT_EQ(SuggestRegionsPerSide(10000, 1.2), 1);
-  // A vanishing reach must not overflow the cap computation (UB guard);
-  // it simply leaves the worker-count resolution in charge.
-  EXPECT_EQ(SuggestRegionsPerSide(10000, 1e-12), SuggestRegionsPerSide(10000, 0.0));
-}
-
-TEST(ShardSeedTest, StreamsAreDistinctAndStable) {
-  std::set<uint64_t> seeds;
-  for (int64_t shard = 0; shard < 1000; ++shard) {
-    EXPECT_TRUE(seeds.insert(ShardSeed(42, shard)).second);
-    EXPECT_EQ(ShardSeed(42, shard), ShardSeed(42, shard));
-  }
-  EXPECT_NE(ShardSeed(1, 0), ShardSeed(2, 0));
 }
 
 }  // namespace

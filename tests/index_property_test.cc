@@ -2,9 +2,9 @@
 // instances across velocity/deadline/budget/gamma ranges, BuildPairPool
 // must produce the *identical* pair pool (same pair order, indices,
 // costs, qualities, existence, adjacency) whichever backend enumerates
-// the candidates — brute force, grid, or R*-tree, sequential or sharded
-// across any thread count — including through the simulator's
-// incrementally maintained TaskIndexCache.
+// the candidates — brute force, grid, or R*-tree, sequential or split
+// into worker ranges across any thread count — including through the
+// simulator's incrementally maintained TaskIndexCache.
 
 #include <cstdint>
 #include <vector>
@@ -200,9 +200,9 @@ ProblemInstance SkewedMixedInstance(Rng* rng, const QualityModel* quality,
 TEST(PairPoolBackendProperty, AllBackendsMatchOnSkewedWorkloadsAcrossThreads) {
   // The acceptance property of the R*-tree PR: BuildPairPool output is
   // byte-identical across {brute, grid, rtree} on uniform, Zipf and
-  // Gaussian-cluster workloads, sequential and sharded over {2, 4, 8}
-  // threads (80 workers clears kMinShardableWorkers, so >1-thread pools
-  // take the parallel builder for real).
+  // Gaussian-cluster workloads, sequential and in worker ranges over
+  // {2, 4, 8} threads (80 workers clears kMinParallelWorkers, so
+  // >1-thread pools take the parallel builder for real).
   const RangeQualityModel quality(1.0, 2.0);
   SpatialDistConfig uniform;
   SpatialDistConfig zipf;
@@ -218,16 +218,16 @@ TEST(PairPoolBackendProperty, AllBackendsMatchOnSkewedWorkloadsAcrossThreads) {
       const ProblemInstance inst =
           SkewedMixedInstance(&rng, &quality, dist, 80, 80,
                               static_cast<int>(rng.UniformInt(0, 12)));
+      ASSERT_GE(inst.workers().size(), kMinParallelWorkers);
       const PairPool base = BuildWith(inst, IndexBackend::kBruteForce);
       for (const int threads : {1, 2, 4, 8}) {
         ParallelRunner runner(threads);
+        ProblemInstance threaded = inst;
+        threaded.set_thread_pool(runner.pool());
         for (const IndexBackend backend :
              {IndexBackend::kBruteForce, IndexBackend::kGrid,
               IndexBackend::kRTree}) {
-          PairPoolOptions options;
-          options.backend = backend;
-          options.thread_pool = runner.pool();
-          ExpectSamePool(base, BuildPairPool(inst, options));
+          ExpectSamePool(base, BuildWith(threaded, backend));
         }
       }
     }
@@ -238,7 +238,7 @@ TEST(PairPoolBackendProperty, ExternalIndexMatchesInternal) {
   const ConstantQualityModel quality(1.0);
   Rng rng(555);
   for (int trial = 0; trial < 20; ++trial) {
-    const ProblemInstance inst = RandomMixedInstance(
+    ProblemInstance inst = RandomMixedInstance(
         &rng, &quality, 20, 20, 5, 5, rng.Uniform(0.05, 0.5),
         rng.Uniform(0.5, 2.0), 1.0, 5.0);
     GridIndex external(7);
@@ -249,16 +249,17 @@ TEST(PairPoolBackendProperty, ExternalIndexMatchesInternal) {
     }
     external.BulkLoad(entries);
 
-    PairPoolOptions options;
-    options.task_index = &external;
+    // The brute-force references are built before the external index is
+    // attached, so they never see it.
+    const PairPool with_predicted =
+        BuildWith(inst, IndexBackend::kBruteForce, true);
+    const PairPool current_only =
+        BuildWith(inst, IndexBackend::kBruteForce, false);
+    inst.set_task_index(&external);
     // The external index covers predicted tasks too; the builder must
     // filter them out when include_predicted is off.
-    for (const bool include_predicted : {true, false}) {
-      options.include_predicted = include_predicted;
-      ExpectSamePool(
-          BuildWith(inst, IndexBackend::kBruteForce, include_predicted),
-          BuildPairPool(inst, options));
-    }
+    ExpectSamePool(with_predicted, BuildPairPool(inst, true));
+    ExpectSamePool(current_only, BuildPairPool(inst, false));
   }
 }
 

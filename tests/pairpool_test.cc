@@ -139,16 +139,17 @@ TEST_P(LazyVsEagerAssignerProperty, AssignmentsByteIdentical) {
               : static_cast<int>(rng.UniformInt(40, 120));
     const int num_pred =
         exact ? 0 : static_cast<int>(rng.UniformInt(0, 25));
-    const ProblemInstance inst = MixedInstance(
+    const ProblemInstance base_inst = MixedInstance(
         &rng, &quality, num_current, num_pred, rng.Uniform(1.0, 10.0));
 
     for (const IndexBackend backend :
          {IndexBackend::kBruteForce, IndexBackend::kGrid}) {
       for (const int threads : {1, 2, 4, 8}) {
         ParallelRunner runner(threads);
+        ProblemInstance inst = base_inst;
+        inst.set_thread_pool(runner.pool());
         PairPoolOptions lazy_options;
         lazy_options.backend = backend;
-        lazy_options.thread_pool = runner.pool();
         PairPoolOptions eager_options = lazy_options;
         eager_options.eager_stats = true;
 
@@ -203,13 +204,12 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, LazyVsEagerAssignerProperty,
 TEST(LazyStatsCounters, RandomNeverSamples) {
   const RangeQualityModel quality(1.0, 2.0, 7);
   Rng rng(5);
-  const ProblemInstance inst = MixedInstance(&rng, &quality, 40, 10, 8.0);
+  ProblemInstance inst = MixedInstance(&rng, &quality, 40, 10, 8.0);
   PairPoolStats stats;
-  PairPoolOptions options;
-  options.stats_sink = &stats;
+  inst.set_pool_stats(&stats);
   {
     // RANDOM touches only indices and cost moments.
-    const AssignmentResult result = RunRandom(inst, 0.5, 7, options);
+    const AssignmentResult result = RunRandom(inst, 0.5, 7);
     (void)result;
   }
   ASSERT_GT(stats.predicted_pairs, 0);
@@ -220,12 +220,11 @@ TEST(LazyStatsCounters, RandomNeverSamples) {
 TEST(LazyStatsCounters, GreedySamplesWhatItCompares) {
   const RangeQualityModel quality(1.0, 2.0, 7);
   Rng rng(6);
-  const ProblemInstance inst = MixedInstance(&rng, &quality, 40, 10, 8.0);
+  ProblemInstance inst = MixedInstance(&rng, &quality, 40, 10, 8.0);
   PairPoolStats stats;
-  PairPoolOptions options;
-  options.stats_sink = &stats;
+  inst.set_pool_stats(&stats);
   {
-    const AssignmentResult result = RunGreedy(inst, 0.5, options);
+    const AssignmentResult result = RunGreedy(inst, 0.5);
     (void)result;
   }
   ASSERT_GT(stats.predicted_pairs, 0);
@@ -261,16 +260,28 @@ TEST(PairArenaTest, AllocateAlignAndReset) {
   EXPECT_EQ(arena.capacity_bytes(), capacity) << "no growth when warm";
 }
 
-TEST(PairArenaTest, ShardArenasResetWithParent) {
+TEST(PairArenaTest, SubArenasResetWithParent) {
   PairArena arena(/*min_slab_bytes=*/128);
-  PairArena* shard = arena.shard(2);
-  ASSERT_NE(shard, nullptr);
-  EXPECT_EQ(arena.num_shards(), 3u);
-  (void)shard->Allocate(64, 8);
-  EXPECT_GT(arena.allocated_bytes(), 0u) << "shard bytes aggregate";
+  PairArena* sub = arena.sub_arena(2);
+  ASSERT_NE(sub, nullptr);
+  EXPECT_EQ(arena.num_sub_arenas(), 3u);
+  (void)sub->Allocate(64, 8);
+  EXPECT_GT(arena.allocated_bytes(), 0u) << "sub-arena bytes aggregate";
   arena.Reset();
   EXPECT_EQ(arena.allocated_bytes(), 0u);
-  EXPECT_EQ(arena.shard(2), shard) << "shard arenas are stable";
+  EXPECT_EQ(arena.sub_arena(2), sub) << "sub-arenas are stable";
+}
+
+TEST(PairArenaDeathTest, WritePastSlabEndFaults) {
+  // Every slab is followed by a guard page: the slab's last byte is
+  // writable, the next one faults.
+  PairArena arena(/*min_slab_bytes=*/128);
+  auto* first = static_cast<volatile unsigned char*>(arena.Allocate(1, 1));
+  ASSERT_NE(first, nullptr);
+  ASSERT_EQ(arena.slab_count(), 1u);
+  const size_t slab_bytes = arena.capacity_bytes();
+  first[slab_bytes - 1] = 1;
+  EXPECT_DEATH(first[slab_bytes] = 1, "");
 }
 
 TEST(ArenaReuse, NoStaleDataAcrossEpochs) {
@@ -283,15 +294,14 @@ TEST(ArenaReuse, NoStaleDataAcrossEpochs) {
   PairArena arena;
   size_t warm_capacity = 0;
   for (int epoch = 0; epoch < 8; ++epoch) {
-    const ProblemInstance inst_a = MixedInstance(
+    ProblemInstance inst_a = MixedInstance(
         &reuse_rng, &quality, 30 + 7 * epoch, 5 + epoch, 6.0);
     const ProblemInstance inst_b = MixedInstance(
         &fresh_rng, &quality, 30 + 7 * epoch, 5 + epoch, 6.0);
 
     arena.Reset();
-    PairPoolOptions reuse_options;
-    reuse_options.arena = &arena;
-    const PairPool reused = BuildPairPool(inst_a, reuse_options);
+    inst_a.set_pair_arena(&arena);
+    const PairPool reused = BuildPairPool(inst_a, PairPoolOptions{});
     const PairPool fresh = BuildPairPool(inst_b, PairPoolOptions{});
     ExpectSamePool(reused, fresh);
 
@@ -308,23 +318,32 @@ TEST(ArenaReuse, NoStaleDataAcrossEpochs) {
 }
 
 TEST(ArenaReuse, SteadyStateStopsAllocating) {
+  // At 4 threads the scan fills one scratch sub-arena per worker range;
+  // those must reach a steady state too.
   const RangeQualityModel quality(1.0, 2.0, 7);
   Rng rng(91);
-  const ProblemInstance inst = MixedInstance(&rng, &quality, 60, 10, 6.0);
-  PairArena arena;
-  PairPoolOptions options;
-  options.arena = &arena;
-  size_t capacity_after_first = 0;
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    arena.Reset();
-    const PairPool pool = BuildPairPool(inst, options);
-    pool.MaterializeAllStats();
-    if (epoch == 0) {
-      capacity_after_first = arena.capacity_bytes();
-    } else {
-      EXPECT_EQ(arena.capacity_bytes(), capacity_after_first)
-          << "same workload must not grow a warm arena (epoch " << epoch
-          << ")";
+  const ProblemInstance base_inst =
+      MixedInstance(&rng, &quality, 60, 10, 6.0);
+  ASSERT_GE(base_inst.workers().size(), kMinParallelWorkers);
+  for (const int threads : {1, 4}) {
+    ParallelRunner runner(threads);
+    PairArena arena;
+    ProblemInstance inst = base_inst;
+    inst.set_thread_pool(runner.pool());
+    inst.set_pair_arena(&arena);
+    size_t capacity_after_first = 0;
+    for (int epoch = 0; epoch < 5; ++epoch) {
+      arena.Reset();
+      const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
+      pool.MaterializeAllStats();
+      if (epoch == 0) {
+        capacity_after_first = arena.capacity_bytes();
+        EXPECT_EQ(arena.num_sub_arenas(), static_cast<size_t>(threads));
+      } else {
+        EXPECT_EQ(arena.capacity_bytes(), capacity_after_first)
+            << "same workload must not grow a warm arena (epoch " << epoch
+            << ", " << threads << " threads)";
+      }
     }
   }
 }
@@ -334,13 +353,12 @@ TEST(ArenaReuse, SteadyStateStopsAllocating) {
 TEST(PairPoolTest, MoveTransfersSinkOnce) {
   const RangeQualityModel quality(1.0, 2.0, 7);
   Rng rng(17);
-  const ProblemInstance inst = MixedInstance(&rng, &quality, 20, 4, 6.0);
+  ProblemInstance inst = MixedInstance(&rng, &quality, 20, 4, 6.0);
   PairPoolStats stats;
-  PairPoolOptions options;
-  options.stats_sink = &stats;
+  inst.set_pool_stats(&stats);
   int64_t pairs = 0;
   {
-    PairPool pool = BuildPairPool(inst, options);
+    PairPool pool = BuildPairPool(inst, PairPoolOptions{});
     pairs = static_cast<int64_t>(pool.size());
     PairPool moved = std::move(pool);
     // The moved-from pool dying must not clobber the sink...

@@ -16,7 +16,6 @@
 #include "core/assigner.h"
 #include "core/valid_pairs.h"
 #include "exec/parallel_runner.h"
-#include "exec/region_sharder.h"
 #include "index/grid_index.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
@@ -84,8 +83,8 @@ void ExpectSameAssignment(const AssignmentResult& a,
   EXPECT_EQ(a.total_cost, b.total_cost);
 }
 
-/// A mixed current/predicted instance large enough to engage the sharded
-/// path (>= kMinParallelWorkers) across several regions.
+/// A mixed current/predicted instance large enough to engage the parallel
+/// builder (>= kMinParallelWorkers).
 ProblemInstance MixedInstance(Rng* rng, const QualityModel* quality,
                               int num_workers, int num_tasks, int num_pred,
                               double velocity_hi, double budget) {
@@ -118,72 +117,72 @@ ProblemInstance MixedInstance(Rng* rng, const QualityModel* quality,
                          quality, 1.0, budget);
 }
 
-TEST(ParallelPairPoolProperty, PoolIsByteIdenticalAcrossThreadCounts) {
-  const RangeQualityModel quality(1.0, 2.0, 7);
-  Rng rng(31);
-  for (int trial = 0; trial < 8; ++trial) {
-    const double velocity_hi = rng.Uniform(0.05, 0.6);
-    const ProblemInstance inst = MixedInstance(
-        &rng, &quality, static_cast<int>(rng.UniformInt(40, 250)),
-        static_cast<int>(rng.UniformInt(20, 250)),
-        static_cast<int>(rng.UniformInt(0, 40)), velocity_hi,
-        rng.Uniform(1.0, 20.0));
-
-    const PairPool sequential = BuildPairPool(inst, PairPoolOptions{});
-    for (const int threads : kThreadCounts) {
-      ParallelRunner runner(threads);
-      PairPoolOptions options;
-      options.thread_pool = runner.pool();
-      ExpectSamePool(sequential, BuildPairPool(inst, options));
-    }
-  }
-}
-
-TEST(ParallelPairPoolProperty, MultiShardPathIsExercisedAndIdentical) {
-  // Guaranteed multi-shard end-to-end coverage: hyperlocal velocities
-  // keep the reach cap high, and 600 workers push the region resolution
-  // well past one shard — so border-band task replication into per-shard
-  // indexes is on the tested path, not just ShardByRegion in isolation.
-  const RangeQualityModel quality(1.0, 2.0, 7);
-  Rng rng(77);
+/// The hyperlocal regime: 600 workers with short reach over 500 current
+/// and 60 predicted tasks, so most workers see only a few candidates.
+ProblemInstance HyperlocalInstance(Rng* rng, const QualityModel* quality) {
   std::vector<Worker> workers;
   for (int i = 0; i < 600; ++i) {
-    workers.push_back(MakeWorker(i, rng.Uniform(), rng.Uniform(),
-                                 rng.Uniform(0.02, 0.08)));
+    workers.push_back(MakeWorker(i, rng->Uniform(), rng->Uniform(),
+                                 rng->Uniform(0.02, 0.08)));
   }
   std::vector<Task> tasks;
   for (int j = 0; j < 500; ++j) {
-    tasks.push_back(MakeTask(j, rng.Uniform(), rng.Uniform(),
-                             rng.Uniform(0.2, 1.5)));
+    tasks.push_back(MakeTask(j, rng->Uniform(), rng->Uniform(),
+                             rng->Uniform(0.2, 1.5)));
   }
   for (int j = 0; j < 60; ++j) {
     tasks.push_back(MakePredictedTask(
         5000 + j,
-        BBox::KernelBox({rng.Uniform(), rng.Uniform()}, 0.05, 0.05),
-        rng.Uniform(0.2, 1.5)));
+        BBox::KernelBox({rng->Uniform(), rng->Uniform()}, 0.05, 0.05),
+        rng->Uniform(0.2, 1.5)));
   }
-  const ProblemInstance inst(std::move(workers), 600, std::move(tasks), 500,
-                             &quality, 1.0, 10.0);
+  return ProblemInstance(std::move(workers), 600, std::move(tasks), 500,
+                         quality, 1.0, 10.0);
+}
 
-  const ShardingPlan plan =
-      ShardByRegion(inst, inst.workers().size(), inst.tasks().size(), 1.5);
-  ASSERT_GT(plan.shards.size(), 4u) << "instance must span several shards";
+/// `instance` with `pool` attached; the original stays pool-free so
+/// references built from it never see the context under test.
+ProblemInstance WithThreadPool(const ProblemInstance& instance,
+                               ThreadPool* pool) {
+  ProblemInstance copy = instance;
+  copy.set_thread_pool(pool);
+  return copy;
+}
 
-  const PairPool sequential = BuildPairPool(inst, PairPoolOptions{});
-  for (const int threads : kThreadCounts) {
-    ParallelRunner runner(threads);
-    PairPoolOptions options;
-    options.thread_pool = runner.pool();
-    ExpectSamePool(sequential, BuildPairPool(inst, options));
+TEST(ParallelPairPoolProperty, PoolIsByteIdenticalAcrossThreadCounts) {
+  const RangeQualityModel quality(1.0, 2.0, 7);
+  Rng rng(31);
+  std::vector<ProblemInstance> inputs;
+  for (int trial = 0; trial < 8; ++trial) {
+    const double velocity_hi = rng.Uniform(0.05, 0.6);
+    inputs.push_back(MixedInstance(
+        &rng, &quality, static_cast<int>(rng.UniformInt(40, 250)),
+        static_cast<int>(rng.UniformInt(20, 250)),
+        static_cast<int>(rng.UniformInt(0, 40)), velocity_hi,
+        rng.Uniform(1.0, 20.0)));
+  }
+  Rng hyperlocal_rng(77);
+  inputs.push_back(HyperlocalInstance(&hyperlocal_rng, &quality));
+
+  for (const ProblemInstance& inst : inputs) {
+    ASSERT_GE(inst.workers().size(), kMinParallelWorkers)
+        << "every input must take the parallel builder at >1 threads";
+    const PairPool sequential = BuildPairPool(inst, PairPoolOptions{});
+    for (const int threads : kThreadCounts) {
+      ParallelRunner runner(threads);
+      ExpectSamePool(sequential,
+                     BuildPairPool(WithThreadPool(inst, runner.pool()),
+                                   PairPoolOptions{}));
+    }
   }
 }
 
 TEST(ParallelPairPoolProperty, PrebuiltIndexPathMatchesToo) {
   // The simulator path: a shared (cache-style) index queried concurrently
-  // by every shard instead of per-shard indexes.
+  // by every worker range.
   const RangeQualityModel quality(1.0, 2.0, 7);
   Rng rng(32);
-  const ProblemInstance inst =
+  ProblemInstance inst =
       MixedInstance(&rng, &quality, 150, 150, 25, 0.3, 10.0);
 
   GridIndex index;
@@ -193,16 +192,14 @@ TEST(ParallelPairPoolProperty, PrebuiltIndexPathMatchesToo) {
                        inst.tasks()[j].deadline});
   }
   index.BulkLoad(entries);
+  inst.set_task_index(&index);
 
-  PairPoolOptions seq_options;
-  seq_options.task_index = &index;
-  const PairPool sequential = BuildPairPool(inst, seq_options);
+  const PairPool sequential = BuildPairPool(inst, PairPoolOptions{});
   for (const int threads : kThreadCounts) {
     ParallelRunner runner(threads);
-    PairPoolOptions options;
-    options.task_index = &index;
-    options.thread_pool = runner.pool();
-    ExpectSamePool(sequential, BuildPairPool(inst, options));
+    ExpectSamePool(sequential,
+                   BuildPairPool(WithThreadPool(inst, runner.pool()),
+                                 PairPoolOptions{}));
   }
 }
 
@@ -226,10 +223,10 @@ TEST_P(ParallelAssignerProperty, AssignmentIsByteIdenticalAcrossThreads) {
     ASSERT_TRUE(expected.ok()) << expected.status();
 
     for (const int threads : kThreadCounts) {
-      AssignerOptions options = base;
-      options.num_threads = threads;
-      auto parallel = CreateAssigner(GetParam(), options);
-      const auto got = parallel->Assign(inst);
+      ParallelRunner runner(threads);
+      auto parallel = CreateAssigner(GetParam(), base);
+      const auto got =
+          parallel->Assign(WithThreadPool(inst, runner.pool()));
       ASSERT_TRUE(got.ok()) << got.status();
       ExpectSameAssignment(expected.value(), got.value());
     }
@@ -272,7 +269,7 @@ void ExpectSameSummary(const SimulationSummary& a,
 }
 
 // The full pipeline through the simulator, including the incrementally
-// maintained TaskIndexCache queried concurrently by shards.
+// maintained TaskIndexCache queried concurrently by worker ranges.
 TEST(ParallelSimulatorProperty, MetricsAreByteIdenticalAcrossThreads) {
   const ArrivalStream stream =
       testing_util::SmallSyntheticStream(400, 400, 5, 23);

@@ -138,5 +138,14 @@ TEST(RngTest, SampleWithoutReplacementDistinct) {
   }
 }
 
+TEST(ShardSeedTest, StreamsAreDistinctAndStable) {
+  std::set<uint64_t> seeds;
+  for (int64_t shard = 0; shard < 1000; ++shard) {
+    EXPECT_TRUE(seeds.insert(ShardSeed(42, shard)).second);
+    EXPECT_EQ(ShardSeed(42, shard), ShardSeed(42, shard));
+  }
+  EXPECT_NE(ShardSeed(1, 0), ShardSeed(2, 0));
+}
+
 }  // namespace
 }  // namespace mqa

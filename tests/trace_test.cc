@@ -40,8 +40,7 @@ std::vector<uint64_t> BatchChecksums(const ArrivalStream& stream,
   config.num_threads = threads;
   config.index_backend = backend;
   Simulator sim(config, &Quality());
-  auto assigner =
-      CreateAssigner(kind, {.seed = 99, .index_backend = backend});
+  auto assigner = CreateAssigner(kind, {.seed = 99});
   const auto summary = sim.Run(stream, assigner.get());
   EXPECT_TRUE(summary.ok()) << summary.status();
   std::vector<uint64_t> checksums;
@@ -64,8 +63,7 @@ std::vector<uint64_t> StreamChecksums(EventQueue queue, double horizon,
   config.policy.kind = EpochPolicyKind::kPerInstance;
   config.horizon = horizon;
   StreamingSimulator sim(config, &Quality());
-  auto assigner =
-      CreateAssigner(kind, {.seed = 99, .index_backend = backend});
+  auto assigner = CreateAssigner(kind, {.seed = 99});
   const auto summary = sim.Run(std::move(queue), assigner.get());
   EXPECT_TRUE(summary.ok()) << summary.status();
   std::vector<uint64_t> checksums;
