@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/run_report.h"
 #include "obs/stats_server.h"
@@ -131,7 +130,6 @@ std::vector<VariantResult> RunAllVariants(const ArrivalStream& stream,
 
 void InitObservability() {
   Tracer::InitFromEnv();
-  MetricsRegistry::InitFromEnv();
   RunReport::InitFromEnv();
   PerfCounters::InitFromEnv();
   Watchdog::InitFromEnv();

@@ -23,7 +23,6 @@
 
 #include "core/assigner.h"
 #include "exec/parallel_runner.h"
-#include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/run_report.h"
 #include "obs/slo_monitor.h"
@@ -69,8 +68,6 @@ struct CliOptions {
   bool prediction = true;
   bool rejoin = false;
   bool csv = false;
-  bool pairpool_stats = false;
-  bool phase_timing = false;
   bool perf_counters = false;
   double watchdog_seconds = 0.0;  // 0 = off
   uint64_t seed = 42;
@@ -79,7 +76,6 @@ struct CliOptions {
   std::string replay_trace;     // replace generation with a loaded trace
   std::string trace_format = "csv";  // csv | binary (for --record-trace)
   std::string trace_file;       // Chrome trace-event JSON (Perfetto)
-  std::string metrics_file;     // metrics-registry JSON export
   std::string run_report_file;  // unified run-report JSON artifact
   std::string timeline_file;    // mqa-timeline-v1 JSONL (live-appended)
   int64_t timeline_every = 1;   // snapshot every N epochs
@@ -91,7 +87,7 @@ struct CliOptions {
   int64_t slo_window = 64;      // SLO rolling window, in epochs
 };
 
-/// Writes the requested trace / metrics files after the run. Returns the
+/// Writes the requested run report and trace after the run. Returns the
 /// run's exit code, or 1 if a requested export failed (a bad path must
 /// not silently swallow the observability the user asked for).
 int FinishObservability(const CliOptions& opt, int rc) {
@@ -120,15 +116,6 @@ int FinishObservability(const CliOptions& opt, int rc) {
     const Status status = Tracer::Get().WriteJsonFile(opt.trace_file);
     if (!status.ok()) {
       std::fprintf(stderr, "--trace: %s\n", status.ToString().c_str());
-      if (rc == 0) rc = 1;
-    }
-  }
-  if (!opt.metrics_file.empty()) {
-    const Status status =
-        MetricsRegistry::Get().WriteJsonFile(opt.metrics_file);
-    if (!status.ok()) {
-      std::fprintf(stderr, "--metrics-json: %s\n",
-                   status.ToString().c_str());
       if (rc == 0) rc = 1;
     }
   }
@@ -211,14 +198,11 @@ void PrintUsage() {
       "  --replay-trace=FILE (replace workload generation with a recorded\n"
       "      trace; replays byte-identically through batch and stream —\n"
       "      see src/trace/README.md and docs/TESTING.md)\n"
-      "  --pairpool-stats (per-epoch pair-pool columns: pair count,\n"
-      "      bytes/pair, arena slabs, lazily-skipped sampling fraction)\n"
-      "  --phase-timing (per-epoch phase wall-time CSV columns)\n"
       "  --trace=FILE (Chrome trace-event JSON of the epoch lifecycle,\n"
       "      loadable in Perfetto; see docs/OBSERVABILITY.md)\n"
-      "  --metrics-json=FILE (counters/gauges/histograms as JSON)\n"
-      "  --run-report=FILE (unified run artifact: config + git/machine\n"
-      "      provenance + per-epoch rows + counter aggregates + metrics)\n"
+      "  --run-report=FILE (the post-mortem artifact: config + git/machine\n"
+      "      provenance + per-epoch rows with phase times, pool and index\n"
+      "      numbers + counter aggregates + the metrics registry)\n"
       "  --perf-counters (attach hardware-counter deltas to phase spans\n"
       "      via perf_event_open; silent no-op where unavailable)\n"
       "  --watchdog=SECONDS (flight recorder: dump in-flight span stacks\n"
@@ -232,59 +216,6 @@ void PrintUsage() {
       "      (rolling SLO monitor: windowed p99 latency / epoch-deadline\n"
       "      overrun ratio / backlog targets; breaches are logged,\n"
       "      counted in mqa.slo.* and dumped to the flight recorder)\n");
-}
-
-void PrintPoolStatsHeader() {
-  std::printf("\npair-pool per epoch (columnar, arena-backed; see "
-              "src/core/README.md):\n");
-  std::printf("%5s %12s %8s %7s %13s %10s\n", "epoch", "pairs", "B/pair",
-              "slabs", "arena_peak_B", "lazy_skip");
-}
-
-// CSV mode appends these as extra columns on the per-epoch rows instead
-// of a second table, keeping the output machine-parseable.
-void PrintPoolStatsCsvColumns() {
-  std::printf(",pool_pairs,pool_bytes,pool_arena_slabs,pool_lazy_skipped");
-}
-
-void PrintPoolStatsCsvValues(const InstanceMetrics& m) {
-  std::printf(",%lld,%lld,%lld,%.4f", static_cast<long long>(m.pool_pairs),
-              static_cast<long long>(m.pool_bytes),
-              static_cast<long long>(m.pool_arena_slabs),
-              m.pool_lazy_skipped_fraction);
-}
-
-// Per-epoch phase wall-time breakdown (--phase-timing). Timing fields are
-// execution state, not results: excluded from the byte-identity contract.
-void PrintPhaseCsvColumns() {
-  // Batch and stream emit identical phase columns; the two stream-only
-  // phases read 0 in batch mode.
-  std::printf(
-      ",predict_seconds,assemble_seconds,index_seconds,assign_seconds,"
-      "validate_seconds,apply_seconds,ingest_seconds,backlog_scan_seconds,"
-      "pool_build_seconds");
-}
-
-void PrintPhaseCsvValues(const InstanceMetrics& m) {
-  std::printf(",%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f",
-              m.predict_seconds, m.assemble_seconds, m.index_seconds,
-              m.assign_seconds, m.validate_seconds, m.apply_seconds,
-              m.ingest_seconds, m.backlog_scan_seconds,
-              m.pool_build_seconds);
-}
-
-void PrintPoolStatsRow(const InstanceMetrics& m) {
-  const double bytes_per_pair =
-      m.pool_pairs > 0
-          ? static_cast<double>(m.pool_bytes) /
-                static_cast<double>(m.pool_pairs)
-          : 0.0;
-  std::printf("%5lld %12lld %8.1f %7lld %13lld %9.1f%%\n",
-              static_cast<long long>(m.instance),
-              static_cast<long long>(m.pool_pairs), bytes_per_pair,
-              static_cast<long long>(m.pool_arena_slabs),
-              static_cast<long long>(m.pool_arena_peak_bytes),
-              100.0 * m.pool_lazy_skipped_fraction);
 }
 
 SpatialDistribution ParseDist(const std::string& s) {
@@ -309,14 +240,11 @@ int RunStreaming(const CliOptions& opt, const StreamingConfig& config,
     std::printf(
         "epoch,time,ingested_workers,ingested_tasks,backlog_before,"
         "backlog_after,coverable,expired,assigned,quality,cost,"
-        "latency_seconds,mean_queue_wait,fire_reason");
-    if (opt.phase_timing) PrintPhaseCsvColumns();
-    if (opt.pairpool_stats) PrintPoolStatsCsvColumns();
-    std::printf("\n");
+        "latency_seconds,mean_queue_wait,fire_reason\n");
     for (const EpochStreamMetrics& e : s.per_epoch) {
       std::printf(
           "%lld,%.4f,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%.6f,%.6f,%.6f,"
-          "%.4f,%s",
+          "%.4f,%s\n",
           static_cast<long long>(e.instance.instance), e.epoch_time,
           static_cast<long long>(e.ingested_workers),
           static_cast<long long>(e.ingested_tasks),
@@ -327,9 +255,6 @@ int RunStreaming(const CliOptions& opt, const StreamingConfig& config,
           static_cast<long long>(e.instance.assigned), e.instance.quality,
           e.instance.cost, e.instance.cpu_seconds, e.mean_queue_wait,
           EpochFireReasonToString(e.fire_reason));
-      if (opt.phase_timing) PrintPhaseCsvValues(e.instance);
-      if (opt.pairpool_stats) PrintPoolStatsCsvValues(e.instance);
-      std::printf("\n");
     }
     return 0;
   }
@@ -361,12 +286,6 @@ int RunStreaming(const CliOptions& opt, const StreamingConfig& config,
       s.p50_epoch_latency, s.p99_epoch_latency, s.max_epoch_latency,
       s.p50_queue_wait, s.p99_queue_wait, s.mean_backlog,
       static_cast<long long>(s.max_backlog));
-  if (opt.pairpool_stats) {
-    PrintPoolStatsHeader();
-    for (const EpochStreamMetrics& e : s.per_epoch) {
-      PrintPoolStatsRow(e.instance);
-    }
-  }
   return 0;
 }
 
@@ -388,7 +307,6 @@ int main(int argc, char** argv) {
         ParseFlag(a, "--replay-trace", &opt.replay_trace) ||
         ParseFlag(a, "--trace-format", &opt.trace_format) ||
         ParseFlag(a, "--trace", &opt.trace_file) ||
-        ParseFlag(a, "--metrics-json", &opt.metrics_file) ||
         ParseFlag(a, "--run-report", &opt.run_report_file) ||
         ParseFlag(a, "--timeline", &opt.timeline_file) ||
         ParseNumeric(a, "--timeline-every", &opt.timeline_every,
@@ -432,10 +350,6 @@ int main(int argc, char** argv) {
       opt.stream = true;
     } else if (std::strcmp(a, "--csv") == 0) {
       opt.csv = true;
-    } else if (std::strcmp(a, "--pairpool-stats") == 0) {
-      opt.pairpool_stats = true;
-    } else if (std::strcmp(a, "--phase-timing") == 0) {
-      opt.phase_timing = true;
     } else if (std::strcmp(a, "--perf-counters") == 0) {
       opt.perf_counters = true;
     } else if (std::strcmp(a, "--help") == 0) {
@@ -740,12 +654,10 @@ int main(int argc, char** argv) {
   if (opt.csv) {
     std::printf(
         "instance,workers,tasks,predicted_workers,predicted_tasks,"
-        "assigned,quality,cost,cpu_seconds,worker_pred_err,task_pred_err");
-    if (opt.phase_timing) PrintPhaseCsvColumns();
-    if (opt.pairpool_stats) PrintPoolStatsCsvColumns();
-    std::printf("\n");
+        "assigned,quality,cost,wall_seconds,worker_pred_err,"
+        "task_pred_err\n");
     for (const InstanceMetrics& m : s.per_instance) {
-      std::printf("%lld,%lld,%lld,%lld,%lld,%lld,%.6f,%.6f,%.6f,%.6f,%.6f",
+      std::printf("%lld,%lld,%lld,%lld,%lld,%lld,%.6f,%.6f,%.6f,%.6f,%.6f\n",
                   static_cast<long long>(m.instance),
                   static_cast<long long>(m.workers_available),
                   static_cast<long long>(m.tasks_available),
@@ -754,9 +666,6 @@ int main(int argc, char** argv) {
                   static_cast<long long>(m.assigned), m.quality, m.cost,
                   m.cpu_seconds, m.worker_prediction_error,
                   m.task_prediction_error);
-      if (opt.phase_timing) PrintPhaseCsvValues(m);
-      if (opt.pairpool_stats) PrintPoolStatsCsvValues(m);
-      std::printf("\n");
     }
     return FinishObservability(opt, 0);
   }
@@ -789,10 +698,6 @@ int main(int argc, char** argv) {
     std::printf("prediction error: workers %.1f%%, tasks %.1f%%\n",
                 100.0 * s.avg_worker_prediction_error,
                 100.0 * s.avg_task_prediction_error);
-  }
-  if (opt.pairpool_stats) {
-    PrintPoolStatsHeader();
-    for (const InstanceMetrics& m : s.per_instance) PrintPoolStatsRow(m);
   }
   return FinishObservability(opt, 0);
 }

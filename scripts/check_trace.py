@@ -19,8 +19,12 @@ Checks, in order:
      epoch's duration — the "the trace explains where the time went"
      acceptance bar.
 
-Also validates a metrics JSON export when given via --metrics (parses,
-has counters/gauges/histograms objects, histogram stats are coherent).
+Also validates an mqa-run-report-v2 file when given via --report:
+  - its nested metrics object has counters/gauges/histograms objects and
+    coherent histogram stats;
+  - on every epoch row, the five phases that partition the epoch
+    (predict + assemble + index + pool_build + assign) are non-negative
+    and add up to wall_seconds, within 5 us or 1e-3 relative.
 
 Exit 0 when everything holds, 1 otherwise.
 """
@@ -33,6 +37,14 @@ REQUIRED_X_KEYS = ("name", "cat", "ph", "ts", "dur", "pid", "tid")
 
 # Spans treated as epoch roots for the coverage check.
 EPOCH_SPAN_NAMES = ("epoch", "stream/epoch")
+
+# The run-report schema --report accepts, and the epoch-row phases whose
+# sum must equal the row's wall_seconds (validate, apply and the stream
+# phases run outside that clock).
+REPORT_SCHEMA = "mqa-run-report-v2"
+WALL_PHASES = ("predict", "assemble", "index", "pool_build", "assign")
+PHASE_SUM_ABS_TOL = 5e-6
+PHASE_SUM_REL_TOL = 1e-3
 
 # The only keys an X event's args object may carry: the span payload and
 # the perf-counter deltas (src/obs/perf_counters.h slot order).
@@ -163,10 +175,8 @@ def check_coverage(by_tid, min_coverage):
     return errors
 
 
-def check_metrics(path):
+def check_metrics(doc):
     errors = []
-    with open(path) as f:
-        doc = json.load(f)
     for section in ("counters", "gauges", "histograms"):
         if not isinstance(doc.get(section), dict):
             errors.append(f"metrics: missing '{section}' object")
@@ -184,10 +194,51 @@ def check_metrics(path):
     return errors
 
 
+def check_phase_sum(row):
+    """The row's five serial phases must add up to its wall_seconds."""
+    where = f"report: epoch {row.get('instance')}"
+    phases = row.get("phase_seconds")
+    wall = row.get("wall_seconds")
+    if not isinstance(phases, dict) or not isinstance(wall, (int, float)):
+        return [f"{where}: missing phase_seconds or wall_seconds"]
+    values = [phases.get(name) for name in WALL_PHASES]
+    if not all(isinstance(v, (int, float)) for v in values):
+        return [f"{where}: phase_seconds lacks one of {WALL_PHASES}"]
+    if min(values) < 0:
+        return [f"{where}: negative phase time in "
+                f"{dict(zip(WALL_PHASES, values))}"]
+    total = sum(values)
+    if abs(total - wall) > max(PHASE_SUM_ABS_TOL, PHASE_SUM_REL_TOL * wall):
+        return [f"{where}: {' + '.join(WALL_PHASES)} = {total:.9f} s but "
+                f"wall_seconds = {wall:.9f} s"]
+    return []
+
+
+def check_report(path):
+    """Returns (epoch_rows, errors) for an mqa run report."""
+    with open(path) as f:
+        doc = json.load(f)
+    errors = []
+    if doc.get("schema") != REPORT_SCHEMA:
+        errors.append(f"report: schema {doc.get('schema')!r}, expected "
+                      f"{REPORT_SCHEMA!r}")
+    if isinstance(doc.get("metrics"), dict):
+        errors.extend(check_metrics(doc["metrics"]))
+    else:
+        errors.append("report: missing 'metrics' object")
+    epochs = doc.get("epochs")
+    if not isinstance(epochs, list):
+        errors.append("report: missing 'epochs' array")
+        return 0, errors
+    for row in epochs:
+        errors.extend(check_phase_sum(row))
+    return len(epochs), errors
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trace", help="Chrome trace-event JSON file")
-    parser.add_argument("--metrics", help="metrics JSON export to validate")
+    parser.add_argument("--report", help="mqa run-report JSON to validate")
     parser.add_argument("--require-span", action="append", default=[],
                         help="span name that must occur at least once")
     parser.add_argument("--min-coverage", type=float, default=0.0,
@@ -219,18 +270,21 @@ def main():
     if args.min_coverage > 0:
         errors.extend(check_coverage(by_tid, args.min_coverage))
 
-    if args.metrics:
+    num_epochs = 0
+    if args.report:
         try:
-            errors.extend(check_metrics(args.metrics))
+            num_epochs, report_errors = check_report(args.report)
+            errors.extend(report_errors)
         except (OSError, json.JSONDecodeError) as e:
-            errors.append(f"{args.metrics}: {e}")
+            errors.append(f"{args.report}: {e}")
 
     if errors:
         for e in errors:
             print(f"FAIL: {e}", file=sys.stderr)
         return 1
     print(f"ok: {num_spans} spans on {len(by_tid)} threads"
-          + (f", metrics valid" if args.metrics else ""))
+          + (f", report valid ({num_epochs} epoch rows)" if args.report
+             else ""))
     return 0
 
 

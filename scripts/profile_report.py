@@ -17,10 +17,10 @@ For every span name the table shows:
 
 Counter columns print "-" when the trace carries no counter args for a
 phase (no --perf-counters, or the PMU lacked the events). The run report
-contributes wall-time quantiles (p50/p99 per phase from the
-mqa.phase.*.self_seconds histograms) and is where the table's config and
-provenance header comes from; --trace alone still produces the timing
-columns.
+contributes wall-time quantiles (p50/p99 per phase from its
+metrics.histograms["mqa.phase.<name>.self_seconds"]) and is where the
+table's config and provenance header comes from; --trace alone still
+produces the timing columns.
 
 The closing "top SIMD targets" list names the phases to vectorize first
 for ROADMAP item 5: the biggest self-time phases, annotated with what
@@ -156,7 +156,7 @@ def render(trace_path, report_path, top):
         )
         lines.append("")
 
-    phases = (report or {}).get("phases", {})
+    histograms = (report or {}).get("metrics", {}).get("histograms", {})
 
     header = (
         f"{'phase':<26} {'count':>7} {'self_s':>10} {'%epoch':>7} "
@@ -179,9 +179,9 @@ def render(trace_path, report_path, top):
         bmpki = fmt_ratio(
             rec.get("branch_misses"), rec.get("instructions"), 1000.0
         )
-        # Bare phase name as reported in mqa.phase.<name>.self_seconds.
+        # Bare phase name as recorded in mqa.phase.<name>.self_seconds.
         bare = name.split("/")[-1]
-        ph = phases.get(bare, {})
+        ph = histograms.get(f"mqa.phase.{bare}.self_seconds", {})
         p50 = f"{ph['p50']:.6f}" if "p50" in ph else "-"
         p99 = f"{ph['p99']:.6f}" if "p99" in ph else "-"
         lines.append(

@@ -16,8 +16,8 @@ policy move p99 latency and backlog?".
 Series sources (missing ones are skipped):
   epoch_rate    mqa.epoch.count counter delta / wall_s delta
   p99_latency   mqa.stream.window.p99_epoch_latency_seconds gauge,
-                falling back to the mqa.stream.epoch_latency_seconds
-                histogram's cumulative p99
+                falling back to the mqa.epoch.wall_seconds histogram's
+                cumulative p99
   backlog       mqa.stream.backlog gauge
   slo_p99       mqa.slo.window.p99_latency_seconds gauge
   breaches      mqa.slo.breaches_active gauge
@@ -94,10 +94,6 @@ def series_from(snaps):
         return [s.get("gauges", {}).get(name) for s in snaps]
 
     p99 = gauge("mqa.stream.window.p99_epoch_latency_seconds")
-    if not any(v for v in p99 if v):
-        p99 = [s.get("hist", {})
-                .get("mqa.stream.epoch_latency_seconds", {})
-                .get("p99") for s in snaps]
     if not any(v for v in p99 if v):
         p99 = [s.get("hist", {})
                 .get("mqa.epoch.wall_seconds", {})

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -268,35 +266,6 @@ std::string MetricsRegistry::ToJsonString() const {
   std::ostringstream out;
   WriteJson(out);
   return out.str();
-}
-
-Status MetricsRegistry::WriteJsonFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::Internal("cannot open metrics file: " + path);
-  }
-  WriteJson(out);
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("error writing metrics file: " + path);
-  }
-  return Status::OK();
-}
-
-void MetricsRegistry::InitFromEnv() {
-  static bool initialized = false;
-  if (initialized) return;
-  initialized = true;
-  const char* path = std::getenv("MQA_METRICS_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  static const std::string* metrics_path = new std::string(path);
-  std::atexit([] {
-    const Status status = Get().WriteJsonFile(*metrics_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "MQA_METRICS_JSON: %s\n",
-                   status.ToString().c_str());
-    }
-  });
 }
 
 }  // namespace mqa

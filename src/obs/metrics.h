@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-
 namespace mqa {
 
 /// Monotonic named counter. Handles are stable for the process lifetime;
@@ -99,10 +97,11 @@ class Histogram {
 };
 
 /// Process-wide named metrics: counters, gauges and histograms, created
-/// on first use and exported as JSON.
+/// on first use and exported as JSON (nested in the run report, and
+/// served live by the timeline recorder and the stats server).
 ///
 /// Naming scheme: dot-separated lowercase path, subsystem first —
-/// "mqa.epoch.count", "mqa.stream.epoch_latency_seconds",
+/// "mqa.epoch.count", "mqa.phase.assign.self_seconds",
 /// "mqa.pool.pairs" (see docs/OBSERVABILITY.md for the full inventory).
 ///
 /// Lookup takes a mutex; hot paths must look a handle up once (the
@@ -123,18 +122,13 @@ class MetricsRegistry {
   /// Zeroes every metric (tests). Handles stay valid.
   void Reset();
 
-  /// Invokes `fn(name, histogram)` for every registered histogram, in
-  /// sorted name order (the run report's per-phase section reads the
-  /// "mqa.phase.*" family this way). Do not call registry methods that
-  /// take the lock from inside `fn`.
+  /// Invoke `fn(name, value)` for every registered metric of one kind,
+  /// in sorted name order — the timeline recorder and the stats server's
+  /// exposition endpoint walk the live registry through these. Do not
+  /// call registry methods that take the lock from inside `fn`.
   void VisitHistograms(
       const std::function<void(const std::string&, const Histogram&)>& fn)
       const;
-
-  /// Counter/gauge analogues of VisitHistograms, in sorted name order —
-  /// the timeline recorder and the stats server's exposition endpoint
-  /// walk the live registry through these. Same rule: `fn` must not call
-  /// back into the registry.
   void VisitCounters(
       const std::function<void(const std::string&, int64_t)>& fn) const;
   void VisitGauges(
@@ -145,11 +139,6 @@ class MetricsRegistry {
   /// ...}}. Keys sorted (std::map) — deterministic given the same values.
   void WriteJson(std::ostream& out) const;
   std::string ToJsonString() const;
-  Status WriteJsonFile(const std::string& path) const;
-
-  /// If the MQA_METRICS_JSON environment variable names a file, registers
-  /// an atexit hook that exports the registry there. Idempotent.
-  static void InitFromEnv();
 
  private:
   MetricsRegistry() = default;

@@ -1,10 +1,12 @@
 #include "obs/run_report.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
@@ -52,9 +54,10 @@ void WriteDouble(std::ostream& out, double v) {
     out << "null";
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out << buf;
+  // Shortest round-trip form: a report value parses back to the exact
+  // double the run computed.
+  char buf[32];
+  out.write(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
 }
 
 std::string GitDescribe() {
@@ -160,73 +163,53 @@ void WritePerfCountersObject(std::ostream& out) {
   out << "}}";
 }
 
-/// The per-phase section: every "mqa.phase.<name>.self_seconds"
-/// histogram, keyed by the bare phase name.
-void WritePhasesObject(std::ostream& out) {
-  out << "{";
-  bool first = true;
-  MetricsRegistry::Get().VisitHistograms(
-      [&out, &first](const std::string& name, const Histogram& h) {
-        constexpr const char kPrefix[] = "mqa.phase.";
-        constexpr const char kSuffix[] = ".self_seconds";
-        const size_t prefix_len = sizeof(kPrefix) - 1;
-        const size_t suffix_len = sizeof(kSuffix) - 1;
-        if (name.size() <= prefix_len + suffix_len) return;
-        if (name.compare(0, prefix_len, kPrefix) != 0) return;
-        if (name.compare(name.size() - suffix_len, suffix_len, kSuffix) !=
-            0) {
-          return;
-        }
-        if (!first) out << ",";
-        first = false;
-        WriteJsonString(
-            out, name.substr(prefix_len,
-                             name.size() - prefix_len - suffix_len));
-        out << ":{\"count\":" << h.count() << ",\"sum\":";
-        WriteDouble(out, h.sum());
-        out << ",\"mean\":";
-        WriteDouble(out, h.mean());
-        out << ",\"p50\":";
-        WriteDouble(out, h.Quantile(0.50));
-        out << ",\"p90\":";
-        WriteDouble(out, h.Quantile(0.90));
-        out << ",\"p99\":";
-        WriteDouble(out, h.Quantile(0.99));
-        out << ",\"max\":";
-        WriteDouble(out, h.max());
-        out << "}";
-      });
-  out << "}";
-}
-
-void WriteEpochRow(std::ostream& out, const EpochReportRow& row) {
+void WriteEpochRow(std::ostream& out, const InstanceMetrics& row) {
   char checksum[32];
   std::snprintf(checksum, sizeof(checksum), "%016llx",
                 static_cast<unsigned long long>(row.assignment_checksum));
-  out << "{\"instance\":" << row.instance << ",\"assigned\":" << row.assigned
-      << ",\"quality\":";
+  out << "{\"instance\":" << row.instance
+      << ",\"workers_available\":" << row.workers_available
+      << ",\"tasks_available\":" << row.tasks_available
+      << ",\"predicted_workers\":" << row.predicted_workers
+      << ",\"predicted_tasks\":" << row.predicted_tasks
+      << ",\"assigned\":" << row.assigned << ",\"quality\":";
   WriteDouble(out, row.quality);
   out << ",\"cost\":";
   WriteDouble(out, row.cost);
-  out << ",\"checksum\":\"" << checksum << "\",\"wall_seconds\":";
-  WriteDouble(out, row.wall_seconds);
-  out << ",\"phase_seconds\":{\"predict\":";
-  WriteDouble(out, row.predict_seconds);
-  out << ",\"assemble\":";
-  WriteDouble(out, row.assemble_seconds);
-  out << ",\"index\":";
-  WriteDouble(out, row.index_seconds);
-  out << ",\"assign\":";
-  WriteDouble(out, row.assign_seconds);
-  out << ",\"validate\":";
-  WriteDouble(out, row.validate_seconds);
-  out << ",\"apply\":";
-  WriteDouble(out, row.apply_seconds);
-  out << ",\"ingest\":";
-  WriteDouble(out, row.ingest_seconds);
-  out << ",\"backlog_scan\":";
-  WriteDouble(out, row.backlog_scan_seconds);
-  out << "}}";
+  out << ",\"checksum\":\"" << checksum
+      << "\",\"worker_prediction_error\":";
+  WriteDouble(out, row.worker_prediction_error);
+  out << ",\"task_prediction_error\":";
+  WriteDouble(out, row.task_prediction_error);
+  out << ",\"wall_seconds\":";
+  WriteDouble(out, row.cpu_seconds);
+  const std::pair<const char*, double> phases[] = {
+      {"predict", row.predict_seconds},
+      {"assemble", row.assemble_seconds},
+      {"index", row.index_seconds},
+      {"pool_build", row.pool_build_seconds},
+      {"assign", row.assign_seconds},
+      {"validate", row.validate_seconds},
+      {"apply", row.apply_seconds},
+      {"ingest", row.ingest_seconds},
+      {"backlog_scan", row.backlog_scan_seconds}};
+  char sep = '{';
+  out << ",\"phase_seconds\":";
+  for (const auto& [name, seconds] : phases) {
+    out << sep << '"' << name << "\":";
+    WriteDouble(out, seconds);
+    sep = ',';
+  }
+  out << "},\"pool\":{\"pairs\":" << row.pool_pairs
+      << ",\"predicted_pairs\":" << row.pool_predicted_pairs
+      << ",\"bytes\":" << row.pool_bytes
+      << ",\"arena_slabs\":" << row.pool_arena_slabs
+      << ",\"arena_peak_bytes\":" << row.pool_arena_peak_bytes
+      << ",\"lazy_skipped_fraction\":";
+  WriteDouble(out, row.pool_lazy_skipped_fraction);
+  out << "},\"index\":{\"inserted\":" << row.index_inserted
+      << ",\"erased\":" << row.index_erased
+      << ",\"bulk_rebuilds\":" << row.index_bulk_rebuilds << "}}";
 }
 
 }  // namespace
@@ -260,7 +243,7 @@ void RunReport::SetConfig(const std::string& key, bool value) {
   config_[key] = value ? "true" : "false";
 }
 
-void RunReport::RecordEpoch(const EpochReportRow& row) {
+void RunReport::RecordEpoch(const InstanceMetrics& row) {
   std::lock_guard<std::mutex> lock(mu_);
   epochs_.push_back(row);
 }
@@ -287,7 +270,7 @@ std::string RunReport::ProvenanceFragment() {
 
 void RunReport::WriteJson(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  out << "{\n  \"schema\": \"mqa-run-report-v1\",\n  \"git\": "
+  out << "{\n  \"schema\": \"mqa-run-report-v2\",\n  \"git\": "
          "{\"describe\": ";
   WriteJsonString(out, GitDescribe());
   out << "},\n  \"machine\": ";
@@ -302,11 +285,9 @@ void RunReport::WriteJson(std::ostream& out) const {
   }
   out << (first ? "}" : "\n  }") << ",\n  \"perf_counters\": ";
   WritePerfCountersObject(out);
-  out << ",\n  \"phases\": ";
-  WritePhasesObject(out);
   out << ",\n  \"epochs\": [";
   first = true;
-  for (const EpochReportRow& row : epochs_) {
+  for (const InstanceMetrics& row : epochs_) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
     WriteEpochRow(out, row);

@@ -12,36 +12,95 @@
 
 namespace mqa {
 
-/// One epoch's row in the run report. A layering-clean mirror of the
-/// fields sim::InstanceMetrics / stream reports expose — src/obs must
-/// not depend on src/sim, so the runners copy into this POD.
-struct EpochReportRow {
+/// Per-instance (per-epoch) measurements recorded by the simulators and
+/// the run report's epoch row. A plain struct, so this layer stays free
+/// of sim/ and model/ types; sim/metrics.h re-exports it.
+struct InstanceMetrics {
+  /// The instance (batch) or epoch (stream) index.
   int64_t instance = 0;
+
+  /// Available (current) entities after carryover and rejoining.
+  int64_t workers_available = 0;
+  int64_t tasks_available = 0;
+
+  /// Predicted entities appended to the assigner's input.
+  int64_t predicted_workers = 0;
+  int64_t predicted_tasks = 0;
+
   int64_t assigned = 0;
   double quality = 0.0;
   double cost = 0.0;
+
+  /// FNV-1a fingerprint of the epoch's assignment (pair indices plus the
+  /// quality/cost bit patterns). A pure function of the computed result,
+  /// so it is covered by — and a cheap witness for — the byte-identity
+  /// contract; run reports record it per epoch.
   uint64_t assignment_checksum = 0;
-  double wall_seconds = 0.0;
-  // Phase breakdown (epoch lifecycle order; stream-only phases stay 0 in
-  // batch mode).
-  double predict_seconds = 0.0;
-  double assemble_seconds = 0.0;
-  double index_seconds = 0.0;
-  double assign_seconds = 0.0;
-  double validate_seconds = 0.0;
-  double apply_seconds = 0.0;
+
+  /// Wall-clock seconds from the start of prediction to the end of
+  /// assignment (the paper's "running time per time instance"); the run
+  /// report writes it as wall_seconds. Despite the name it is not CPU
+  /// time.
+  double cpu_seconds = 0.0;
+
+  /// Per-phase wall-clock breakdown in epoch lifecycle order (see
+  /// docs/OBSERVABILITY.md for the span taxonomy these mirror). The
+  /// first five add up to cpu_seconds. Timing fields describe execution,
+  /// not the computed assignment — like the arena fields below they are
+  /// excluded from the byte-identity contract.
+  double predict_seconds = 0.0;     // prediction scoring + PredictNext
+  double assemble_seconds = 0.0;    // instance vector assembly
+  double index_seconds = 0.0;       // task/worker index build or churn
+  double pool_build_seconds = 0.0;  // BuildPairPool inside Assign
+  double assign_seconds = 0.0;      // Assigner::Assign minus the pool build
+  double validate_seconds = 0.0;    // ValidateAssignment (0 when disabled)
+  double apply_seconds = 0.0;       // consumed marking + rejoin computation
+
+  /// Streaming-engine-only phases (0 in batch mode, keeping batch and
+  /// stream reports field-compatible): event-queue drain into the epoch,
+  /// and the coverable-backlog rescan of deferred tasks.
   double ingest_seconds = 0.0;
   double backlog_scan_seconds = 0.0;
+
+  /// Fig. 10 relative errors of the *previous* instance's prediction
+  /// against this instance's actual arrivals (-1 when no prediction was
+  /// made, e.g. at instance 0 or when prediction is disabled).
+  double worker_prediction_error = -1.0;
+  double task_prediction_error = -1.0;
+
+  /// Pair-pool measurements of the epoch's assignment (flushed by the
+  /// pool when the assigner finishes with it; see core/pair_pool.h).
+  /// Pool size and bytes are deterministic; the arena fields describe
+  /// execution state (slab reuse across epochs, per-range arenas) and may
+  /// legitimately differ across thread counts — they are excluded from
+  /// the byte-identity contract.
+  int64_t pool_pairs = 0;
+  int64_t pool_predicted_pairs = 0;
+  int64_t pool_bytes = 0;
+  int64_t pool_arena_slabs = 0;
+  int64_t pool_arena_peak_bytes = 0;
+
+  /// Fraction of predicted pairs whose Case 1-3 sampling was never
+  /// materialized by the algorithm (1.0 = the whole statistics phase was
+  /// skipped; 0 when the pool had no predicted pairs).
+  double pool_lazy_skipped_fraction = 0.0;
+
+  /// Index-cache sync churn (EntityIndexCache::BeginInstance), task and
+  /// worker caches combined; bulk_rebuilt counts caches that crossed the
+  /// rebuild break-even this epoch.
+  int64_t index_inserted = 0;
+  int64_t index_erased = 0;
+  int64_t index_bulk_rebuilds = 0;
 };
 
-/// The unified run artifact: one JSON file joining everything needed to
-/// reproduce and attribute a measurement — config, git describe,
-/// machine/OS identity, per-epoch results with assignment checksums,
-/// per-phase wall-time histograms (the mqa.phase.* family), counter
-/// aggregates with derived rates (IPC, miss rates), and the full metrics
-/// registry. BENCH_*.json and check_bench_regression.py graduate onto
-/// this provenance layer; scripts/profile_report.py joins it with a
-/// trace. Schema: "mqa-run-report-v1", documented in
+/// The unified run artifact and the only post-mortem one: a JSON file
+/// joining everything needed to reproduce and attribute a measurement —
+/// config, git describe, machine/OS identity, one InstanceMetrics row per
+/// epoch (results, assignment checksum, phase times, pool and index
+/// numbers), counter aggregates with derived rates (IPC, miss rates), and
+/// the full metrics registry (including the mqa.phase.* histograms).
+/// scripts/profile_report.py joins it with a trace; check_trace.py
+/// --report validates it. Schema: "mqa-run-report-v2", documented in
 /// docs/OBSERVABILITY.md.
 ///
 /// Write-only like the tracer and registry: recording never feeds values
@@ -61,7 +120,7 @@ class RunReport {
 
   /// Appends one epoch row (called by the batch and stream runners for
   /// every epoch; cheap, one mutex + vector push).
-  void RecordEpoch(const EpochReportRow& row);
+  void RecordEpoch(const InstanceMetrics& row);
 
   /// Serializes the report (sorted keys, deterministic given the same
   /// recorded state).
@@ -91,7 +150,7 @@ class RunReport {
 
   mutable std::mutex mu_;
   std::map<std::string, std::string> config_;  // values are JSON literals
-  std::vector<EpochReportRow> epochs_;
+  std::vector<InstanceMetrics> epochs_;
 };
 
 }  // namespace mqa

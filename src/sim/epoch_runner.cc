@@ -20,12 +20,6 @@ namespace mqa {
 
 namespace {
 
-double Seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 uint64_t Fnv1aWord(uint64_t h, uint64_t word) {
   for (int i = 0; i < 8; ++i) {
     h ^= (word >> (8 * i)) & 0xffu;
@@ -213,15 +207,19 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
     MQA_TRACE_SPAN("epoch/assign");
     MQA_ASSIGN_OR_RETURN(outcome.result, assigner->Assign(instance));
   }
-  metrics.assign_seconds = TakePhase();
-  metrics.cpu_seconds = Seconds(t_start);
+  // The pool build runs inside Assign but is its own phase: the five laps
+  // predict + assemble + index + pool_build + assign add up to
+  // cpu_seconds.
+  metrics.pool_build_seconds = pool_stats.build_seconds;
+  metrics.assign_seconds = TakePhase() - metrics.pool_build_seconds;
+  metrics.cpu_seconds =
+      std::chrono::duration<double>(t_phase - t_start).count();
   metrics.pool_pairs = pool_stats.pairs;
   metrics.pool_predicted_pairs = pool_stats.predicted_pairs;
   metrics.pool_bytes = pool_stats.pool_bytes;
   metrics.pool_arena_slabs = pool_stats.arena_slabs;
   metrics.pool_arena_peak_bytes = pool_stats.arena_peak_bytes;
   metrics.pool_lazy_skipped_fraction = pool_stats.lazy_skipped_fraction;
-  metrics.pool_build_seconds = pool_stats.build_seconds;
 
   if (config_.validate_assignments) {
     MQA_TRACE_SPAN("epoch/validate");
@@ -234,18 +232,16 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.assignment_checksum = AssignmentChecksum(outcome.result);
   MQA_METRIC_COUNT("mqa.epoch.assigned_total", metrics.assigned);
   MQA_METRIC_RECORD("mqa.epoch.wall_seconds", metrics.cpu_seconds);
-  MQA_METRIC_RECORD("mqa.epoch.predict_seconds", metrics.predict_seconds);
-  MQA_METRIC_RECORD("mqa.epoch.assign_seconds", metrics.assign_seconds);
-  MQA_METRIC_RECORD("mqa.epoch.pool_build_seconds",
-                    metrics.pool_build_seconds);
   // Per-phase self-time histograms: p50/p99 phase times without loading
-  // a trace (each epoch-level phase span has no sibling overlap, so lap
-  // time here IS the span's self time).
+  // a trace (epoch-level phases never overlap, and assign excludes the
+  // pool build nested inside it).
   MQA_METRIC_RECORD("mqa.phase.predict.self_seconds",
                     metrics.predict_seconds);
   MQA_METRIC_RECORD("mqa.phase.assemble.self_seconds",
                     metrics.assemble_seconds);
   MQA_METRIC_RECORD("mqa.phase.index.self_seconds", metrics.index_seconds);
+  MQA_METRIC_RECORD("mqa.phase.pool_build.self_seconds",
+                    metrics.pool_build_seconds);
   MQA_METRIC_RECORD("mqa.phase.assign.self_seconds", metrics.assign_seconds);
   MQA_METRIC_RECORD("mqa.phase.validate.self_seconds",
                     metrics.validate_seconds);

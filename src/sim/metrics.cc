@@ -2,25 +2,6 @@
 
 namespace mqa {
 
-EpochReportRow ToEpochReportRow(const InstanceMetrics& m) {
-  EpochReportRow row;
-  row.instance = m.instance;
-  row.assigned = m.assigned;
-  row.quality = m.quality;
-  row.cost = m.cost;
-  row.assignment_checksum = m.assignment_checksum;
-  row.wall_seconds = m.cpu_seconds;
-  row.predict_seconds = m.predict_seconds;
-  row.assemble_seconds = m.assemble_seconds;
-  row.index_seconds = m.index_seconds;
-  row.assign_seconds = m.assign_seconds;
-  row.validate_seconds = m.validate_seconds;
-  row.apply_seconds = m.apply_seconds;
-  row.ingest_seconds = m.ingest_seconds;
-  row.backlog_scan_seconds = m.backlog_scan_seconds;
-  return row;
-}
-
 void SimulationSummary::Finalize() {
   total_quality = 0.0;
   total_cost = 0.0;

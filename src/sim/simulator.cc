@@ -83,7 +83,7 @@ Result<SimulationSummary> Simulator::Run(const ArrivalStream& stream,
     available_workers = std::move(carried_workers);
     available_tasks = std::move(carried_tasks);
 
-    RunReport::Get().RecordEpoch(ToEpochReportRow(outcome.metrics));
+    RunReport::Get().RecordEpoch(outcome.metrics);
     summary.per_instance.push_back(outcome.metrics);
   }
 

@@ -364,15 +364,13 @@ class Engine {
                                         t_backlog)
               .count();
     }
-    // Stream-only phases, surfaced so batch and stream reports stay
-    // field-compatible (--phase-timing CSV and run-report rows).
+    // Stream-only phases, surfaced so batch and stream run-report rows
+    // stay field-compatible.
     em.instance.ingest_seconds = ingest_seconds;
     MQA_METRIC_RECORD("mqa.phase.ingest.self_seconds", ingest_seconds);
     MQA_METRIC_RECORD("mqa.phase.backlog_scan.self_seconds",
                       em.instance.backlog_scan_seconds);
-    RunReport::Get().RecordEpoch(ToEpochReportRow(em.instance));
-    MQA_METRIC_RECORD("mqa.stream.epoch_latency_seconds",
-                      outcome.metrics.cpu_seconds);
+    RunReport::Get().RecordEpoch(em.instance);
     MQA_METRIC_GAUGE_SET("mqa.stream.backlog",
                          static_cast<double>(em.backlog_before));
 

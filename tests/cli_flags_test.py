@@ -26,6 +26,10 @@ CASES = [
     ("--v-lo=0.5", "--v-lo/--v-hi"),
     ("--delta-pool", "--delta-pool"),
     ("--repair", "--repair"),
+    # Folded into --run-report: its nested metrics object and epoch rows.
+    ("--metrics-json=m.json", "--metrics-json"),
+    ("--phase-timing", "--phase-timing"),
+    ("--pairpool-stats", "--pairpool-stats"),
 ]
 
 

@@ -1,0 +1,187 @@
+// The run report is the one post-mortem artifact: an mqa-run-report-v2
+// JSON file whose epoch rows are the simulators' InstanceMetrics. These
+// tests run a small batch greedy and a small stream D&C simulation at 1
+// and 4 threads and check the written report against the summary each
+// simulator returns: one row per epoch, the same checksums, pool and
+// prediction numbers, and phase times that add up to the epoch's wall
+// time.
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "core/assigner.h"
+#include "obs/metrics.h"
+#include "obs/run_report.h"
+#include "quality/range_quality.h"
+#include "sim/simulator.h"
+#include "stream/streaming_simulator.h"
+#include "test_util.h"
+
+namespace mqa {
+namespace {
+
+/// The report's epoch rows, one string each (the writer puts every row
+/// on its own line).
+std::vector<std::string> EpochRows(const std::string& json) {
+  std::vector<std::string> rows;
+  const std::string open = "\"epochs\": [";
+  size_t pos = json.find(open);
+  if (pos == std::string::npos) return rows;
+  pos += open.size();
+  const size_t end = json.find(']', pos);
+  while (true) {
+    const size_t row_begin = json.find("\n    {", pos);
+    if (row_begin == std::string::npos || row_begin > end) break;
+    const size_t row_end = json.find('\n', row_begin + 1);
+    rows.push_back(json.substr(row_begin + 5, row_end - row_begin - 5));
+    pos = row_end;
+  }
+  return rows;
+}
+
+/// The flat object `"name":{...}` inside `row` (the row's sub-objects
+/// hold no nested objects).
+std::string Object(const std::string& row, const std::string& name) {
+  const std::string open = "\"" + name + "\":{";
+  const size_t begin = row.find(open);
+  if (begin == std::string::npos) return "";
+  return row.substr(begin + open.size() - 1,
+                    row.find('}', begin) - begin - open.size() + 2);
+}
+
+/// The number after `"key":` in `object`, NaN when the key is absent.
+double Number(const std::string& object, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = object.find(needle);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << needle << " in " << object;
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return std::strtod(object.c_str() + at + needle.size(), nullptr);
+}
+
+/// Checks the report written for `per_epoch` (the summary's rows, in
+/// epoch order).
+void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
+  ASSERT_FALSE(per_epoch.empty());
+  const std::string json = RunReport::Get().ToJsonString();
+  EXPECT_NE(json.find("\"schema\": \"mqa-run-report-v2\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"phases\""), std::string::npos);
+
+  const std::vector<std::string> rows = EpochRows(json);
+  ASSERT_EQ(rows.size(), per_epoch.size());
+  EXPECT_EQ(RunReport::Get().epoch_count(),
+            static_cast<int64_t>(per_epoch.size()));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const InstanceMetrics& m = per_epoch[i];
+    const std::string& row = rows[i];
+    SCOPED_TRACE("epoch " + std::to_string(i) + ": " + row);
+
+    char checksum[40];
+    std::snprintf(checksum, sizeof(checksum), "\"checksum\":\"%016" PRIx64
+                  "\"", m.assignment_checksum);
+    EXPECT_NE(row.find(checksum), std::string::npos);
+    EXPECT_EQ(Number(row, "instance"), static_cast<double>(m.instance));
+    EXPECT_EQ(Number(row, "predicted_workers"),
+              static_cast<double>(m.predicted_workers));
+    EXPECT_EQ(Number(row, "predicted_tasks"),
+              static_cast<double>(m.predicted_tasks));
+
+    const std::string pool = Object(row, "pool");
+    EXPECT_EQ(Number(pool, "pairs"), static_cast<double>(m.pool_pairs));
+    EXPECT_EQ(Number(pool, "predicted_pairs"),
+              static_cast<double>(m.pool_predicted_pairs));
+    EXPECT_EQ(Number(pool, "bytes"), static_cast<double>(m.pool_bytes));
+
+    // The five serial phases partition the epoch's wall time; the pool
+    // build is its own phase, not part of assign.
+    const std::string phases = Object(row, "phase_seconds");
+    double sum = 0.0;
+    for (const char* phase :
+         {"predict", "assemble", "index", "pool_build", "assign"}) {
+      const double seconds = Number(phases, phase);
+      EXPECT_GE(seconds, 0.0) << phase;
+      sum += seconds;
+    }
+    const double wall = Number(row, "wall_seconds");
+    EXPECT_EQ(wall, m.cpu_seconds);
+    EXPECT_NEAR(sum, wall, 1e-9);
+    EXPECT_EQ(Number(phases, "pool_build"), m.pool_build_seconds);
+    if (m.pool_pairs > 0) {
+      EXPECT_GT(m.pool_build_seconds, 0.0);
+    }
+  }
+
+  const std::string pool_build_histogram =
+      "\"mqa.phase.pool_build.self_seconds\": {\"count\": " +
+      std::to_string(per_epoch.size()) + ",";
+  EXPECT_NE(json.find(pool_build_histogram), std::string::npos);
+}
+
+class RunReportTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    RunReport::Get().Reset();
+    MetricsRegistry::Get().Reset();
+  }
+  void TearDown() override {
+    RunReport::Get().Reset();
+    MetricsRegistry::Get().Reset();
+  }
+};
+
+TEST_P(RunReportTest, BatchGreedyRowsMatchSummary) {
+  const ArrivalStream stream =
+      testing_util::SmallSyntheticStream(200, 200, 4, 17);
+  const RangeQualityModel quality(1.0, 2.0, 13);
+  SimulatorConfig config = testing_util::PropertySimConfig();
+  config.prediction.seed = 17;
+  config.num_threads = GetParam();
+
+  Simulator sim(config, &quality);
+  auto assigner = CreateAssigner(AssignerKind::kGreedy, {.seed = 7});
+  const auto summary = sim.Run(stream, assigner.get());
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  ExpectReportMatches(summary.value().per_instance);
+}
+
+TEST_P(RunReportTest, StreamDivideConquerRowsMatchSummary) {
+  const ScenarioStream scenario =
+      testing_util::SmallScenario(ScenarioKind::kBursty, 200, 200, 4.0, 23);
+  const RangeQualityModel quality(1.0, 2.0, 13);
+  StreamingConfig config;
+  config.sim = testing_util::PropertySimConfig();
+  config.sim.prediction.seed = 23;
+  config.sim.num_threads = GetParam();
+  config.sim.maintain_worker_index = true;
+  config.policy.kind = EpochPolicyKind::kAdaptiveBacklog;
+  config.policy.backlog_threshold = 40;
+  config.policy.max_interval = 1.0;
+  config.horizon = 4.0;
+
+  StreamingSimulator sim(config, &quality);
+  auto assigner = CreateAssigner(AssignerKind::kDivideConquer, {.seed = 7});
+  const auto summary =
+      sim.Run(EventQueue::FromScenario(scenario), assigner.get());
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  std::vector<InstanceMetrics> per_epoch;
+  for (const EpochStreamMetrics& e : summary.value().per_epoch) {
+    per_epoch.push_back(e.instance);
+  }
+  ExpectReportMatches(per_epoch);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, RunReportTest, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "t" + std::to_string(info.param);
+                         });
+
+}  // namespace
+}  // namespace mqa
