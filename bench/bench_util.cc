@@ -8,8 +8,6 @@
 #include "common/logging.h"
 #include "obs/perf_counters.h"
 #include "obs/run_report.h"
-#include "obs/stats_server.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 
@@ -133,8 +131,6 @@ void InitObservability() {
   RunReport::InitFromEnv();
   PerfCounters::InitFromEnv();
   Watchdog::InitFromEnv();
-  TimelineRecorder::InitFromEnv();
-  StatsServer::InitFromEnv();
   RunReport::Get().SetConfig("bench_scale", Scale());
 }
 

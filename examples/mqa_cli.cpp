@@ -11,23 +11,18 @@
 //   mqa_cli --scenario=rush-hour --stream --epoch-policy=interval --epoch-interval=0.5
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <type_traits>
 
 #include "core/assigner.h"
 #include "exec/parallel_runner.h"
 #include "obs/perf_counters.h"
 #include "obs/run_report.h"
-#include "obs/slo_monitor.h"
-#include "obs/stats_server.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "quality/range_quality.h"
@@ -77,30 +72,12 @@ struct CliOptions {
   std::string trace_format = "csv";  // csv | binary (for --record-trace)
   std::string trace_file;       // Chrome trace-event JSON (Perfetto)
   std::string run_report_file;  // unified run-report JSON artifact
-  std::string timeline_file;    // mqa-timeline-v1 JSONL (live-appended)
-  int64_t timeline_every = 1;   // snapshot every N epochs
-  int stats_port = -1;          // -1 = off; 0 = kernel-assigned loopback
-  double stats_linger = 0.0;    // keep the stats server up after the run
-  double slo_p99 = 0.0;         // SLO: windowed p99 epoch latency target
-  double slo_deadline = 0.0;    // SLO: per-epoch deadline (overrun ratio)
-  double slo_backlog = 0.0;     // SLO: max post-epoch backlog depth
-  int64_t slo_window = 64;      // SLO rolling window, in epochs
 };
 
 /// Writes the requested run report and trace after the run. Returns the
 /// run's exit code, or 1 if a requested export failed (a bad path must
 /// not silently swallow the observability the user asked for).
 int FinishObservability(const CliOptions& opt, int rc) {
-  // Timeline first: Stop takes the "final" snapshot, so a lingering
-  // stats server's /timeline already serves the complete run.
-  TimelineRecorder::Get().Stop();
-  if (opt.stats_linger > 0.0 && StatsServer::Get().active()) {
-    std::fprintf(stderr, "stats server lingering %.1f s on 127.0.0.1:%d\n",
-                 opt.stats_linger, StatsServer::Get().port());
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(opt.stats_linger));
-  }
-  StatsServer::Get().Stop();
   // Quiesce the watchdog before exports: its poll thread reads the trace
   // buffers the exporters are about to walk.
   Watchdog::Get().Stop();
@@ -206,16 +183,7 @@ void PrintUsage() {
       "  --perf-counters (attach hardware-counter deltas to phase spans\n"
       "      via perf_event_open; silent no-op where unavailable)\n"
       "  --watchdog=SECONDS (flight recorder: dump in-flight span stacks\n"
-      "      when an epoch runs past 3x the expected seconds)\n"
-      "  --timeline=FILE (live-appended mqa-timeline-v1 JSONL: registry\n"
-      "      snapshots + process stats every --timeline-every=N epochs)\n"
-      "  --stats-port=PORT (loopback HTTP endpoint: /metrics Prometheus\n"
-      "      exposition, /timeline tail, /healthz; 0 = kernel-assigned;\n"
-      "      --stats-linger=SECONDS keeps it up after the run)\n"
-      "  --slo-p99=S --slo-deadline=S --slo-backlog=N --slo-window=W\n"
-      "      (rolling SLO monitor: windowed p99 latency / epoch-deadline\n"
-      "      overrun ratio / backlog targets; breaches are logged,\n"
-      "      counted in mqa.slo.* and dumped to the flight recorder)\n");
+      "      when an epoch runs past 3x the expected seconds)\n");
 }
 
 SpatialDistribution ParseDist(const std::string& s) {
@@ -308,15 +276,6 @@ int main(int argc, char** argv) {
         ParseFlag(a, "--trace-format", &opt.trace_format) ||
         ParseFlag(a, "--trace", &opt.trace_file) ||
         ParseFlag(a, "--run-report", &opt.run_report_file) ||
-        ParseFlag(a, "--timeline", &opt.timeline_file) ||
-        ParseNumeric(a, "--timeline-every", &opt.timeline_every,
-                     Domain::kPositive) ||
-        ParseNumeric(a, "--stats-port", &opt.stats_port) ||
-        ParseNumeric(a, "--stats-linger", &opt.stats_linger) ||
-        ParseNumeric(a, "--slo-p99", &opt.slo_p99) ||
-        ParseNumeric(a, "--slo-deadline", &opt.slo_deadline) ||
-        ParseNumeric(a, "--slo-backlog", &opt.slo_backlog) ||
-        ParseNumeric(a, "--slo-window", &opt.slo_window, Domain::kPositive) ||
         ParseNumeric(a, "--watchdog", &opt.watchdog_seconds) ||
         ParseNumeric(a, "--workers", &opt.workers) ||
         ParseNumeric(a, "--tasks", &opt.tasks) ||
@@ -361,11 +320,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (opt.stats_port > 65535) {
-    std::fprintf(stderr, "invalid value for --stats-port: '%d' (expected a "
-                 "port <= 65535)\n", opt.stats_port);
-    return 2;
-  }
   const struct {
     const char* flags;
     double lo, hi;
@@ -394,31 +348,6 @@ int main(int argc, char** argv) {
     WatchdogConfig wconfig;
     wconfig.deadline_seconds = opt.watchdog_seconds;
     Watchdog::Get().Start(wconfig);
-  }
-  if (!opt.timeline_file.empty()) {
-    TimelineConfig tconfig;
-    tconfig.sink_path = opt.timeline_file;
-    tconfig.every_epochs = opt.timeline_every;
-    const Status status = TimelineRecorder::Get().Start(tconfig);
-    if (!status.ok()) {
-      std::fprintf(stderr, "--timeline: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  if (opt.stats_port >= 0) {
-    const Status status = StatsServer::Get().Start(opt.stats_port);
-    if (!status.ok()) {
-      std::fprintf(stderr, "--stats-port: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  if (opt.slo_p99 > 0.0 || opt.slo_deadline > 0.0 || opt.slo_backlog > 0.0) {
-    SloConfig slo;
-    slo.p99_latency_seconds = opt.slo_p99;
-    slo.epoch_deadline_seconds = opt.slo_deadline;
-    slo.max_backlog = opt.slo_backlog;
-    slo.window_epochs = opt.slo_window;
-    SloMonitor::Get().Configure(slo);
   }
 
   // Stamp the run report's config section (cheap; the report is only

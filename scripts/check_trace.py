@@ -24,7 +24,10 @@ Also validates an mqa-run-report-v2 file when given via --report:
     coherent histogram stats;
   - on every epoch row, the five phases that partition the epoch
     (predict + assemble + index + pool_build + assign) are non-negative
-    and add up to wall_seconds, within 5 us or 1e-3 relative.
+    and add up to wall_seconds, within 5 us or 1e-3 relative;
+  - every epoch row has a process object whose rss_bytes, peak_rss_bytes
+    and cpu_seconds are present and non-negative, and peak_rss_bytes and
+    cpu_seconds never decrease from one row to the next.
 
 Exit 0 when everything holds, 1 otherwise.
 """
@@ -45,6 +48,11 @@ REPORT_SCHEMA = "mqa-run-report-v2"
 WALL_PHASES = ("predict", "assemble", "index", "pool_build", "assign")
 PHASE_SUM_ABS_TOL = 5e-6
 PHASE_SUM_REL_TOL = 1e-3
+
+# The epoch row's process object; the cumulative ones must not decrease
+# across rows.
+PROCESS_KEYS = ("rss_bytes", "peak_rss_bytes", "cpu_seconds")
+PROCESS_MONOTONE_KEYS = ("peak_rss_bytes", "cpu_seconds")
 
 # The only keys an X event's args object may carry: the span payload and
 # the perf-counter deltas (src/obs/perf_counters.h slot order).
@@ -214,6 +222,30 @@ def check_phase_sum(row):
     return []
 
 
+def check_process(rows):
+    """Every row's process values are present, non-negative and the
+    cumulative ones non-decreasing in row order."""
+    errors = []
+    prev = {}
+    for row in rows:
+        where = f"report: epoch {row.get('instance')}"
+        process = row.get("process")
+        if not isinstance(process, dict):
+            errors.append(f"{where}: missing process object")
+            continue
+        for key in PROCESS_KEYS:
+            value = process.get(key)
+            if not isinstance(value, (int, float)) or value < 0:
+                errors.append(f"{where}: process.{key} = {value!r}, want a "
+                              f"non-negative number")
+            elif key in PROCESS_MONOTONE_KEYS:
+                if value < prev.get(key, 0):
+                    errors.append(f"{where}: process.{key} fell from "
+                                  f"{prev[key]} to {value}")
+                prev[key] = value
+    return errors
+
+
 def check_report(path):
     """Returns (epoch_rows, errors) for an mqa run report."""
     with open(path) as f:
@@ -232,6 +264,7 @@ def check_report(path):
         return 0, errors
     for row in epochs:
         errors.extend(check_phase_sum(row))
+    errors.extend(check_process(epochs))
     return len(epochs), errors
 
 

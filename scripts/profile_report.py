@@ -22,9 +22,9 @@ metrics.histograms["mqa.phase.<name>.self_seconds"]) and is where the
 table's config and provenance header comes from; --trace alone still
 produces the timing columns.
 
-The closing "top SIMD targets" list names the phases to vectorize first
-for ROADMAP item 5: the biggest self-time phases, annotated with what
-the counters say dominates them.
+The closing "top self-time phases" list names the phases to optimize
+first: the biggest self-time phases, annotated with what the counters
+say dominates them.
 
 Usage:
   profile_report.py --trace trace.json [--report report.json] [--top N]
@@ -189,11 +189,11 @@ def render(trace_path, report_path, top):
             f"{ipc:>6} {llc:>8} {bmpki:>6} {p50:>9} {p99:>9}"
         )
 
-    # Top SIMD targets: biggest self-time phases that are real work
+    # Top self-time phases: the biggest ones that are real work
     # (skip the epoch roots, which are pure containers after self-time
     # subtraction... unless their self time still dominates).
     lines.append("")
-    lines.append("top SIMD targets (ROADMAP item 5):")
+    lines.append("top self-time phases:")
     targets = [
         (name, rec)
         for name, rec in ranked

@@ -170,31 +170,6 @@ void MetricsRegistry::Reset() {
   }
 }
 
-void MetricsRegistry::VisitHistograms(
-    const std::function<void(const std::string&, const Histogram&)>& fn)
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, h] : histograms_) {
-    fn(name, *h);
-  }
-}
-
-void MetricsRegistry::VisitCounters(
-    const std::function<void(const std::string&, int64_t)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_) {
-    fn(name, c->value());
-  }
-}
-
-void MetricsRegistry::VisitGauges(
-    const std::function<void(const std::string&, double)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, g] : gauges_) {
-    fn(name, g->value());
-  }
-}
-
 namespace {
 
 void WriteJsonKey(std::ostream& out, const std::string& s) {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -97,8 +96,7 @@ class Histogram {
 };
 
 /// Process-wide named metrics: counters, gauges and histograms, created
-/// on first use and exported as JSON (nested in the run report, and
-/// served live by the timeline recorder and the stats server).
+/// on first use and exported as JSON (nested in the run report).
 ///
 /// Naming scheme: dot-separated lowercase path, subsystem first —
 /// "mqa.epoch.count", "mqa.phase.assign.self_seconds",
@@ -121,18 +119,6 @@ class MetricsRegistry {
 
   /// Zeroes every metric (tests). Handles stay valid.
   void Reset();
-
-  /// Invoke `fn(name, value)` for every registered metric of one kind,
-  /// in sorted name order — the timeline recorder and the stats server's
-  /// exposition endpoint walk the live registry through these. Do not
-  /// call registry methods that take the lock from inside `fn`.
-  void VisitHistograms(
-      const std::function<void(const std::string&, const Histogram&)>& fn)
-      const;
-  void VisitCounters(
-      const std::function<void(const std::string&, int64_t)>& fn) const;
-  void VisitGauges(
-      const std::function<void(const std::string&, double)>& fn) const;
 
   /// JSON object: {"counters": {name: value, ...}, "gauges": {...},
   /// "histograms": {name: {count, sum, mean, min, max, p50, p90, p99},

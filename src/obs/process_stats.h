@@ -5,8 +5,8 @@
 
 namespace mqa {
 
-/// Point-in-time view of the process itself — the part of a live
-/// telemetry snapshot the metrics registry cannot provide. Fields read 0
+/// Point-in-time view of the process itself — the part of a run-report
+/// epoch row the metrics registry cannot provide. Fields read 0
 /// where the platform offers no cheap answer (non-Linux /proc, failed
 /// getrusage); consumers must treat 0 as "unknown", not "idle".
 struct ProcessStats {
@@ -15,12 +15,12 @@ struct ProcessStats {
   int64_t rss_bytes = 0;
 
   /// Peak resident set size over the process lifetime (getrusage
-  /// ru_maxrss). Monotone; the difference between two snapshots says
+  /// ru_maxrss). Monotone; the difference between two samples says
   /// whether the high-water mark moved.
   int64_t peak_rss_bytes = 0;
 
   /// Cumulative user + system CPU seconds (getrusage). Monotone; the
-  /// delta over a snapshot interval divided by the wall delta is the
+  /// delta between two samples divided by the wall delta is the
   /// process's average core utilization in that window.
   double cpu_user_seconds = 0.0;
   double cpu_system_seconds = 0.0;
@@ -29,8 +29,8 @@ struct ProcessStats {
 };
 
 /// Samples the calling process. Cheap (one /proc read + one getrusage
-/// call, no allocation beyond a small stack buffer) — safe on every
-/// snapshot cadence the timeline recorder supports.
+/// call, no allocation beyond a small stack buffer) — EpochRunner calls
+/// it once at the end of every epoch.
 ProcessStats ReadProcessStats();
 
 }  // namespace mqa

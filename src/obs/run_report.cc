@@ -209,7 +209,12 @@ void WriteEpochRow(std::ostream& out, const InstanceMetrics& row) {
   WriteDouble(out, row.pool_lazy_skipped_fraction);
   out << "},\"index\":{\"inserted\":" << row.index_inserted
       << ",\"erased\":" << row.index_erased
-      << ",\"bulk_rebuilds\":" << row.index_bulk_rebuilds << "}}";
+      << ",\"bulk_rebuilds\":" << row.index_bulk_rebuilds
+      << "},\"process\":{\"rss_bytes\":" << row.rss_bytes
+      << ",\"peak_rss_bytes\":" << row.peak_rss_bytes
+      << ",\"cpu_seconds\":";
+  WriteDouble(out, row.process_cpu_seconds);
+  out << "}}";
 }
 
 }  // namespace

@@ -91,14 +91,24 @@ struct InstanceMetrics {
   int64_t index_inserted = 0;
   int64_t index_erased = 0;
   int64_t index_bulk_rebuilds = 0;
+
+  /// The process as the epoch ends (obs/process_stats.h, sampled after
+  /// the apply phase): resident and peak resident bytes, and cumulative
+  /// user + system CPU seconds since process start. Execution state like
+  /// the arena fields — excluded from the byte-identity contract. 0 where
+  /// the platform offers no reading.
+  int64_t rss_bytes = 0;
+  int64_t peak_rss_bytes = 0;
+  double process_cpu_seconds = 0.0;
 };
 
 /// The unified run artifact and the only post-mortem one: a JSON file
 /// joining everything needed to reproduce and attribute a measurement —
 /// config, git describe, machine/OS identity, one InstanceMetrics row per
-/// epoch (results, assignment checksum, phase times, pool and index
-/// numbers), counter aggregates with derived rates (IPC, miss rates), and
-/// the full metrics registry (including the mqa.phase.* histograms).
+/// epoch (results, assignment checksum, phase times, pool, index and
+/// process numbers), counter aggregates with derived rates (IPC, miss
+/// rates), and the full metrics registry (including the mqa.phase.*
+/// histograms).
 /// scripts/profile_report.py joins it with a trace; check_trace.py
 /// --report validates it. Schema: "mqa-run-report-v2", documented in
 /// docs/OBSERVABILITY.md.

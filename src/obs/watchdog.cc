@@ -99,17 +99,6 @@ void Watchdog::Fire(int64_t epoch_index, double elapsed_seconds) {
   MQA_LOG(Warning) << dump.str();
 }
 
-void Watchdog::RecordExternalDump(const std::string& reason) {
-  std::ostringstream dump;
-  dump << reason << "; in-flight spans:\n";
-  Tracer::Get().DumpOpenSpans(dump);
-  {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    last_dump_ = dump.str();
-  }
-  fire_count_.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::string Watchdog::last_dump_for_testing() const {
   std::lock_guard<std::mutex> lock(dump_mu_);
   return last_dump_;

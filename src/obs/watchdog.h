@@ -58,13 +58,6 @@ class Watchdog {
     return fire_count_.load(std::memory_order_relaxed);
   }
 
-  /// Records a flight-recorder dump on behalf of another monitor (the
-  /// SLO monitor calls this at breach start): captures the in-flight
-  /// span stacks with `reason` as the headline, stores it as the last
-  /// dump and counts it in fire_count. Works even when the watchdog
-  /// thread is not running — the dump store is independent of arming.
-  void RecordExternalDump(const std::string& reason);
-
   /// Runs one poll iteration on the calling thread (tests — no poll
   /// thread needed). Returns true when this call fired.
   bool PollForTesting();

@@ -10,8 +10,7 @@
 #include "core/pair_pool.h"
 #include "model/assignment.h"
 #include "obs/metrics.h"
-#include "obs/slo_monitor.h"
-#include "obs/timeline.h"
+#include "obs/process_stats.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "prediction/grid.h"
@@ -281,11 +280,12 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.apply_seconds = TakePhase();
   MQA_METRIC_RECORD("mqa.phase.apply.self_seconds", metrics.apply_seconds);
 
-  // Live telemetry, after the epoch's own metrics are recorded so the
-  // snapshot/SLO evaluation sees this epoch. Both are observation-only
-  // no-ops unless explicitly enabled.
-  SloMonitor::Get().OnEpochLatency(epoch_index, metrics.cpu_seconds);
-  TimelineRecorder::Get().OnEpoch(epoch_index);
+  // Process footprint as the epoch ends, sampled after the last lap so
+  // the read stays outside wall_seconds and the phase times.
+  const ProcessStats process = ReadProcessStats();
+  metrics.rss_bytes = process.rss_bytes;
+  metrics.peak_rss_bytes = process.peak_rss_bytes;
+  metrics.process_cpu_seconds = process.cpu_seconds();
 
   return outcome;
 }

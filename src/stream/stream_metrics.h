@@ -29,9 +29,11 @@ const char* EpochFireReasonToString(EpochFireReason reason);
 /// streaming engine, with its position on the continuous clock, the
 /// latency of the epoch itself, and the state of the queue around it.
 struct EpochStreamMetrics {
-  /// The shared per-epoch measurements (availability, prediction errors,
-  /// assigned/quality/cost, cpu seconds). `instance.instance` is the
-  /// epoch index; in per-instance mode it equals the batch instance.
+  /// The shared per-epoch measurements — the epoch's run-report row
+  /// (availability, prediction errors, assigned/quality/cost, wall and
+  /// phase times, pool, index and process numbers). `instance.instance`
+  /// is the epoch index; in per-instance mode it equals the batch
+  /// instance.
   InstanceMetrics instance;
 
   /// Continuous time at which the epoch fired.
@@ -60,16 +62,6 @@ struct EpochStreamMetrics {
   /// Mean arrival -> assignment wait over this epoch's assigned tasks
   /// (0 when nothing was assigned), in continuous-time units.
   double mean_queue_wait = 0.0;
-
-  /// Rolling-window p99s as of this epoch, maintained incrementally by
-  /// the engine (obs/rolling_window.h) — the end-of-run StreamSummary
-  /// percentiles sort the full sample set once, which is exactly wrong
-  /// for per-epoch consumers (SLO monitor, live timeline); these are the
-  /// incremental per-window accessors. The queue-wait one is a pure
-  /// function of the simulated stream (deterministic, any thread count);
-  /// the epoch-latency one is wall-clock-derived.
-  double window_p99_epoch_latency = 0.0;
-  double window_p99_queue_wait = 0.0;
 
   /// Which policy decision fired this epoch.
   EpochFireReason fire_reason = EpochFireReason::kGridTick;

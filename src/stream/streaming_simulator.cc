@@ -9,10 +9,7 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/rolling_window.h"
 #include "obs/run_report.h"
-#include "obs/slo_monitor.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "sim/epoch_runner.h"
 
@@ -328,9 +325,6 @@ class Engine {
   Status RunOneEpoch(double t, bool predict_next, EpochFireReason reason) {
     MQA_TRACE_SPAN_ARG("stream/epoch", epoch_index_);
     CountFireReason(reason);
-    // Advance the telemetry view of simulated time before the epoch runs,
-    // so an epoch-triggered timeline snapshot carries this epoch's clock.
-    TimelineRecorder::Get().NoteSimTime(t);
     EpochStreamMetrics em;
     em.epoch_time = t;
     em.fire_reason = reason;
@@ -374,13 +368,6 @@ class Engine {
     MQA_METRIC_GAUGE_SET("mqa.stream.backlog",
                          static_cast<double>(em.backlog_before));
 
-    // Windowed p99s, maintained incrementally — no re-sort of the whole
-    // run's samples on any epoch (see EpochStreamMetrics).
-    latency_window_.Push(outcome.metrics.cpu_seconds);
-    em.window_p99_epoch_latency = latency_window_.Quantile(0.99);
-    MQA_METRIC_GAUGE_SET("mqa.stream.window.p99_epoch_latency_seconds",
-                         em.window_p99_epoch_latency);
-
     // Queue waits of the tasks this epoch served (arrival -> assignment).
     double wait_sum = 0.0;
     for (size_t j = 0; j < tasks_.size(); ++j) {
@@ -388,12 +375,8 @@ class Engine {
       const double wait = t - task_arrivals_[j];
       summary_.queue_waits.push_back(wait);
       MQA_METRIC_RECORD("mqa.stream.queue_wait", wait);
-      wait_window_.Push(wait);
       wait_sum += wait;
     }
-    em.window_p99_queue_wait = wait_window_.Quantile(0.99);
-    MQA_METRIC_GAUGE_SET("mqa.stream.window.p99_queue_wait",
-                         em.window_p99_queue_wait);
     if (outcome.metrics.assigned > 0) {
       em.mean_queue_wait =
           wait_sum / static_cast<double>(outcome.metrics.assigned);
@@ -436,12 +419,6 @@ class Engine {
     task_keys_.resize(kept);
     em.backlog_after = static_cast<int64_t>(tasks_.size());
 
-    // Backlog SLO sees the post-carryover depth — what the next epoch
-    // inherits, the quantity a deadline-bound operator actually cares
-    // about. No-op unless a backlog target is configured.
-    SloMonitor::Get().OnBacklog(epoch_index_,
-                                static_cast<double>(em.backlog_after));
-
     prev_epoch_time_ = t;
     any_epoch_ = true;
     ++epoch_index_;
@@ -481,13 +458,6 @@ class Engine {
 
   // Scratch for the parallel coverable-backlog scan (reused per epoch).
   std::vector<char> covered_flags_;
-
-  // Incremental rolling-window p99 state (see EpochStreamMetrics).
-  // Latency is windowed per epoch, waits per assigned task.
-  static constexpr size_t kLatencyWindowEpochs = 64;
-  static constexpr size_t kWaitWindowSamples = 256;
-  RollingQuantileWindow latency_window_{kLatencyWindowEpochs};
-  RollingQuantileWindow wait_window_{kWaitWindowSamples};
 
   double prev_epoch_time_ = 0.0;
   bool any_epoch_ = false;

@@ -30,6 +30,16 @@ CASES = [
     ("--metrics-json=m.json", "--metrics-json"),
     ("--phase-timing", "--phase-timing"),
     ("--pairpool-stats", "--pairpool-stats"),
+    # The retired live-telemetry layer; per-epoch RSS and CPU are in the
+    # run report's epoch rows.
+    ("--timeline=t.jsonl", "--timeline"),
+    ("--timeline-every=2", "--timeline-every"),
+    ("--stats-port=0", "--stats-port"),
+    ("--stats-linger=1", "--stats-linger"),
+    ("--slo-p99=1", "--slo-p99"),
+    ("--slo-deadline=1", "--slo-deadline"),
+    ("--slo-backlog=1", "--slo-backlog"),
+    ("--slo-window=4", "--slo-window"),
 ]
 
 

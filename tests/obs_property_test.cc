@@ -10,10 +10,10 @@
 // forced-unavailable fallback everywhere) must also be byte-identical
 // to an uncounted run.
 //
-// Live telemetry extends it once more: a run with the timeline recorder
-// snapshotting every epoch, the SLO monitor evaluating (and breaching)
-// targets, and the stats server answering requests must still be
-// byte-identical to a bare run.
+// The flight recorder extends it once more: a run whose watchdog fires
+// mid-epoch — a background thread dumping every thread's open spans
+// while the workers write them — must still be byte-identical to a bare
+// run.
 
 #include <gtest/gtest.h>
 
@@ -24,10 +24,8 @@
 #include "core/assigner.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
-#include "obs/slo_monitor.h"
-#include "obs/stats_server.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
+#include "obs/watchdog.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
 #include "stream/streaming_simulator.h"
@@ -159,9 +157,7 @@ class ObsPropertyTest : public ::testing::TestWithParam<ObsCase> {
     PerfCounters::Get().Disable();
     PerfCounters::Get().ForceUnavailableForTesting(false);
     PerfCounters::Get().ResetForTesting();
-    TimelineRecorder::Get().ResetForTesting();
-    SloMonitor::Get().Disable();
-    StatsServer::Get().Stop();
+    Watchdog::Get().Stop();
   }
   void TearDown() override {
     Tracer::Get().Disable();
@@ -170,34 +166,24 @@ class ObsPropertyTest : public ::testing::TestWithParam<ObsCase> {
     PerfCounters::Get().Disable();
     PerfCounters::Get().ForceUnavailableForTesting(false);
     PerfCounters::Get().ResetForTesting();
-    TimelineRecorder::Get().ResetForTesting();
-    SloMonitor::Get().Disable();
-    StatsServer::Get().Stop();
+    Watchdog::Get().Stop();
   }
 
-  /// Turns the full live-telemetry stack on: buffer-only timeline on an
-  /// every-epoch cadence, SLO targets tight enough to breach during the
-  /// run (breach handling must be write-only too), and the stats server
-  /// on a kernel-assigned loopback port.
-  static void StartLiveTelemetry() {
-    TimelineConfig timeline;
-    timeline.every_epochs = 1;
-    ASSERT_TRUE(TimelineRecorder::Get().Start(timeline).ok());
-    SloConfig slo;
-    slo.p99_latency_seconds = 1e-9;  // guaranteed latency breach
-    slo.epoch_deadline_seconds = 1e-9;
-    slo.max_backlog = 1.0;  // guaranteed backlog breach (stream)
-    slo.window_epochs = 4;
-    SloMonitor::Get().Configure(slo);
-    // Bind failure (exotic sandboxes) only skips the served dimension;
-    // the timeline + SLO dimensions still exercise the contract.
-    (void)StatsServer::Get().Start(0);
+  /// Turns the flight recorder on with a deadline every epoch overruns
+  /// and a 1 ms poll, so the watchdog thread dumps open-span stacks
+  /// while the epochs are still running.
+  static void StartFlightRecorder() {
+    Tracer::Get().Enable();
+    WatchdogConfig config;
+    config.deadline_seconds = 1e-6;
+    config.multiple = 1.0;
+    config.poll_interval_seconds = 1e-3;
+    Watchdog::Get().Start(config);
   }
 
-  static void StopLiveTelemetry() {
-    StatsServer::Get().Stop();
-    SloMonitor::Get().Disable();
-    TimelineRecorder::Get().Stop();
+  static void StopFlightRecorder() {
+    Watchdog::Get().Stop();
+    Tracer::Get().Disable();
   }
 };
 
@@ -263,40 +249,32 @@ TEST_P(ObsPropertyTest, CounterFallbackBatchRunIsByteIdentical) {
       << "the counters-unavailable fallback changed batch results";
 }
 
-TEST_P(ObsPropertyTest, LiveTelemetryBatchRunIsByteIdentical) {
+TEST_P(ObsPropertyTest, FlightRecorderBatchRunIsByteIdentical) {
   const ResultFingerprint bare = RunBatch(GetParam());
-  StartLiveTelemetry();
+  const int64_t fires_before = Watchdog::Get().fire_count();
+  StartFlightRecorder();
   const ResultFingerprint observed = RunBatch(GetParam());
+  StopFlightRecorder();
 #if !defined(MQA_OBS_DISABLED)
-  EXPECT_GT(TimelineRecorder::Get().snapshot_count(), 0)
-      << "the timeline recorder was not live";
-  EXPECT_GT(SloMonitor::Get().breach_count(), 0)
-      << "the SLO targets were meant to breach during the run";
+  EXPECT_GT(Watchdog::Get().fire_count(), fires_before)
+      << "the watchdog never fired during the run";
 #endif
-  StopLiveTelemetry();
   EXPECT_TRUE(observed == bare)
-      << "live telemetry changed batch results";
+      << "the flight recorder changed batch results";
 }
 
-TEST_P(ObsPropertyTest, LiveTelemetryStreamRunIsByteIdentical) {
+TEST_P(ObsPropertyTest, FlightRecorderStreamRunIsByteIdentical) {
   const ResultFingerprint bare = RunStream(GetParam());
-  StartLiveTelemetry();
-  const bool served = StatsServer::Get().active();
+  const int64_t fires_before = Watchdog::Get().fire_count();
+  StartFlightRecorder();
   const ResultFingerprint observed = RunStream(GetParam());
+  StopFlightRecorder();
 #if !defined(MQA_OBS_DISABLED)
-  EXPECT_GT(TimelineRecorder::Get().snapshot_count(), 0)
-      << "the timeline recorder was not live";
-  EXPECT_GT(SloMonitor::Get().breach_count(), 0)
-      << "the SLO targets were meant to breach during the run";
-  if (served) {
-    // The ring serves cleanly mid-run (the /timeline handler path).
-    EXPECT_FALSE(StatsServer::MetricsExposition().empty());
-    EXPECT_FALSE(TimelineRecorder::Get().TailJsonl(1).empty());
-  }
+  EXPECT_GT(Watchdog::Get().fire_count(), fires_before)
+      << "the watchdog never fired during the run";
 #endif
-  StopLiveTelemetry();
   EXPECT_TRUE(observed == bare)
-      << "live telemetry changed streaming results";
+      << "the flight recorder changed streaming results";
 }
 
 std::vector<ObsCase> MakeCases() {

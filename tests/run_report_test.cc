@@ -3,8 +3,8 @@
 // tests run a small batch greedy and a small stream D&C simulation at 1
 // and 4 threads and check the written report against the summary each
 // simulator returns: one row per epoch, the same checksums, pool and
-// prediction numbers, and phase times that add up to the epoch's wall
-// time.
+// prediction numbers, phase times that add up to the epoch's wall time,
+// and a process footprint whose peak RSS and CPU time never decrease.
 
 #include <gtest/gtest.h>
 
@@ -79,6 +79,8 @@ void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
   ASSERT_EQ(rows.size(), per_epoch.size());
   EXPECT_EQ(RunReport::Get().epoch_count(),
             static_cast<int64_t>(per_epoch.size()));
+  double prev_peak_rss = 0.0;
+  double prev_cpu = 0.0;
   for (size_t i = 0; i < rows.size(); ++i) {
     const InstanceMetrics& m = per_epoch[i];
     const std::string& row = rows[i];
@@ -117,6 +119,24 @@ void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
     if (m.pool_pairs > 0) {
       EXPECT_GT(m.pool_build_seconds, 0.0);
     }
+
+    // The process footprint as the epoch ended: the row carries the
+    // sampled values, and the cumulative ones only grow.
+    const std::string process = Object(row, "process");
+    const double rss = Number(process, "rss_bytes");
+    const double peak_rss = Number(process, "peak_rss_bytes");
+    const double cpu = Number(process, "cpu_seconds");
+    EXPECT_EQ(rss, static_cast<double>(m.rss_bytes));
+    EXPECT_EQ(peak_rss, static_cast<double>(m.peak_rss_bytes));
+    EXPECT_EQ(cpu, m.process_cpu_seconds);
+#if defined(__linux__)
+    EXPECT_GT(rss, 0.0);
+    EXPECT_GT(peak_rss, 0.0);
+#endif
+    EXPECT_GE(peak_rss, prev_peak_rss);
+    EXPECT_GE(cpu, prev_cpu);
+    prev_peak_rss = peak_rss;
+    prev_cpu = cpu;
   }
 
   const std::string pool_build_histogram =
