@@ -8,9 +8,9 @@
 //
 // The instance carries no task index, so every BuildPairPool call builds
 // one on the calling thread before the worker ranges scan it in
-// parallel; the simulator instead hands the builder its incrementally
-// maintained index, so pool_s here includes a serial index build that
-// simulator epochs do not pay.
+// parallel; the simulator instead hands the builder the index its
+// epoch/index phase loaded, so pool_s here includes a serial index
+// build that simulator epochs time outside the pool build.
 //
 // Results are hardware-dependent: meaningful speedups need as many real
 // cores as threads (the acceptance target is >= 2x at 4 threads on a

@@ -167,7 +167,8 @@ void PrintUsage() {
       "  --q-lo --q-hi --e-lo --e-hi --v-lo --v-hi (paper ranges)\n"
       "  --worker-dist=gaussian|uniform|zipf --task-dist=...\n"
       "  --index=auto|brute|grid|rtree (spatial-index backend for\n"
-      "      candidate generation; rtree suits skewed distributions)\n"
+      "      candidate generation; auto loads the grid every epoch,\n"
+      "      rtree suits skewed distributions)\n"
       "  --gamma=G --window=W --seed=S --threads=T\n"
       "  --no-prediction --rejoin --csv\n"
       "  --record-trace=FILE (write the workload as an mqa-trace-v1 trace\n"
@@ -178,8 +179,8 @@ void PrintUsage() {
       "  --trace=FILE (Chrome trace-event JSON of the epoch lifecycle,\n"
       "      loadable in Perfetto; see docs/OBSERVABILITY.md)\n"
       "  --run-report=FILE (the post-mortem artifact: config + git/machine\n"
-      "      provenance + per-epoch rows with phase times, pool and index\n"
-      "      numbers + counter aggregates + the metrics registry)\n"
+      "      provenance + per-epoch rows with phase times, pool and\n"
+      "      process numbers + counter aggregates + the metrics registry)\n"
       "  --perf-counters (attach hardware-counter deltas to phase spans\n"
       "      via perf_event_open; silent no-op where unavailable)\n"
       "  --watchdog=SECONDS (flight recorder: dump in-flight span stacks\n"

@@ -19,15 +19,16 @@ Checks, in order:
      epoch's duration — the "the trace explains where the time went"
      acceptance bar.
 
-Also validates an mqa-run-report-v2 file when given via --report:
+Also validates an mqa-run-report-v3 file when given via --report:
   - its nested metrics object has counters/gauges/histograms objects and
     coherent histogram stats;
   - on every epoch row, the five phases that partition the epoch
     (predict + assemble + index + pool_build + assign) are non-negative
     and add up to wall_seconds, within 5 us or 1e-3 relative;
   - every epoch row has a process object whose rss_bytes, peak_rss_bytes
-    and cpu_seconds are present and non-negative, and peak_rss_bytes and
-    cpu_seconds never decrease from one row to the next.
+    and cpu_seconds are present and non-negative, whose peak_rss_bytes is
+    at least its rss_bytes, and whose peak_rss_bytes and cpu_seconds
+    never decrease from one row to the next.
 
 Exit 0 when everything holds, 1 otherwise.
 """
@@ -44,7 +45,7 @@ EPOCH_SPAN_NAMES = ("epoch", "stream/epoch")
 # The run-report schema --report accepts, and the epoch-row phases whose
 # sum must equal the row's wall_seconds (validate, apply and the stream
 # phases run outside that clock).
-REPORT_SCHEMA = "mqa-run-report-v2"
+REPORT_SCHEMA = "mqa-run-report-v3"
 WALL_PHASES = ("predict", "assemble", "index", "pool_build", "assign")
 PHASE_SUM_ABS_TOL = 5e-6
 PHASE_SUM_REL_TOL = 1e-3
@@ -223,8 +224,9 @@ def check_phase_sum(row):
 
 
 def check_process(rows):
-    """Every row's process values are present, non-negative and the
-    cumulative ones non-decreasing in row order."""
+    """Every row's process values are present and non-negative, its peak
+    RSS is at least its RSS, and the cumulative values are
+    non-decreasing in row order."""
     errors = []
     prev = {}
     for row in rows:
@@ -243,6 +245,11 @@ def check_process(rows):
                     errors.append(f"{where}: process.{key} fell from "
                                   f"{prev[key]} to {value}")
                 prev[key] = value
+        rss, peak = process.get("rss_bytes"), process.get("peak_rss_bytes")
+        if (isinstance(rss, (int, float)) and isinstance(peak, (int, float))
+                and peak < rss):
+            errors.append(f"{where}: process.peak_rss_bytes {peak} is "
+                          f"below rss_bytes {rss}")
     return errors
 
 

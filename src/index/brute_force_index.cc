@@ -2,38 +2,10 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace mqa {
 
 void BruteForceIndex::BulkLoad(const std::vector<IndexEntry>& entries) {
   entries_ = entries;
-}
-
-void BruteForceIndex::Insert(const IndexEntry& entry) {
-  entries_.push_back(entry);
-}
-
-bool BruteForceIndex::Erase(int64_t id, const BBox& box) {
-  for (size_t k = 0; k < entries_.size(); ++k) {
-    if (entries_[k].id == id && entries_[k].box == box) {
-      entries_[k] = entries_.back();
-      entries_.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void BruteForceIndex::QueryRadius(const BBox& query, double radius,
-                                  const RadiusVisitor& visit) const {
-  // Same contract violation handling as GridIndex — backends must not
-  // diverge on invalid input either.
-  MQA_CHECK(radius >= 0.0) << "negative query radius " << radius;
-  for (const IndexEntry& e : entries_) {
-    const double min_dist = query.MinDistance(e.box);
-    if (min_dist <= radius) visit(e.id, e.box, min_dist);
-  }
 }
 
 void BruteForceIndex::QueryReachable(const BBox& query, double velocity,
@@ -49,13 +21,6 @@ void BruteForceIndex::QueryReachable(const BBox& query, double velocity,
     if (min_dist > radius) continue;
     if (min_dist > velocity * e.deadline) continue;  // expires too soon
     visit(e.id, e.box, min_dist);
-  }
-}
-
-void BruteForceIndex::QueryRect(const BBox& rect,
-                                const RectVisitor& visit) const {
-  for (const IndexEntry& e : entries_) {
-    if (rect.Intersects(e.box)) visit(e.id, e.box);
   }
 }
 

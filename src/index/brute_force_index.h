@@ -13,20 +13,14 @@ namespace mqa {
 /// semantics oracle the GridIndex is cross-checked against.
 ///
 /// Concurrency: queries are const and touch no mutable state — safe to
-/// run from any number of threads as long as no mutation is in flight.
+/// run from any number of threads as long as no BulkLoad is in flight.
 class BruteForceIndex final : public SpatialIndex {
  public:
   BruteForceIndex() = default;
 
   void BulkLoad(const std::vector<IndexEntry>& entries) override;
-  using SpatialIndex::Insert;
-  void Insert(const IndexEntry& entry) override;
-  bool Erase(int64_t id, const BBox& box) override;
-  void QueryRadius(const BBox& query, double radius,
-                   const RadiusVisitor& visit) const override;
   void QueryReachable(const BBox& query, double velocity, double max_deadline,
                       const RadiusVisitor& visit) const override;
-  void QueryRect(const BBox& rect, const RectVisitor& visit) const override;
   size_t size() const override { return entries_.size(); }
   const char* name() const override { return "BRUTE"; }
 

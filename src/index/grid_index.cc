@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
-
 namespace mqa {
 
 namespace {
@@ -49,7 +47,7 @@ GridIndex::Entry GridIndex::MakeEntry(const IndexEntry& entry) const {
   return e;
 }
 
-void GridIndex::InsertEntry(const Entry& e) {
+void GridIndex::AddToCells(const Entry& e) {
   for (int32_t cy = e.cy0; cy <= e.cy1; ++cy) {
     for (int32_t cx = e.cx0; cx <= e.cx1; ++cx) {
       Cell& cell = cells_[static_cast<size_t>(cy) *
@@ -64,87 +62,14 @@ void GridIndex::InsertEntry(const Entry& e) {
   }
 }
 
-std::vector<IndexEntry> GridIndex::Snapshot() const {
-  std::vector<IndexEntry> out;
-  out.reserve(size_);
-  // The full-space range makes every entry's home cell its own first
-  // cell, so this enumerates each entry exactly once.
-  ForEachInRange(
-      BBox({0.0, 0.0}, {1.0, 1.0}), [](const Cell&) { return true; },
-      [&](const Entry& e) { out.push_back({e.id, e.box, e.deadline}); });
-  return out;
-}
-
-void GridIndex::Rebuild(size_t expected) {
-  std::vector<IndexEntry> entries = Snapshot();
-  side_ = AutoSide(expected);
-  inv_cell_ = static_cast<double>(side_);
-  cells_.assign(static_cast<size_t>(side_) * static_cast<size_t>(side_), {});
-  for (const IndexEntry& e : entries) InsertEntry(MakeEntry(e));
-  built_size_ = size_;
-}
-
 void GridIndex::BulkLoad(const std::vector<IndexEntry>& entries) {
   if (auto_resolution_) {
     side_ = AutoSide(entries.size());
     inv_cell_ = static_cast<double>(side_);
   }
   cells_.assign(static_cast<size_t>(side_) * static_cast<size_t>(side_), {});
-  for (const IndexEntry& e : entries) InsertEntry(MakeEntry(e));
+  for (const IndexEntry& e : entries) AddToCells(MakeEntry(e));
   size_ = entries.size();
-  built_size_ = size_;
-}
-
-void GridIndex::Insert(const IndexEntry& entry) {
-  InsertEntry(MakeEntry(entry));
-  ++size_;
-  if (auto_resolution_ && size_ > 4 * std::max<size_t>(built_size_, 16)) {
-    Rebuild(size_);
-  }
-}
-
-bool GridIndex::Erase(int64_t id, const BBox& box) {
-  const Entry probe = MakeEntry({id, box});
-  bool found = false;
-  for (int32_t cy = probe.cy0; cy <= probe.cy1; ++cy) {
-    for (int32_t cx = probe.cx0; cx <= probe.cx1; ++cx) {
-      // The cell's max_deadline/bounds are left untouched: they remain
-      // valid upper bounds (pruning is merely less sharp until the next
-      // rebuild recomputes them exactly).
-      auto& bucket = cells_[static_cast<size_t>(cy) *
-                                static_cast<size_t>(side_) +
-                            static_cast<size_t>(cx)]
-                         .entries;
-      for (size_t k = 0; k < bucket.size(); ++k) {
-        if (bucket[k].id == id && bucket[k].box == box) {
-          bucket[k] = bucket.back();
-          bucket.pop_back();
-          found = true;
-          break;  // one copy per cell
-        }
-      }
-    }
-  }
-  if (found) {
-    --size_;
-    // Mirror of Insert's growth trigger: a pool that shrank far below the
-    // resolution it was built for would keep walking mostly-empty buckets
-    // forever otherwise.
-    if (auto_resolution_ && built_size_ > 16 && size_ < built_size_ / 4) {
-      Rebuild(size_);
-    }
-  }
-  return found;
-}
-
-void GridIndex::QueryRadius(const BBox& query, double radius,
-                            const RadiusVisitor& visit) const {
-  MQA_CHECK(radius >= 0.0) << "negative query radius " << radius;
-  ForEachInRange(query.Expanded(radius), [](const Cell&) { return true; },
-                 [&](const Entry& e) {
-                   const double min_dist = query.MinDistance(e.box);
-                   if (min_dist <= radius) visit(e.id, e.box, min_dist);
-                 });
 }
 
 void GridIndex::QueryReachable(const BBox& query, double velocity,
@@ -152,34 +77,43 @@ void GridIndex::QueryReachable(const BBox& query, double velocity,
                                const RadiusVisitor& visit) const {
   velocity = std::max(velocity, 0.0);
   const double radius = std::max(0.0, velocity * max_deadline);
-  // Cell pruning: every entry bucketed in a cell satisfies
-  //   min_dist(query, e.box) >= min_dist(query, cell.bounds) and
-  //   e.deadline <= cell.max_deadline,
-  // so `velocity * cell.max_deadline < min_dist(query, cell.bounds)`
-  // proves every one of them unreachable — including entries *homed*
-  // there whose boxes extend into other cells, which is what makes
-  // skipping the bucket sound under the home-cell dedup rule. NaN
-  // products (velocity 0 with an infinite deadline) fail both strict
-  // comparisons and conservatively keep the cell/entry.
-  ForEachInRange(
-      query.Expanded(radius),
-      [&](const Cell& cell) {
-        return !(velocity * cell.max_deadline <
-                 query.MinDistance(cell.bounds));
-      },
-      [&](const Entry& e) {
+  const BBox range = query.Expanded(radius);
+  const int32_t qx0 = CellCoord(range.lo().x);
+  const int32_t qx1 = CellCoord(range.hi().x);
+  const int32_t qy0 = CellCoord(range.lo().y);
+  const int32_t qy1 = CellCoord(range.hi().y);
+  for (int32_t cy = qy0; cy <= qy1; ++cy) {
+    for (int32_t cx = qx0; cx <= qx1; ++cx) {
+      const Cell& cell =
+          cells_[static_cast<size_t>(cy) * static_cast<size_t>(side_) +
+                 static_cast<size_t>(cx)];
+      // Cell pruning: every entry bucketed in a cell satisfies
+      //   min_dist(query, e.box) >= min_dist(query, cell.bounds) and
+      //   e.deadline <= cell.max_deadline,
+      // so `velocity * cell.max_deadline < min_dist(query, cell.bounds)`
+      // proves every one of them unreachable — including entries *homed*
+      // there whose boxes extend into other cells, which is what makes
+      // skipping the bucket sound under the home-cell rule below. NaN
+      // products (velocity 0 with an infinite deadline) fail both strict
+      // comparisons and conservatively keep the cell/entry.
+      if (cell.entries.empty() ||
+          velocity * cell.max_deadline < query.MinDistance(cell.bounds)) {
+        continue;
+      }
+      for (const Entry& e : cell.entries) {
+        // Home-cell rule: a multi-cell entry is handled only in the first
+        // cell, in scan order, of the intersection of its cell range and
+        // the query's, so it is visited exactly once.
+        if (cx != std::max(e.cx0, qx0) || cy != std::max(e.cy0, qy0)) {
+          continue;
+        }
         const double min_dist = query.MinDistance(e.box);
-        if (min_dist > radius) return;
-        if (min_dist > velocity * e.deadline) return;  // expires too soon
+        if (min_dist > radius) continue;
+        if (min_dist > velocity * e.deadline) continue;  // expires too soon
         visit(e.id, e.box, min_dist);
-      });
-}
-
-void GridIndex::QueryRect(const BBox& rect, const RectVisitor& visit) const {
-  ForEachInRange(rect, [](const Cell&) { return true; },
-                 [&](const Entry& e) {
-                   if (rect.Intersects(e.box)) visit(e.id, e.box);
-                 });
+      }
+    }
+  }
 }
 
 }  // namespace mqa

@@ -1,7 +1,6 @@
 #ifndef MQA_INDEX_GRID_INDEX_H_
 #define MQA_INDEX_GRID_INDEX_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,9 +10,9 @@ namespace mqa {
 
 /// Uniform-grid SpatialIndex over the unit data space: [0,1]^2 is cut
 /// into side x side square cells and every entry is bucketed into each
-/// cell its box overlaps. A radius query visits only the cells within the
-/// query box expanded by the radius, so with n roughly uniform entries
-/// and side ~ sqrt(n) the per-query cost is proportional to the number of
+/// cell its box overlaps. A query visits only the cells within the query
+/// box expanded by its radius, so with n roughly uniform entries and
+/// side ~ sqrt(n) the per-query cost is proportional to the number of
 /// entries near the query instead of n.
 ///
 /// Entries spanning several cells are reported exactly once per query via
@@ -25,37 +24,24 @@ namespace mqa {
 /// box of its entries, so QueryReachable can discard a whole cell when
 /// `velocity * cell_max_deadline < MinDistance(query, cell_bounds)` —
 /// every entry bucketed there would expire before the worker arrives.
-/// Both maxima are upper bounds: Erase leaves them stale (still valid,
-/// just less sharp) and BulkLoad/Rebuild recompute them exactly.
+/// BulkLoad computes both exactly.
 ///
 /// Coordinates outside [0,1] are legal: they bucket into the boundary
 /// cells, and exact distance/intersection tests keep query results
 /// correct regardless of clamping.
 ///
 /// Concurrency: queries are const and touch no mutable state — safe from
-/// any number of threads concurrently, provided no mutation is in flight
+/// any number of threads concurrently, provided no BulkLoad is in flight
 /// (see src/index/README.md).
 class GridIndex final : public SpatialIndex {
  public:
   /// `cells_per_side` fixes the resolution; 0 (auto) picks ~sqrt(n) at
-  /// BulkLoad time and rebalances after incremental growth (see Insert).
+  /// every BulkLoad.
   explicit GridIndex(int cells_per_side = 0);
 
   void BulkLoad(const std::vector<IndexEntry>& entries) override;
-
-  /// Inserts one entry. With auto resolution, growing (Insert) or
-  /// shrinking (Erase) the entry count 4x past the last (re)build
-  /// triggers an O(n) rebucketing so buckets stay near-constant size
-  /// under incremental churn.
-  using SpatialIndex::Insert;
-  void Insert(const IndexEntry& entry) override;
-  bool Erase(int64_t id, const BBox& box) override;
-
-  void QueryRadius(const BBox& query, double radius,
-                   const RadiusVisitor& visit) const override;
   void QueryReachable(const BBox& query, double velocity, double max_deadline,
                       const RadiusVisitor& visit) const override;
-  void QueryRect(const BBox& rect, const RectVisitor& visit) const override;
 
   size_t size() const override { return size_; }
   const char* name() const override { return "GRID"; }
@@ -73,8 +59,7 @@ class GridIndex final : public SpatialIndex {
   };
 
   // One grid cell: its entries plus the pruning maxima QueryReachable
-  // uses. `max_deadline` and `bounds` cover at least the current entries
-  // (exactly after BulkLoad/Rebuild; possibly stale after Erase).
+  // uses, exact over the cell's entries.
   struct Cell {
     std::vector<Entry> entries;
     double max_deadline = 0.0;
@@ -84,48 +69,13 @@ class GridIndex final : public SpatialIndex {
   int CellCoord(double v) const;
   Entry MakeEntry(const IndexEntry& entry) const;
 
-  // Walks the cells overlapping `range`; `cell_fn(cell)` returns false to
-  // skip (prune) a cell wholesale, and each surviving cell's entries are
-  // handed to `fn` exactly once via the home-cell rule (an entry is
-  // skipped except in the first cell, in scan order, of the intersection
-  // of its cell range and the query's). A pruned cell drops exactly the
-  // entries whose home cell it is, so pruning is sound only when the
-  // predicate rejects every entry *bucketed* in the cell (which the
-  // deadline/bounds maxima guarantee). Shared by all queries so the
-  // dedup subtlety lives in one place.
-  template <typename CellFn, typename Fn>
-  void ForEachInRange(const BBox& range, CellFn&& cell_fn, Fn&& fn) const {
-    const int32_t qx0 = CellCoord(range.lo().x);
-    const int32_t qx1 = CellCoord(range.hi().x);
-    const int32_t qy0 = CellCoord(range.lo().y);
-    const int32_t qy1 = CellCoord(range.hi().y);
-    for (int32_t cy = qy0; cy <= qy1; ++cy) {
-      for (int32_t cx = qx0; cx <= qx1; ++cx) {
-        const Cell& cell =
-            cells_[static_cast<size_t>(cy) * static_cast<size_t>(side_) +
-                   static_cast<size_t>(cx)];
-        if (cell.entries.empty() || !cell_fn(cell)) continue;
-        for (const Entry& e : cell.entries) {
-          if (cx != std::max(e.cx0, qx0) || cy != std::max(e.cy0, qy0)) {
-            continue;
-          }
-          fn(e);
-        }
-      }
-    }
-  }
-  void InsertEntry(const Entry& e);
-  // Collects every entry exactly once (via home cells).
-  std::vector<IndexEntry> Snapshot() const;
-  // Re-buckets everything at a resolution fit for `expected` entries.
-  void Rebuild(size_t expected);
+  // Buckets `e` into every cell of its range, growing the cell maxima.
+  void AddToCells(const Entry& e);
 
   bool auto_resolution_;
   int side_;
   double inv_cell_ = 1.0;
   size_t size_ = 0;
-  // Entry count at the last (re)build; growth beyond 4x triggers Rebuild.
-  size_t built_size_ = 0;
   std::vector<Cell> cells_;
 };
 

@@ -5,96 +5,9 @@
 #include <cstddef>
 #include <numeric>
 
-#include "common/logging.h"
-
 namespace mqa {
 
 namespace {
-
-double Area(const BBox& b) { return b.WidthX() * b.WidthY(); }
-double Margin(const BBox& b) { return b.WidthX() + b.WidthY(); }
-
-double OverlapArea(const BBox& a, const BBox& b) {
-  const double w = std::min(a.hi().x, b.hi().x) - std::max(a.lo().x, b.lo().x);
-  const double h = std::min(a.hi().y, b.hi().y) - std::max(a.lo().y, b.lo().y);
-  return w > 0.0 && h > 0.0 ? w * h : 0.0;
-}
-
-bool Covers(const BBox& outer, const BBox& inner) {
-  return outer.lo().x <= inner.lo().x && outer.lo().y <= inner.lo().y &&
-         outer.hi().x >= inner.hi().x && outer.hi().y >= inner.hi().y;
-}
-
-double CenterDist2(const BBox& a, const BBox& b) {
-  const Point ca = a.Center();
-  const Point cb = b.Center();
-  const double dx = ca.x - cb.x;
-  const double dy = ca.y - cb.y;
-  return dx * dx + dy * dy;
-}
-
-/// R* split of `count` boxes into [0, k) and [k, count): picks the axis
-/// with the least margin sum over all legal distributions of both
-/// per-axis sorts, then the distribution with the least group overlap
-/// (ties: least total area). `order` receives the winning permutation.
-/// Every sort is stable, so equal boxes split deterministically.
-int ChooseSplit(const std::vector<BBox>& boxes, int min_fill,
-                std::vector<int32_t>* order) {
-  const int count = static_cast<int>(boxes.size());
-  std::vector<int32_t> sorted[4];  // {x,y} x {lo-major, hi-major}
-  for (int s = 0; s < 4; ++s) {
-    sorted[s].resize(count);
-    std::iota(sorted[s].begin(), sorted[s].end(), 0);
-    const bool x_axis = s < 2;
-    const bool hi_major = (s & 1) != 0;
-    std::stable_sort(
-        sorted[s].begin(), sorted[s].end(), [&](int32_t a, int32_t b) {
-          const double a_lo = x_axis ? boxes[a].lo().x : boxes[a].lo().y;
-          const double b_lo = x_axis ? boxes[b].lo().x : boxes[b].lo().y;
-          const double a_hi = x_axis ? boxes[a].hi().x : boxes[a].hi().y;
-          const double b_hi = x_axis ? boxes[b].hi().x : boxes[b].hi().y;
-          return hi_major ? (a_hi != b_hi ? a_hi < b_hi : a_lo < b_lo)
-                          : (a_lo != b_lo ? a_lo < b_lo : a_hi < b_hi);
-        });
-  }
-
-  // Prefix/suffix unions per sort make every distribution O(1).
-  std::vector<BBox> prefix(count), suffix(count);
-  double axis_margin[2] = {0.0, 0.0};
-  struct Candidate {
-    int sort = -1;
-    int k = 0;
-    double overlap = 0.0;
-    double area = 0.0;
-  };
-  Candidate best_per_axis[2];
-  for (int s = 0; s < 4; ++s) {
-    const std::vector<int32_t>& idx = sorted[s];
-    prefix[0] = boxes[idx[0]];
-    for (int i = 1; i < count; ++i) prefix[i] = Union(prefix[i - 1], boxes[idx[i]]);
-    suffix[count - 1] = boxes[idx[count - 1]];
-    for (int i = count - 2; i >= 0; --i) suffix[i] = Union(suffix[i + 1], boxes[idx[i]]);
-
-    const int axis = s < 2 ? 0 : 1;
-    for (int k = min_fill; k <= count - min_fill; ++k) {
-      const BBox& g1 = prefix[k - 1];
-      const BBox& g2 = suffix[k];
-      axis_margin[axis] += Margin(g1) + Margin(g2);
-      const double overlap = OverlapArea(g1, g2);
-      const double area = Area(g1) + Area(g2);
-      Candidate& best = best_per_axis[axis];
-      if (best.sort < 0 || overlap < best.overlap ||
-          (overlap == best.overlap && area < best.area)) {
-        best = {s, k, overlap, area};
-      }
-    }
-  }
-
-  const int axis = axis_margin[0] <= axis_margin[1] ? 0 : 1;
-  const Candidate& win = best_per_axis[axis];
-  *order = sorted[win.sort];
-  return win.k;
-}
 
 /// Sort-Tile-Recursive grouping: orders item indices by x-center into
 /// vertical slices, each slice by y-center, and emits consecutive groups
@@ -153,53 +66,30 @@ RTreeIndex::Node* const* RTreeIndex::Children(const Node* n) {
 }
 
 size_t RTreeIndex::NodeBytes() const {
-  // One spare slot (max_entries_ + 1) holds the overflowing entry while a
-  // split or reinsertion decides where it goes. Leaf slots are the wider
-  // of the two payloads, so one block size fits both node kinds.
+  // Leaf slots are the wider of the two payloads, so one block size fits
+  // both node kinds.
   static_assert(sizeof(LeafEntry) >= sizeof(Node*), "slot sizing");
   return kNodeHeaderBytes +
-         static_cast<size_t>(max_entries_ + 1) * sizeof(LeafEntry);
+         static_cast<size_t>(max_entries_) * sizeof(LeafEntry);
 }
 
 RTreeIndex::RTreeIndex(int max_entries)
-    : max_entries_(std::clamp(max_entries, 4, 128)),
-      min_entries_(std::max(2, (max_entries_ * 2) / 5)) {}
+    : max_entries_(std::clamp(max_entries, 4, 128)) {}
 
 RTreeIndex::~RTreeIndex() = default;
 
 RTreeIndex::Node* RTreeIndex::AllocNode(int32_t level) {
-  Node* n;
-  if (!free_nodes_.empty()) {
-    n = free_nodes_.back();
-    free_nodes_.pop_back();
-  } else {
-    n = new (arena_.Allocate(NodeBytes(), alignof(LeafEntry))) Node();
-  }
+  Node* n = new (arena_.Allocate(NodeBytes(), alignof(LeafEntry))) Node();
   n->box = BBox();
   n->max_deadline = 0.0;
-  n->parent = nullptr;
   n->count = 0;
   n->level = level;
   return n;
 }
 
-void RTreeIndex::FreeNode(Node* n) { free_nodes_.push_back(n); }
-
-RTreeIndex::Node* RTreeIndex::NewRootLeaf() {
-  Node* n = AllocNode(0);
-  return n;
-}
-
 int RTreeIndex::height() const { return root_ == nullptr ? 0 : root_->level; }
 
-// --- box / deadline maintenance --------------------------------------------
-
 void RTreeIndex::RecomputeNode(Node* n) {
-  if (n->count == 0) {
-    n->box = BBox();
-    n->max_deadline = 0.0;
-    return;
-  }
   if (n->level == 0) {
     const LeafEntry* es = Entries(n);
     BBox box = es[0].box;
@@ -211,196 +101,15 @@ void RTreeIndex::RecomputeNode(Node* n) {
     n->box = box;
     n->max_deadline = dl;
   } else {
-    Node** cs = Children(n);
+    Node* const* cs = Children(n);
     BBox box = cs[0]->box;
     double dl = cs[0]->max_deadline;
-    cs[0]->parent = n;
     for (int32_t i = 1; i < n->count; ++i) {
       box = Union(box, cs[i]->box);
       dl = std::max(dl, cs[i]->max_deadline);
-      cs[i]->parent = n;
     }
     n->box = box;
     n->max_deadline = dl;
-  }
-}
-
-void RTreeIndex::GrowUpward(Node* n, const BBox& box, double deadline) {
-  for (; n != nullptr; n = n->parent) {
-    n->box = Union(n->box, box);
-    n->max_deadline = std::max(n->max_deadline, deadline);
-  }
-}
-
-// --- insertion --------------------------------------------------------------
-
-RTreeIndex::Node* RTreeIndex::ChooseLeaf(const BBox& box) const {
-  Node* n = root_;
-  while (n->level > 0) {
-    Node* const* cs = Children(n);
-    int32_t best = 0;
-    if (n->level == 1) {
-      // Children are leaves: minimize overlap enlargement, then area
-      // enlargement, then area (R* CS2).
-      double best_overlap = 0.0, best_enlarge = 0.0, best_area = 0.0;
-      for (int32_t i = 0; i < n->count; ++i) {
-        const BBox& cb = cs[i]->box;
-        const BBox grown = Union(cb, box);
-        double overlap_delta = 0.0;
-        for (int32_t j = 0; j < n->count; ++j) {
-          if (j == i) continue;
-          overlap_delta +=
-              OverlapArea(grown, cs[j]->box) - OverlapArea(cb, cs[j]->box);
-        }
-        const double area = Area(cb);
-        const double enlarge = Area(grown) - area;
-        if (i == 0 || overlap_delta < best_overlap ||
-            (overlap_delta == best_overlap &&
-             (enlarge < best_enlarge ||
-              (enlarge == best_enlarge && area < best_area)))) {
-          best = i;
-          best_overlap = overlap_delta;
-          best_enlarge = enlarge;
-          best_area = area;
-        }
-      }
-    } else {
-      // Children are internal: minimize area enlargement, then area.
-      double best_enlarge = 0.0, best_area = 0.0;
-      for (int32_t i = 0; i < n->count; ++i) {
-        const double area = Area(cs[i]->box);
-        const double enlarge = Area(Union(cs[i]->box, box)) - area;
-        if (i == 0 || enlarge < best_enlarge ||
-            (enlarge == best_enlarge && area < best_area)) {
-          best = i;
-          best_enlarge = enlarge;
-          best_area = area;
-        }
-      }
-    }
-    n = cs[best];
-  }
-  return n;
-}
-
-void RTreeIndex::InsertLeafEntry(const LeafEntry& entry, uint32_t* reinserted) {
-  Node* leaf = ChooseLeaf(entry.box);
-  Entries(leaf)[leaf->count++] = entry;
-  if (leaf->count == 1) {
-    leaf->box = entry.box;
-    leaf->max_deadline = entry.deadline;
-  } else {
-    leaf->box = Union(leaf->box, entry.box);
-    leaf->max_deadline = std::max(leaf->max_deadline, entry.deadline);
-  }
-  GrowUpward(leaf->parent, entry.box, entry.deadline);
-  if (leaf->count > max_entries_) HandleOverflow(leaf, reinserted);
-}
-
-void RTreeIndex::Insert(const IndexEntry& entry) {
-  if (root_ == nullptr) root_ = NewRootLeaf();
-  uint32_t reinserted = 0;
-  InsertLeafEntry({entry.id, entry.box, entry.deadline}, &reinserted);
-  ++size_;
-}
-
-void RTreeIndex::HandleOverflow(Node* n, uint32_t* reinserted) {
-  while (n != nullptr && n->count > max_entries_) {
-    // Forced reinsertion runs at most once per insert and only at the
-    // leaf level (internal overflows split directly — leaves dominate
-    // both node count and clustering damage, and leaf-only reinsertion
-    // keeps orphan subtrees out of the insert path).
-    if (n->level == 0 && n != root_ && (*reinserted & 1u) == 0) {
-      *reinserted |= 1u;
-      ForcedReinsert(n, reinserted);
-      return;
-    }
-    SplitNode(n);
-    n = n->parent;
-  }
-}
-
-void RTreeIndex::ForcedReinsert(Node* n, uint32_t* reinserted) {
-  const int32_t count = n->count;
-  const int32_t p = std::max<int32_t>(1, (count * 3) / 10);
-  const BBox node_box = n->box;
-  std::vector<int32_t> idx(static_cast<size_t>(count));
-  std::iota(idx.begin(), idx.end(), 0);
-  LeafEntry* es = Entries(n);
-  std::stable_sort(idx.begin(), idx.end(), [&](int32_t a, int32_t b) {
-    return CenterDist2(es[a].box, node_box) > CenterDist2(es[b].box, node_box);
-  });
-
-  std::vector<LeafEntry> removed;
-  removed.reserve(static_cast<size_t>(p));
-  for (int32_t i = 0; i < p; ++i) removed.push_back(es[idx[static_cast<size_t>(i)]]);
-
-  // Keep the survivors in their original slot order (stable compaction).
-  std::vector<char> drop(static_cast<size_t>(count), 0);
-  for (int32_t i = 0; i < p; ++i) drop[static_cast<size_t>(idx[static_cast<size_t>(i)])] = 1;
-  int32_t w = 0;
-  for (int32_t i = 0; i < count; ++i) {
-    if (!drop[static_cast<size_t>(i)]) es[w++] = es[i];
-  }
-  n->count = w;
-  RecomputeNode(n);
-  // Ancestor boxes/maxima are left loose: still covering (sound), and the
-  // reinserts below re-grow whatever they need.
-
-  // Reinsert closest-first (the R* "close reinsert" variant).
-  for (auto it = removed.rbegin(); it != removed.rend(); ++it) {
-    InsertLeafEntry(*it, reinserted);
-  }
-}
-
-void RTreeIndex::SplitNode(Node* n) {
-  const int32_t count = n->count;
-  std::vector<BBox> boxes(static_cast<size_t>(count));
-  if (n->level == 0) {
-    const LeafEntry* es = Entries(n);
-    for (int32_t i = 0; i < count; ++i) boxes[static_cast<size_t>(i)] = es[i].box;
-  } else {
-    Node* const* cs = Children(n);
-    for (int32_t i = 0; i < count; ++i) boxes[static_cast<size_t>(i)] = cs[i]->box;
-  }
-  std::vector<int32_t> order;
-  const int k = ChooseSplit(boxes, min_entries_, &order);
-
-  Node* nn = AllocNode(n->level);
-  if (n->level == 0) {
-    LeafEntry* es = Entries(n);
-    std::vector<LeafEntry> slots(es, es + count);
-    for (int i = 0; i < k; ++i) es[i] = slots[static_cast<size_t>(order[static_cast<size_t>(i)])];
-    LeafEntry* ns = Entries(nn);
-    for (int i = k; i < count; ++i) {
-      ns[i - k] = slots[static_cast<size_t>(order[static_cast<size_t>(i)])];
-    }
-  } else {
-    Node** cs = Children(n);
-    std::vector<Node*> slots(cs, cs + count);
-    for (int i = 0; i < k; ++i) cs[i] = slots[static_cast<size_t>(order[static_cast<size_t>(i)])];
-    Node** ns = Children(nn);
-    for (int i = k; i < count; ++i) {
-      ns[i - k] = slots[static_cast<size_t>(order[static_cast<size_t>(i)])];
-    }
-  }
-  n->count = k;
-  nn->count = count - k;
-  RecomputeNode(n);
-  RecomputeNode(nn);
-
-  if (n == root_) {
-    Node* r = AllocNode(n->level + 1);
-    Children(r)[0] = n;
-    Children(r)[1] = nn;
-    r->count = 2;
-    RecomputeNode(r);
-    root_ = r;
-  } else {
-    Node* parent = n->parent;
-    Children(parent)[parent->count++] = nn;
-    nn->parent = parent;
-    RecomputeNode(parent);
   }
 }
 
@@ -409,7 +118,7 @@ void RTreeIndex::SplitNode(Node* n) {
 std::vector<RTreeIndex::Node*> RTreeIndex::PackLevel(
     const std::vector<Node*>& children) {
   std::vector<Node*> parents;
-  parents.reserve(children.size() / static_cast<size_t>(min_entries_) + 1);
+  parents.reserve(children.size() / static_cast<size_t>(max_entries_) + 1);
   TilePack(
       children.size(), max_entries_,
       [&](int32_t i) -> const BBox& { return children[static_cast<size_t>(i)]->box; },
@@ -428,16 +137,12 @@ std::vector<RTreeIndex::Node*> RTreeIndex::PackLevel(
 
 void RTreeIndex::BulkLoad(const std::vector<IndexEntry>& entries) {
   arena_.Reset();
-  free_nodes_.clear();
   root_ = nullptr;
   size_ = entries.size();
-  if (entries.empty()) {
-    root_ = NewRootLeaf();
-    return;
-  }
+  if (entries.empty()) return;
 
   std::vector<Node*> level;
-  level.reserve(entries.size() / static_cast<size_t>(min_entries_) + 1);
+  level.reserve(entries.size() / static_cast<size_t>(max_entries_) + 1);
   TilePack(
       entries.size(), max_entries_,
       [&](int32_t i) -> const BBox& { return entries[static_cast<size_t>(i)].box; },
@@ -454,124 +159,13 @@ void RTreeIndex::BulkLoad(const std::vector<IndexEntry>& entries) {
       });
   while (level.size() > 1) level = PackLevel(level);
   root_ = level[0];
-  root_->parent = nullptr;
-}
-
-// --- erase -------------------------------------------------------------------
-
-bool RTreeIndex::FindEntry(Node* n, int64_t id, const BBox& box, Node** leaf,
-                           int32_t* slot) const {
-  if (n->count == 0 || !Covers(n->box, box)) return false;
-  if (n->level == 0) {
-    const LeafEntry* es = Entries(n);
-    for (int32_t i = 0; i < n->count; ++i) {
-      if (es[i].id == id && es[i].box == box) {
-        *leaf = n;
-        *slot = i;
-        return true;
-      }
-    }
-    return false;
-  }
-  Node* const* cs = Children(n);
-  for (int32_t i = 0; i < n->count; ++i) {
-    if (FindEntry(cs[i], id, box, leaf, slot)) return true;
-  }
-  return false;
-}
-
-void RTreeIndex::CollectAndFree(Node* n, std::vector<LeafEntry>* out) {
-  if (n->level == 0) {
-    const LeafEntry* es = Entries(n);
-    out->insert(out->end(), es, es + n->count);
-  } else {
-    Node** cs = Children(n);
-    for (int32_t i = 0; i < n->count; ++i) CollectAndFree(cs[i], out);
-  }
-  FreeNode(n);
-}
-
-void RTreeIndex::CondenseTree(Node* leaf) {
-  std::vector<LeafEntry> orphans;
-  Node* n = leaf;
-  while (n != root_) {
-    Node* parent = n->parent;
-    if (n->count < min_entries_) {
-      // Dissolve the underfull node: unlink from the parent, gather the
-      // subtree's surviving leaf entries for reinsertion.
-      Node** cs = Children(parent);
-      for (int32_t i = 0; i < parent->count; ++i) {
-        if (cs[i] == n) {
-          cs[i] = cs[parent->count - 1];
-          --parent->count;
-          break;
-        }
-      }
-      CollectAndFree(n, &orphans);
-    } else {
-      RecomputeNode(n);
-    }
-    n = parent;
-  }
-
-  while (root_->level > 0 && root_->count == 1) {
-    Node* child = Children(root_)[0];
-    child->parent = nullptr;
-    FreeNode(root_);
-    root_ = child;
-  }
-  if (root_->level > 0 && root_->count == 0) {
-    FreeNode(root_);
-    root_ = NewRootLeaf();
-  }
-  RecomputeNode(root_);
-
-  for (const LeafEntry& e : orphans) {
-    uint32_t reinserted = 0;
-    InsertLeafEntry(e, &reinserted);
-  }
-}
-
-bool RTreeIndex::Erase(int64_t id, const BBox& box) {
-  if (root_ == nullptr || root_->count == 0) return false;
-  Node* leaf = nullptr;
-  int32_t slot = -1;
-  if (!FindEntry(root_, id, box, &leaf, &slot)) return false;
-  LeafEntry* es = Entries(leaf);
-  es[slot] = es[leaf->count - 1];
-  --leaf->count;
-  --size_;
-  CondenseTree(leaf);
-  return true;
 }
 
 // --- queries -----------------------------------------------------------------
 
-void RTreeIndex::RadiusRec(const Node* n, const BBox& query, double radius,
-                           const RadiusVisitor& visit) const {
-  if (n->count == 0 || query.MinDistance(n->box) > radius) return;
-  if (n->level == 0) {
-    const LeafEntry* es = Entries(n);
-    for (int32_t i = 0; i < n->count; ++i) {
-      const double min_dist = query.MinDistance(es[i].box);
-      if (min_dist <= radius) visit(es[i].id, es[i].box, min_dist);
-    }
-    return;
-  }
-  Node* const* cs = Children(n);
-  for (int32_t i = 0; i < n->count; ++i) RadiusRec(cs[i], query, radius, visit);
-}
-
-void RTreeIndex::QueryRadius(const BBox& query, double radius,
-                             const RadiusVisitor& visit) const {
-  MQA_CHECK(radius >= 0.0) << "negative query radius " << radius;
-  if (root_ != nullptr) RadiusRec(root_, query, radius, visit);
-}
-
 void RTreeIndex::ReachableRec(const Node* n, const BBox& query,
                               double velocity, double radius,
                               const RadiusVisitor& visit) const {
-  if (n->count == 0) return;
   const double min_dist_node = query.MinDistance(n->box);
   if (min_dist_node > radius) return;
   // Subtree pruning: every entry below n satisfies
@@ -604,24 +198,6 @@ void RTreeIndex::QueryReachable(const BBox& query, double velocity,
   velocity = std::max(velocity, 0.0);
   const double radius = std::max(0.0, velocity * max_deadline);
   if (root_ != nullptr) ReachableRec(root_, query, velocity, radius, visit);
-}
-
-void RTreeIndex::RectRec(const Node* n, const BBox& rect,
-                         const RectVisitor& visit) const {
-  if (n->count == 0 || !rect.Intersects(n->box)) return;
-  if (n->level == 0) {
-    const LeafEntry* es = Entries(n);
-    for (int32_t i = 0; i < n->count; ++i) {
-      if (rect.Intersects(es[i].box)) visit(es[i].id, es[i].box);
-    }
-    return;
-  }
-  Node* const* cs = Children(n);
-  for (int32_t i = 0; i < n->count; ++i) RectRec(cs[i], rect, visit);
-}
-
-void RTreeIndex::QueryRect(const BBox& rect, const RectVisitor& visit) const {
-  if (root_ != nullptr) RectRec(root_, rect, visit);
 }
 
 }  // namespace mqa

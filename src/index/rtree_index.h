@@ -9,7 +9,7 @@
 
 namespace mqa {
 
-/// R*-tree SpatialIndex for skewed (Zipf / Gaussian-cluster) entity
+/// Packed R-tree SpatialIndex for skewed (Zipf / Gaussian-cluster) entity
 /// distributions, where the uniform grid's fixed global resolution goes
 /// unbalanced: dense regions overflow their cells while queries in sparse
 /// regions walk mostly-empty buckets. The tree's node boxes adapt to the
@@ -17,40 +17,24 @@ namespace mqa {
 /// space is pruned near the root — so per-query work tracks the entries
 /// *near the query*, whatever the distribution.
 ///
-/// Structure: every node holds between `min_entries` and `max_entries`
-/// children (the root may hold fewer); leaf slots are (id, box, deadline)
-/// entries, internal slots are child subtrees. Each node carries the
-/// union bounding box of its subtree and — mirroring GridIndex's
-/// per-cell maxima — the max deadline over its subtree, which lets
-/// QueryReachable discard a whole subtree when
+/// Structure: every node holds at most `max_entries` children; leaf slots
+/// are (id, box, deadline) entries, internal slots are child subtrees.
+/// Each node carries the union bounding box of its subtree and —
+/// mirroring GridIndex's per-cell maxima — the max deadline over its
+/// subtree, which lets QueryReachable discard a whole subtree when
 /// `velocity * subtree_max_deadline < MinDistance(query, subtree_box)`.
-/// Both are upper bounds: Erase tightens boxes along the condense path
-/// but may leave deadline maxima stale (still sound, just less sharp);
-/// BulkLoad recomputes them exactly.
+/// BulkLoad computes both exactly.
 ///
-/// Algorithms (Beckmann et al. 1990):
-///  * Insert descends by least overlap enlargement at the leaf level and
-///    least area enlargement above, splits overflowing nodes along the
-///    minimum-margin axis at the minimum-overlap distribution, and runs
-///    forced reinsertion (the 30% of entries farthest from the node
-///    center) once per insert, at the leaf level only, before resorting
-///    to a split — internal overflows split directly.
-///  * BulkLoad packs leaves with Sort-Tile-Recursive (sort by x-center
-///    into vertical slices, each slice by y-center) and recurses on the
-///    node level — O(n log n), well-balanced even on heavily clustered
-///    inputs, and deterministic (ties broken by entry order).
-///  * Erase locates the entry by exact (id, box) match, removes it, and
-///    condenses: underfull nodes along the path are dissolved and their
-///    remaining leaf entries reinserted.
+/// BulkLoad packs leaves with Sort-Tile-Recursive (sort by x-center into
+/// vertical slices, each slice by y-center) and recurses on the node
+/// level — O(n log n), well-balanced even on heavily clustered inputs,
+/// and deterministic (ties broken by entry order).
 ///
-/// Nodes live in PairArena slabs (one fixed-size block per node, freed
-/// nodes recycled through a free list; BulkLoad resets the arena and
-/// repacks into the retained slabs) so *node storage* allocates nothing
-/// once the arena is warm under the epoch-steady-state pattern of the
-/// simulator's index caches — rebuild or churn a same-sized tree every
-/// epoch. Transient sort scratch (STR index permutations, split
-/// distributions, condense orphans) still comes from the heap; it is
-/// O(node fan-out) on the churn paths and only O(n) during BulkLoad.
+/// Nodes live in PairArena slabs (one fixed-size block per node);
+/// BulkLoad resets the arena and repacks into the retained slabs, so
+/// *node storage* allocates nothing once the arena is warm under the
+/// simulator's load-a-same-sized-tree-every-epoch pattern. The STR index
+/// permutation is O(n) heap scratch per load.
 ///
 /// Queries visit exactly the entry set the SpatialIndex contract
 /// specifies (identical to BruteForceIndex/GridIndex, property-tested);
@@ -58,31 +42,22 @@ namespace mqa {
 /// determinism sort ids (which `candidate_scan.h` does).
 ///
 /// Concurrency: queries are const and touch no mutable state — safe from
-/// any number of threads concurrently, provided no mutation is in flight
+/// any number of threads concurrently, provided no BulkLoad is in flight
 /// (see src/index/README.md).
 class RTreeIndex final : public SpatialIndex {
  public:
-  /// `max_entries` is the node fan-out M (clamped to [4, 128]);
-  /// `min_entries` defaults to 40% of M, the R* recommendation.
+  /// `max_entries` is the node fan-out M (clamped to [4, 128]).
   explicit RTreeIndex(int max_entries = 16);
   ~RTreeIndex() override;
 
   void BulkLoad(const std::vector<IndexEntry>& entries) override;
-  using SpatialIndex::Insert;
-  void Insert(const IndexEntry& entry) override;
-  bool Erase(int64_t id, const BBox& box) override;
-
-  void QueryRadius(const BBox& query, double radius,
-                   const RadiusVisitor& visit) const override;
   void QueryReachable(const BBox& query, double velocity, double max_deadline,
                       const RadiusVisitor& visit) const override;
-  void QueryRect(const BBox& rect, const RectVisitor& visit) const override;
 
   size_t size() const override { return size_; }
   const char* name() const override { return "RTREE"; }
 
   int max_entries() const { return max_entries_; }
-  int min_entries() const { return min_entries_; }
   /// Root height: 0 for an empty-or-leaf-only tree.
   int height() const;
 
@@ -96,13 +71,11 @@ class RTreeIndex final : public SpatialIndex {
   };
 
   /// Fixed-size node block allocated from the arena: this header is
-  /// followed by `max_entries_ + 1` slots (LeafEntry for level 0, Node*
-  /// above — one spare slot holds the overflowing entry while a split or
-  /// reinsertion decides where it goes).
+  /// followed by `max_entries_` slots (LeafEntry for level 0, Node*
+  /// above).
   struct Node {
     BBox box;             // union of the subtree's entry boxes
-    double max_deadline;  // upper bound over the subtree's deadlines
-    Node* parent;
+    double max_deadline;  // max over the subtree's deadlines
     int32_t count;
     int32_t level;  // 0 = leaf
   };
@@ -116,54 +89,21 @@ class RTreeIndex final : public SpatialIndex {
   static Node* const* Children(const Node* n);
 
   Node* AllocNode(int32_t level);
-  void FreeNode(Node* n);
-  Node* NewRootLeaf();
   size_t NodeBytes() const;
 
-  /// Recomputes `n`'s box and deadline max exactly from its slots (and
-  /// re-parents children for internal nodes).
+  /// Computes `n`'s box and deadline max from its slots.
   void RecomputeNode(Node* n);
-  /// Grows `n` and its ancestors to cover `box` / `deadline`.
-  void GrowUpward(Node* n, const BBox& box, double deadline);
 
-  /// R* descent: least overlap enlargement into leaves, least area
-  /// enlargement above; ties by smaller area, then child order.
-  Node* ChooseLeaf(const BBox& box) const;
-  /// Appends one leaf entry, growing or splitting as needed.
-  /// `reinserted` carries the once-per-insert forced-reinsertion flag.
-  void InsertLeafEntry(const LeafEntry& entry, uint32_t* reinserted);
-  /// Resolves overflow at `n` and any overflow it propagates upward.
-  void HandleOverflow(Node* n, uint32_t* reinserted);
-  /// Removes the 30% of `n`'s entries farthest from its center and
-  /// reinserts them from the root (closest first).
-  void ForcedReinsert(Node* n, uint32_t* reinserted);
-  /// R* topological split of an overflowing node; attaches the new
-  /// sibling to the parent (creating a new root when `n` is the root).
-  void SplitNode(Node* n);
-  /// Post-Erase cleanup: dissolves underfull ancestors, reinserts their
-  /// surviving leaf entries, tightens boxes, collapses a unary root.
-  void CondenseTree(Node* leaf);
-
-  bool FindEntry(Node* n, int64_t id, const BBox& box, Node** leaf,
-                 int32_t* slot) const;
-  void CollectAndFree(Node* n, std::vector<LeafEntry>* out);
-
-  void RadiusRec(const Node* n, const BBox& query, double radius,
-                 const RadiusVisitor& visit) const;
   void ReachableRec(const Node* n, const BBox& query, double velocity,
                     double radius, const RadiusVisitor& visit) const;
-  void RectRec(const Node* n, const BBox& rect,
-               const RectVisitor& visit) const;
 
   /// Sort-Tile-Recursive packing of one tree level into the next.
   std::vector<Node*> PackLevel(const std::vector<Node*>& children);
 
   int max_entries_;
-  int min_entries_;
   size_t size_ = 0;
-  Node* root_ = nullptr;
+  Node* root_ = nullptr;  // null when empty
   PairArena arena_;
-  std::vector<Node*> free_nodes_;
 };
 
 }  // namespace mqa

@@ -1,23 +1,11 @@
 #include "index/spatial_index.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "index/brute_force_index.h"
 #include "index/grid_index.h"
 #include "index/rtree_index.h"
 
 namespace mqa {
-
-void SpatialIndex::QueryReachable(const BBox& query, double velocity,
-                                  double max_deadline,
-                                  const RadiusVisitor& visit) const {
-  // Fallback for backends without per-entry deadlines: the plain radius
-  // superset. velocity/deadline products can be 0-or-negative for
-  // degenerate inputs; those reach nothing beyond touching boxes.
-  const double radius = std::max(0.0, velocity * max_deadline);
-  QueryRadius(query, radius, visit);
-}
 
 const char* IndexBackendToString(IndexBackend backend) {
   switch (backend) {

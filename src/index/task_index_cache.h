@@ -7,27 +7,19 @@
 namespace mqa {
 
 /// Trait instantiation behind TaskIndexCache: tasks are bucketed by their
-/// location box and carry their deadline as the QueryReachable pruning
-/// bound, so worker-centric reachability scans can skip entries (and, in
-/// GridIndex, whole cells) a worker cannot reach in time.
-///
-/// Deadlines: entries keep the deadline they were inserted with even as a
-/// carried-over task's remaining deadline shrinks each epoch — a stale
-/// *upper bound*, which QueryReachable pruning tolerates by design (stale
-/// maxima only weaken pruning; the exact CanReach filter downstream stays
-/// authoritative).
+/// location box and carry their remaining deadline at load time as the
+/// QueryReachable bound, so worker-centric reachability scans skip
+/// entries (and whole grid cells or R-tree subtrees) a worker cannot
+/// reach in time.
 struct TaskIndexTraits {
-  static int64_t id(const Task& t) { return t.id; }
   static const BBox& box(const Task& t) { return t.location; }
   static double bound(const Task& t) { return t.deadline; }
 };
 
-/// Maintains a task spatial index *across* the simulator's epochs so
-/// BuildPairPool does not re-bucket every task every epoch. Entry ids of
-/// view() are positions in the task vector most recently passed to
+/// The simulator's task spatial index, loaded once per epoch. Entry ids
+/// of view() are positions in the task vector most recently passed to
 /// BeginInstance — exactly the id convention ProblemInstance::task_index
-/// expects. See EntityIndexCache for the carryover and concurrency
-/// contract.
+/// expects. See EntityIndexCache for the load and concurrency contract.
 using TaskIndexCache = EntityIndexCache<Task, TaskIndexTraits>;
 
 }  // namespace mqa

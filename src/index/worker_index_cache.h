@@ -21,21 +21,17 @@ namespace mqa {
 ///
 /// — the roles of the two factors swap, and GridIndex's per-cell maxima
 /// prune whole cells of slow workers the same way they prune cells of
-/// tight-deadline tasks. Velocities never shrink over an entity's
-/// lifetime, so unlike task deadlines the stored bound is never stale.
+/// tight-deadline tasks.
 struct WorkerIndexTraits {
-  static int64_t id(const Worker& w) { return w.id; }
   static const BBox& box(const Worker& w) { return w.location; }
   static double bound(const Worker& w) { return w.velocity; }
 };
 
-/// Incremental worker index mirroring TaskIndexCache, for task-centric
-/// candidate-worker queries and streaming arrival ingestion: the
-/// StreamingSimulator inserts worker arrivals/rejoins and erases assigned
-/// workers across epochs instead of re-bucketing the pool. Entry ids of
-/// view() are positions in the worker vector most recently passed to
-/// BeginInstance. See EntityIndexCache for the carryover and concurrency
-/// contract.
+/// Worker index mirroring TaskIndexCache, loaded once per epoch, for
+/// task-centric candidate-worker queries (the streaming engine's
+/// coverable-backlog scan). Entry ids of view() are positions in the
+/// worker vector most recently passed to BeginInstance. See
+/// EntityIndexCache for the load and concurrency contract.
 using WorkerIndexCache = EntityIndexCache<Worker, WorkerIndexTraits>;
 
 /// The largest `max_deadline` argument that never prunes a worker entry

@@ -61,18 +61,9 @@ class ProblemInstance {
   /// the full worker x task scan. Entry ids must be indices into tasks()
   /// and the index must cover all tasks (current and predicted). Like the
   /// quality model it is non-owning and must outlive the instance; the
-  /// simulator points this at its incrementally maintained TaskIndexCache.
+  /// simulator points this at the TaskIndexCache it loads every epoch.
   const SpatialIndex* task_index() const { return task_index_; }
   void set_task_index(const SpatialIndex* index) { task_index_ = index; }
-
-  /// Optional spatial index over workers(), the mirror of task_index()
-  /// for task-centric candidate-worker queries: entry ids are indices
-  /// into workers(), and entries carry each worker's *velocity* as the
-  /// QueryReachable bound (see src/index/worker_index_cache.h for the
-  /// query convention). Non-owning; the streaming simulator points this
-  /// at its incrementally maintained WorkerIndexCache.
-  const SpatialIndex* worker_index() const { return worker_index_; }
-  void set_worker_index(const SpatialIndex* index) { worker_index_ = index; }
 
   /// Optional thread pool the assigner may fan work across (the pair
   /// builder's worker-range scan and fill, divide-and-conquer
@@ -133,7 +124,6 @@ class ProblemInstance {
   size_t num_current_tasks_ = 0;
   const QualityModel* quality_ = nullptr;
   const SpatialIndex* task_index_ = nullptr;
-  const SpatialIndex* worker_index_ = nullptr;
   ThreadPool* thread_pool_ = nullptr;
   PairArena* pair_arena_ = nullptr;
   PairPoolStats* pool_stats_ = nullptr;

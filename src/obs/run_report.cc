@@ -207,10 +207,7 @@ void WriteEpochRow(std::ostream& out, const InstanceMetrics& row) {
       << ",\"arena_peak_bytes\":" << row.pool_arena_peak_bytes
       << ",\"lazy_skipped_fraction\":";
   WriteDouble(out, row.pool_lazy_skipped_fraction);
-  out << "},\"index\":{\"inserted\":" << row.index_inserted
-      << ",\"erased\":" << row.index_erased
-      << ",\"bulk_rebuilds\":" << row.index_bulk_rebuilds
-      << "},\"process\":{\"rss_bytes\":" << row.rss_bytes
+  out << "},\"process\":{\"rss_bytes\":" << row.rss_bytes
       << ",\"peak_rss_bytes\":" << row.peak_rss_bytes
       << ",\"cpu_seconds\":";
   WriteDouble(out, row.process_cpu_seconds);
@@ -275,7 +272,7 @@ std::string RunReport::ProvenanceFragment() {
 
 void RunReport::WriteJson(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  out << "{\n  \"schema\": \"mqa-run-report-v2\",\n  \"git\": "
+  out << "{\n  \"schema\": \"mqa-run-report-v3\",\n  \"git\": "
          "{\"describe\": ";
   WriteJsonString(out, GitDescribe());
   out << "},\n  \"machine\": ";

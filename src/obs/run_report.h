@@ -50,7 +50,7 @@ struct InstanceMetrics {
   /// excluded from the byte-identity contract.
   double predict_seconds = 0.0;     // prediction scoring + PredictNext
   double assemble_seconds = 0.0;    // instance vector assembly
-  double index_seconds = 0.0;       // task/worker index build or churn
+  double index_seconds = 0.0;       // task/worker index loads
   double pool_build_seconds = 0.0;  // BuildPairPool inside Assign
   double assign_seconds = 0.0;      // Assigner::Assign minus the pool build
   double validate_seconds = 0.0;    // ValidateAssignment (0 when disabled)
@@ -85,18 +85,13 @@ struct InstanceMetrics {
   /// skipped; 0 when the pool had no predicted pairs).
   double pool_lazy_skipped_fraction = 0.0;
 
-  /// Index-cache sync churn (EntityIndexCache::BeginInstance), task and
-  /// worker caches combined; bulk_rebuilt counts caches that crossed the
-  /// rebuild break-even this epoch.
-  int64_t index_inserted = 0;
-  int64_t index_erased = 0;
-  int64_t index_bulk_rebuilds = 0;
-
   /// The process as the epoch ends (obs/process_stats.h, sampled after
-  /// the apply phase): resident and peak resident bytes, and cumulative
-  /// user + system CPU seconds since process start. Execution state like
-  /// the arena fields — excluded from the byte-identity contract. 0 where
-  /// the platform offers no reading.
+  /// the apply phase): resident bytes, peak resident bytes (never below
+  /// rss_bytes: the larger of getrusage's peak and every RSS the runner
+  /// has sampled), and cumulative user + system CPU seconds since
+  /// process start. Execution state like the arena fields — excluded
+  /// from the byte-identity contract. 0 where the platform offers no
+  /// reading.
   int64_t rss_bytes = 0;
   int64_t peak_rss_bytes = 0;
   double process_cpu_seconds = 0.0;
@@ -105,12 +100,12 @@ struct InstanceMetrics {
 /// The unified run artifact and the only post-mortem one: a JSON file
 /// joining everything needed to reproduce and attribute a measurement —
 /// config, git describe, machine/OS identity, one InstanceMetrics row per
-/// epoch (results, assignment checksum, phase times, pool, index and
-/// process numbers), counter aggregates with derived rates (IPC, miss
+/// epoch (results, assignment checksum, phase times, pool and process
+/// numbers), counter aggregates with derived rates (IPC, miss
 /// rates), and the full metrics registry (including the mqa.phase.*
 /// histograms).
 /// scripts/profile_report.py joins it with a trace; check_trace.py
-/// --report validates it. Schema: "mqa-run-report-v2", documented in
+/// --report validates it. Schema: "mqa-run-report-v3", documented in
 /// docs/OBSERVABILITY.md.
 ///
 /// Write-only like the tracer and registry: recording never feeds values

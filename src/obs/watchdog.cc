@@ -1,5 +1,6 @@
 #include "obs/watchdog.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
@@ -25,11 +26,16 @@ void Watchdog::Start(const WatchdogConfig& config) {
     stop_requested_ = false;
   }
   active_.store(true, std::memory_order_relaxed);
-  thread_ = std::thread([this] {
+  const double poll_seconds =
+      config_.poll_interval_seconds > 0.0
+          ? config_.poll_interval_seconds
+          : std::clamp(config_.deadline_seconds * config_.multiple / 4.0,
+                       1e-3, 0.25);
+  thread_ = std::thread([this, poll_seconds] {
     Tracer::Get().SetCurrentThreadName("mqa-watchdog");
-    const auto interval = std::chrono::duration_cast<
-        std::chrono::milliseconds>(std::chrono::duration<double>(
-        config_.poll_interval_seconds));
+    const auto interval =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::duration<double>(poll_seconds));
     std::unique_lock<std::mutex> lock(poll_mu_);
     while (!stop_requested_) {
       lock.unlock();

@@ -17,8 +17,11 @@ struct WatchdogConfig {
   /// Slack factor: real epochs jitter, so a plain deadline would cry
   /// wolf. 3x is the "something is definitely stuck" threshold.
   double multiple = 3.0;
-  /// How often the background thread checks armed epochs.
-  double poll_interval_seconds = 0.25;
+  /// How often the background thread checks armed epochs. <= 0 (the
+  /// default) derives it from the threshold: a quarter of
+  /// deadline_seconds * multiple, clamped to [1 ms, 250 ms], so even a
+  /// sub-millisecond deadline sees an overrunning epoch in flight.
+  double poll_interval_seconds = 0.0;
 };
 
 /// Stuck-run flight recorder. A background thread watches the currently

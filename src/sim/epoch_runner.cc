@@ -53,11 +53,9 @@ EpochRunner::EpochRunner(const SimulatorConfig& config,
       quality_(quality),
       predictor_(config.prediction,
                  MakeCountPredictor(config.prediction.predictor)),
-      // Task index maintained across epochs: arrivals are inserted and
-      // departures erased, so steady-state index upkeep costs O(churn),
-      // not O(|T|), and BuildPairPool never re-buckets carried-over
-      // tasks. Without reuse it is recreated per epoch in RunEpoch.
-      task_index_cache_(std::make_unique<TaskIndexCache>(config.index_backend)),
+      // Loaded from scratch every epoch; only the backend object (grid
+      // cells, R-tree arena slabs) lives across epochs.
+      task_index_cache_(config.index_backend),
       worker_index_cache_(config.maintain_worker_index
                               ? std::make_unique<WorkerIndexCache>(
                                     config.index_backend)
@@ -158,39 +156,17 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
 
   {
     MQA_TRACE_SPAN("epoch/index");
-    if (!config_.reuse_task_index) {
-      task_index_cache_ =
-          std::make_unique<TaskIndexCache>(config_.index_backend);
-    }
-    task_index_cache_->BeginInstance(inst_tasks);
+    task_index_cache_.BeginInstance(inst_tasks);
     if (worker_index_cache_) {
       worker_index_cache_->BeginInstance(inst_workers);
     }
-  }
-  {
-    const IndexChurnStats& tc = task_index_cache_->last_churn();
-    metrics.index_inserted = tc.inserted;
-    metrics.index_erased = tc.erased;
-    metrics.index_bulk_rebuilds = tc.bulk_rebuilt ? 1 : 0;
-    if (worker_index_cache_) {
-      const IndexChurnStats& wc = worker_index_cache_->last_churn();
-      metrics.index_inserted += wc.inserted;
-      metrics.index_erased += wc.erased;
-      metrics.index_bulk_rebuilds += wc.bulk_rebuilt ? 1 : 0;
-    }
-    MQA_METRIC_COUNT("mqa.index.inserted", metrics.index_inserted);
-    MQA_METRIC_COUNT("mqa.index.erased", metrics.index_erased);
-    MQA_METRIC_COUNT("mqa.index.bulk_rebuilds", metrics.index_bulk_rebuilds);
   }
   metrics.index_seconds = TakePhase();
 
   ProblemInstance instance(
       std::move(inst_workers), num_current_workers, std::move(inst_tasks),
       num_current_tasks, quality_, config_.unit_price, config_.budget);
-  instance.set_task_index(task_index_cache_->view());
-  if (worker_index_cache_) {
-    instance.set_worker_index(worker_index_cache_->view());
-  }
+  instance.set_task_index(task_index_cache_.view());
   instance.set_thread_pool(runner_.pool());
   // Recycle the pair-pool arena: slabs survive across epochs, so in the
   // steady state the assigner's pool construction is allocation-free. The
@@ -281,10 +257,15 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   MQA_METRIC_RECORD("mqa.phase.apply.self_seconds", metrics.apply_seconds);
 
   // Process footprint as the epoch ends, sampled after the last lap so
-  // the read stays outside wall_seconds and the phase times.
+  // the read stays outside wall_seconds and the phase times. getrusage's
+  // peak comes from the kernel's approximate per-CPU RSS counters and can
+  // read below the exact statm RSS, so the peak also covers every RSS
+  // this runner has sampled.
   const ProcessStats process = ReadProcessStats();
+  max_sampled_rss_bytes_ = std::max(max_sampled_rss_bytes_, process.rss_bytes);
   metrics.rss_bytes = process.rss_bytes;
-  metrics.peak_rss_bytes = process.peak_rss_bytes;
+  metrics.peak_rss_bytes =
+      std::max(process.peak_rss_bytes, max_sampled_rss_bytes_);
   metrics.process_cpu_seconds = process.cpu_seconds();
 
   return outcome;

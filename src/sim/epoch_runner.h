@@ -56,13 +56,13 @@ struct EpochOutcome {
 /// *identical* predict -> assemble -> assign -> validate pipeline:
 ///
 ///   score previous prediction -> Observe arrivals -> PredictNext ->
-///   assemble ProblemInstance (available entities + predicted, carrying
-///   the incrementally maintained task/worker indexes and thread pool) ->
-///   Assign -> validate -> compute rejoins.
+///   assemble ProblemInstance (available entities + predicted) -> load
+///   the task (and optional worker) index -> Assign -> validate ->
+///   compute rejoins.
 ///
 /// The runner owns all cross-epoch state: the grid predictor, the
-/// incrementally maintained TaskIndexCache (and optional
-/// WorkerIndexCache), and the thread pool. Callers own the entity pools
+/// TaskIndexCache (and optional WorkerIndexCache) it reloads every
+/// epoch, the pair arena and the thread pool. Callers own the entity pools
 /// and the clock — which epochs happen when, and how arrivals, carryover
 /// and expiry feed the pools, is entirely theirs. Byte-determinism
 /// follows: two callers issuing the same sequence of RunEpoch calls with
@@ -101,7 +101,7 @@ class EpochRunner {
   SimulatorConfig config_;
   const QualityModel* quality_;
   GridPredictor predictor_;
-  std::unique_ptr<TaskIndexCache> task_index_cache_;
+  TaskIndexCache task_index_cache_;
   std::unique_ptr<WorkerIndexCache> worker_index_cache_;
   ParallelRunner runner_;
 
@@ -113,6 +113,9 @@ class EpochRunner {
   // current epoch's actual arrivals (Fig. 10).
   std::vector<int64_t> prev_pred_worker_counts_;
   std::vector<int64_t> prev_pred_task_counts_;
+
+  // Largest RSS sampled at any epoch end; floors the reported peak RSS.
+  int64_t max_sampled_rss_bytes_ = 0;
 };
 
 }  // namespace mqa

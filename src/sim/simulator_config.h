@@ -34,21 +34,16 @@ struct SimulatorConfig {
   bool validate_assignments = true;
 
   /// Spatial-index backend for valid-pair generation; the simulator
-  /// always hands the assigner a task index through
-  /// ProblemInstance::task_index (kAuto resolves to the grid; pick
+  /// loads a task index every time instance and hands it to the assigner
+  /// through ProblemInstance::task_index (kAuto loads the grid; pick
   /// kRTree for skewed Zipf/Gaussian-cluster workloads — see
-  /// src/index/README.md). With
-  /// reuse_task_index the index is maintained across time instances
-  /// (insert arrivals / erase departures) so carried-over tasks are
-  /// never re-bucketed; without it the index is rebuilt from scratch
-  /// every instance (the no-reuse baseline for measurements).
+  /// src/index/README.md).
   IndexBackend index_backend = IndexBackend::kAuto;
-  bool reuse_task_index = true;
 
-  /// Also maintain an incremental *worker* index (WorkerIndexCache) and
-  /// expose it through ProblemInstance::worker_index. Off by default —
-  /// no built-in assigner consumes it yet; the streaming engine turns it
-  /// on for task-centric backlog-coverage queries.
+  /// Also load a *worker* index (WorkerIndexCache) every epoch, exposed
+  /// through EpochRunner::worker_index. Off by default — no assigner
+  /// consumes it; the streaming engine turns it on for task-centric
+  /// backlog-coverage queries.
   bool maintain_worker_index = false;
 
   /// Total threads the per-instance assignment work fans across: the

@@ -31,7 +31,7 @@ const char* EpochFireReasonToString(EpochFireReason reason);
 struct EpochStreamMetrics {
   /// The shared per-epoch measurements — the epoch's run-report row
   /// (availability, prediction errors, assigned/quality/cost, wall and
-  /// phase times, pool, index and process numbers). `instance.instance`
+  /// phase times, pool and process numbers). `instance.instance`
   /// is the epoch index; in per-instance mode it equals the batch
   /// instance.
   InstanceMetrics instance;
@@ -54,7 +54,7 @@ struct EpochStreamMetrics {
   int64_t expired = 0;
 
   /// Pending tasks (before assignment) with at least one available
-  /// worker in reach, answered by the incremental WorkerIndexCache; -1
+  /// worker in reach, answered by the epoch's WorkerIndexCache; -1
   /// when the worker index is disabled. backlog_before - coverable is
   /// the structurally unserveable backlog an epoch policy cannot help.
   int64_t coverable_backlog = -1;

@@ -250,9 +250,9 @@ class Engine {
   }
 
   /// Pending tasks (pre-assignment) with at least one *current* worker in
-  /// reach, answered by the incremental worker index: entries carry
-  /// worker velocities as their QueryReachable bound, so the reachability
-  /// roles swap (see src/index/worker_index_cache.h).
+  /// reach, answered by the epoch's worker index: entries carry worker
+  /// velocities as their QueryReachable bound, so the reachability roles
+  /// swap (see src/index/worker_index_cache.h).
   ///
   /// Per-task queries are independent and the index view's const queries
   /// are concurrency-safe (src/index/README.md), so the scan fans out

@@ -67,11 +67,10 @@ struct StreamingConfig {
 
 /// Event-driven online replacement for the batch Simulator: replays
 /// timestamped arrival/completion/expiry events from an EventQueue,
-/// maintains the worker/task pools *and their spatial indexes*
-/// incrementally across epochs (TaskIndexCache / WorkerIndexCache diff
-/// against the previous epoch, so upkeep costs O(churn)), and cuts
-/// assignment epochs by policy, each epoch driving the same EpochRunner
-/// predict -> assign -> validate core as the batch loop. On top of the
+/// maintains the worker/task pools across epochs, and cuts assignment
+/// epochs by policy, each epoch driving the same EpochRunner
+/// predict -> index -> assign -> validate core as the batch loop (which
+/// loads the task and worker indexes from each epoch's pools). On top of the
 /// batch metrics it measures what only a stream exposes: per-epoch
 /// assignment latency, arrival -> assignment queue waits, and backlog
 /// depth.

@@ -2,10 +2,11 @@
 // instances across velocity/deadline/budget/gamma ranges, BuildPairPool
 // must produce the *identical* pair pool (same pair order, indices,
 // costs, qualities, existence, adjacency) whichever backend enumerates
-// the candidates — brute force, grid, or R*-tree, sequential or split
+// the candidates — brute force, grid, or R-tree, sequential or split
 // into worker ranges across any thread count — including through the
 // simulator's incrementally maintained TaskIndexCache.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -162,7 +163,7 @@ TEST(PairPoolBackendProperty, GridMatchesBruteForceWithPredicted) {
 }
 
 /// A mixed instance whose current locations follow `dist` — uniform,
-/// Zipf or Gaussian-cluster — the Fig. 18/19 regimes the R*-tree backend
+/// Zipf or Gaussian-cluster — the Fig. 18/19 regimes the R-tree backend
 /// exists for.
 ProblemInstance SkewedMixedInstance(Rng* rng, const QualityModel* quality,
                                     const SpatialDistConfig& dist,
@@ -198,7 +199,7 @@ ProblemInstance SkewedMixedInstance(Rng* rng, const QualityModel* quality,
 }
 
 TEST(PairPoolBackendProperty, AllBackendsMatchOnSkewedWorkloadsAcrossThreads) {
-  // The acceptance property of the R*-tree PR: BuildPairPool output is
+  // The acceptance property of the R-tree backend: BuildPairPool output is
   // byte-identical across {brute, grid, rtree} on uniform, Zipf and
   // Gaussian-cluster workloads, sequential and in worker ranges over
   // {2, 4, 8} threads (80 workers clears kMinParallelWorkers, so
@@ -265,9 +266,8 @@ TEST(PairPoolBackendProperty, ExternalIndexMatchesInternal) {
 
 TEST(TaskIndexCacheProperty, TracksEvolvingTaskSets) {
   const ConstantQualityModel quality(1.0);
-  // The cache's churn pattern must hold for every incremental backend —
-  // the R*-tree gets EntityIndexCache maintenance for free through the
-  // same Insert/Erase contract the grid satisfies.
+  // The cache must answer for every backend it can load — the grid and
+  // the R-tree alike.
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kRTree}) {
   Rng rng(777);
@@ -315,6 +315,68 @@ TEST(TaskIndexCacheProperty, TracksEvolvingTaskSets) {
   }
 }
 
+TEST(TaskIndexCacheProperty, ViewAnswersByCurrentDeadlines) {
+  // Carried tasks' remaining deadlines shrink every epoch, as in the
+  // simulator. The cache's view must answer QueryReachable by the
+  // deadlines of the vector it was last given, never by an older one.
+  const struct {
+    Point location;
+    double deadline;  // remaining at epoch 0
+  } seeds[] = {{{0.5, 0.0}, 2.0}, {{0.3, 0.4}, 1.4}, {{0.9, 0.9}, 3.0}};
+  for (const IndexBackend backend :
+       {IndexBackend::kBruteForce, IndexBackend::kGrid,
+        IndexBackend::kRTree}) {
+    SCOPED_TRACE(IndexBackendToString(backend));
+    Rng rng(4242);
+    TaskIndexCache cache(backend);
+    std::vector<Task> tasks;
+    TaskId next_id = 0;
+    for (const auto& seed : seeds) {
+      tasks.push_back(MakeTask(next_id++, seed.location.x, seed.location.y,
+                               seed.deadline));
+    }
+    for (int epoch = 0; epoch < 12; ++epoch) {
+      cache.BeginInstance(tasks);
+      ASSERT_EQ(cache.view()->size(), tasks.size());
+      std::vector<BBox> queries = {BBox::FromPoint({0.0, 0.0})};
+      for (int q = 0; q < 20; ++q) {
+        queries.push_back(BBox::FromPoint({rng.Uniform(), rng.Uniform()}));
+      }
+      for (const BBox& query : queries) {
+        const double velocity = rng.Uniform(0.05, 1.0);
+        for (const double max_deadline : {10.0, rng.Uniform(0.1, 3.0)}) {
+          std::vector<int64_t> got;
+          cache.view()->QueryReachable(
+              query, velocity, max_deadline,
+              [&](int64_t id, const BBox&, double) { got.push_back(id); });
+          std::sort(got.begin(), got.end());
+          std::vector<int64_t> expected;
+          for (size_t j = 0; j < tasks.size(); ++j) {
+            if (query.MinDistance(tasks[j].location) <=
+                velocity * std::min(tasks[j].deadline, max_deadline)) {
+              expected.push_back(static_cast<int64_t>(j));
+            }
+          }
+          ASSERT_EQ(got, expected) << "epoch " << epoch;
+        }
+      }
+      // Next epoch: every task is carried with 0.3 less deadline unless
+      // it expired, and a few tasks arrive — low churn, so most entries
+      // describe carried tasks.
+      std::vector<Task> carried;
+      for (Task t : tasks) {
+        t.deadline -= 0.3;
+        if (t.deadline > 0.0) carried.push_back(t);
+      }
+      for (int a = 0; a < 2; ++a) {
+        carried.push_back(MakeTask(next_id++, rng.Uniform(), rng.Uniform(),
+                                   rng.Uniform(0.5, 3.0)));
+      }
+      tasks = std::move(carried);
+    }
+  }
+}
+
 TEST(SimulatorIndexProperty, BackendsProduceIdenticalRuns) {
   SyntheticConfig workload;
   workload.num_workers = 220;
@@ -324,12 +386,11 @@ TEST(SimulatorIndexProperty, BackendsProduceIdenticalRuns) {
   const ArrivalStream stream = GenerateSynthetic(workload);
   const ConstantQualityModel quality(2.0);
 
-  auto run = [&](IndexBackend backend, bool reuse) {
+  auto run = [&](IndexBackend backend) {
     SimulatorConfig config;
     config.budget = 50.0;
     config.unit_price = 1.0;
     config.index_backend = backend;
-    config.reuse_task_index = reuse;
     Simulator sim(config, &quality);
     auto assigner = CreateAssigner(AssignerKind::kGreedy);
     auto summary = sim.Run(stream, assigner.get());
@@ -337,21 +398,18 @@ TEST(SimulatorIndexProperty, BackendsProduceIdenticalRuns) {
     return summary.value();
   };
 
-  const SimulationSummary base = run(IndexBackend::kBruteForce, false);
-  for (const bool reuse : {false, true}) {
-    for (const IndexBackend backend :
-         {IndexBackend::kBruteForce, IndexBackend::kGrid,
-          IndexBackend::kRTree, IndexBackend::kAuto}) {
-      const SimulationSummary other = run(backend, reuse);
-      EXPECT_EQ(base.total_assigned, other.total_assigned);
-      EXPECT_EQ(base.total_quality, other.total_quality);
-      EXPECT_EQ(base.total_cost, other.total_cost);
-      ASSERT_EQ(base.per_instance.size(), other.per_instance.size());
-      for (size_t p = 0; p < base.per_instance.size(); ++p) {
-        EXPECT_EQ(base.per_instance[p].assigned, other.per_instance[p].assigned);
-        EXPECT_EQ(base.per_instance[p].quality, other.per_instance[p].quality);
-        EXPECT_EQ(base.per_instance[p].cost, other.per_instance[p].cost);
-      }
+  const SimulationSummary base = run(IndexBackend::kBruteForce);
+  for (const IndexBackend backend :
+       {IndexBackend::kGrid, IndexBackend::kRTree, IndexBackend::kAuto}) {
+    const SimulationSummary other = run(backend);
+    EXPECT_EQ(base.total_assigned, other.total_assigned);
+    EXPECT_EQ(base.total_quality, other.total_quality);
+    EXPECT_EQ(base.total_cost, other.total_cost);
+    ASSERT_EQ(base.per_instance.size(), other.per_instance.size());
+    for (size_t p = 0; p < base.per_instance.size(); ++p) {
+      EXPECT_EQ(base.per_instance[p].assigned, other.per_instance[p].assigned);
+      EXPECT_EQ(base.per_instance[p].quality, other.per_instance[p].quality);
+      EXPECT_EQ(base.per_instance[p].cost, other.per_instance[p].cost);
     }
   }
 }

@@ -1,7 +1,7 @@
-// Unit tests for the spatial-index subsystem: QueryRadius/QueryRect
-// boundary behavior (cell edges, zero radius, empty index), multi-cell
-// dedup, incremental Insert/Erase, and randomized grid-vs-brute
-// cross-checks at the raw query level.
+// Unit tests for the spatial-index subsystem: QueryReachable boundary
+// behavior (cell edges, zero radius, empty index), multi-cell dedup,
+// per-entry deadline filtering, repeated BulkLoads, and randomized
+// grid-vs-brute cross-checks at the raw query level.
 
 #include <algorithm>
 #include <cstdint>
@@ -17,32 +17,14 @@
 namespace mqa {
 namespace {
 
-std::vector<int64_t> CollectRadius(const SpatialIndex& index, const BBox& query,
-                                   double radius) {
-  std::vector<int64_t> ids;
-  index.QueryRadius(query, radius, [&](int64_t id, const BBox& box,
-                                       double min_dist) {
-    // The reported distance must be the exact min-distance, not a bound.
-    EXPECT_EQ(min_dist, query.MinDistance(box));
-    ids.push_back(id);
-  });
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-std::vector<int64_t> CollectRect(const SpatialIndex& index, const BBox& rect) {
-  std::vector<int64_t> ids;
-  index.QueryRect(rect, [&](int64_t id, const BBox&) { ids.push_back(id); });
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 std::vector<int64_t> CollectReachable(const SpatialIndex& index,
                                       const BBox& query, double velocity,
                                       double max_deadline) {
   std::vector<int64_t> ids;
   index.QueryReachable(query, velocity, max_deadline,
                        [&](int64_t id, const BBox& box, double min_dist) {
+                         // The reported distance must be the exact
+                         // min-distance, not a bound.
                          EXPECT_EQ(min_dist, query.MinDistance(box));
                          ids.push_back(id);
                        });
@@ -50,23 +32,49 @@ std::vector<int64_t> CollectReachable(const SpatialIndex& index,
   return ids;
 }
 
+/// A plain radius query: velocity 1 and max_deadline = radius over
+/// entries with the default (infinite) deadline.
+std::vector<int64_t> CollectWithin(const SpatialIndex& index, const BBox& query,
+                                   double radius) {
+  return CollectReachable(index, query, 1.0, radius);
+}
+
+/// The QueryReachable definition evaluated entry by entry.
+std::vector<int64_t> ReachableByDefinition(
+    const std::vector<IndexEntry>& entries, const BBox& query,
+    double velocity, double max_deadline) {
+  std::vector<int64_t> ids;
+  for (const IndexEntry& e : entries) {
+    if (query.MinDistance(e.box) <=
+        velocity * std::min(e.deadline, max_deadline)) {
+      ids.push_back(e.id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 TEST(GridIndexTest, EmptyIndexReturnsNothing) {
   GridIndex index;
   EXPECT_EQ(index.size(), 0u);
-  EXPECT_TRUE(CollectRadius(index, BBox::FromPoint({0.5, 0.5}), 10.0).empty());
-  EXPECT_TRUE(CollectRect(index, BBox({0, 0}, {1, 1})).empty());
+  EXPECT_TRUE(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 10.0).empty());
+  index.BulkLoad({});
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_TRUE(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 10.0).empty());
 }
 
 TEST(GridIndexTest, ZeroRadiusIsInclusive) {
   GridIndex index(8);
-  index.Insert(1, BBox::FromPoint({0.5, 0.5}));
-  index.Insert(2, BBox::FromPoint({0.5 + 1e-9, 0.5}));
+  index.BulkLoad({{1, BBox::FromPoint({0.5, 0.5})},
+                  {2, BBox::FromPoint({0.5 + 1e-9, 0.5})}});
   // Radius 0 selects only entries at distance exactly 0.
-  EXPECT_EQ(CollectRadius(index, BBox::FromPoint({0.5, 0.5}), 0.0),
+  EXPECT_EQ(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 0.0),
             (std::vector<int64_t>{1}));
   // A box touching the query point also has min-distance 0.
-  index.Insert(3, BBox({0.4, 0.4}, {0.5, 0.5}));
-  EXPECT_EQ(CollectRadius(index, BBox::FromPoint({0.5, 0.5}), 0.0),
+  index.BulkLoad({{1, BBox::FromPoint({0.5, 0.5})},
+                  {2, BBox::FromPoint({0.5 + 1e-9, 0.5})},
+                  {3, BBox({0.4, 0.4}, {0.5, 0.5})}});
+  EXPECT_EQ(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 0.0),
             (std::vector<int64_t>{1, 3}));
 }
 
@@ -74,18 +82,18 @@ TEST(GridIndexTest, PointsOnCellEdges) {
   // 4x4 grid: interior edges at 0.25, 0.5, 0.75. Entries exactly on an
   // edge must be found from queries on either side.
   GridIndex index(4);
-  index.Insert(1, BBox::FromPoint({0.25, 0.25}));
-  index.Insert(2, BBox::FromPoint({0.5, 0.5}));
-  index.Insert(3, BBox::FromPoint({0.75, 0.75}));
+  index.BulkLoad({{1, BBox::FromPoint({0.25, 0.25})},
+                  {2, BBox::FromPoint({0.5, 0.5})},
+                  {3, BBox::FromPoint({0.75, 0.75})}});
   for (int64_t id = 1; id <= 3; ++id) {
     const double c = 0.25 * static_cast<double>(id);
     // Query from the lower-left side of the edge.
-    EXPECT_EQ(CollectRadius(index, BBox::FromPoint({c - 0.01, c - 0.01}),
+    EXPECT_EQ(CollectWithin(index, BBox::FromPoint({c - 0.01, c - 0.01}),
                             0.05),
               (std::vector<int64_t>{id}))
         << "edge " << c;
     // And from the upper-right side.
-    EXPECT_EQ(CollectRadius(index, BBox::FromPoint({c + 0.01, c + 0.01}),
+    EXPECT_EQ(CollectWithin(index, BBox::FromPoint({c + 0.01, c + 0.01}),
                             0.05),
               (std::vector<int64_t>{id}))
         << "edge " << c;
@@ -94,101 +102,98 @@ TEST(GridIndexTest, PointsOnCellEdges) {
 
 TEST(GridIndexTest, RadiusBoundaryIsInclusive) {
   GridIndex index(8);
-  index.Insert(7, BBox::FromPoint({0.25, 0.5}));
+  index.BulkLoad({{7, BBox::FromPoint({0.25, 0.5})}});
   const BBox query = BBox::FromPoint({0.75, 0.5});
-  EXPECT_EQ(CollectRadius(index, query, 0.5), (std::vector<int64_t>{7}));
-  EXPECT_TRUE(CollectRadius(index, query, 0.5 - 1e-9).empty());
+  EXPECT_EQ(CollectWithin(index, query, 0.5), (std::vector<int64_t>{7}));
+  EXPECT_TRUE(CollectWithin(index, query, 0.5 - 1e-9).empty());
 }
 
 TEST(GridIndexTest, MultiCellBoxReportedOnce) {
   // A box spanning many cells is bucketed into each; queries overlapping
   // several of those cells must still visit it exactly once.
   GridIndex index(8);
-  index.Insert(42, BBox({0.1, 0.1}, {0.9, 0.9}));
-  int visits = 0;
-  index.QueryRadius(BBox({0.0, 0.0}, {1.0, 1.0}), 0.5,
-                    [&](int64_t id, const BBox&, double) {
-                      EXPECT_EQ(id, 42);
-                      ++visits;
-                    });
-  EXPECT_EQ(visits, 1);
-  visits = 0;
-  index.QueryRect(BBox({0.2, 0.2}, {0.8, 0.8}),
-                  [&](int64_t, const BBox&) { ++visits; });
-  EXPECT_EQ(visits, 1);
+  index.BulkLoad({{42, BBox({0.1, 0.1}, {0.9, 0.9})}});
+  for (const BBox& query :
+       {BBox({0.0, 0.0}, {1.0, 1.0}), BBox({0.2, 0.2}, {0.8, 0.8})}) {
+    int visits = 0;
+    index.QueryReachable(query, 1.0, 0.5,
+                         [&](int64_t id, const BBox&, double) {
+                           EXPECT_EQ(id, 42);
+                           ++visits;
+                         });
+    EXPECT_EQ(visits, 1);
+  }
 }
 
 TEST(GridIndexTest, EntitiesOutsideUnitSquareAreFound) {
   GridIndex index(8);
-  index.Insert(1, BBox::FromPoint({1.4, 0.5}));
-  index.Insert(2, BBox::FromPoint({-0.3, -0.2}));
-  EXPECT_EQ(CollectRadius(index, BBox::FromPoint({0.9, 0.5}), 0.5),
+  index.BulkLoad({{1, BBox::FromPoint({1.4, 0.5})},
+                  {2, BBox::FromPoint({-0.3, -0.2})}});
+  EXPECT_EQ(CollectWithin(index, BBox::FromPoint({0.9, 0.5}), 0.5),
             (std::vector<int64_t>{1}));
-  EXPECT_EQ(CollectRadius(index, BBox::FromPoint({0.0, 0.0}), 0.4),
+  EXPECT_EQ(CollectWithin(index, BBox::FromPoint({0.0, 0.0}), 0.4),
             (std::vector<int64_t>{2}));
-  EXPECT_TRUE(CollectRadius(index, BBox::FromPoint({0.5, 0.5}), 0.2).empty());
+  EXPECT_TRUE(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 0.2).empty());
 }
 
-TEST(GridIndexTest, QueryRectBoundaryInclusive) {
-  GridIndex index(4);
-  index.Insert(1, BBox::FromPoint({0.3, 0.3}));
-  EXPECT_EQ(CollectRect(index, BBox({0.3, 0.3}, {0.4, 0.4})),
-            (std::vector<int64_t>{1}));
-  EXPECT_EQ(CollectRect(index, BBox({0.2, 0.2}, {0.3, 0.3})),
-            (std::vector<int64_t>{1}));
-  EXPECT_TRUE(CollectRect(index, BBox({0.31, 0.31}, {0.4, 0.4})).empty());
+TEST(GridIndexTest, AllPointsIdentical) {
+  GridIndex index;
+  std::vector<IndexEntry> entries;
+  for (int64_t id = 0; id < 300; ++id) {
+    entries.push_back({id, BBox::FromPoint({0.5, 0.5}), 1.0});
+  }
+  index.BulkLoad(entries);
+  const std::vector<int64_t> all =
+      CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 0.0);
+  ASSERT_EQ(all.size(), 300u);
+  for (int64_t id = 0; id < 300; ++id) {
+    EXPECT_EQ(all[static_cast<size_t>(id)], id);
+  }
 }
 
-TEST(GridIndexTest, InsertEraseAndBulkLoadReset) {
-  GridIndex index(4);
-  index.Insert(1, BBox::FromPoint({0.1, 0.1}));
-  index.Insert(2, BBox({0.2, 0.2}, {0.8, 0.8}));
+TEST(GridIndexTest, RepeatedBulkLoadReplacesContents) {
+  // Each load replaces the previous contents and, with auto resolution,
+  // re-picks ~sqrt(n) cells per side for the new entry count.
+  GridIndex index;
+  Rng rng(7);
+  std::vector<IndexEntry> large;
+  for (int64_t id = 0; id < 2000; ++id) {
+    large.push_back({id, BBox::FromPoint({rng.Uniform(), rng.Uniform()})});
+  }
+  const std::vector<IndexEntry> small = {
+      {1, BBox::FromPoint({0.1, 0.1})},
+      {2, BBox({0.2, 0.2}, {0.8, 0.8})}};
+  const BBox everywhere({0, 0}, {1, 1});
+
+  index.BulkLoad(small);
   EXPECT_EQ(index.size(), 2u);
+  const int small_side = index.cells_per_side();
+  EXPECT_EQ(CollectWithin(index, everywhere, 1.0),
+            (std::vector<int64_t>{1, 2}));
 
-  EXPECT_TRUE(index.Erase(2, BBox({0.2, 0.2}, {0.8, 0.8})));
-  EXPECT_EQ(index.size(), 1u);
-  EXPECT_FALSE(index.Erase(2, BBox({0.2, 0.2}, {0.8, 0.8})));
-  // Erase requires the exact inserted box.
-  EXPECT_FALSE(index.Erase(1, BBox::FromPoint({0.1, 0.2})));
-  EXPECT_EQ(CollectRadius(index, BBox({0, 0}, {1, 1}), 1.0),
-            (std::vector<int64_t>{1}));
+  index.BulkLoad(large);
+  EXPECT_EQ(index.size(), 2000u);
+  const int large_side = index.cells_per_side();
+  EXPECT_GT(large_side, small_side);
+  BruteForceIndex brute;
+  brute.BulkLoad(large);
+  const BBox query = BBox::FromPoint({0.4, 0.6});
+  EXPECT_EQ(CollectWithin(index, query, 0.15),
+            CollectWithin(brute, query, 0.15));
 
   index.BulkLoad({{5, BBox::FromPoint({0.5, 0.5})}});
   EXPECT_EQ(index.size(), 1u);
-  EXPECT_EQ(CollectRadius(index, BBox({0, 0}, {1, 1}), 1.0),
+  EXPECT_LT(index.cells_per_side(), large_side);
+  EXPECT_EQ(CollectWithin(index, everywhere, 1.0),
             (std::vector<int64_t>{5}));
-}
 
-TEST(GridIndexTest, AutoResolutionRebalancesUnderGrowth) {
-  GridIndex index;  // auto resolution, starts at 1x1
-  const int initial_side = index.cells_per_side();
-  Rng rng(7);
-  std::vector<IndexEntry> entries;
-  for (int64_t id = 0; id < 2000; ++id) {
-    const BBox box = BBox::FromPoint({rng.Uniform(), rng.Uniform()});
-    entries.push_back({id, box});
-    index.Insert(id, box);
-  }
-  EXPECT_GT(index.cells_per_side(), initial_side);
-  EXPECT_EQ(index.size(), 2000u);
-
-  // Rebalancing must not lose or duplicate entries.
-  BruteForceIndex brute;
-  brute.BulkLoad(entries);
-  const BBox query = BBox::FromPoint({0.4, 0.6});
-  EXPECT_EQ(CollectRadius(index, query, 0.15),
-            CollectRadius(brute, query, 0.15));
-
-  // Shrinking 4x past the last build rebalances downward too.
-  const int grown_side = index.cells_per_side();
-  for (int64_t id = 100; id < 2000; ++id) {
-    ASSERT_TRUE(index.Erase(id, entries[static_cast<size_t>(id)].box));
-    ASSERT_TRUE(brute.Erase(id, entries[static_cast<size_t>(id)].box));
-  }
-  EXPECT_EQ(index.size(), 100u);
-  EXPECT_LT(index.cells_per_side(), grown_side);
-  EXPECT_EQ(CollectRadius(index, query, 0.25),
-            CollectRadius(brute, query, 0.25));
+  // A fixed resolution survives every load.
+  GridIndex fixed(4);
+  fixed.BulkLoad(large);
+  fixed.BulkLoad(small);
+  EXPECT_EQ(fixed.cells_per_side(), 4);
+  EXPECT_EQ(CollectWithin(fixed, everywhere, 1.0),
+            (std::vector<int64_t>{1, 2}));
 }
 
 TEST(GridIndexTest, MatchesBruteForceOnRandomQueries) {
@@ -217,10 +222,8 @@ TEST(GridIndexTest, MatchesBruteForceOnRandomQueries) {
               : BBox::KernelBox({rng.Uniform(), rng.Uniform()},
                                 rng.Uniform(0.0, 0.3), rng.Uniform(0.0, 0.3));
       const double radius = rng.Uniform(0.0, 0.4);
-      EXPECT_EQ(CollectRadius(grid, query, radius),
-                CollectRadius(brute, query, radius))
-          << "side=" << side << " q=" << q;
-      EXPECT_EQ(CollectRect(grid, query), CollectRect(brute, query))
+      EXPECT_EQ(CollectWithin(grid, query, radius),
+                CollectWithin(brute, query, radius))
           << "side=" << side << " q=" << q;
     }
   }
@@ -265,21 +268,6 @@ TEST(QueryReachableTest, DefaultDeadlineNeverPrunes) {
             (std::vector<int64_t>{2}));
 }
 
-TEST(QueryReachableTest, StaleCellMaximaAfterEraseStaySound) {
-  // Erasing the long-deadline entry leaves the cell maxima stale (upper
-  // bounds); queries must still be exact for the remaining entries.
-  GridIndex grid(4);
-  grid.BulkLoad({{1, BBox::FromPoint({0.5, 0.5}), 10.0},
-                 {2, BBox::FromPoint({0.5, 0.5}), 0.1}});
-  ASSERT_TRUE(grid.Erase(1, BBox::FromPoint({0.5, 0.5})));
-  const BBox query = BBox::FromPoint({0.0, 0.5});
-  EXPECT_EQ(CollectReachable(grid, query, 1.0, 10.0),
-            (std::vector<int64_t>{}));  // entry 2 expires too soon
-  grid.Insert({3, BBox::FromPoint({0.5, 0.5}), 5.0});
-  EXPECT_EQ(CollectReachable(grid, query, 1.0, 10.0),
-            (std::vector<int64_t>{3}));
-}
-
 TEST(QueryReachableTest, GridMatchesBruteForceOnRandomQueries) {
   Rng rng(321);
   std::vector<IndexEntry> entries;
@@ -312,22 +300,9 @@ TEST(QueryReachableTest, GridMatchesBruteForceOnRandomQueries) {
       EXPECT_EQ(CollectReachable(grid, query, velocity, max_deadline),
                 CollectReachable(brute, query, velocity, max_deadline))
           << "side=" << side << " q=" << q;
-      // QueryReachable must be exactly the radius result minus entries
-      // ruled out by their own deadline.
-      std::vector<int64_t> expected;
-      brute.QueryRadius(
-          query, velocity * max_deadline,
-          [&](int64_t id, const BBox& box, double min_dist) {
-            const double deadline = entries[static_cast<size_t>(id)].deadline;
-            if (min_dist <= velocity * deadline ||
-                (velocity == 0.0 && min_dist == 0.0)) {
-              (void)box;
-              expected.push_back(id);
-            }
-          });
-      std::sort(expected.begin(), expected.end());
+      // And exactly the definition.
       EXPECT_EQ(CollectReachable(grid, query, velocity, max_deadline),
-                expected)
+                ReachableByDefinition(entries, query, velocity, max_deadline))
           << "side=" << side << " q=" << q;
     }
   }

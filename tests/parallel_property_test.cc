@@ -268,33 +268,30 @@ void ExpectSameSummary(const SimulationSummary& a,
   EXPECT_EQ(a.total_assigned, b.total_assigned);
 }
 
-// The full pipeline through the simulator, including the incrementally
-// maintained TaskIndexCache queried concurrently by worker ranges.
+// The full pipeline through the simulator, including the per-epoch
+// TaskIndexCache queried concurrently by worker ranges.
 TEST(ParallelSimulatorProperty, MetricsAreByteIdenticalAcrossThreads) {
   const ArrivalStream stream =
       testing_util::SmallSyntheticStream(400, 400, 5, 23);
   const RangeQualityModel quality(1.0, 2.0, 13);
 
-  for (const bool reuse_index : {true, false}) {
-    for (const AssignerKind kind :
-         {AssignerKind::kGreedy, AssignerKind::kDivideConquer}) {
-      SimulatorConfig config = testing_util::PropertySimConfig();
-      config.reuse_task_index = reuse_index;
+  for (const AssignerKind kind :
+       {AssignerKind::kGreedy, AssignerKind::kDivideConquer}) {
+    const SimulatorConfig config = testing_util::PropertySimConfig();
 
-      Simulator sequential(config, &quality);
-      auto seq_assigner = CreateAssigner(kind, {.seed = 5});
-      const auto expected = sequential.Run(stream, seq_assigner.get());
-      ASSERT_TRUE(expected.ok()) << expected.status();
+    Simulator sequential(config, &quality);
+    auto seq_assigner = CreateAssigner(kind, {.seed = 5});
+    const auto expected = sequential.Run(stream, seq_assigner.get());
+    ASSERT_TRUE(expected.ok()) << expected.status();
 
-      for (const int threads : kThreadCounts) {
-        SimulatorConfig par_config = config;
-        par_config.num_threads = threads;
-        Simulator parallel(par_config, &quality);
-        auto par_assigner = CreateAssigner(kind, {.seed = 5});
-        const auto got = parallel.Run(stream, par_assigner.get());
-        ASSERT_TRUE(got.ok()) << got.status();
-        ExpectSameSummary(expected.value(), got.value());
-      }
+    for (const int threads : kThreadCounts) {
+      SimulatorConfig par_config = config;
+      par_config.num_threads = threads;
+      Simulator parallel(par_config, &quality);
+      auto par_assigner = CreateAssigner(kind, {.seed = 5});
+      const auto got = parallel.Run(stream, par_assigner.get());
+      ASSERT_TRUE(got.ok()) << got.status();
+      ExpectSameSummary(expected.value(), got.value());
     }
   }
 }

@@ -1,9 +1,9 @@
-// Unit tests for the R*-tree backend: query semantics cross-checked
-// against BruteForceIndex on uniform / Zipf / Gaussian-cluster point
-// sets, incremental Insert/Erase vs a from-scratch rebuild, degenerate
-// inputs (empty tree, single entry, all points identical), structural
-// invariants (fan-out bounds, covering boxes, subtree deadline maxima),
-// and deadline-aware QueryReachable pruning.
+// Unit tests for the packed R-tree backend: query semantics
+// cross-checked against BruteForceIndex on uniform / Zipf /
+// Gaussian-cluster point sets, degenerate inputs (empty tree, single
+// entry, all points identical), repeated BulkLoads into the retained
+// arena (height, fan-out clamp), and deadline-aware QueryReachable
+// pruning.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,26 +20,6 @@
 namespace mqa {
 namespace {
 
-std::vector<int64_t> CollectRadius(const SpatialIndex& index, const BBox& query,
-                                   double radius) {
-  std::vector<int64_t> ids;
-  index.QueryRadius(query, radius,
-                    [&](int64_t id, const BBox& box, double min_dist) {
-                      // Exact min-distance, not a bound.
-                      EXPECT_EQ(min_dist, query.MinDistance(box));
-                      ids.push_back(id);
-                    });
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-std::vector<int64_t> CollectRect(const SpatialIndex& index, const BBox& rect) {
-  std::vector<int64_t> ids;
-  index.QueryRect(rect, [&](int64_t id, const BBox&) { ids.push_back(id); });
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 std::vector<int64_t> CollectReachable(const SpatialIndex& index,
                                       const BBox& query, double velocity,
                                       double max_deadline) {
@@ -51,6 +31,13 @@ std::vector<int64_t> CollectReachable(const SpatialIndex& index,
                        });
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+/// A plain radius query: velocity 1 and max_deadline = radius over
+/// entries with the default (infinite) deadline.
+std::vector<int64_t> CollectWithin(const SpatialIndex& index, const BBox& query,
+                                   double radius) {
+  return CollectReachable(index, query, 1.0, radius);
 }
 
 /// Point sets with a location distribution, mixed point/kernel boxes and
@@ -99,10 +86,9 @@ void ExpectSameAnswers(const SpatialIndex& rtree, const SpatialIndex& brute,
             : BBox::KernelBox({rng->Uniform(), rng->Uniform()},
                               rng->Uniform(0.0, 0.3), rng->Uniform(0.0, 0.3));
     const double radius = rng->Uniform(0.0, 0.4);
-    EXPECT_EQ(CollectRadius(rtree, query, radius),
-              CollectRadius(brute, query, radius))
+    EXPECT_EQ(CollectWithin(rtree, query, radius),
+              CollectWithin(brute, query, radius))
         << "q=" << q;
-    EXPECT_EQ(CollectRect(rtree, query), CollectRect(brute, query)) << "q=" << q;
     const double velocity = rng->Uniform(0.0, 0.6);
     const double max_deadline = rng->Uniform(0.05, 2.5);
     EXPECT_EQ(CollectReachable(rtree, query, velocity, max_deadline),
@@ -114,96 +100,68 @@ void ExpectSameAnswers(const SpatialIndex& rtree, const SpatialIndex& brute,
 TEST(RTreeIndexTest, EmptyIndexReturnsNothing) {
   RTreeIndex index;
   EXPECT_EQ(index.size(), 0u);
-  EXPECT_TRUE(CollectRadius(index, BBox::FromPoint({0.5, 0.5}), 10.0).empty());
-  EXPECT_TRUE(CollectRect(index, BBox({0, 0}, {1, 1})).empty());
-  EXPECT_TRUE(CollectReachable(index, BBox::FromPoint({0.5, 0.5}), 1.0, 10.0)
-                  .empty());
-  EXPECT_FALSE(index.Erase(1, BBox::FromPoint({0.5, 0.5})));
+  EXPECT_TRUE(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 10.0).empty());
   // BulkLoad of nothing is a legal reset.
+  index.BulkLoad({{1, BBox::FromPoint({0.5, 0.5})}});
   index.BulkLoad({});
   EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.height(), 0);
+  EXPECT_TRUE(CollectReachable(index, BBox::FromPoint({0.5, 0.5}), 1.0, 10.0)
+                  .empty());
 }
 
 TEST(RTreeIndexTest, SingleEntry) {
   RTreeIndex index;
-  index.Insert(7, BBox::FromPoint({0.25, 0.5}));
+  index.BulkLoad({{7, BBox::FromPoint({0.25, 0.5})}});
   EXPECT_EQ(index.size(), 1u);
-  EXPECT_EQ(CollectRadius(index, BBox::FromPoint({0.75, 0.5}), 0.5),
+  EXPECT_EQ(CollectWithin(index, BBox::FromPoint({0.75, 0.5}), 0.5),
             (std::vector<int64_t>{7}));
   EXPECT_TRUE(
-      CollectRadius(index, BBox::FromPoint({0.75, 0.5}), 0.5 - 1e-9).empty());
-  EXPECT_TRUE(index.Erase(7, BBox::FromPoint({0.25, 0.5})));
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_TRUE(CollectRadius(index, BBox::FromPoint({0.25, 0.5}), 1.0).empty());
+      CollectWithin(index, BBox::FromPoint({0.75, 0.5}), 0.5 - 1e-9).empty());
 }
 
 TEST(RTreeIndexTest, ZeroRadiusIsInclusive) {
   RTreeIndex index;
-  index.Insert(1, BBox::FromPoint({0.5, 0.5}));
-  index.Insert(2, BBox::FromPoint({0.5 + 1e-9, 0.5}));
-  index.Insert(3, BBox({0.4, 0.4}, {0.5, 0.5}));
-  EXPECT_EQ(CollectRadius(index, BBox::FromPoint({0.5, 0.5}), 0.0),
+  index.BulkLoad({{1, BBox::FromPoint({0.5, 0.5})},
+                  {2, BBox::FromPoint({0.5 + 1e-9, 0.5})},
+                  {3, BBox({0.4, 0.4}, {0.5, 0.5})}});
+  EXPECT_EQ(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 0.0),
             (std::vector<int64_t>{1, 3}));
 }
 
 TEST(RTreeIndexTest, AllPointsIdentical) {
-  // Every entry shares one location: splits and STR packing see nothing
-  // but ties, and must still produce a tree with every entry found once.
-  for (const bool bulk : {false, true}) {
-    RTreeIndex index(8);
-    std::vector<IndexEntry> entries;
-    for (int64_t id = 0; id < 300; ++id) {
-      entries.push_back({id, BBox::FromPoint({0.5, 0.5}), 1.0});
-    }
-    if (bulk) {
-      index.BulkLoad(entries);
-    } else {
-      for (const IndexEntry& e : entries) index.Insert(e);
-    }
-    EXPECT_EQ(index.size(), 300u);
-    std::vector<int64_t> all =
-        CollectRadius(index, BBox::FromPoint({0.5, 0.5}), 0.0);
-    ASSERT_EQ(all.size(), 300u) << "bulk=" << bulk;
-    for (int64_t id = 0; id < 300; ++id) EXPECT_EQ(all[static_cast<size_t>(id)], id);
-    // And every one can be erased again.
-    for (int64_t id = 0; id < 300; ++id) {
-      EXPECT_TRUE(index.Erase(id, BBox::FromPoint({0.5, 0.5}))) << id;
-    }
-    EXPECT_EQ(index.size(), 0u);
+  // Every entry shares one location: STR packing sees nothing but ties,
+  // and must still produce a tree with every entry found once.
+  RTreeIndex index(8);
+  std::vector<IndexEntry> entries;
+  for (int64_t id = 0; id < 300; ++id) {
+    entries.push_back({id, BBox::FromPoint({0.5, 0.5}), 1.0});
+  }
+  index.BulkLoad(entries);
+  EXPECT_EQ(index.size(), 300u);
+  const std::vector<int64_t> all =
+      CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 0.0);
+  ASSERT_EQ(all.size(), 300u);
+  for (int64_t id = 0; id < 300; ++id) {
+    EXPECT_EQ(all[static_cast<size_t>(id)], id);
   }
 }
 
 TEST(RTreeIndexTest, EntitiesOutsideUnitSquareAreFound) {
   RTreeIndex index;
-  index.Insert(1, BBox::FromPoint({1.4, 0.5}));
-  index.Insert(2, BBox::FromPoint({-0.3, -0.2}));
-  EXPECT_EQ(CollectRadius(index, BBox::FromPoint({0.9, 0.5}), 0.5),
+  index.BulkLoad({{1, BBox::FromPoint({1.4, 0.5})},
+                  {2, BBox::FromPoint({-0.3, -0.2})}});
+  EXPECT_EQ(CollectWithin(index, BBox::FromPoint({0.9, 0.5}), 0.5),
             (std::vector<int64_t>{1}));
-  EXPECT_EQ(CollectRadius(index, BBox::FromPoint({0.0, 0.0}), 0.4),
+  EXPECT_EQ(CollectWithin(index, BBox::FromPoint({0.0, 0.0}), 0.4),
             (std::vector<int64_t>{2}));
-  EXPECT_TRUE(CollectRadius(index, BBox::FromPoint({0.5, 0.5}), 0.2).empty());
-}
-
-TEST(RTreeIndexTest, EraseRequiresExactBoxAndRemovesOneCopy) {
-  RTreeIndex index;
-  index.Insert(1, BBox::FromPoint({0.1, 0.1}));
-  index.Insert(1, BBox::FromPoint({0.1, 0.1}));  // duplicate (id, box)
-  index.Insert(2, BBox({0.2, 0.2}, {0.8, 0.8}));
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_FALSE(index.Erase(1, BBox::FromPoint({0.1, 0.2})));
-  EXPECT_TRUE(index.Erase(1, BBox::FromPoint({0.1, 0.1})));
-  EXPECT_EQ(index.size(), 2u);  // one copy gone, one remains
-  EXPECT_EQ(CollectRadius(index, BBox::FromPoint({0.1, 0.1}), 0.0),
-            (std::vector<int64_t>{1}));
-  EXPECT_TRUE(index.Erase(1, BBox::FromPoint({0.1, 0.1})));
-  EXPECT_FALSE(index.Erase(1, BBox::FromPoint({0.1, 0.1})));
-  EXPECT_EQ(index.size(), 1u);
+  EXPECT_TRUE(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 0.2).empty());
 }
 
 TEST(RTreeIndexTest, MatchesBruteForceAcrossDistributions) {
-  // The semantics oracle: on uniform, Zipf and Gaussian-cluster sets,
-  // bulk-loaded and incrementally built trees answer every query class
-  // identically to the linear scan.
+  // The semantics oracle: on uniform, Zipf and Gaussian-cluster sets the
+  // packed tree answers every query identically to the linear scan,
+  // including after a reload into the retained arena.
   const struct {
     const char* name;
     SpatialDistConfig dist;
@@ -213,75 +171,18 @@ TEST(RTreeIndexTest, MatchesBruteForceAcrossDistributions) {
   for (const auto& regime : regimes) {
     for (const int fanout : {4, 16}) {
       Rng rng(1000 + fanout);
-      const std::vector<IndexEntry> entries =
-          SampleEntries(regime.dist, 600, &rng);
-      BruteForceIndex brute;
-      brute.BulkLoad(entries);
-
-      RTreeIndex bulk(fanout);
-      bulk.BulkLoad(entries);
-      SCOPED_TRACE(std::string(regime.name) + " fanout " +
-                   std::to_string(fanout));
-      ASSERT_EQ(bulk.size(), entries.size());
-      ExpectSameAnswers(bulk, brute, &rng, 100);
-
-      RTreeIndex incremental(fanout);
-      for (const IndexEntry& e : entries) incremental.Insert(e);
-      ASSERT_EQ(incremental.size(), entries.size());
-      ExpectSameAnswers(incremental, brute, &rng, 100);
-    }
-  }
-}
-
-TEST(RTreeIndexTest, InsertEraseMatchesFromScratchRebuild) {
-  // Random churn: after every batch of inserts/erases the incrementally
-  // maintained tree must answer exactly like a tree bulk-loaded from the
-  // surviving entry set (and like brute force).
-  Rng rng(77);
-  const SpatialDistConfig dist = ZipfDist();
-  RTreeIndex incremental(8);
-  std::vector<IndexEntry> live;
-  int64_t next_id = 0;
-  for (int round = 0; round < 20; ++round) {
-    // Erase a random ~30% of the live set.
-    std::vector<IndexEntry> survivors;
-    for (const IndexEntry& e : live) {
-      if (rng.Bernoulli(0.3)) {
-        ASSERT_TRUE(incremental.Erase(e.id, e.box)) << "round " << round;
-      } else {
-        survivors.push_back(e);
+      RTreeIndex rtree(fanout);
+      for (const int n : {600, 250}) {
+        const std::vector<IndexEntry> entries =
+            SampleEntries(regime.dist, n, &rng);
+        BruteForceIndex brute;
+        brute.BulkLoad(entries);
+        rtree.BulkLoad(entries);
+        SCOPED_TRACE(std::string(regime.name) + " fanout " +
+                     std::to_string(fanout) + " n " + std::to_string(n));
+        ASSERT_EQ(rtree.size(), entries.size());
+        ExpectSameAnswers(rtree, brute, &rng, 100);
       }
-    }
-    live = std::move(survivors);
-    // Insert a fresh batch.
-    const int arrivals = static_cast<int>(rng.UniformInt(20, 60));
-    for (int a = 0; a < arrivals; ++a) {
-      const Point c = SampleLocation(dist, &rng);
-      IndexEntry e{next_id++, BBox::FromPoint(c), rng.Uniform(0.1, 2.0)};
-      live.push_back(e);
-      incremental.Insert(e);
-    }
-    ASSERT_EQ(incremental.size(), live.size()) << "round " << round;
-
-    RTreeIndex rebuilt(8);
-    rebuilt.BulkLoad(live);
-    BruteForceIndex brute;
-    brute.BulkLoad(live);
-    for (int q = 0; q < 25; ++q) {
-      const BBox query = BBox::FromPoint({rng.Uniform(), rng.Uniform()});
-      const double radius = rng.Uniform(0.0, 0.3);
-      const auto expected = CollectRadius(brute, query, radius);
-      EXPECT_EQ(CollectRadius(incremental, query, radius), expected)
-          << "round " << round << " q=" << q;
-      EXPECT_EQ(CollectRadius(rebuilt, query, radius), expected)
-          << "round " << round << " q=" << q;
-      const double velocity = rng.Uniform(0.0, 0.5);
-      const double deadline = rng.Uniform(0.1, 2.0);
-      const auto reach = CollectReachable(brute, query, velocity, deadline);
-      EXPECT_EQ(CollectReachable(incremental, query, velocity, deadline), reach)
-          << "round " << round << " q=" << q;
-      EXPECT_EQ(CollectReachable(rebuilt, query, velocity, deadline), reach)
-          << "round " << round << " q=" << q;
     }
   }
 }
@@ -320,24 +221,27 @@ TEST(RTreeIndexTest, DefaultDeadlineNeverPrunes) {
 TEST(RTreeIndexTest, FanoutClampAndHeightGrowth) {
   RTreeIndex index(4);
   EXPECT_EQ(index.max_entries(), 4);
-  EXPECT_GE(index.min_entries(), 2);
   EXPECT_EQ(index.height(), 0);
   Rng rng(5);
   std::vector<IndexEntry> entries;
   for (int64_t id = 0; id < 500; ++id) {
     entries.push_back({id, BBox::FromPoint({rng.Uniform(), rng.Uniform()})});
-    index.Insert(entries.back());
   }
   // 500 entries at fan-out 4 force several internal levels.
+  index.BulkLoad(entries);
   EXPECT_GE(index.height(), 3);
-  // Erasing back down to one entry collapses the root again.
-  for (int64_t id = 0; id < 499; ++id) {
-    ASSERT_TRUE(index.Erase(id, entries[static_cast<size_t>(id)].box)) << id;
-  }
+  EXPECT_EQ(CollectWithin(index, BBox({0, 0}, {1, 1}), 0.0).size(), 500u);
+  // Reloading one entry into the same arena collapses the tree to a leaf.
+  index.BulkLoad({entries.back()});
   EXPECT_EQ(index.size(), 1u);
   EXPECT_EQ(index.height(), 0);
-  EXPECT_EQ(CollectRadius(index, entries.back().box, 0.0),
+  EXPECT_EQ(CollectWithin(index, entries.back().box, 0.0),
             (std::vector<int64_t>{499}));
+  // And growing again rebuilds the levels.
+  index.BulkLoad(entries);
+  EXPECT_GE(index.height(), 3);
+  EXPECT_EQ(CollectWithin(index, entries.front().box, 0.0),
+            (std::vector<int64_t>{0}));
 
   // Constructor clamps pathological fan-outs.
   EXPECT_EQ(RTreeIndex(1).max_entries(), 4);
@@ -347,7 +251,7 @@ TEST(RTreeIndexTest, FanoutClampAndHeightGrowth) {
 TEST(RTreeIndexTest, FactoryCreatesRTree) {
   EXPECT_STREQ(CreateSpatialIndex(IndexBackend::kRTree)->name(), "RTREE");
   EXPECT_STREQ(IndexBackendToString(IndexBackend::kRTree), "RTREE");
-  // kAuto still resolves to brute/grid only — the R*-tree is opt-in.
+  // kAuto still resolves to brute/grid only — the R-tree is opt-in.
   EXPECT_EQ(ResolveBackend(IndexBackend::kRTree, 1, 1), IndexBackend::kRTree);
   EXPECT_EQ(ResolveBackend(IndexBackend::kAuto, 1000, 1000),
             IndexBackend::kGrid);

@@ -1,10 +1,11 @@
-// The run report is the one post-mortem artifact: an mqa-run-report-v2
+// The run report is the one post-mortem artifact: an mqa-run-report-v3
 // JSON file whose epoch rows are the simulators' InstanceMetrics. These
 // tests run a small batch greedy and a small stream D&C simulation at 1
 // and 4 threads and check the written report against the summary each
 // simulator returns: one row per epoch, the same checksums, pool and
-// prediction numbers, phase times that add up to the epoch's wall time,
-// and a process footprint whose peak RSS and CPU time never decrease.
+// prediction numbers, no index object, phase times that add up to the
+// epoch's wall time, and a process footprint whose peak RSS never reads
+// below its RSS and, like CPU time, never decreases.
 
 #include <gtest/gtest.h>
 
@@ -71,9 +72,10 @@ double Number(const std::string& object, const std::string& key) {
 void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
   ASSERT_FALSE(per_epoch.empty());
   const std::string json = RunReport::Get().ToJsonString();
-  EXPECT_NE(json.find("\"schema\": \"mqa-run-report-v2\""),
+  EXPECT_NE(json.find("\"schema\": \"mqa-run-report-v3\""),
             std::string::npos);
   EXPECT_EQ(json.find("\"phases\""), std::string::npos);
+  EXPECT_EQ(json.find("\"index\":{"), std::string::npos);
 
   const std::vector<std::string> rows = EpochRows(json);
   ASSERT_EQ(rows.size(), per_epoch.size());
@@ -133,6 +135,7 @@ void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
     EXPECT_GT(rss, 0.0);
     EXPECT_GT(peak_rss, 0.0);
 #endif
+    EXPECT_GE(peak_rss, rss);
     EXPECT_GE(peak_rss, prev_peak_rss);
     EXPECT_GE(cpu, prev_cpu);
     prev_peak_rss = peak_rss;

@@ -2,7 +2,7 @@
 // ArrivalStream and the per-instance epoch policy, StreamingSimulator
 // must reproduce the batch Simulator byte-for-byte — identical assignment
 // pairs, identical quality/cost bits, identical per-instance metrics —
-// across algorithms, thread counts, rejoin, and index-cache modes.
+// across algorithms, thread counts, rejoin, prediction and workloads.
 
 #include <cstring>
 #include <vector>
@@ -28,7 +28,6 @@ struct StreamCase {
   int threads;
   bool rejoin;
   bool prediction;
-  bool reuse_task_index;
   bool checkin;
 };
 
@@ -41,7 +40,6 @@ std::string CaseName(const ::testing::TestParamInfo<StreamCase>& info) {
   name += "_t" + std::to_string(c.threads);
   name += c.rejoin ? "_rejoin" : "_replay";
   name += c.prediction ? "_WP" : "_WoP";
-  name += c.reuse_task_index ? "_reuse" : "_rebuild";
   name += c.checkin ? "_checkin" : "_synthetic";
   return name;
 }
@@ -58,7 +56,6 @@ TEST_P(StreamEquivalenceTest, PerInstancePolicyMatchesBatchByteForByte) {
   SimulatorConfig sim_config = PropertySimConfig();
   sim_config.use_prediction = c.prediction;
   sim_config.workers_rejoin = c.rejoin;
-  sim_config.reuse_task_index = c.reuse_task_index;
   sim_config.num_threads = c.threads;
 
   Simulator batch(sim_config, &quality);
@@ -136,15 +133,15 @@ TEST_P(StreamEquivalenceTest, PerInstancePolicyMatchesBatchByteForByte) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, StreamEquivalenceTest,
     ::testing::Values(
-        StreamCase{AssignerKind::kGreedy, 1, false, true, true, false},
-        StreamCase{AssignerKind::kGreedy, 4, true, true, true, false},
-        StreamCase{AssignerKind::kGreedy, 2, true, false, false, false},
-        StreamCase{AssignerKind::kGreedy, 1, true, true, true, true},
-        StreamCase{AssignerKind::kDivideConquer, 1, true, true, true, false},
-        StreamCase{AssignerKind::kDivideConquer, 4, false, true, true, false},
-        StreamCase{AssignerKind::kDivideConquer, 2, true, true, false, true},
-        StreamCase{AssignerKind::kRandom, 1, true, true, true, false},
-        StreamCase{AssignerKind::kRandom, 4, true, true, true, false}),
+        StreamCase{AssignerKind::kGreedy, 1, false, true, false},
+        StreamCase{AssignerKind::kGreedy, 4, true, true, false},
+        StreamCase{AssignerKind::kGreedy, 2, true, false, false},
+        StreamCase{AssignerKind::kGreedy, 1, true, true, true},
+        StreamCase{AssignerKind::kDivideConquer, 1, true, true, false},
+        StreamCase{AssignerKind::kDivideConquer, 4, false, true, false},
+        StreamCase{AssignerKind::kDivideConquer, 2, true, true, true},
+        StreamCase{AssignerKind::kRandom, 1, true, true, false},
+        StreamCase{AssignerKind::kRandom, 4, true, true, false}),
     CaseName);
 
 }  // namespace

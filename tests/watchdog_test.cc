@@ -3,14 +3,18 @@
 // re-arming across epochs, and the flight-recorder dump's contents
 // (per-thread open-span stacks).
 //
-// Tests drive Poll() manually on the calling thread — no background
-// thread, no sleeps, fully deterministic.
+// The fixture's tests drive Poll() manually on the calling thread — no
+// background thread, no sleeps, fully deterministic. One lifecycle test
+// runs the real poll thread on the real clock to check the poll interval
+// the watchdog derives from its deadline.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "obs/trace.h"
 #include "obs/watchdog.h"
@@ -132,6 +136,27 @@ TEST(WatchdogLifecycleTest, StartWithNonPositiveDeadlineStaysOff) {
   Watchdog::Get().ArmEpoch(0);
   EXPECT_FALSE(Watchdog::Get().PollForTesting());
   Watchdog::Get().DisarmEpoch();
+  Watchdog::Get().Stop();
+}
+
+TEST(WatchdogLifecycleTest, DefaultPollFollowsASubMillisecondDeadline) {
+  // Deadline 0.1 ms x 3: the default poll interval derives from that
+  // threshold (clamped to 1 ms), so an epoch armed for 50 ms is seen in
+  // flight and fires. A fixed 250 ms poll would sleep straight through it.
+  Tracer::Get().SetClockForTesting(nullptr);  // the real clock
+  WatchdogConfig config;
+  config.deadline_seconds = 1e-4;
+  Watchdog::Get().Start(config);
+  ASSERT_TRUE(Watchdog::Get().active());
+  // Let the poll thread run its first (idle) check before arming.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const int64_t before = Watchdog::Get().fire_count();
+  Watchdog::Get().ArmEpoch(5);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Watchdog::Get().DisarmEpoch();
+  EXPECT_EQ(Watchdog::Get().fire_count(), before + 1);
+  EXPECT_NE(Watchdog::Get().last_dump_for_testing().find("epoch 5"),
+            std::string::npos);
   Watchdog::Get().Stop();
 }
 

@@ -1,5 +1,5 @@
-// WorkerIndexCache: the incremental insert/erase maintenance across
-// epochs must answer exactly like an index rebuilt from scratch, and the
+// WorkerIndexCache: one cache reloaded every epoch must answer exactly
+// like a brute-force index over the same pool, and the
 // velocity-in-the-bound-slot convention must answer the task-centric
 // reachability question exactly.
 
@@ -49,10 +49,11 @@ TEST(WorkerIndexCacheTest, ReachabilityMatchesDefinition) {
             (std::set<int64_t>{2}));
 }
 
-TEST(WorkerIndexCacheTest, IncrementalMatchesFromScratchRebuild) {
+TEST(WorkerIndexCacheTest, ReloadedEveryEpochMatchesBruteForce) {
   Rng rng(321);
   // The live pool, evolving by churn: arrivals join, a random subset
-  // departs, survivors keep their identity and position.
+  // departs, survivors keep their identity and position. One grid cache
+  // is reloaded with it every epoch.
   std::vector<Worker> pool;
   int64_t next_id = 0;
   WorkerIndexCache cache;
@@ -72,20 +73,19 @@ TEST(WorkerIndexCacheTest, IncrementalMatchesFromScratchRebuild) {
     }
 
     cache.BeginInstance(pool);
-    ASSERT_EQ(cache.size(), pool.size());
     ASSERT_EQ(cache.view()->size(), pool.size());
 
-    // From-scratch reference over the same pool with the same id
+    // Brute-force reference over the same pool with the same id
     // convention (position in the pool vector).
-    WorkerIndexCache fresh;
-    fresh.BeginInstance(pool);
+    WorkerIndexCache brute(IndexBackend::kBruteForce);
+    brute.BeginInstance(pool);
 
     for (int q = 0; q < 10; ++q) {
       const BBox query = BBox::FromPoint({rng.Uniform(), rng.Uniform()});
       const double deadline = rng.Uniform(0.0, 2.5);
-      const auto incremental = ReachableWorkers(*cache.view(), query, deadline);
-      const auto rebuilt = ReachableWorkers(*fresh.view(), query, deadline);
-      ASSERT_EQ(incremental, rebuilt)
+      const auto reloaded = ReachableWorkers(*cache.view(), query, deadline);
+      const auto scanned = ReachableWorkers(*brute.view(), query, deadline);
+      ASSERT_EQ(reloaded, scanned)
           << "epoch " << epoch << " query " << q << " diverged";
       // Both must equal the definition evaluated by brute force.
       std::set<int64_t> expected;
@@ -95,7 +95,7 @@ TEST(WorkerIndexCacheTest, IncrementalMatchesFromScratchRebuild) {
           expected.insert(static_cast<int64_t>(i));
         }
       }
-      ASSERT_EQ(incremental, expected)
+      ASSERT_EQ(reloaded, expected)
           << "epoch " << epoch << " query " << q << " wrong vs definition";
     }
   }
