@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "obs/perf_counters.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
@@ -129,7 +128,6 @@ std::vector<VariantResult> RunAllVariants(const ArrivalStream& stream,
 void InitObservability() {
   Tracer::InitFromEnv();
   RunReport::InitFromEnv();
-  PerfCounters::InitFromEnv();
   Watchdog::InitFromEnv();
   RunReport::Get().SetConfig("bench_scale", Scale());
 }

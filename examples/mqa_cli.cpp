@@ -21,7 +21,6 @@
 
 #include "core/assigner.h"
 #include "exec/parallel_runner.h"
-#include "obs/perf_counters.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
@@ -63,7 +62,6 @@ struct CliOptions {
   bool prediction = true;
   bool rejoin = false;
   bool csv = false;
-  bool perf_counters = false;
   double watchdog_seconds = 0.0;  // 0 = off
   uint64_t seed = 42;
   int threads = 1;
@@ -179,18 +177,22 @@ void PrintUsage() {
       "  --trace=FILE (Chrome trace-event JSON of the epoch lifecycle,\n"
       "      loadable in Perfetto; see docs/OBSERVABILITY.md)\n"
       "  --run-report=FILE (the post-mortem artifact: config + git/machine\n"
-      "      provenance + per-epoch rows with phase times, pool and\n"
-      "      process numbers + counter aggregates + the metrics registry)\n"
-      "  --perf-counters (attach hardware-counter deltas to phase spans\n"
-      "      via perf_event_open; silent no-op where unavailable)\n"
+      "      provenance + per-epoch rows with phase times, pool, greedy\n"
+      "      and process numbers)\n"
       "  --watchdog=SECONDS (flight recorder: dump in-flight span stacks\n"
       "      when an epoch runs past 3x the expected seconds)\n");
 }
 
-SpatialDistribution ParseDist(const std::string& s) {
+/// Maps a --worker-dist / --task-dist value to its distribution. Any
+/// other value ends the run here with exit status 2, like an unknown
+/// flag.
+SpatialDistribution ParseDist(const char* flag, const std::string& s) {
+  if (s == "gaussian") return SpatialDistribution::kGaussian;
   if (s == "uniform") return SpatialDistribution::kUniform;
   if (s == "zipf") return SpatialDistribution::kZipf;
-  return SpatialDistribution::kGaussian;
+  std::fprintf(stderr, "invalid value for %s: '%s' (expected gaussian, "
+               "uniform or zipf)\n", flag, s.c_str());
+  std::exit(2);
 }
 
 int RunStreaming(const CliOptions& opt, const StreamingConfig& config,
@@ -310,8 +312,6 @@ int main(int argc, char** argv) {
       opt.stream = true;
     } else if (std::strcmp(a, "--csv") == 0) {
       opt.csv = true;
-    } else if (std::strcmp(a, "--perf-counters") == 0) {
-      opt.perf_counters = true;
     } else if (std::strcmp(a, "--help") == 0) {
       PrintUsage();
       return 0;
@@ -333,18 +333,19 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const SpatialDistribution worker_dist =
+      ParseDist("--worker-dist", opt.worker_dist);
+  const SpatialDistribution task_dist = ParseDist("--task-dist", opt.task_dist);
 
-  // Tracing/metrics must be live before the simulators run; the trusted
-  // contract is that enabling them never changes assignments or scores
-  // (tests/obs_property_test.cc). Counter capture and the flight
-  // recorder both ride on spans, so either implies span collection
-  // (exporting the trace still needs --trace).
-  if (!opt.trace_file.empty() || opt.perf_counters ||
-      opt.watchdog_seconds > 0.0) {
+  // Tracing must be live before the simulators run; the trusted
+  // contract is that enabling it never changes assignments or scores
+  // (tests/obs_property_test.cc). The flight recorder rides on spans, so
+  // it implies span collection (exporting the trace still needs
+  // --trace).
+  if (!opt.trace_file.empty() || opt.watchdog_seconds > 0.0) {
     Tracer::Get().Enable();
     Tracer::Get().SetCurrentThreadName("main");
   }
-  if (opt.perf_counters) PerfCounters::Get().Enable();
   if (opt.watchdog_seconds > 0.0) {
     WatchdogConfig wconfig;
     wconfig.deadline_seconds = opt.watchdog_seconds;
@@ -373,7 +374,6 @@ int main(int argc, char** argv) {
     report.SetConfig("rejoin", opt.rejoin);
     report.SetConfig("seed", static_cast<int64_t>(opt.seed));
     report.SetConfig("threads", static_cast<int64_t>(opt.threads));
-    report.SetConfig("perf_counters", opt.perf_counters);
   }
 
   ScenarioKind scenario_kind = ScenarioKind::kPaper;
@@ -420,8 +420,8 @@ int main(int argc, char** argv) {
       w.num_workers = opt.workers;
       w.num_tasks = opt.tasks;
       w.horizon = static_cast<double>(opt.instances);
-      w.worker_dist.kind = ParseDist(opt.worker_dist);
-      w.task_dist.kind = ParseDist(opt.task_dist);
+      w.worker_dist.kind = worker_dist;
+      w.task_dist.kind = task_dist;
       w.velocity_lo = opt.v_lo;
       w.velocity_hi = opt.v_hi;
       w.deadline_lo = opt.e_lo;
@@ -447,8 +447,8 @@ int main(int argc, char** argv) {
       w.num_workers = opt.workers;
       w.num_tasks = opt.tasks;
       w.num_instances = opt.instances;
-      w.worker_dist.kind = ParseDist(opt.worker_dist);
-      w.task_dist.kind = ParseDist(opt.task_dist);
+      w.worker_dist.kind = worker_dist;
+      w.task_dist.kind = task_dist;
       w.velocity_lo = opt.v_lo;
       w.velocity_hi = opt.v_hi;
       w.deadline_lo = opt.e_lo;

@@ -6,9 +6,8 @@ Checks, in order:
      (displayTimeUnit, traceEvents list).
   2. Every "X" event carries the required keys (name, cat, ph, ts, dur,
      pid, tid) with sane types and non-negative durations; when an event
-     has an args object, every key must be either the span's integer
-     payload ("v") or a known hardware-counter key with a non-negative
-     integer value (the --perf-counters surface).
+     has an args object, its only key is the span's integer payload
+     ("v").
   3. Per thread, spans nest: any two spans either don't overlap in time
      or one contains the other (a partial overlap means broken RAII
      pairing or a non-monotonic clock).
@@ -19,16 +18,16 @@ Checks, in order:
      epoch's duration — the "the trace explains where the time went"
      acceptance bar.
 
-Also validates an mqa-run-report-v3 file when given via --report:
-  - its nested metrics object has counters/gauges/histograms objects and
-    coherent histogram stats;
+Also validates an mqa-run-report-v4 file when given via --report:
   - on every epoch row, the five phases that partition the epoch
     (predict + assemble + index + pool_build + assign) are non-negative
     and add up to wall_seconds, within 5 us or 1e-3 relative;
   - every epoch row has a process object whose rss_bytes, peak_rss_bytes
     and cpu_seconds are present and non-negative, whose peak_rss_bytes is
     at least its rss_bytes, and whose peak_rss_bytes and cpu_seconds
-    never decrease from one row to the next.
+    never decrease from one row to the next;
+  - every epoch row has a greedy object whose five counts are
+    non-negative integers, with max_candidates at most candidates.
 
 Exit 0 when everything holds, 1 otherwise.
 """
@@ -45,7 +44,7 @@ EPOCH_SPAN_NAMES = ("epoch", "stream/epoch")
 # The run-report schema --report accepts, and the epoch-row phases whose
 # sum must equal the row's wall_seconds (validate, apply and the stream
 # phases run outside that clock).
-REPORT_SCHEMA = "mqa-run-report-v3"
+REPORT_SCHEMA = "mqa-run-report-v4"
 WALL_PHASES = ("predict", "assemble", "index", "pool_build", "assign")
 PHASE_SUM_ABS_TOL = 5e-6
 PHASE_SUM_REL_TOL = 1e-3
@@ -55,17 +54,9 @@ PHASE_SUM_REL_TOL = 1e-3
 PROCESS_KEYS = ("rss_bytes", "peak_rss_bytes", "cpu_seconds")
 PROCESS_MONOTONE_KEYS = ("peak_rss_bytes", "cpu_seconds")
 
-# The only keys an X event's args object may carry: the span payload and
-# the perf-counter deltas (src/obs/perf_counters.h slot order).
-ALLOWED_ARG_KEYS = (
-    "v",
-    "task_clock_ns",
-    "cycles",
-    "instructions",
-    "cache_references",
-    "cache_misses",
-    "branch_misses",
-)
+# The epoch row's greedy object: the selection loop's counts.
+GREEDY_KEYS = ("iterations", "candidates", "max_candidates",
+               "retired_pairs", "eq10_cap_hits")
 
 
 def fail(msg):
@@ -112,15 +103,12 @@ def check_events(events):
                               f"object")
             else:
                 for key, value in args.items():
-                    if key not in ALLOWED_ARG_KEYS:
+                    if key != "v":
                         errors.append(f"event {i} ({e.get('name')}): "
                                       f"unknown arg key '{key}'")
                     elif not isinstance(value, int):
                         errors.append(f"event {i} ({e.get('name')}): arg "
                                       f"'{key}' is not an integer: {value!r}")
-                    elif key != "v" and value < 0:
-                        errors.append(f"event {i} ({e.get('name')}): "
-                                      f"counter '{key}' is negative: {value}")
         by_tid.setdefault(e["tid"], []).append((ts, ts + dur, e["name"]))
     return by_tid, errors
 
@@ -184,25 +172,6 @@ def check_coverage(by_tid, min_coverage):
     return errors
 
 
-def check_metrics(doc):
-    errors = []
-    for section in ("counters", "gauges", "histograms"):
-        if not isinstance(doc.get(section), dict):
-            errors.append(f"metrics: missing '{section}' object")
-    for name, h in doc.get("histograms", {}).items():
-        if not isinstance(h, dict):
-            errors.append(f"metrics: histogram {name} is not an object")
-            continue
-        for key in ("count", "sum", "mean", "min", "max", "p50", "p90",
-                    "p99"):
-            if key not in h:
-                errors.append(f"metrics: histogram {name} missing '{key}'")
-        if h.get("count", 0) > 0 and None not in (h.get("min"), h.get("max")):
-            if h["min"] > h["max"]:
-                errors.append(f"metrics: histogram {name} min > max")
-    return errors
-
-
 def check_phase_sum(row):
     """The row's five serial phases must add up to its wall_seconds."""
     where = f"report: epoch {row.get('instance')}"
@@ -253,6 +222,26 @@ def check_process(rows):
     return errors
 
 
+def check_greedy(row):
+    """The row's greedy counts are non-negative integers, and the largest
+    candidate set is at most the summed sizes."""
+    where = f"report: epoch {row.get('instance')}"
+    greedy = row.get("greedy")
+    if not isinstance(greedy, dict):
+        return [f"{where}: missing greedy object"]
+    errors = []
+    for key in GREEDY_KEYS:
+        value = greedy.get(key)
+        if type(value) is not int or value < 0:
+            errors.append(f"{where}: greedy.{key} = {value!r}, want a "
+                          f"non-negative integer")
+    if not errors and greedy["max_candidates"] > greedy["candidates"]:
+        errors.append(f"{where}: greedy.max_candidates "
+                      f"{greedy['max_candidates']} exceeds candidates "
+                      f"{greedy['candidates']}")
+    return errors
+
+
 def check_report(path):
     """Returns (epoch_rows, errors) for an mqa run report."""
     with open(path) as f:
@@ -261,16 +250,13 @@ def check_report(path):
     if doc.get("schema") != REPORT_SCHEMA:
         errors.append(f"report: schema {doc.get('schema')!r}, expected "
                       f"{REPORT_SCHEMA!r}")
-    if isinstance(doc.get("metrics"), dict):
-        errors.extend(check_metrics(doc["metrics"]))
-    else:
-        errors.append("report: missing 'metrics' object")
     epochs = doc.get("epochs")
     if not isinstance(epochs, list):
         errors.append("report: missing 'epochs' array")
         return 0, errors
     for row in epochs:
         errors.extend(check_phase_sum(row))
+        errors.extend(check_greedy(row))
     errors.extend(check_process(epochs))
     return len(epochs), errors
 

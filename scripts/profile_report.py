@@ -9,22 +9,17 @@ For every span name the table shows:
   %epoch    self time as a share of total epoch time (sum of the
             top-level "epoch" / "stream/epoch" span durations)
   count     number of spans
-  ipc       instructions per cycle over the phase's *self* counter
-            deltas (span deltas are inclusive of children; the script
-            subtracts child deltas the same way it does for time)
-  llc_miss  cache_misses / cache_references on self deltas
-  bmpki     branch misses per kilo-instruction on self deltas
+  p50_s     per-epoch phase time quantiles from the run report: the
+  p99_s     nearest-rank p50/p99 over the epoch rows' phase_seconds
+            entry named like the span's last path component (so
+            "epoch/assign" reads phase_seconds["assign"]); "-" when no
+            row has such a phase
 
-Counter columns print "-" when the trace carries no counter args for a
-phase (no --perf-counters, or the PMU lacked the events). The run report
-contributes wall-time quantiles (p50/p99 per phase from its
-metrics.histograms["mqa.phase.<name>.self_seconds"]) and is where the
-table's config and provenance header comes from; --trace alone still
-produces the timing columns.
+The run report also supplies the table's provenance header; --trace
+alone still produces the timing columns.
 
 The closing "top self-time phases" list names the phases to optimize
-first: the biggest self-time phases, annotated with what the counters
-say dominates them.
+first: the biggest self-time phases.
 
 Usage:
   profile_report.py --trace trace.json [--report report.json] [--top N]
@@ -37,17 +32,10 @@ otherwise).
 
 import argparse
 import json
+import math
 import sys
 
 EPOCH_SPAN_NAMES = ("epoch", "stream/epoch")
-COUNTER_KEYS = (
-    "task_clock_ns",
-    "cycles",
-    "instructions",
-    "cache_references",
-    "cache_misses",
-    "branch_misses",
-)
 
 
 def load_json(path, what):
@@ -69,11 +57,11 @@ def complete_events(trace):
 
 
 def self_times(events):
-    """Computes per-span self time and self counter deltas.
+    """Computes per-span self time.
 
     Returns (per_name, epoch_total_us): per_name maps span name to a
-    dict with keys count, self_us, and one entry per counter key found;
-    epoch_total_us is the summed duration of top-level epoch spans.
+    dict with keys count and self_us; epoch_total_us is the summed
+    duration of top-level epoch spans.
     """
     by_tid = {}
     for e in events:
@@ -96,19 +84,9 @@ def self_times(events):
             rec = per_name.setdefault(name, {"count": 0, "self_us": 0.0})
             rec["count"] += 1
             rec["self_us"] += dur
-            args = e.get("args", {})
-            for key in COUNTER_KEYS:
-                if key in args:
-                    rec[key] = rec.get(key, 0) + args[key]
             if stack:
-                # Charge this span's time/counters away from the parent.
-                parent = stack[-1][1]
-                prec = per_name[parent["name"]]
-                prec["self_us"] -= dur
-                pargs = parent.get("args", {})
-                for key in COUNTER_KEYS:
-                    if key in args and key in pargs:
-                        prec[key] = prec.get(key, 0) - args[key]
+                # Charge this span's time away from the parent.
+                per_name[stack[-1][1]["name"]]["self_us"] -= dur
             else:
                 if name in EPOCH_SPAN_NAMES:
                     epoch_total_us += dur
@@ -116,10 +94,23 @@ def self_times(events):
     return per_name, epoch_total_us
 
 
-def fmt_ratio(num, den, scale=1.0, digits=2):
-    if den is None or num is None or den <= 0:
-        return "-"
-    return f"{scale * num / den:.{digits}f}"
+def nearest_rank(sorted_values, p):
+    """The smallest value with at least p% of the sample at or below it
+    (the same rule as the C++ Percentile in src/stream/stream_metrics.h).
+    """
+    rank = math.ceil(p / 100.0 * len(sorted_values))
+    return sorted_values[max(rank, 1) - 1]
+
+
+def phase_samples(report):
+    """Maps each phase_seconds key to its values over the report's rows,
+    sorted ascending."""
+    samples = {}
+    for row in (report or {}).get("epochs", []):
+        for phase, seconds in row.get("phase_seconds", {}).items():
+            if isinstance(seconds, (int, float)):
+                samples.setdefault(phase, []).append(seconds)
+    return {phase: sorted(values) for phase, values in samples.items()}
 
 
 def render(trace_path, report_path, top):
@@ -140,27 +131,18 @@ def render(trace_path, report_path, top):
     if report is not None:
         git = report.get("git", {}).get("describe", "?")
         machine = report.get("machine", {})
-        counters = report.get("perf_counters", {})
         lines.append(
             f"run: git {git} on {machine.get('host', '?')} "
             f"({machine.get('cpu_model') or machine.get('arch', '?')}, "
             f"{machine.get('cpus', '?')} cpus)"
         )
-        lines.append(
-            "perf counters: "
-            + (
-                "active"
-                if counters.get("enabled") and counters.get("available")
-                else "inactive (wall time only)"
-            )
-        )
         lines.append("")
 
-    histograms = (report or {}).get("metrics", {}).get("histograms", {})
+    phases = phase_samples(report)
 
     header = (
         f"{'phase':<26} {'count':>7} {'self_s':>10} {'%epoch':>7} "
-        f"{'ipc':>6} {'llc_miss':>8} {'bmpki':>6} {'p50_s':>9} {'p99_s':>9}"
+        f"{'p50_s':>9} {'p99_s':>9}"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -171,22 +153,12 @@ def render(trace_path, report_path, top):
     for name, rec in ranked[:top]:
         self_s = rec["self_us"] / 1e6
         pct = 100.0 * rec["self_us"] / epoch_us
-        ipc = fmt_ratio(rec.get("instructions"), rec.get("cycles"))
-        llc = fmt_ratio(
-            rec.get("cache_misses"), rec.get("cache_references"), 100.0, 1
-        )
-        llc = llc if llc == "-" else llc + "%"
-        bmpki = fmt_ratio(
-            rec.get("branch_misses"), rec.get("instructions"), 1000.0
-        )
-        # Bare phase name as recorded in mqa.phase.<name>.self_seconds.
-        bare = name.split("/")[-1]
-        ph = histograms.get(f"mqa.phase.{bare}.self_seconds", {})
-        p50 = f"{ph['p50']:.6f}" if "p50" in ph else "-"
-        p99 = f"{ph['p99']:.6f}" if "p99" in ph else "-"
+        values = phases.get(name.split("/")[-1])
+        p50 = f"{nearest_rank(values, 50):.6f}" if values else "-"
+        p99 = f"{nearest_rank(values, 99):.6f}" if values else "-"
         lines.append(
             f"{name:<26} {rec['count']:>7} {self_s:>10.6f} {pct:>6.1f}% "
-            f"{ipc:>6} {llc:>8} {bmpki:>6} {p50:>9} {p99:>9}"
+            f"{p50:>9} {p99:>9}"
         )
 
     # Top self-time phases: the biggest ones that are real work
@@ -200,27 +172,9 @@ def render(trace_path, report_path, top):
         if name not in EPOCH_SPAN_NAMES
     ][:3]
     for rank, (name, rec) in enumerate(targets, 1):
-        notes = []
-        ipc_v = None
-        if rec.get("cycles"):
-            ipc_v = rec.get("instructions", 0) / rec["cycles"]
-            notes.append(f"ipc {ipc_v:.2f}")
-            if ipc_v < 1.0:
-                notes.append("stall-bound")
-        if rec.get("cache_references"):
-            miss = rec.get("cache_misses", 0) / rec["cache_references"]
-            notes.append(f"llc miss {100 * miss:.1f}%")
-            if miss > 0.3:
-                notes.append("memory-bound: consider blocking/SoA")
-        if rec.get("instructions"):
-            bm = 1000.0 * rec.get("branch_misses", 0) / rec["instructions"]
-            notes.append(f"bmpki {bm:.2f}")
-            if bm > 10.0:
-                notes.append("branchy: consider predication/sorting")
-        note = "; ".join(notes) if notes else "no counter data"
         lines.append(
             f"  {rank}. {name}  self {rec['self_us'] / 1e6:.6f} s "
-            f"({100.0 * rec['self_us'] / epoch_us:.1f}% of epoch) — {note}"
+            f"({100.0 * rec['self_us'] / epoch_us:.1f}% of epoch)"
         )
     return "\n".join(lines) + "\n"
 

@@ -42,16 +42,17 @@ bool WithinBudgetUpperBound(const PairPool& pool,
 
 // Recursive MQA_D&C over one subproblem. `exec` (nullable) fans the
 // subproblem solves of one level across the pool; each solve reads only
-// (instance, pool, sub) and writes its own results slot, and the merge
-// below consumes the slots in decomposition order on this thread — so the
-// selection is byte-identical to the sequential loop for any thread
-// count. Nested levels may fan out too: ThreadPool::ParallelFor composes
-// (the caller always drains its own items).
+// (instance, pool, sub) and writes its own results and stats slots, and
+// the merge below consumes the slots in decomposition order on this
+// thread — so the selection and the counts added to `stats` are
+// byte-identical to the sequential loop for any thread count. Nested
+// levels may fan out too: ThreadPool::ParallelFor composes (the caller
+// always drains its own items).
 std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
                                     const PairPool& pool,
                                     const Subproblem& problem, double delta,
                                     int branching, int depth,
-                                    ThreadPool* exec) {
+                                    ThreadPool* exec, GreedyStats* stats) {
   MQA_CHECK(depth < 64) << "divide-and-conquer recursion too deep";
   // Spans only for nodes big enough to fan out — the same threshold as
   // the parallel schedule, so leaf-sized nodes stay span-free.
@@ -61,7 +62,8 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
   if (problem.num_tasks() == 1) {
     // Leaf: pick the best worker for the single task greedily (Fig. 9
     // line 8).
-    return GreedySelect(pool, problem.pair_ids, instance.budget(), delta);
+    return GreedySelect(pool, problem.pair_ids, instance.budget(), delta,
+                        stats);
   }
 
   const int g =
@@ -73,13 +75,16 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
       DecomposeTasks(instance, pool, problem.task_indices, g);
 
   std::vector<std::vector<int32_t>> results(subproblems.size());
+  std::vector<GreedyStats> sub_stats(subproblems.size());
   const auto solve_one = [&](int64_t k) {
     const Subproblem& sub = subproblems[static_cast<size_t>(k)];
+    GreedyStats* slot = &sub_stats[static_cast<size_t>(k)];
     results[static_cast<size_t>(k)] =
         sub.num_tasks() > 1
             ? SolveRecursive(instance, pool, sub, delta, branching, depth + 1,
-                             exec)
-            : GreedySelect(pool, sub.pair_ids, instance.budget(), delta);
+                             exec, slot)
+            : GreedySelect(pool, sub.pair_ids, instance.budget(), delta,
+                           slot);
   };
   if (exec != nullptr && subproblems.size() > 1 &&
       problem.num_tasks() >= kMinParallelTasksPerNode) {
@@ -89,6 +94,7 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
       solve_one(static_cast<int64_t>(k));
     }
   }
+  for (const GreedyStats& sub : sub_stats) stats->Add(sub);
 
   std::vector<int32_t> merged;
   {
@@ -106,7 +112,7 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
   MQA_TRACE_SPAN_IF(problem.num_tasks() >= kMinParallelTasksPerNode,
                     "dc/budget_reselect",
                     static_cast<int64_t>(merged.size()));
-  return GreedySelect(pool, merged, instance.budget(), delta);
+  return GreedySelect(pool, merged, instance.budget(), delta, stats);
 }
 
 }  // namespace
@@ -131,15 +137,17 @@ AssignmentResult RunDivideConquer(const ProblemInstance& instance,
   ThreadPool* exec = instance.thread_pool();
   if (exec != nullptr && exec->num_threads() <= 1) exec = nullptr;
 
+  GreedyStats stats;
   std::vector<int32_t> selected =
       SolveRecursive(instance, pool, root, delta, branching, /*depth=*/0,
-                     exec);
+                     exec, &stats);
 
   // The merge phase does not re-check budgets after replacements; enforce
   // the hard constraint once at the top before emitting.
   if (!WithinBudgetUpperBound(pool, selected, instance.budget())) {
-    selected = GreedySelect(pool, selected, instance.budget(), delta);
+    selected = GreedySelect(pool, selected, instance.budget(), delta, &stats);
   }
+  if (instance.greedy_stats() != nullptr) *instance.greedy_stats() = stats;
   return EmitCurrentPairs(instance, pool, selected);
 }
 

@@ -17,7 +17,9 @@ namespace mqa {
 ///   5. when the merged set's cost upper bound exceeds the budget, re-run
 ///      the greedy core restricted to the merged pairs
 ///      (MQA_Budget_Constrained_Selection).
-/// Only current-current pairs are emitted.
+/// Only current-current pairs are emitted. The counts of every greedy
+/// call (leaves and reselections) go to the instance's greedy_stats sink
+/// when one is wired.
 AssignmentResult RunDivideConquer(const ProblemInstance& instance,
                                   double delta, int branching = 0,
                                   const PairPoolOptions& pool_options = {});

@@ -5,7 +5,6 @@
 
 #include "core/budget.h"
 #include "core/selection.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mqa {
@@ -83,9 +82,18 @@ bool HasMomentTwin(const PairPool& pool, int32_t id,
 
 }  // namespace
 
+void GreedyStats::Add(const GreedyStats& other) {
+  iterations += other.iterations;
+  candidates += other.candidates;
+  max_candidates = std::max(max_candidates, other.max_candidates);
+  retired_pairs += other.retired_pairs;
+  eq10_cap_hits += other.eq10_cap_hits;
+}
+
 std::vector<int32_t> GreedySelect(const PairPool& pool,
                                   const std::vector<int32_t>& pair_ids,
-                                  double budget, double delta) {
+                                  double budget, double delta,
+                                  GreedyStats* stats) {
   // Span only above a real working set: GreedySelect is also the D&C leaf
   // solver, and a span per leaf would explode the trace.
   MQA_TRACE_SPAN_IF(pair_ids.size() >= 1024, "greedy/select",
@@ -130,12 +138,8 @@ std::vector<int32_t> GreedySelect(const PairPool& pool,
   }
   MinCostTree tree(pool, order);
 
-  // Algorithmic counters, accumulated locally and recorded once.
-  int64_t iterations = 0;
-  int64_t candidates = 0;
-  size_t max_candidates = 0;
-  int64_t retired = static_cast<int64_t>(pair_ids.size() - order.size());
-  int64_t cap_hits = 0;
+  GreedyStats counts;
+  counts.retired_pairs = static_cast<int64_t>(pair_ids.size() - order.size());
 
   std::vector<int32_t> selected;
   std::vector<int32_t> sp;
@@ -152,7 +156,7 @@ std::vector<int32_t> GreedySelect(const PairPool& pool,
       from = static_cast<size_t>(hit) + 1;
       if (dead(id)) {
         tree.Retire(static_cast<size_t>(hit));
-        ++retired;
+        ++counts.retired_pairs;
         continue;
       }
       min_cost = pool.CostMean(id);
@@ -170,21 +174,22 @@ std::vector<int32_t> GreedySelect(const PairPool& pool,
         if (tree.retired(from)) continue;
         if (dead(tie)) {
           tree.Retire(from);
-          ++retired;
+          ++counts.retired_pairs;
         } else if (!HasMomentTwin(pool, tie, sp, run_begin)) {
           sp.push_back(tie);
         }
       }
     }
     if (sp.empty()) break;
-    ++iterations;
-    candidates += static_cast<int64_t>(sp.size());
-    max_candidates = std::max(max_candidates, sp.size());
+    ++counts.iterations;
+    counts.candidates += static_cast<int64_t>(sp.size());
+    counts.max_candidates =
+        std::max(counts.max_candidates, static_cast<int64_t>(sp.size()));
 
     // Lines 11-12: Eq. 9 + Eq. 10 selection.
     bool capped = false;
     const int32_t best = SelectBestPair(pool, sp, tracker, &capped);
-    if (capped) ++cap_hits;
+    if (capped) ++counts.eq10_cap_hits;
     if (best < 0) break;
 
     const PairRef chosen = pool.pair(best);
@@ -194,12 +199,7 @@ std::vector<int32_t> GreedySelect(const PairPool& pool,
     selected.push_back(best);
   }
 
-  MQA_METRIC_COUNT("mqa.greedy.iterations", iterations);
-  MQA_METRIC_COUNT("mqa.greedy.candidates", candidates);
-  MQA_METRIC_RECORD("mqa.greedy.max_candidates",
-                    static_cast<double>(max_candidates));
-  MQA_METRIC_COUNT("mqa.greedy.retired_pairs", retired);
-  MQA_METRIC_COUNT("mqa.greedy.eq10_cap_hits", cap_hits);
+  if (stats != nullptr) stats->Add(counts);
   return selected;
 }
 
@@ -229,8 +229,10 @@ AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
     all_ids[i] = static_cast<int32_t>(i);
   }
 
+  GreedyStats stats;
   const std::vector<int32_t> selected =
-      GreedySelect(pool, all_ids, instance.budget(), delta);
+      GreedySelect(pool, all_ids, instance.budget(), delta, &stats);
+  if (instance.greedy_stats() != nullptr) *instance.greedy_stats() = stats;
   return EmitCurrentPairs(instance, pool, selected);
 }
 

@@ -10,6 +10,22 @@
 
 namespace mqa {
 
+/// The work one or more GreedySelect calls did: candidate sets S_p built
+/// (iterations), their summed and largest sizes, pairs retired dead (on
+/// entry or when met in the min-cost tree), and S_p whose Eq. 10
+/// evaluation SelectBestPair truncated at its cap (core/selection.h).
+/// A pure function of the inputs, like the selections themselves.
+struct GreedyStats {
+  int64_t iterations = 0;
+  int64_t candidates = 0;
+  int64_t max_candidates = 0;
+  int64_t retired_pairs = 0;
+  int64_t eq10_cap_hits = 0;
+
+  /// Folds in another call's counts: sums, and the max of max_candidates.
+  void Add(const GreedyStats& other);
+};
+
 /// The greedy selection loop shared by MQA_Greedy (paper Fig. 5), the
 /// divide-and-conquer leaf case, and MQA_Budget_Constrained_Selection
 /// (paper Fig. 9 lines 17-28), run with fresh state: no worker or task
@@ -26,10 +42,12 @@ namespace mqa {
 /// tree over that order yields each S_p in O(|S_p| log n). Dead pairs are
 /// retired from the tree as they are met. The selections are identical to
 /// rebuilding S_p from every alive pair each iteration
-/// (tests/greedy_property_test.cc).
+/// (tests/greedy_property_test.cc). When `stats` is non-null the call's
+/// counts are added to it.
 std::vector<int32_t> GreedySelect(const PairPool& pool,
                                   const std::vector<int32_t>& pair_ids,
-                                  double budget, double delta);
+                                  double budget, double delta,
+                                  GreedyStats* stats = nullptr);
 
 /// Converts selected pool pairs into an AssignmentResult, keeping only
 /// current-current pairs (paper Fig. 5 line 14) and accumulating their
@@ -43,7 +61,8 @@ AssignmentResult EmitCurrentPairs(const ProblemInstance& instance,
 /// B, Eq. 9 confidence `delta`), and emit the current-current pairs.
 /// `pool_options.include_predicted` is overridden to true; the remaining
 /// fields pick the fallback index backend and eager statistics (see
-/// valid_pairs.h).
+/// valid_pairs.h). The selection loop's counts go to the instance's
+/// greedy_stats sink when one is wired.
 AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
                            const PairPoolOptions& pool_options = {});
 

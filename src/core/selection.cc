@@ -26,7 +26,8 @@ int32_t SelectBestPair(const PairPool& pool,
   // does not bind: the largest S_p is 17 pairs on the pbsc_bench
   // batch-greedy and batch-dc workloads and 14 on stream-rush (seed 3; at
   // most 18 at seed 11), and tests/conformance_test.cc pins the cap-hit
-  // count (mqa.greedy.eq10_cap_hits) over the conformance corpus at zero.
+  // count (the run-report rows' greedy.eq10_cap_hits) over the
+  // conformance corpus at zero.
   constexpr size_t kMaxEq10Candidates = 48;
   if (capped != nullptr) *capped = admissible.size() > kMaxEq10Candidates;
   if (admissible.empty()) return -1;

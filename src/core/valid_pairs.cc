@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "exec/pair_arena.h"
 #include "exec/thread_pool.h"
@@ -229,8 +228,6 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   result.set_build_seconds(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t_build)
                                .count());
-  MQA_METRIC_COUNT("mqa.pool.pairs_total",
-                   static_cast<int64_t>(result.size()));
   if (owned_arena != nullptr) result.AdoptArena(std::move(owned_arena));
   result.set_stats_sink(instance.pool_stats());
   if (options.eager_stats) result.MaterializeAllStats();

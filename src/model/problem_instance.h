@@ -11,6 +11,7 @@
 
 namespace mqa {
 
+struct GreedyStats;
 class PairArena;
 struct PairPoolStats;
 class QualityModel;
@@ -93,6 +94,14 @@ class ProblemInstance {
   PairPoolStats* pool_stats() const { return pool_stats_; }
   void set_pool_stats(PairPoolStats* stats) { pool_stats_ = stats; }
 
+  /// Optional sink for the greedy selection loop's counts (see
+  /// core/greedy.h). RunGreedy and RunDivideConquer overwrite it with
+  /// the totals of every GreedySelect call they made on this instance;
+  /// other assigners leave it untouched. Non-owning; the simulator wires
+  /// this into its per-epoch metrics.
+  GreedyStats* greedy_stats() const { return greedy_stats_; }
+  void set_greedy_stats(GreedyStats* stats) { greedy_stats_ = stats; }
+
   /// Unit price C per distance unit (paper Section II-C).
   double unit_price() const { return unit_price_; }
 
@@ -127,6 +136,7 @@ class ProblemInstance {
   ThreadPool* thread_pool_ = nullptr;
   PairArena* pair_arena_ = nullptr;
   PairPoolStats* pool_stats_ = nullptr;
+  GreedyStats* greedy_stats_ = nullptr;
   double unit_price_ = 1.0;
   double budget_ = 0.0;
 };

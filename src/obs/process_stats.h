@@ -5,10 +5,10 @@
 
 namespace mqa {
 
-/// Point-in-time view of the process itself — the part of a run-report
-/// epoch row the metrics registry cannot provide. Fields read 0
-/// where the platform offers no cheap answer (non-Linux /proc, failed
-/// getrusage); consumers must treat 0 as "unknown", not "idle".
+/// Point-in-time view of the process itself — a run-report epoch row's
+/// `process` object. Fields read 0 where the platform offers no cheap
+/// answer (non-Linux /proc, failed getrusage); consumers must treat 0 as
+/// "unknown", not "idle".
 struct ProcessStats {
   /// Current resident set size, from /proc/self/statm (Linux). 0 when
   /// unreadable.

@@ -8,9 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/perf_counters.h"
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/utsname.h>
 #include <unistd.h>
@@ -114,55 +111,6 @@ void WriteMachineObject(std::ostream& out) {
       << ",\"page_size\":" << (page_size > 0 ? page_size : 0) << "}";
 }
 
-void WritePerfCountersObject(std::ostream& out) {
-  PerfCounters& counters = PerfCounters::Get();
-  const PerfSample totals = counters.totals();
-  out << "{\"enabled\":" << (counters.enabled() ? "true" : "false")
-      << ",\"available\":" << (counters.available() ? "true" : "false")
-      << ",\"totals\":{";
-  bool first = true;
-  for (int slot = 0; slot < kNumPerfCounters; ++slot) {
-    if ((totals.mask & (1u << slot)) == 0) continue;
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << PerfCounterName(slot) << "\":" << totals.value[slot];
-  }
-  out << "},\"derived\":{";
-  // Derived rates, each present only when both inputs were counted.
-  const auto has = [&totals](PerfCounterKind k) {
-    return (totals.mask & (1u << static_cast<int>(k))) != 0;
-  };
-  const auto value = [&totals](PerfCounterKind k) {
-    return static_cast<double>(totals.value[static_cast<int>(k)]);
-  };
-  first = true;
-  if (has(PerfCounterKind::kCycles) && has(PerfCounterKind::kInstructions) &&
-      value(PerfCounterKind::kCycles) > 0) {
-    out << "\"ipc\":";
-    WriteDouble(out, value(PerfCounterKind::kInstructions) /
-                         value(PerfCounterKind::kCycles));
-    first = false;
-  }
-  if (has(PerfCounterKind::kCacheReferences) &&
-      has(PerfCounterKind::kCacheMisses) &&
-      value(PerfCounterKind::kCacheReferences) > 0) {
-    if (!first) out << ",";
-    out << "\"cache_miss_rate\":";
-    WriteDouble(out, value(PerfCounterKind::kCacheMisses) /
-                         value(PerfCounterKind::kCacheReferences));
-    first = false;
-  }
-  if (has(PerfCounterKind::kBranchMisses) &&
-      has(PerfCounterKind::kInstructions) &&
-      value(PerfCounterKind::kInstructions) > 0) {
-    if (!first) out << ",";
-    out << "\"branch_miss_per_kilo_instruction\":";
-    WriteDouble(out, 1000.0 * value(PerfCounterKind::kBranchMisses) /
-                         value(PerfCounterKind::kInstructions));
-  }
-  out << "}}";
-}
-
 void WriteEpochRow(std::ostream& out, const InstanceMetrics& row) {
   char checksum[32];
   std::snprintf(checksum, sizeof(checksum), "%016llx",
@@ -207,7 +155,12 @@ void WriteEpochRow(std::ostream& out, const InstanceMetrics& row) {
       << ",\"arena_peak_bytes\":" << row.pool_arena_peak_bytes
       << ",\"lazy_skipped_fraction\":";
   WriteDouble(out, row.pool_lazy_skipped_fraction);
-  out << "},\"process\":{\"rss_bytes\":" << row.rss_bytes
+  out << "},\"greedy\":{\"iterations\":" << row.greedy_iterations
+      << ",\"candidates\":" << row.greedy_candidates
+      << ",\"max_candidates\":" << row.greedy_max_candidates
+      << ",\"retired_pairs\":" << row.greedy_retired_pairs
+      << ",\"eq10_cap_hits\":" << row.greedy_eq10_cap_hits
+      << "},\"process\":{\"rss_bytes\":" << row.rss_bytes
       << ",\"peak_rss_bytes\":" << row.peak_rss_bytes
       << ",\"cpu_seconds\":";
   WriteDouble(out, row.process_cpu_seconds);
@@ -272,7 +225,7 @@ std::string RunReport::ProvenanceFragment() {
 
 void RunReport::WriteJson(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  out << "{\n  \"schema\": \"mqa-run-report-v3\",\n  \"git\": "
+  out << "{\n  \"schema\": \"mqa-run-report-v4\",\n  \"git\": "
          "{\"describe\": ";
   WriteJsonString(out, GitDescribe());
   out << "},\n  \"machine\": ";
@@ -285,27 +238,14 @@ void RunReport::WriteJson(std::ostream& out) const {
     WriteJsonString(out, key);
     out << ": " << value;
   }
-  out << (first ? "}" : "\n  }") << ",\n  \"perf_counters\": ";
-  WritePerfCountersObject(out);
-  out << ",\n  \"epochs\": [";
+  out << (first ? "}" : "\n  }") << ",\n  \"epochs\": [";
   first = true;
   for (const InstanceMetrics& row : epochs_) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
     WriteEpochRow(out, row);
   }
-  out << (first ? "]" : "\n  ]") << ",\n  \"metrics\": ";
-  // Full registry export nested verbatim (its own WriteJson emits a
-  // complete object).
-  std::ostringstream metrics;
-  MetricsRegistry::Get().WriteJson(metrics);
-  std::string metrics_str = metrics.str();
-  while (!metrics_str.empty() &&
-         (metrics_str.back() == '\n' || metrics_str.back() == ' ')) {
-    metrics_str.pop_back();
-  }
-  out << metrics_str;
-  out << "\n}\n";
+  out << (first ? "]" : "\n  ]") << "\n}\n";
 }
 
 std::string RunReport::ToJsonString() const {

@@ -85,6 +85,19 @@ struct InstanceMetrics {
   /// skipped; 0 when the pool had no predicted pairs).
   double pool_lazy_skipped_fraction = 0.0;
 
+  /// The greedy selection loop's work this epoch (core/greedy.h,
+  /// GreedyStats), summed over every GreedySelect call the assigner made
+  /// — one for MQA_Greedy, one per D&C leaf and budget reselection:
+  /// candidate sets S_p built, their summed and largest sizes, pairs
+  /// retired dead, and S_p that Eq. 10's evaluation cap truncated.
+  /// Deterministic (the same for any thread count or backend); 0 for
+  /// assigners that never run the loop (random, exact).
+  int64_t greedy_iterations = 0;
+  int64_t greedy_candidates = 0;
+  int64_t greedy_max_candidates = 0;
+  int64_t greedy_retired_pairs = 0;
+  int64_t greedy_eq10_cap_hits = 0;
+
   /// The process as the epoch ends (obs/process_stats.h, sampled after
   /// the apply phase): resident bytes, peak resident bytes (never below
   /// rss_bytes: the larger of getrusage's peak and every RSS the runner
@@ -99,18 +112,16 @@ struct InstanceMetrics {
 
 /// The unified run artifact and the only post-mortem one: a JSON file
 /// joining everything needed to reproduce and attribute a measurement —
-/// config, git describe, machine/OS identity, one InstanceMetrics row per
-/// epoch (results, assignment checksum, phase times, pool and process
-/// numbers), counter aggregates with derived rates (IPC, miss
-/// rates), and the full metrics registry (including the mqa.phase.*
-/// histograms).
+/// config, git describe, machine/OS identity and one InstanceMetrics row
+/// per epoch (results, assignment checksum, phase times, pool, greedy
+/// and process numbers).
 /// scripts/profile_report.py joins it with a trace; check_trace.py
-/// --report validates it. Schema: "mqa-run-report-v3", documented in
+/// --report validates it. Schema: "mqa-run-report-v4", documented in
 /// docs/OBSERVABILITY.md.
 ///
-/// Write-only like the tracer and registry: recording never feeds values
-/// back into the computation, so a reporting run stays byte-identical to
-/// a bare one.
+/// Write-only like the tracer: recording never feeds values back into
+/// the computation, so a reporting run stays byte-identical to a bare
+/// one.
 class RunReport {
  public:
   static RunReport& Get();

@@ -99,9 +99,8 @@ void Tracer::SetCurrentThreadName(const std::string& name) {
   }
 }
 
-void Tracer::AppendEvent(const char* name, int64_t start_ns,
-                         int64_t duration_ns, int64_t arg,
-                         const PerfSample* perf) {
+void Tracer::AppendComplete(const char* name, int64_t start_ns,
+                            int64_t duration_ns, int64_t arg) {
   ThreadBuffer* buffer = CurrentThreadBuffer();
   Chunk* tail = buffer->tail.load(std::memory_order_relaxed);
   size_t count = tail->count.load(std::memory_order_relaxed);
@@ -119,21 +118,8 @@ void Tracer::AppendEvent(const char* name, int64_t start_ns,
   event.start_ns = start_ns;
   event.duration_ns = duration_ns;
   event.arg = arg;
-  if (perf != nullptr) {
-    event.perf_mask = perf->mask;
-    for (int slot = 0; slot < kNumPerfCounters; ++slot) {
-      event.perf[slot] = perf->value[slot];
-    }
-  } else {
-    event.perf_mask = 0;
-  }
   // Publish: readers acquire `count` and see the fully written event.
   tail->count.store(count + 1, std::memory_order_release);
-}
-
-void Tracer::AppendComplete(const char* name, int64_t start_ns,
-                            int64_t duration_ns, int64_t arg) {
-  AppendEvent(name, start_ns, duration_ns, arg, nullptr);
 }
 
 void Tracer::BeginSpan(const char* name, int64_t start_ns) {
@@ -149,17 +135,12 @@ void Tracer::BeginSpan(const char* name, int64_t start_ns) {
 }
 
 void Tracer::EndSpan(const char* name, int64_t start_ns, int64_t duration_ns,
-                     int64_t arg, const PerfSample* perf) {
-  AppendEvent(name, start_ns, duration_ns, arg, perf);
+                     int64_t arg) {
+  AppendComplete(name, start_ns, duration_ns, arg);
   ThreadBuffer* buffer = CurrentThreadBuffer();
   const int depth = buffer->open_depth.load(std::memory_order_relaxed);
   if (depth > 0) {
     buffer->open_depth.store(depth - 1, std::memory_order_release);
-    // A pop to depth 0 closes a top-level span on this thread: its delta
-    // already contains every nested span, so only it feeds the totals.
-    if (depth == 1 && perf != nullptr) {
-      PerfCounters::Get().AddToTotals(*perf);
-    }
   }
 }
 
@@ -298,20 +279,8 @@ void Tracer::WriteJson(std::ostream& out) const {
       out << ",\"dur\":";
       WriteMicros(out, event->duration_ns);
       out << ",\"pid\":1,\"tid\":" << buffer->tid;
-      if (event->arg != TraceEvent::kNoArg || event->perf_mask != 0) {
-        out << ",\"args\":{";
-        bool first_arg = true;
-        if (event->arg != TraceEvent::kNoArg) {
-          out << "\"v\":" << event->arg;
-          first_arg = false;
-        }
-        for (int slot = 0; slot < kNumPerfCounters; ++slot) {
-          if ((event->perf_mask & (1u << slot)) == 0) continue;
-          if (!first_arg) out << ",";
-          first_arg = false;
-          out << "\"" << PerfCounterName(slot) << "\":" << event->perf[slot];
-        }
-        out << "}";
+      if (event->arg != TraceEvent::kNoArg) {
+        out << ",\"args\":{\"v\":" << event->arg << "}";
       }
       out << "}";
     }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/perf_counters.h"
 
 namespace mqa {
 
@@ -25,13 +24,6 @@ struct TraceEvent {
   /// Optional integer payload (kNoArg = none), e.g. the epoch index or a
   /// worker-range index; exported as "args":{"v":N}.
   int64_t arg = kNoArg;
-
-  /// Hardware-counter deltas over the span (--perf-counters): slot i is
-  /// valid when perf_mask bit i is set, exported as additional arg keys
-  /// ("cycles", "instructions", ... — see obs/perf_counters.h). Guarded
-  /// by perf_mask, so the slots need no initializer.
-  uint64_t perf[kNumPerfCounters];
-  uint8_t perf_mask = 0;
 
   static constexpr int64_t kNoArg = INT64_MIN;
 };
@@ -100,12 +92,10 @@ class Tracer {
   /// Span open/close bracket used by TraceSpan. BeginSpan pushes the
   /// span onto the calling thread's open-span stack (the flight
   /// recorder's view of what is in flight right now); EndSpan appends
-  /// the finished event — with counter deltas when `perf` is non-null —
-  /// pops the stack, and folds the deltas of top-level spans into
-  /// PerfCounters totals (nested phase spans never double-count).
+  /// the finished event and pops the stack.
   void BeginSpan(const char* name, int64_t start_ns);
   void EndSpan(const char* name, int64_t start_ns, int64_t duration_ns,
-               int64_t arg, const PerfSample* perf);
+               int64_t arg);
 
   /// Flight-recorder dump: every registered thread's stack of in-flight
   /// spans (name, elapsed time), deepest last. Safe to call from any
@@ -188,8 +178,6 @@ class Tracer {
   ~Tracer() = delete;  // intentionally leaked (threads may outlive main)
 
   ThreadBuffer* CurrentThreadBuffer();
-  void AppendEvent(const char* name, int64_t start_ns, int64_t duration_ns,
-                   int64_t arg, const PerfSample* perf);
 
   std::atomic<bool> enabled_{false};
   std::atomic<ClockFn> test_clock_{nullptr};
@@ -202,9 +190,7 @@ class Tracer {
 };
 
 /// RAII span: records [construction, destruction) on the calling thread's
-/// track when the tracer was enabled at construction. With PerfCounters
-/// active, additionally reads the thread's hardware-counter group at both
-/// ends and attaches the deltas to the recorded event.
+/// track when the tracer was enabled at construction.
 class TraceSpan {
  public:
   /// A null `name` records nothing (the MQA_TRACE_SPAN_IF gate).
@@ -215,25 +201,12 @@ class TraceSpan {
       arg_ = arg;
       start_ns_ = tracer.NowNs();
       tracer.BeginSpan(name, start_ns_);
-      PerfCounters& counters = PerfCounters::Get();
-      perf_ok_ = counters.active() && counters.ReadCurrentThread(&start_perf_);
     }
   }
   ~TraceSpan() {
     if (name_ != nullptr) {
       Tracer& tracer = Tracer::Get();
-      const int64_t duration_ns = tracer.NowNs() - start_ns_;
-      PerfSample delta;
-      bool has_delta = false;
-      if (perf_ok_) {
-        PerfSample end;
-        if (PerfCounters::Get().ReadCurrentThread(&end)) {
-          delta = PerfCounters::Delta(start_perf_, end);
-          has_delta = true;
-        }
-      }
-      tracer.EndSpan(name_, start_ns_, duration_ns, arg_,
-                     has_delta ? &delta : nullptr);
+      tracer.EndSpan(name_, start_ns_, tracer.NowNs() - start_ns_, arg_);
     }
   }
 
@@ -244,8 +217,6 @@ class TraceSpan {
   const char* name_ = nullptr;
   int64_t start_ns_ = 0;
   int64_t arg_ = TraceEvent::kNoArg;
-  bool perf_ok_ = false;
-  PerfSample start_perf_;
 };
 
 }  // namespace mqa

@@ -7,9 +7,9 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "core/greedy.h"
 #include "core/pair_pool.h"
 #include "model/assignment.h"
-#include "obs/metrics.h"
 #include "obs/process_stats.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
@@ -87,7 +87,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.instance = epoch_index;
 
   MQA_TRACE_SPAN_ARG("epoch", epoch_index);
-  MQA_METRIC_COUNT("mqa.epoch.count", 1);
   // Flight recorder: a wedged epoch dumps every thread's open spans.
   Watchdog::EpochGuard watchdog_guard(epoch_index);
 
@@ -176,6 +175,8 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   instance.set_pair_arena(&pair_arena_);
   PairPoolStats pool_stats;
   instance.set_pool_stats(&pool_stats);
+  GreedyStats greedy_stats;
+  instance.set_greedy_stats(&greedy_stats);
 
   // --- Assign (line 5). ---
   {
@@ -195,6 +196,11 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.pool_arena_slabs = pool_stats.arena_slabs;
   metrics.pool_arena_peak_bytes = pool_stats.arena_peak_bytes;
   metrics.pool_lazy_skipped_fraction = pool_stats.lazy_skipped_fraction;
+  metrics.greedy_iterations = greedy_stats.iterations;
+  metrics.greedy_candidates = greedy_stats.candidates;
+  metrics.greedy_max_candidates = greedy_stats.max_candidates;
+  metrics.greedy_retired_pairs = greedy_stats.retired_pairs;
+  metrics.greedy_eq10_cap_hits = greedy_stats.eq10_cap_hits;
 
   if (config_.validate_assignments) {
     MQA_TRACE_SPAN("epoch/validate");
@@ -205,21 +211,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.quality = outcome.result.total_quality;
   metrics.cost = outcome.result.total_cost;
   metrics.assignment_checksum = AssignmentChecksum(outcome.result);
-  MQA_METRIC_COUNT("mqa.epoch.assigned_total", metrics.assigned);
-  MQA_METRIC_RECORD("mqa.epoch.wall_seconds", metrics.cpu_seconds);
-  // Per-phase self-time histograms: p50/p99 phase times without loading
-  // a trace (epoch-level phases never overlap, and assign excludes the
-  // pool build nested inside it).
-  MQA_METRIC_RECORD("mqa.phase.predict.self_seconds",
-                    metrics.predict_seconds);
-  MQA_METRIC_RECORD("mqa.phase.assemble.self_seconds",
-                    metrics.assemble_seconds);
-  MQA_METRIC_RECORD("mqa.phase.index.self_seconds", metrics.index_seconds);
-  MQA_METRIC_RECORD("mqa.phase.pool_build.self_seconds",
-                    metrics.pool_build_seconds);
-  MQA_METRIC_RECORD("mqa.phase.assign.self_seconds", metrics.assign_seconds);
-  MQA_METRIC_RECORD("mqa.phase.validate.self_seconds",
-                    metrics.validate_seconds);
 
   // --- Mark consumed entities and compute rejoins (lines 6-7). ---
   MQA_TRACE_SPAN("epoch/apply");
@@ -254,7 +245,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
     }
   }
   metrics.apply_seconds = TakePhase();
-  MQA_METRIC_RECORD("mqa.phase.apply.self_seconds", metrics.apply_seconds);
 
   // Process footprint as the epoch ends, sampled after the last lap so
   // the read stays outside wall_seconds and the phase times. getrusage's

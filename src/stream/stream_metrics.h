@@ -14,7 +14,7 @@ double Percentile(std::vector<double> values, double p);
 
 /// Why an assignment epoch fired — the "report every auto decision"
 /// signal for epoch policies. Exported per epoch (CSV fire_reason
-/// column) and counted in the metrics registry (mqa.stream.fire.*).
+/// column).
 enum class EpochFireReason {
   kGridTick = 0,     // per-instance / fixed-interval grid epoch
   kKArrivals,        // k-arrivals trigger reached

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "sim/epoch_runner.h"
@@ -300,31 +299,8 @@ class Engine {
   // Below this backlog the fan-out overhead exceeds the scan itself.
   static constexpr size_t kMinParallelBacklogTasks = 64;
 
-  /// Counts the firing decision in the registry. The metric macros cache
-  /// one handle per call site, so each reason gets its own literal name.
-  static void CountFireReason(EpochFireReason reason) {
-    switch (reason) {
-      case EpochFireReason::kGridTick:
-        MQA_METRIC_COUNT("mqa.stream.fire.grid_tick", 1);
-        break;
-      case EpochFireReason::kKArrivals:
-        MQA_METRIC_COUNT("mqa.stream.fire.k_arrivals", 1);
-        break;
-      case EpochFireReason::kBacklogThreshold:
-        MQA_METRIC_COUNT("mqa.stream.fire.backlog_threshold", 1);
-        break;
-      case EpochFireReason::kMaxInterval:
-        MQA_METRIC_COUNT("mqa.stream.fire.max_interval", 1);
-        break;
-      case EpochFireReason::kFinalFlush:
-        MQA_METRIC_COUNT("mqa.stream.fire.final_flush", 1);
-        break;
-    }
-  }
-
   Status RunOneEpoch(double t, bool predict_next, EpochFireReason reason) {
     MQA_TRACE_SPAN_ARG("stream/epoch", epoch_index_);
-    CountFireReason(reason);
     EpochStreamMetrics em;
     em.epoch_time = t;
     em.fire_reason = reason;
@@ -361,12 +337,7 @@ class Engine {
     // Stream-only phases, surfaced so batch and stream run-report rows
     // stay field-compatible.
     em.instance.ingest_seconds = ingest_seconds;
-    MQA_METRIC_RECORD("mqa.phase.ingest.self_seconds", ingest_seconds);
-    MQA_METRIC_RECORD("mqa.phase.backlog_scan.self_seconds",
-                      em.instance.backlog_scan_seconds);
     RunReport::Get().RecordEpoch(em.instance);
-    MQA_METRIC_GAUGE_SET("mqa.stream.backlog",
-                         static_cast<double>(em.backlog_before));
 
     // Queue waits of the tasks this epoch served (arrival -> assignment).
     double wait_sum = 0.0;
@@ -374,7 +345,6 @@ class Engine {
       if (!outcome.task_assigned[j]) continue;
       const double wait = t - task_arrivals_[j];
       summary_.queue_waits.push_back(wait);
-      MQA_METRIC_RECORD("mqa.stream.queue_wait", wait);
       wait_sum += wait;
     }
     if (outcome.metrics.assigned > 0) {

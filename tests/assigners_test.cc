@@ -66,6 +66,31 @@ TEST(DivideConquerTest, ExplicitBranchingFactor) {
   }
 }
 
+TEST(DivideConquerTest, CountsIncludeBudgetReselection) {
+  // Two disjoint pairs, (0,0) cost 6 quality 3.0 and (1,1) cost 5 quality
+  // 2.9, under budget 10. With g = 2 each task is a leaf: one iteration,
+  // one candidate, the pick retired on the way out. The merged pair set
+  // costs 11 > 10, so the root reselects over both: one iteration with
+  // S_p = {(0,0), (1,1)}, then both pairs retired (one used, one over
+  // budget).
+  const testing_util::MatrixQualityModel quality({{3.0, 0.0}, {0.0, 2.9}});
+  std::vector<Worker> workers = {MakeWorker(0, 0.0, 0.0, 1.0),
+                                 MakeWorker(1, 0.0, 1.0, 1.0)};
+  std::vector<Task> tasks = {MakeTask(0, 0.6, 0.0, 1.0),
+                             MakeTask(1, 0.5, 1.0, 1.0)};
+  ProblemInstance inst(std::move(workers), 2, std::move(tasks), 2, &quality,
+                       10.0, 10.0);
+  GreedyStats stats;
+  inst.set_greedy_stats(&stats);
+  const AssignmentResult result = RunDivideConquer(inst, 0.5, /*branching=*/2);
+  EXPECT_EQ(result.pairs.size(), 1u);
+  EXPECT_EQ(stats.iterations, 2 + 1);
+  EXPECT_EQ(stats.candidates, 2 + 2);
+  EXPECT_EQ(stats.max_candidates, 2);
+  EXPECT_EQ(stats.retired_pairs, 2 + 2);
+  EXPECT_EQ(stats.eq10_cap_hits, 0);
+}
+
 TEST(DivideConquerTest, EmptyInstance) {
   const RangeQualityModel quality(1.0, 2.0, 5);
   const ProblemInstance inst({}, 0, {}, 0, &quality, 1.0, 10.0);

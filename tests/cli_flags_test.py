@@ -24,6 +24,8 @@ CASES = [
     ("--threads=abc", "--threads"),
     ("--stats-port=70000", "--stats-port"),
     ("--v-lo=0.5", "--v-lo/--v-hi"),
+    ("--worker-dist=bogus", "--worker-dist"),
+    ("--task-dist=unifrom", "--task-dist"),
     ("--delta-pool", "--delta-pool"),
     ("--repair", "--repair"),
     # Folded into --run-report: its nested metrics object and epoch rows.
@@ -40,6 +42,9 @@ CASES = [
     ("--slo-deadline=1", "--slo-deadline"),
     ("--slo-backlog=1", "--slo-backlog"),
     ("--slo-window=4", "--slo-window"),
+    # The retired perf_event_open layer; the greedy loop's counts are in
+    # the run report's epoch rows.
+    ("--perf-counters", "--perf-counters"),
 ]
 
 

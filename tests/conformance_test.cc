@@ -20,6 +20,7 @@
 // scripts/import_checkins.py), copy it to tests/data/, list it in
 // kCorpus below, and rebaseline (docs/TESTING.md).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -32,7 +33,6 @@
 #include <gtest/gtest.h>
 
 #include "core/assigner.h"
-#include "obs/metrics.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
 #include "stream/streaming_simulator.h"
@@ -92,8 +92,11 @@ SimulatorConfig VariantConfig(const Variant& v) {
   return config;
 }
 
+/// The per-epoch assignment checksums of a batch run; `rows` (optional)
+/// collects the epoch rows too.
 std::vector<uint64_t> RunBatch(const ArrivalStream& stream, AssignerKind kind,
-                               const Variant& v) {
+                               const Variant& v,
+                               std::vector<InstanceMetrics>* rows = nullptr) {
   Simulator sim(VariantConfig(v), &Quality());
   auto assigner = CreateAssigner(kind, {.seed = 99});
   const auto summary = sim.Run(stream, assigner.get());
@@ -102,13 +105,16 @@ std::vector<uint64_t> RunBatch(const ArrivalStream& stream, AssignerKind kind,
   if (summary.ok()) {
     for (const InstanceMetrics& m : summary.value().per_instance) {
       checksums.push_back(m.assignment_checksum);
+      if (rows != nullptr) rows->push_back(m);
     }
   }
   return checksums;
 }
 
+/// RunBatch for a per-instance-policy stream run of `queue`.
 std::vector<uint64_t> RunStream(EventQueue queue, double horizon,
-                                AssignerKind kind, const Variant& v) {
+                                AssignerKind kind, const Variant& v,
+                                std::vector<InstanceMetrics>* rows = nullptr) {
   StreamingConfig config;
   config.sim = VariantConfig(v);
   config.sim.maintain_worker_index = true;
@@ -122,6 +128,7 @@ std::vector<uint64_t> RunStream(EventQueue queue, double horizon,
   if (summary.ok()) {
     for (const EpochStreamMetrics& e : summary.value().per_epoch) {
       checksums.push_back(e.instance.assignment_checksum);
+      if (rows != nullptr) rows->push_back(e.instance);
     }
   }
   return checksums;
@@ -261,28 +268,32 @@ TEST(SeedStabilityGoldenTest, CorpusChecksumsMatchGoldenFile) {
 // SelectBestPair evaluates Eq. 10 over at most 48 admissible candidates
 // (core/selection.cc). Over the whole corpus, through greedy and D&C in
 // batch and stream, the cap never truncates: the largest candidate set
-// S_p has 11 pairs.
+// S_p in any epoch row has 11 pairs.
 TEST(GreedyCountersTest, Eq10CapNeverBindsOnCorpus) {
-#if defined(MQA_OBS_DISABLED)
-  GTEST_SKIP() << "metrics compiled out";
-#endif
-  MetricsRegistry& registry = MetricsRegistry::Get();
-  registry.Reset();
   const Variant canonical{IndexBackend::kGrid, 1};
+  std::vector<InstanceMetrics> rows;
   for (const char* name : kCorpus) {
     const auto loaded = TraceReader::ReadFile(DataPath(name));
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     const TraceData& trace = loaded.value();
     for (const AssignerKind kind :
          {AssignerKind::kGreedy, AssignerKind::kDivideConquer}) {
-      RunBatch(trace.ToArrivalStream(), kind, canonical);
+      RunBatch(trace.ToArrivalStream(), kind, canonical, &rows);
       RunStream(EventQueue::FromScenario(trace.scenario), trace.horizon,
-                kind, canonical);
+                kind, canonical, &rows);
     }
   }
-  EXPECT_GT(registry.counter("mqa.greedy.iterations")->value(), 0);
-  EXPECT_EQ(registry.counter("mqa.greedy.eq10_cap_hits")->value(), 0);
-  EXPECT_EQ(registry.histogram("mqa.greedy.max_candidates")->max(), 11.0);
+  int64_t iterations = 0;
+  int64_t cap_hits = 0;
+  int64_t max_candidates = 0;
+  for (const InstanceMetrics& m : rows) {
+    iterations += m.greedy_iterations;
+    cap_hits += m.greedy_eq10_cap_hits;
+    max_candidates = std::max(max_candidates, m.greedy_max_candidates);
+  }
+  EXPECT_GT(iterations, 0);
+  EXPECT_EQ(cap_hits, 0);
+  EXPECT_EQ(max_candidates, 11);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Differential property test: the incremental GreedySelect (core/greedy.h)
 // returns exactly the selections of the rebuild-every-iteration reference
 // loop (tests/greedy_reference.h) on random hand-built pools, and builds
-// as many candidate sets S_p of the same summed size (its write-only
-// counters against the reference's tallies). A spurious or missing S_p
+// as many candidate sets S_p of the same summed size (its GreedyStats
+// counts against the reference's tallies). A spurious or missing S_p
 // member rarely changes the Eq. 10 winner, so the sizes are what catch
 // it. The pools are drawn to hit every pruning and tie rule: equal
 // (quality, cost) means with equal or differing variances, exact moment
@@ -20,7 +20,6 @@
 
 #include "common/rng.h"
 #include "core/greedy.h"
-#include "obs/metrics.h"
 #include "tests/greedy_reference.h"
 
 namespace mqa {
@@ -171,11 +170,7 @@ TEST(GreedyPropertyTest, IncrementalMatchesRebuildOnRandomPools) {
   constexpr int kTrials = 2000;
   constexpr double kBudgets[] = {0.5, 1.5, 3.0, 6.0, 100.0};
   constexpr double kDeltas[] = {0.1, 0.5, 0.9};
-  MetricsRegistry& registry = MetricsRegistry::Get();
-  const Counter* iterations = registry.counter("mqa.greedy.iterations");
-  const Counter* candidates = registry.counter("mqa.greedy.candidates");
-  const Counter* cap_hits = registry.counter("mqa.greedy.eq10_cap_hits");
-  const int64_t cap_hits_before = cap_hits->value();
+  int64_t cap_hits = 0;
 
   // How often each case the pools are drawn for actually came up.
   int dead_on_entry = 0;
@@ -193,17 +188,14 @@ TEST(GreedyPropertyTest, IncrementalMatchesRebuildOnRandomPools) {
 
     const testing_util::ReferenceSelection expected =
         ReferenceGreedySelect(pool, ids, budget, delta);
-    const int64_t iterations_before = iterations->value();
-    const int64_t candidates_before = candidates->value();
-    ASSERT_EQ(GreedySelect(pool, ids, budget, delta), expected.selected)
+    GreedyStats stats;
+    ASSERT_EQ(GreedySelect(pool, ids, budget, delta, &stats),
+              expected.selected)
         << "trial " << trial << ": " << ids.size() << " pairs, budget "
         << budget << ", delta " << delta;
-#if !defined(MQA_OBS_DISABLED)
-    ASSERT_EQ(iterations->value() - iterations_before, expected.iterations)
-        << "trial " << trial;
-    ASSERT_EQ(candidates->value() - candidates_before, expected.candidates)
-        << "trial " << trial;
-#endif
+    ASSERT_EQ(stats.iterations, expected.iterations) << "trial " << trial;
+    ASSERT_EQ(stats.candidates, expected.candidates) << "trial " << trial;
+    cap_hits += stats.eq10_cap_hits;
 
     const auto [tie, variance_differs] = MeanTies(pool, ids);
     mean_ties += tie;
@@ -223,10 +215,8 @@ TEST(GreedyPropertyTest, IncrementalMatchesRebuildOnRandomPools) {
   EXPECT_GT(variance_ties, kTrials / 20);
   EXPECT_GT(both_pots, kTrials / 4);
   EXPECT_GT(multi_selections, kTrials / 4);
-#if !defined(MQA_OBS_DISABLED)
-  EXPECT_GT(cap_hits->value(), cap_hits_before)
+  EXPECT_GT(cap_hits, 0)
       << "no staircase pool pushed S_p past the Eq. 10 cap";
-#endif
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ class CandidateSet {
 
 /// What the reference loop selected, and the work it saw: the number of
 /// candidate sets built and their summed sizes (GreedySelect's
-/// mqa.greedy.iterations and mqa.greedy.candidates counters).
+/// GreedyStats::iterations and GreedyStats::candidates).
 struct ReferenceSelection {
   std::vector<int32_t> selected;
   int64_t iterations = 0;

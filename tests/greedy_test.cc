@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/exact_assigner.h"
-#include "obs/metrics.h"
 #include "quality/range_quality.h"
 #include "tests/test_util.h"
 
@@ -95,32 +94,28 @@ TEST(GreedySelectTest, EmptyPool) {
 }
 
 TEST(GreedySelectTest, CountersDescribeTheWork) {
-#if defined(MQA_OBS_DISABLED)
-  GTEST_SKIP() << "metrics compiled out";
-#endif
   // Pair 2 is dead on entry (cost 50 > B = 10). Iteration 1: S_p = {0}
   // (pair 1 costs more), select 0. Iteration 2: retire 0, S_p = {1},
   // select 1. Then 1 is retired and S_p comes out empty.
   const PairPool pool = HandPool(
       3, 3, {{0, 0, 1.0, 3.0}, {1, 1, 2.0, 2.0}, {2, 2, 50.0, 9.0}});
-  MetricsRegistry& registry = MetricsRegistry::Get();
-  const auto value = [&registry](const char* name) {
-    return registry.counter(name)->value();
-  };
-  const int64_t iterations = value("mqa.greedy.iterations");
-  const int64_t candidates = value("mqa.greedy.candidates");
-  const int64_t retired = value("mqa.greedy.retired_pairs");
-  const int64_t cap_hits = value("mqa.greedy.eq10_cap_hits");
-  const int64_t calls =
-      registry.histogram("mqa.greedy.max_candidates")->count();
+  const std::vector<int32_t> ids = {0, 1, 2};
+  GreedyStats stats;
+  EXPECT_EQ(GreedySelect(pool, ids, 10.0, 0.5, &stats),
+            (std::vector<int32_t>{0, 1}));
+  EXPECT_EQ(stats.iterations, 2);
+  EXPECT_EQ(stats.candidates, 2);
+  EXPECT_EQ(stats.max_candidates, 1);
+  EXPECT_EQ(stats.retired_pairs, 3);
+  EXPECT_EQ(stats.eq10_cap_hits, 0);
 
-  EXPECT_EQ(RunGreedyOnPool(pool, 10.0), (std::vector<int32_t>{0, 1}));
-  EXPECT_EQ(value("mqa.greedy.iterations") - iterations, 2);
-  EXPECT_EQ(value("mqa.greedy.candidates") - candidates, 2);
-  EXPECT_EQ(value("mqa.greedy.retired_pairs") - retired, 3);
-  EXPECT_EQ(value("mqa.greedy.eq10_cap_hits") - cap_hits, 0);
-  EXPECT_EQ(registry.histogram("mqa.greedy.max_candidates")->count() - calls,
-            1);
+  // A second call adds its counts to the same struct.
+  EXPECT_EQ(GreedySelect(pool, ids, 10.0, 0.5, &stats),
+            (std::vector<int32_t>{0, 1}));
+  EXPECT_EQ(stats.iterations, 4);
+  EXPECT_EQ(stats.candidates, 4);
+  EXPECT_EQ(stats.max_candidates, 1);
+  EXPECT_EQ(stats.retired_pairs, 6);
 }
 
 // ----------------------------------------- the paper's running example

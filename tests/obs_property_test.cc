@@ -1,16 +1,11 @@
 // The observability hard requirement: instrumentation must be
-// write-only. A traced run (tracer enabled, spans recording, metrics
-// accumulating) must produce byte-identical assignments and scores to an
-// untraced run, across {greedy, D&C} x {1, 4} threads x batch/stream.
-// Spans only read the clock and write side buffers; if anything ever
-// feeds back into the computation, these tests catch it.
+// write-only. A traced run (tracer enabled, spans recording) must produce
+// byte-identical assignments and scores to an untraced run, across
+// {greedy, D&C} x {1, 4} threads x batch/stream. Spans only read the
+// clock and write side buffers; if anything ever feeds back into the
+// computation, these tests catch it.
 //
-// Hardware-counter capture extends the same contract: a counted run
-// (perf counters enabled — live where the kernel allows, and in the
-// forced-unavailable fallback everywhere) must also be byte-identical
-// to an uncounted run.
-//
-// The flight recorder extends it once more: a run whose watchdog fires
+// The flight recorder extends the same contract: a run whose watchdog fires
 // mid-epoch — a background thread dumping every thread's open spans
 // while the workers write them — must still be byte-identical to a bare
 // run.
@@ -22,8 +17,6 @@
 #include <vector>
 
 #include "core/assigner.h"
-#include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "quality/range_quality.h"
@@ -153,19 +146,11 @@ class ObsPropertyTest : public ::testing::TestWithParam<ObsCase> {
   void SetUp() override {
     Tracer::Get().Disable();
     Tracer::Get().Reset();
-    MetricsRegistry::Get().Reset();
-    PerfCounters::Get().Disable();
-    PerfCounters::Get().ForceUnavailableForTesting(false);
-    PerfCounters::Get().ResetForTesting();
     Watchdog::Get().Stop();
   }
   void TearDown() override {
     Tracer::Get().Disable();
     Tracer::Get().Reset();
-    MetricsRegistry::Get().Reset();
-    PerfCounters::Get().Disable();
-    PerfCounters::Get().ForceUnavailableForTesting(false);
-    PerfCounters::Get().ResetForTesting();
     Watchdog::Get().Stop();
   }
 
@@ -209,44 +194,6 @@ TEST_P(ObsPropertyTest, TracedStreamRunIsByteIdentical) {
 #endif
   EXPECT_TRUE(traced == untraced)
       << "enabling the tracer changed streaming results";
-}
-
-TEST_P(ObsPropertyTest, CountedBatchRunIsByteIdentical) {
-  const ResultFingerprint uncounted = RunBatch(GetParam());
-  Tracer::Get().Enable();
-  PerfCounters::Get().Enable();  // live capture where the kernel allows
-  const ResultFingerprint counted = RunBatch(GetParam());
-  PerfCounters::Get().Disable();
-  Tracer::Get().Disable();
-  EXPECT_TRUE(counted == uncounted)
-      << "enabling perf counters changed batch results";
-}
-
-TEST_P(ObsPropertyTest, CountedStreamRunIsByteIdentical) {
-  const ResultFingerprint uncounted = RunStream(GetParam());
-  Tracer::Get().Enable();
-  PerfCounters::Get().Enable();
-  const ResultFingerprint counted = RunStream(GetParam());
-  PerfCounters::Get().Disable();
-  Tracer::Get().Disable();
-  EXPECT_TRUE(counted == uncounted)
-      << "enabling perf counters changed streaming results";
-}
-
-TEST_P(ObsPropertyTest, CounterFallbackBatchRunIsByteIdentical) {
-  // The graceful-degradation path (no perf_event access) must be just
-  // as invisible as the live path.
-  const ResultFingerprint uncounted = RunBatch(GetParam());
-  Tracer::Get().Enable();
-  PerfCounters::Get().ForceUnavailableForTesting(true);
-  PerfCounters::Get().Enable();
-  const ResultFingerprint counted = RunBatch(GetParam());
-  EXPECT_FALSE(PerfCounters::Get().active());
-  PerfCounters::Get().Disable();
-  PerfCounters::Get().ForceUnavailableForTesting(false);
-  Tracer::Get().Disable();
-  EXPECT_TRUE(counted == uncounted)
-      << "the counters-unavailable fallback changed batch results";
 }
 
 TEST_P(ObsPropertyTest, FlightRecorderBatchRunIsByteIdentical) {

@@ -1,21 +1,16 @@
-// Unit tests for src/obs/: tracer spans under an injected clock, the
-// chunked thread-local buffers and their flush ordering, histogram
-// bucketing/quantiles, and the metrics registry's JSON export.
+// Unit tests for src/obs/: tracer spans under an injected clock, and the
+// chunked thread-local buffers and their flush ordering.
 //
-// The tracer and registry are process-wide singletons; every test that
-// touches them resets state on entry and restores the real clock /
-// disabled mode on exit so tests stay order-independent.
+// The tracer is a process-wide singleton; every test resets it on entry
+// and restores the real clock / disabled mode on exit so tests stay
+// order-independent.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
-#include <limits>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mqa {
@@ -180,189 +175,6 @@ TEST_F(TracerTest, ResetDropsEverything) {
     MQA_TRACE_SPAN("unit/reborn");
   }
   EXPECT_EQ(Tracer::Get().event_count(), 1);
-}
-
-// ---- histogram --------------------------------------------------------------
-
-TEST(HistogramTest, BucketBoundariesBracketTheValue) {
-  // Every positive value must land in a bucket whose [lower, upper)
-  // range contains it. Boundaries are 2^e * (1 + s/8), so the ratio of
-  // a bucket's bounds ranges from 9/8 (bottom of an octave) down to
-  // 16/15 (top) — the worst-case relative error is 1/kSubBuckets.
-  const double values[] = {1e-9, 0.001, 0.5,  0.999, 1.0,
-                           1.06, 7.3,   42.0, 1e6,   3.7e12};
-  for (const double v : values) {
-    const int index = Histogram::BucketIndex(v);
-    const double lo = Histogram::BucketLowerBound(index);
-    const double hi = Histogram::BucketUpperBound(index);
-    EXPECT_LE(lo, v) << "v=" << v;
-    EXPECT_LT(v, hi) << "v=" << v;
-    EXPECT_GT(hi / lo, 1.0) << "v=" << v;
-    EXPECT_LE(hi / lo, 1.0 + 1.0 / Histogram::kSubBuckets + 1e-12)
-        << "v=" << v;
-  }
-}
-
-TEST(HistogramTest, PowerOfTwoIsItsOwnLowerBound) {
-  for (const double v : {0.25, 0.5, 1.0, 2.0, 4.0, 1024.0}) {
-    EXPECT_EQ(Histogram::BucketLowerBound(Histogram::BucketIndex(v)), v);
-  }
-}
-
-TEST(HistogramTest, NonPositiveGoesToUnderflowSlot) {
-  EXPECT_EQ(Histogram::BucketIndex(0.0), 0);
-  EXPECT_EQ(Histogram::BucketIndex(-5.0), 0);
-  EXPECT_EQ(Histogram::BucketIndex(std::nan("")), 0);
-}
-
-TEST(HistogramTest, HugeValueSaturatesTopBucket) {
-  EXPECT_EQ(Histogram::BucketIndex(1e300), Histogram::kNumBuckets - 1);
-  EXPECT_EQ(Histogram::BucketIndex(
-                std::numeric_limits<double>::infinity()),
-            Histogram::kNumBuckets - 1);
-}
-
-TEST(HistogramTest, SingleValueQuantilesAreExact) {
-  Histogram h;
-  h.Record(5.0);
-  // The bucket upper bound is clamped to the observed [min, max], so a
-  // single-valued histogram reports exactly.
-  EXPECT_EQ(h.Quantile(0.0), 5.0);
-  EXPECT_EQ(h.Quantile(0.5), 5.0);
-  EXPECT_EQ(h.Quantile(1.0), 5.0);
-  EXPECT_EQ(h.min(), 5.0);
-  EXPECT_EQ(h.max(), 5.0);
-  EXPECT_EQ(h.count(), 1);
-  EXPECT_EQ(h.mean(), 5.0);
-}
-
-TEST(HistogramTest, QuantileErrorStaysWithinBucketWidth) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.Record(static_cast<double>(i));
-  EXPECT_EQ(h.count(), 100);
-  EXPECT_DOUBLE_EQ(h.sum(), 5050.0);
-  EXPECT_EQ(h.min(), 1.0);
-  EXPECT_EQ(h.max(), 100.0);
-  // Log-bucketing guarantees at most 1/kSubBuckets relative error above
-  // the true quantile (the reported value is a bucket upper bound).
-  const double p50 = h.Quantile(0.5);
-  EXPECT_GE(p50, 50.0);
-  EXPECT_LE(p50, 50.0 * (1.0 + 1.0 / Histogram::kSubBuckets));
-  const double p99 = h.Quantile(0.99);
-  EXPECT_GE(p99, 99.0);
-  EXPECT_LE(p99, 100.0);  // clamped to max
-  // Quantiles are monotone in q.
-  EXPECT_LE(h.Quantile(0.1), h.Quantile(0.5));
-  EXPECT_LE(h.Quantile(0.5), h.Quantile(0.9));
-  EXPECT_LE(h.Quantile(0.9), h.Quantile(0.99));
-}
-
-TEST(HistogramTest, QuantileIgnoresRecordingOrder) {
-  Histogram forward;
-  Histogram backward;
-  for (int i = 1; i <= 500; ++i) forward.Record(static_cast<double>(i));
-  for (int i = 500; i >= 1; --i) backward.Record(static_cast<double>(i));
-  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_EQ(forward.Quantile(q), backward.Quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(HistogramTest, UnderflowValuesStayWithinObservedRange) {
-  Histogram h;
-  h.Record(-3.0);
-  h.Record(0.0);
-  EXPECT_EQ(h.count(), 2);
-  EXPECT_EQ(h.min(), -3.0);
-  EXPECT_EQ(h.max(), 0.0);
-  const double p50 = h.Quantile(0.5);
-  EXPECT_GE(p50, -3.0);
-  EXPECT_LE(p50, 0.0);
-}
-
-TEST(HistogramTest, ClearZeroesState) {
-  Histogram h;
-  h.Record(7.0);
-  h.Clear();
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.sum(), 0.0);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 0.0);
-}
-
-// ---- registry ---------------------------------------------------------------
-
-TEST(MetricsRegistryTest, HandlesAreStableAcrossReset) {
-  MetricsRegistry& reg = MetricsRegistry::Get();
-  reg.Reset();
-  Counter* c = reg.counter("mqa.test.stable");
-  c->Add(3);
-  EXPECT_EQ(reg.counter("mqa.test.stable"), c);  // find, not create
-  EXPECT_EQ(c->value(), 3);
-  reg.Reset();
-  EXPECT_EQ(c->value(), 0);  // zeroed, same handle
-  c->Add(1);
-  EXPECT_EQ(reg.counter("mqa.test.stable")->value(), 1);
-}
-
-TEST(MetricsRegistryTest, MacrosCacheHandlesAndAccumulate) {
-  MetricsRegistry& reg = MetricsRegistry::Get();
-  reg.Reset();
-  for (int i = 0; i < 4; ++i) {
-    MQA_METRIC_COUNT("mqa.test.macro_counter", 2);
-    MQA_METRIC_GAUGE_SET("mqa.test.macro_gauge", static_cast<double>(i));
-    MQA_METRIC_RECORD("mqa.test.macro_hist", 1.5);
-  }
-#if defined(MQA_OBS_DISABLED)
-  EXPECT_EQ(reg.counter("mqa.test.macro_counter")->value(), 0);
-#else
-  EXPECT_EQ(reg.counter("mqa.test.macro_counter")->value(), 8);
-  EXPECT_EQ(reg.gauge("mqa.test.macro_gauge")->value(), 3.0);
-  EXPECT_EQ(reg.histogram("mqa.test.macro_hist")->count(), 4);
-#endif
-}
-
-TEST(MetricsRegistryTest, JsonExportContainsAllSections) {
-  MetricsRegistry& reg = MetricsRegistry::Get();
-  reg.Reset();
-  reg.counter("mqa.test.json_counter")->Add(11);
-  reg.gauge("mqa.test.json_gauge")->Set(2.5);
-  Histogram* h = reg.histogram("mqa.test.json_hist");
-  h->Record(4.0);
-  h->Record(4.0);
-  const std::string json = reg.ToJsonString();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"mqa.test.json_counter\": 11"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"mqa.test.json_gauge\": 2.5"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"mqa.test.json_hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p50\": 4"), std::string::npos) << json;
-}
-
-TEST(MetricsRegistryTest, ConcurrentCountersConverge) {
-  MetricsRegistry& reg = MetricsRegistry::Get();
-  reg.Reset();
-  constexpr int kThreads = 4;
-  constexpr int kAdds = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&reg] {
-      Counter* c = reg.counter("mqa.test.concurrent");
-      Histogram* h = reg.histogram("mqa.test.concurrent_hist");
-      for (int i = 0; i < kAdds; ++i) {
-        c->Increment();
-        h->Record(1.0);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(reg.counter("mqa.test.concurrent")->value(), kThreads * kAdds);
-  EXPECT_EQ(reg.histogram("mqa.test.concurrent_hist")->count(),
-            kThreads * kAdds);
 }
 
 }  // namespace

@@ -262,6 +262,16 @@ void ExpectSameSummary(const SimulationSummary& a,
         << "instance " << p;
     EXPECT_EQ(ma.task_prediction_error, mb.task_prediction_error)
         << "instance " << p;
+    // D&C folds its per-subproblem counts on the calling thread, so the
+    // greedy loop's counts are thread-count independent too.
+    EXPECT_EQ(ma.greedy_iterations, mb.greedy_iterations) << "instance " << p;
+    EXPECT_EQ(ma.greedy_candidates, mb.greedy_candidates) << "instance " << p;
+    EXPECT_EQ(ma.greedy_max_candidates, mb.greedy_max_candidates)
+        << "instance " << p;
+    EXPECT_EQ(ma.greedy_retired_pairs, mb.greedy_retired_pairs)
+        << "instance " << p;
+    EXPECT_EQ(ma.greedy_eq10_cap_hits, mb.greedy_eq10_cap_hits)
+        << "instance " << p;
   }
   EXPECT_EQ(a.total_quality, b.total_quality);
   EXPECT_EQ(a.total_cost, b.total_cost);

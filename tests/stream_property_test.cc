@@ -123,6 +123,14 @@ TEST_P(StreamEquivalenceTest, PerInstancePolicyMatchesBatchByteForByte) {
                           sizeof(double)),
               0)
         << "instance " << p;
+    EXPECT_EQ(x.greedy_iterations, y.greedy_iterations) << "instance " << p;
+    EXPECT_EQ(x.greedy_candidates, y.greedy_candidates) << "instance " << p;
+    EXPECT_EQ(x.greedy_max_candidates, y.greedy_max_candidates)
+        << "instance " << p;
+    EXPECT_EQ(x.greedy_retired_pairs, y.greedy_retired_pairs)
+        << "instance " << p;
+    EXPECT_EQ(x.greedy_eq10_cap_hits, y.greedy_eq10_cap_hits)
+        << "instance " << p;
     // Streaming adds the queue-side view; in per-instance mode the epoch
     // clock is the instance clock.
     EXPECT_EQ(sm[p].epoch_time, static_cast<double>(p));
