@@ -8,10 +8,9 @@
 // speedup claim in CHANGES.md is the city regime at 10k x 10k.
 //
 // The third phase measures pool *materialization* on the dense "paper"
-// regime (the post-PR-1 bottleneck): columnar build time (lazy vs eager
-// statistics), steady-state arena-reuse build time, bytes/pair and arena
-// footprint, self-checking lazy-vs-eager equality, and emits the numbers
-// as BENCH_pairpool.json.
+// regime (the post-PR-1 bottleneck): columnar build time (Case 1-3
+// statistics included), steady-state arena-reuse build time, bytes/pair
+// and arena footprint, and emits the numbers as BENCH_pairpool.json.
 //
 // The fourth phase benchmarks the raw index backends (brute/grid/rtree)
 // on the paper's Fig. 18/19 location distributions — Uniform, Zipf and
@@ -32,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/rng.h"
 #include "core/valid_pairs.h"
 #include "exec/pair_arena.h"
@@ -76,8 +74,8 @@ ProblemInstance UniformInstance(int n, double v_lo, double v_hi,
 }
 
 /// Dense paper-regime instance with `n` current workers/tasks plus 10%
-/// predicted entities — the simulator's input shape, so the lazy Cases
-/// 1-3 machinery is on the measured path.
+/// predicted entities — the simulator's input shape, so the Case 1-3
+/// statistics are on the measured path.
 ProblemInstance MixedPaperInstance(int n, const QualityModel* quality,
                                    Rng* rng) {
   const int n_pred = n / 10;
@@ -160,9 +158,8 @@ void RunRegime(const char* name, double v_lo, double v_hi,
 struct PoolPhaseResult {
   int n = 0;
   size_t pairs = 0;
-  double build_lazy_s = 0.0;    // fresh arena, lazy statistics
-  double build_eager_s = 0.0;   // fresh arena, eager statistics
-  double build_reuse_s = 0.0;   // steady state: arena reused across builds
+  double build_s = 0.0;        // fresh arena
+  double build_reuse_s = 0.0;  // steady state: arena reused across builds
   int64_t pool_bytes = 0;
   double bytes_per_pair = 0.0;
   int64_t arena_slabs = 0;
@@ -175,31 +172,21 @@ PoolPhaseResult MeasurePoolPhase(const ProblemInstance& instance, int n,
   PoolPhaseResult result;
   result.n = n;
 
-  PairPoolOptions lazy_options;
-  lazy_options.backend = IndexBackend::kGrid;
-  PairPoolOptions eager_options = lazy_options;
-  eager_options.eager_stats = true;
+  PairPoolOptions options;
+  options.backend = IndexBackend::kGrid;
 
-  result.build_lazy_s = 1e100;
-  result.build_eager_s = 1e100;
+  result.build_s = 1e100;
   for (int r = 0; r < reps; ++r) {
-    {
-      const auto start = std::chrono::steady_clock::now();
-      const PairPool pool = BuildPairPool(instance, lazy_options);
-      result.build_lazy_s = std::min(result.build_lazy_s, Now(start));
-      result.pairs = pool.size();
-      const PairPoolStats stats = pool.Stats();
-      result.pool_bytes = stats.pool_bytes;
-      result.bytes_per_pair =
-          pool.empty() ? 0.0
-                       : static_cast<double>(stats.pool_bytes) /
-                             static_cast<double>(pool.size());
-    }
-    {
-      const auto start = std::chrono::steady_clock::now();
-      const PairPool pool = BuildPairPool(instance, eager_options);
-      result.build_eager_s = std::min(result.build_eager_s, Now(start));
-    }
+    const auto start = std::chrono::steady_clock::now();
+    const PairPool pool = BuildPairPool(instance, options);
+    result.build_s = std::min(result.build_s, Now(start));
+    result.pairs = pool.size();
+    const PairPoolStats stats = pool.Stats();
+    result.pool_bytes = stats.pool_bytes;
+    result.bytes_per_pair =
+        pool.empty() ? 0.0
+                     : static_cast<double>(stats.pool_bytes) /
+                           static_cast<double>(pool.size());
   }
 
   // Steady state: one external arena reused across epochs (the simulator
@@ -212,7 +199,7 @@ PoolPhaseResult MeasurePoolPhase(const ProblemInstance& instance, int n,
   for (int r = 0; r < reps + 2; ++r) {
     arena.Reset();
     const auto start = std::chrono::steady_clock::now();
-    const PairPool pool = BuildPairPool(reuse_instance, lazy_options);
+    const PairPool pool = BuildPairPool(reuse_instance, options);
     if (r > 0) {  // skip the cold build that grows the arena
       result.build_reuse_s = std::min(result.build_reuse_s, Now(start));
     }
@@ -221,22 +208,6 @@ PoolPhaseResult MeasurePoolPhase(const ProblemInstance& instance, int n,
     result.arena_peak_bytes = stats.arena_peak_bytes;
   }
 
-  // Self-check: lazy and eager materialization must be byte-identical.
-  const PairPool lazy = BuildPairPool(instance, lazy_options);
-  const PairPool eager = BuildPairPool(instance, eager_options);
-  MQA_CHECK(lazy.size() == eager.size()) << "pool size diverged";
-  const size_t stride = lazy.size() > 10000 ? lazy.size() / 10000 : 1;
-  for (size_t k = 0; k < lazy.size(); k += stride) {
-    const CandidatePair a = lazy.GetPair(static_cast<int32_t>(k));
-    const CandidatePair b = eager.GetPair(static_cast<int32_t>(k));
-    MQA_CHECK(a.worker_index == b.worker_index &&
-              a.task_index == b.task_index &&
-              a.cost.mean() == b.cost.mean() &&
-              a.quality.mean() == b.quality.mean() &&
-              a.quality.variance() == b.quality.variance() &&
-              a.existence == b.existence)
-        << "lazy vs eager materialization diverged at pair " << k;
-  }
   return result;
 }
 
@@ -245,8 +216,8 @@ void RunPoolPhase(const std::vector<int>& sizes, int max_n) {
   std::printf(
       "\n-- pairpool materialization phase (paper regime + 10%% predicted) "
       "--\n");
-  std::printf("%8s %12s %10s %10s %10s %8s %7s %10s\n", "n", "pairs",
-              "lazy_s", "eager_s", "reuse_s", "B/pair", "slabs", "Mpairs/s");
+  std::printf("%8s %12s %10s %10s %8s %7s %10s\n", "n", "pairs",
+              "build_s", "reuse_s", "B/pair", "slabs", "Mpairs/s");
 
   std::vector<PoolPhaseResult> results;
   for (const int n : sizes) {
@@ -255,8 +226,8 @@ void RunPoolPhase(const std::vector<int>& sizes, int max_n) {
     const ProblemInstance instance = MixedPaperInstance(n, &quality, &rng);
     const PoolPhaseResult r = MeasurePoolPhase(instance, n, n <= 2000 ? 3 : 1);
     results.push_back(r);
-    std::printf("%8d %12zu %10.4f %10.4f %10.4f %8.1f %7lld %10.3f\n", r.n,
-                r.pairs, r.build_lazy_s, r.build_eager_s, r.build_reuse_s,
+    std::printf("%8d %12zu %10.4f %10.4f %8.1f %7lld %10.3f\n", r.n,
+                r.pairs, r.build_s, r.build_reuse_s,
                 r.bytes_per_pair, static_cast<long long>(r.arena_slabs),
                 static_cast<double>(r.pairs) / r.build_reuse_s / 1e6);
   }
@@ -275,12 +246,12 @@ void RunPoolPhase(const std::vector<int>& sizes, int max_n) {
     const PoolPhaseResult& r = results[i];
     std::fprintf(
         json,
-        "    {\"n\": %d, \"pairs\": %zu, \"build_lazy_seconds\": %.6f, "
-        "\"build_eager_seconds\": %.6f, \"build_reuse_seconds\": %.6f, "
+        "    {\"n\": %d, \"pairs\": %zu, \"build_seconds\": %.6f, "
+        "\"build_reuse_seconds\": %.6f, "
         "\"pool_bytes\": %lld, \"bytes_per_pair\": %.2f, "
         "\"arena_slabs\": %lld, \"arena_peak_bytes\": %lld, "
         "\"pairs_per_second_steady\": %.0f}%s\n",
-        r.n, r.pairs, r.build_lazy_s, r.build_eager_s, r.build_reuse_s,
+        r.n, r.pairs, r.build_s, r.build_reuse_s,
         static_cast<long long>(r.pool_bytes), r.bytes_per_pair,
         static_cast<long long>(r.arena_slabs),
         static_cast<long long>(r.arena_peak_bytes),

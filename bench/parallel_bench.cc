@@ -43,7 +43,7 @@ using testing_util::MakeTask;
 using testing_util::MakeWorker;
 
 // City-regime instance: n current workers/tasks plus n/10 predicted of
-// each, so the PairStatistics stage (parallelized too) participates.
+// each, so the build's sequential Case 1-3 statistics replay is timed too.
 ProblemInstance CityInstance(int n, const QualityModel* quality, Rng* rng) {
   const int pred = n / 10;
   std::vector<Worker> workers;

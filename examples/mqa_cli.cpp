@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "core/assigner.h"
 #include "exec/parallel_runner.h"
@@ -183,16 +185,28 @@ void PrintUsage() {
       "      when an epoch runs past 3x the expected seconds)\n");
 }
 
-/// Maps a --worker-dist / --task-dist value to its distribution. Any
-/// other value ends the run here with exit status 2, like an unknown
-/// flag.
-SpatialDistribution ParseDist(const char* flag, const std::string& s) {
-  if (s == "gaussian") return SpatialDistribution::kGaussian;
-  if (s == "uniform") return SpatialDistribution::kUniform;
-  if (s == "zipf") return SpatialDistribution::kZipf;
-  std::fprintf(stderr, "invalid value for %s: '%s' (expected gaussian, "
-               "uniform or zipf)\n", flag, s.c_str());
+/// Ends the run with exit status 2, like an unknown flag.
+[[noreturn]] void InvalidValue(const char* flag, const std::string& value,
+                               const std::string& expected) {
+  std::fprintf(stderr, "invalid value for %s: '%s' (expected %s)\n", flag,
+               value.c_str(), expected.c_str());
   std::exit(2);
+}
+
+/// Maps an enumerated flag's value to its choice; any other value is an
+/// InvalidValue.
+template <typename T>
+T ParseChoice(const char* flag, const std::string& value,
+              std::initializer_list<std::pair<const char*, T>> choices) {
+  std::string expected;
+  size_t k = 0;
+  for (const auto& [name, choice] : choices) {
+    if (value == name) return choice;
+    if (k > 0) expected += k + 1 < choices.size() ? ", " : " or ";
+    expected += name;
+    ++k;
+  }
+  InvalidValue(flag, value, expected);
 }
 
 int RunStreaming(const CliOptions& opt, const StreamingConfig& config,
@@ -333,9 +347,44 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // Every enumerated flag is checked before any work (or file) is done.
+  const bool checkin = ParseChoice<bool>(
+      "--workload", opt.workload, {{"synthetic", false}, {"checkin", true}});
+  const ScenarioKind scenario_kind = ParseChoice<ScenarioKind>(
+      "--scenario", opt.scenario,
+      {{"paper", ScenarioKind::kPaper},
+       {"rush-hour", ScenarioKind::kRushHour},
+       {"bursty", ScenarioKind::kBursty},
+       {"hotspot-drift", ScenarioKind::kHotspotDrift}});
+  const AssignerKind kind = ParseChoice<AssignerKind>(
+      "--algo", opt.algo,
+      {{"greedy", AssignerKind::kGreedy},
+       {"dc", AssignerKind::kDivideConquer},
+       {"random", AssignerKind::kRandom}});
+  const IndexBackend index_backend = ParseChoice<IndexBackend>(
+      "--index", opt.index,
+      {{"auto", IndexBackend::kAuto},
+       {"brute", IndexBackend::kBruteForce},
+       {"grid", IndexBackend::kGrid},
+       {"rtree", IndexBackend::kRTree}});
+  const EpochPolicyKind policy_kind = ParseChoice<EpochPolicyKind>(
+      "--epoch-policy", opt.epoch_policy,
+      {{"instance", EpochPolicyKind::kPerInstance},
+       {"interval", EpochPolicyKind::kFixedInterval},
+       {"arrivals", EpochPolicyKind::kEveryKArrivals},
+       {"backlog", EpochPolicyKind::kAdaptiveBacklog}});
+  const auto trace_format = ParseTraceFormat(opt.trace_format);
+  if (!trace_format.ok()) {
+    InvalidValue("--trace-format", opt.trace_format, "csv or binary");
+  }
+  const std::initializer_list<std::pair<const char*, SpatialDistribution>>
+      dists = {{"gaussian", SpatialDistribution::kGaussian},
+               {"uniform", SpatialDistribution::kUniform},
+               {"zipf", SpatialDistribution::kZipf}};
   const SpatialDistribution worker_dist =
-      ParseDist("--worker-dist", opt.worker_dist);
-  const SpatialDistribution task_dist = ParseDist("--task-dist", opt.task_dist);
+      ParseChoice("--worker-dist", opt.worker_dist, dists);
+  const SpatialDistribution task_dist =
+      ParseChoice("--task-dist", opt.task_dist, dists);
 
   // Tracing must be live before the simulators run; the trusted
   // contract is that enabling it never changes assignments or scores
@@ -376,15 +425,6 @@ int main(int argc, char** argv) {
     report.SetConfig("threads", static_cast<int64_t>(opt.threads));
   }
 
-  ScenarioKind scenario_kind = ScenarioKind::kPaper;
-  if (opt.scenario == "rush-hour") scenario_kind = ScenarioKind::kRushHour;
-  else if (opt.scenario == "bursty") scenario_kind = ScenarioKind::kBursty;
-  else if (opt.scenario == "hotspot-drift")
-    scenario_kind = ScenarioKind::kHotspotDrift;
-  else if (opt.scenario != "paper") {
-    std::fprintf(stderr, "unknown scenario: %s\n", opt.scenario.c_str());
-    return 2;
-  }
   const bool use_scenario = scenario_kind != ScenarioKind::kPaper;
   const bool replaying = !opt.replay_trace.empty();
 
@@ -431,7 +471,7 @@ int main(int argc, char** argv) {
       if (!opt.stream) {
         stream = ScenarioToArrivalStream(scenario, opt.instances);
       }
-    } else if (opt.workload == "checkin") {
+    } else if (checkin) {
       CheckinConfig w;
       w.num_workers = opt.workers;
       w.num_tasks = opt.tasks;
@@ -442,7 +482,7 @@ int main(int argc, char** argv) {
       w.deadline_hi = opt.e_hi;
       w.seed = opt.seed;
       stream = GenerateCheckin(w);
-    } else if (opt.workload == "synthetic") {
+    } else {
       SyntheticConfig w;
       w.num_workers = opt.workers;
       w.num_tasks = opt.tasks;
@@ -455,9 +495,6 @@ int main(int argc, char** argv) {
       w.deadline_hi = opt.e_hi;
       w.seed = opt.seed;
       stream = GenerateSynthetic(w, gen_runner.pool());
-    } else {
-      std::fprintf(stderr, "unknown workload: %s\n", opt.workload.c_str());
-      return 2;
     }
   }
 
@@ -465,41 +502,18 @@ int main(int argc, char** argv) {
   // replays, time = batch index for the per-instance generators (the
   // latter replay byte-identically through batch AND stream).
   if (!opt.record_trace.empty()) {
-    const auto format = ParseTraceFormat(opt.trace_format);
-    if (!format.ok()) {
-      std::fprintf(stderr, "--trace-format: %s\n",
-                   format.status().ToString().c_str());
-      return 2;
-    }
     TraceWriter writer(horizon);
     Status status = (use_scenario || replaying)
                         ? writer.AddScenario(scenario)
                         : writer.AddArrivalStream(stream);
     if (status.ok()) {
-      status = writer.WriteFile(opt.record_trace, format.value());
+      status = writer.WriteFile(opt.record_trace, trace_format.value());
     }
     if (!status.ok()) {
       std::fprintf(stderr, "--record-trace: %s\n",
                    status.ToString().c_str());
       return 1;
     }
-  }
-
-  AssignerKind kind = AssignerKind::kGreedy;
-  if (opt.algo == "dc") kind = AssignerKind::kDivideConquer;
-  else if (opt.algo == "random") kind = AssignerKind::kRandom;
-  else if (opt.algo != "greedy") {
-    std::fprintf(stderr, "unknown algo: %s\n", opt.algo.c_str());
-    return 2;
-  }
-
-  IndexBackend index_backend = IndexBackend::kAuto;
-  if (opt.index == "brute") index_backend = IndexBackend::kBruteForce;
-  else if (opt.index == "grid") index_backend = IndexBackend::kGrid;
-  else if (opt.index == "rtree") index_backend = IndexBackend::kRTree;
-  else if (opt.index != "auto") {
-    std::fprintf(stderr, "unknown index backend: %s\n", opt.index.c_str());
-    return 2;
   }
 
   const RangeQualityModel quality(opt.q_lo, opt.q_hi, opt.seed);
@@ -526,22 +540,20 @@ int main(int argc, char** argv) {
     sconfig.sim = config;
     sconfig.sim.maintain_worker_index = true;
     sconfig.horizon = horizon;
-    if (opt.epoch_policy == "instance") {
-      sconfig.policy.kind = EpochPolicyKind::kPerInstance;
-    } else if (opt.epoch_policy == "interval") {
-      sconfig.policy.kind = EpochPolicyKind::kFixedInterval;
-      sconfig.policy.interval = opt.epoch_interval;
-    } else if (opt.epoch_policy == "arrivals") {
-      sconfig.policy.kind = EpochPolicyKind::kEveryKArrivals;
-      sconfig.policy.k_arrivals = opt.epoch_k;
-    } else if (opt.epoch_policy == "backlog") {
-      sconfig.policy.kind = EpochPolicyKind::kAdaptiveBacklog;
-      sconfig.policy.backlog_threshold = opt.backlog_threshold;
-      sconfig.policy.max_interval = opt.max_interval;
-    } else {
-      std::fprintf(stderr, "unknown epoch policy: %s\n",
-                   opt.epoch_policy.c_str());
-      return 2;
+    sconfig.policy.kind = policy_kind;
+    switch (policy_kind) {
+      case EpochPolicyKind::kPerInstance:
+        break;
+      case EpochPolicyKind::kFixedInterval:
+        sconfig.policy.interval = opt.epoch_interval;
+        break;
+      case EpochPolicyKind::kEveryKArrivals:
+        sconfig.policy.k_arrivals = opt.epoch_k;
+        break;
+      case EpochPolicyKind::kAdaptiveBacklog:
+        sconfig.policy.backlog_threshold = opt.backlog_threshold;
+        sconfig.policy.max_interval = opt.max_interval;
+        break;
     }
     EventQueue queue;
     if (use_scenario || replaying) {

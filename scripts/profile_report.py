@@ -15,8 +15,12 @@ For every span name the table shows:
             "epoch/assign" reads phase_seconds["assign"]); "-" when no
             row has such a phase
 
-The run report also supplies the table's provenance header; --trace
-alone still produces the timing columns.
+The run report also supplies the table's provenance header and, when
+any epoch row ran the greedy selection loop, one line under the table
+summing the rows' greedy objects: iterations, the epochs that ran them,
+mean S_p (candidates per iteration), peak S_p with its epoch, retired
+pairs and Eq. 10 cap hits. --trace alone still produces the timing
+columns.
 
 The closing "top self-time phases" list names the phases to optimize
 first: the biggest self-time phases.
@@ -113,6 +117,27 @@ def phase_samples(report):
     return {phase: sorted(values) for phase, values in samples.items()}
 
 
+def greedy_summary(report):
+    """One line summing the epoch rows' greedy objects, or None when no
+    row ran the selection loop."""
+    rows = [row for row in (report or {}).get("epochs", [])
+            if row.get("greedy", {}).get("iterations", 0) > 0]
+    if not rows:
+        return None
+    iterations = sum(row["greedy"]["iterations"] for row in rows)
+    candidates = sum(row["greedy"]["candidates"] for row in rows)
+    retired = sum(row["greedy"]["retired_pairs"] for row in rows)
+    cap_hits = sum(row["greedy"]["eq10_cap_hits"] for row in rows)
+    peak_row = max(rows, key=lambda row: row["greedy"]["max_candidates"])
+    return (
+        f"greedy: {iterations} iterations over {len(rows)} epochs, "
+        f"mean S_p {candidates / iterations:.1f}, "
+        f"peak S_p {peak_row['greedy']['max_candidates']} "
+        f"(epoch {peak_row.get('instance', '?')}), {retired} retired, "
+        f"{cap_hits} Eq. 10 cap hits"
+    )
+
+
 def render(trace_path, report_path, top):
     trace = load_json(trace_path, "trace")
     report = load_json(report_path, "run report") if report_path else None
@@ -160,6 +185,11 @@ def render(trace_path, report_path, top):
             f"{name:<26} {rec['count']:>7} {self_s:>10.6f} {pct:>6.1f}% "
             f"{p50:>9} {p99:>9}"
         )
+
+    greedy = greedy_summary(report)
+    if greedy is not None:
+        lines.append("")
+        lines.append(greedy)
 
     # Top self-time phases: the biggest ones that are real work
     # (skip the epoch roots, which are pure containers after self-time

@@ -23,7 +23,7 @@ namespace mqa {
 /// satisfies the hard per-instance constraint.
 ///
 /// All checks read only cost moments + the predicted flag, so the PairRef
-/// overloads never touch a pair's (possibly lazy) quality statistics.
+/// overloads never touch a pair's quality statistics.
 class BudgetTracker {
  public:
   /// `budget` is B (per pot); `delta` the Eq. 9 confidence level.

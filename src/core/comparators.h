@@ -18,9 +18,8 @@ double ProbGreater(const Uncertain& a, const Uncertain& b);
 /// predicates stay strict).
 double ProbLessEq(const Uncertain& a, const Uncertain& b);
 
-/// The pair predicates below fetch a pair's (possibly lazy) quality only
-/// on the branches that read it — cost-only comparisons never
-/// materialize Case 1-3 statistics.
+/// The pair predicates below fetch a pair's quality only on the branches
+/// that read it.
 ///
 /// Pr that pair `a` has a higher quality-score increase than pair `b`
 /// (Eq. 7 applied to the raw qualities; see model/candidate_pair.h).

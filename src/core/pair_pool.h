@@ -1,16 +1,13 @@
 #ifndef MQA_CORE_PAIR_POOL_H_
 #define MQA_CORE_PAIR_POOL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "exec/pair_arena.h"
 #include "model/candidate_pair.h"
-#include "prediction/pair_stats.h"
 #include "stats/uncertain.h"
 
 namespace mqa {
@@ -21,10 +18,9 @@ class PairRef;
 /// How a pair's quality/existence statistics are represented in the
 /// columnar pool. Current-current pairs carry their fixed score inline;
 /// pairs involving predicted entities carry nothing — their Case 1-3
-/// distribution is resolved through the pool's LazyPairStats table on
-/// first touch (keyed by the pair's own worker/task index). Explicit
-/// kinds hold builder-supplied statistics (hand-built pools in tests,
-/// examples and benches).
+/// distribution lives in the pool's statistics table, keyed by the pair's
+/// own worker/task index. Explicit kinds hold builder-supplied statistics
+/// (hand-built pools in tests, examples and benches).
 enum class PairQualityKind : uint8_t {
   kCurrent = 0,            // fixed score in the fixed-quality column
   kCase1 = 1,              // predicted worker, current task (key: task)
@@ -34,10 +30,9 @@ enum class PairQualityKind : uint8_t {
   kExplicitPredicted = 5,  // builder-supplied, involves predicted
 };
 
-/// Per-pool measurements surfaced by PairPool::Stats() and flushed to the
-/// sink (ProblemInstance::pool_stats) when
-/// the pool is destroyed — i.e. after the consuming algorithm ran, so the
-/// lazy counters reflect what the algorithm actually touched.
+/// Per-pool measurements surfaced by PairPool::Stats(). BuildPairPool
+/// writes them to the sink (ProblemInstance::pool_stats) as it returns;
+/// nothing a consuming algorithm does can change them afterwards.
 struct PairPoolStats {
   int64_t pairs = 0;
   int64_t predicted_pairs = 0;
@@ -55,100 +50,6 @@ struct PairPoolStats {
   int64_t arena_slabs = 0;
   int64_t arena_capacity_bytes = 0;
   int64_t arena_peak_bytes = 0;
-
-  /// True when any predicted-pair statistic was touched (the deferred
-  /// PairStatistics replay ran).
-  bool stats_materialized = false;
-
-  /// Fraction of predicted pairs whose Case 1-3 distribution was never
-  /// materialized (0 when the pool has no predicted pairs).
-  double lazy_skipped_fraction = 0.0;
-};
-
-/// Memoized Case 1-3 quality/existence distributions, materialized on
-/// first touch. The backing PairStatistics replay (one pass over the
-/// pool's current-current pairs — bit-identical to the eager scan, see
-/// prediction/pair_stats.h) runs once, on whichever thread touches a
-/// predicted-pair statistic first; per-entry memo slots then publish each
-/// distribution exactly once via an EMPTY -> BUSY -> READY protocol, so
-/// concurrent greedy/D&C consumers (the subproblem fan-out) are race-free
-/// and always observe identical bytes.
-class LazyPairStats {
- public:
-  /// The columns must outlive the table (they live in the same pool).
-  LazyPairStats(size_t num_current_workers, size_t num_current_tasks,
-                const int32_t* worker_col, const int32_t* task_col,
-                const double* fixed_quality_col, size_t num_pairs);
-
-  /// Quality distribution for a predicted pair (kind is kCase1/2/3).
-  /// The returned reference is stable for the table's lifetime.
-  const Uncertain& Quality(PairQualityKind kind, int32_t worker,
-                           int32_t task) const;
-  double QualityMean(PairQualityKind kind, int32_t worker,
-                     int32_t task) const {
-    return Quality(kind, worker, task).mean();
-  }
-
-  /// Existence probability p̂ for a predicted pair.
-  double Existence(PairQualityKind kind, int32_t worker, int32_t task) const;
-
-  /// Forces every distribution referenced by some pair of the columns to
-  /// materialize (the "eager" mode of PairPoolOptions::eager_stats).
-  void MaterializeReferenced() const;
-
-  bool stats_built() const {
-    return stats_built_.load(std::memory_order_acquire);
-  }
-  bool EntryMaterialized(PairQualityKind kind, int32_t worker,
-                         int32_t task) const;
-  int64_t entries_total() const {
-    return static_cast<int64_t>(entries_.size());
-  }
-  int64_t entries_materialized() const {
-    return materialized_count_.load(std::memory_order_relaxed);
-  }
-
-  /// Number of pairs in the columns that reference some entry (i.e. the
-  /// predicted pairs), counted once at construction.
-  int64_t predicted_refs() const { return predicted_refs_; }
-
-  /// Number of predicted pairs whose entry has not materialized —
-  /// O(entries), using the construction-time per-entry reference counts
-  /// (never an O(pairs) rescan).
-  int64_t skipped_refs() const;
-
- private:
-  struct Entry {
-    Uncertain quality;
-    double existence = 0.0;
-  };
-  enum : uint8_t { kEmpty = 0, kBusy = 1, kReady = 2 };
-
-  size_t EntryIndex(PairQualityKind kind, int32_t worker, int32_t task) const;
-  const Entry& Resolve(PairQualityKind kind, int32_t worker,
-                       int32_t task) const;
-  void EnsureStats() const;
-
-  size_t num_current_workers_;
-  size_t num_current_tasks_;
-  const int32_t* worker_col_;
-  const int32_t* task_col_;
-  const double* fixed_quality_col_;
-  size_t num_pairs_;
-
-  mutable std::once_flag stats_once_;
-  mutable std::atomic<bool> stats_built_{false};
-  mutable std::unique_ptr<PairStatistics> stats_;
-  // Entry layout: [0, nct) Case 1 per current task, [nct, nct + ncw)
-  // Case 2 per current worker, [nct + ncw] Case 3.
-  mutable std::vector<Entry> entries_;
-  mutable std::unique_ptr<std::atomic<uint8_t>[]> states_;
-  mutable std::atomic<int64_t> materialized_count_{0};
-
-  // How many pairs reference each entry, and their total — counted once
-  // at construction so the stats flush stays O(entries).
-  std::vector<int32_t> entry_refs_;
-  int64_t predicted_refs_ = 0;
 };
 
 /// A borrowed, immutable range of pair ids (one CSR adjacency row).
@@ -177,12 +78,11 @@ class PairIdSpan {
 ///     quality kind) allocated from a PairArena — reusable across epochs;
 ///   * CSR adjacency (offset array + flat id array) per task and per
 ///     worker, replacing nested vector-of-vectors;
-///   * lazy statistics: predicted-pair quality/existence (Cases 1-3) is
-///     not stored per pair at all — pairs reference the shared
-///     LazyPairStats table, materialized on first touch by the consuming
-///     algorithm. Values are byte-identical to eager materialization
-///     (pure functions of the current-current columns); laziness only
-///     changes *when* (and whether) the work happens.
+///   * Case 1-3 statistics: predicted-pair quality/existence is not
+///     stored per pair at all — a Case 1 pair's distribution is keyed by
+///     its task, Case 2 by its worker, Case 3 is global, so pairs index
+///     one small table that BuildPairPool fills from the current-current
+///     columns (see prediction/pair_stats.h).
 ///
 /// Access pairs through pair(id) (a PairRef view) or the scalar fast
 /// paths (CostMean/QualityMean/...). PairPool is move-only; moving keeps
@@ -190,9 +90,8 @@ class PairIdSpan {
 class PairPool {
  public:
   PairPool() = default;
-  ~PairPool();
-  PairPool(PairPool&& other) noexcept;
-  PairPool& operator=(PairPool&& other) noexcept;
+  PairPool(PairPool&&) noexcept = default;
+  PairPool& operator=(PairPool&&) noexcept = default;
   PairPool(const PairPool&) = delete;
   PairPool& operator=(const PairPool&) = delete;
 
@@ -235,8 +134,7 @@ class PairPool {
   }
   double QualityMean(int32_t id) const;
   /// The full quality distribution, assembled from the fixed-score
-  /// column, the lazy table, or the explicit side table. Byte-identical
-  /// to what the eager builder used to store per pair.
+  /// column, the Case 1-3 table, or the explicit side table.
   Uncertain Quality(int32_t id) const;
   double Existence(int32_t id) const;
 
@@ -260,26 +158,8 @@ class PairPool {
   size_t num_tasks() const { return num_tasks_; }
   size_t num_workers() const { return num_workers_; }
 
-  /// Average number of valid workers per task with at least one valid
-  /// pair (deg_t in the Appendix C cost model).
-  double AvgWorkersPerTask() const;
-
-  /// Forces every lazily-derived statistic some pair references to
-  /// materialize now (PairPoolOptions::eager_stats; also used by the
-  /// lazy-vs-eager property tests).
-  void MaterializeAllStats() const;
-
-  /// Current measurements. Cheap: the lazy counters use the table's
-  /// construction-time reference counts, so this is O(entries) — never
-  /// an O(pairs) rescan.
+  /// Current measurements; O(1) in the number of pairs.
   PairPoolStats Stats() const;
-
-  /// When set, the destructor writes Stats() to `sink` — after the
-  /// consuming algorithm ran, so lazy counters are final. Only
-  /// destruction flushes: a pool overwritten by move-assignment is
-  /// discarded without flushing (its columns may already be invalid if
-  /// the backing arena was Reset).
-  void set_stats_sink(PairPoolStats* sink) { stats_sink_ = sink; }
 
   /// Build wall time, recorded by BuildPairPool and surfaced via Stats().
   void set_build_seconds(double s) { build_seconds_ = s; }
@@ -287,8 +167,6 @@ class PairPool {
   /// Takes ownership of the arena the columns were allocated from
   /// (BuildPairPool's private-arena fallback).
   void AdoptArena(std::unique_ptr<PairArena> arena);
-
-  const LazyPairStats* lazy_stats() const { return lazy_.get(); }
 
  private:
   friend class PairPoolBuilder;
@@ -299,7 +177,7 @@ class PairPool {
   size_t num_tasks_ = 0;
   size_t num_current_workers_ = 0;
   size_t num_current_tasks_ = 0;
-  int64_t explicit_predicted_count_ = 0;  // hand-built pools only
+  int64_t predicted_pairs_ = 0;
 
   // SoA columns (arena storage).
   int32_t* worker_col_ = nullptr;
@@ -319,23 +197,28 @@ class PairPool {
   int32_t* worker_offsets_ = nullptr;
   int32_t* by_worker_ = nullptr;
 
-  struct ExplicitQuality {
+  // One quality distribution with its existence probability.
+  struct QualityEntry {
     Uncertain quality;
     double existence = 1.0;
   };
-  std::vector<ExplicitQuality> explicit_;
+  // The entry behind a Case 1-3 or explicit pair (not kCurrent).
+  const QualityEntry& Entry(size_t k) const;
 
-  std::unique_ptr<LazyPairStats> lazy_;
+  // Hand-built pools: one entry per pair, via explicit_ref_col_.
+  std::vector<QualityEntry> explicit_;
+  // Built pools with predicted entities: [0, nct) Case 1 per current
+  // task, [nct, nct + ncw) Case 2 per current worker, [nct + ncw] Case 3.
+  std::vector<QualityEntry> case_stats_;
+
   std::unique_ptr<PairArena> owned_arena_;
   PairArena* arena_ = nullptr;  // owned_arena_.get() or the caller's
-  PairPoolStats* stats_sink_ = nullptr;
   double build_seconds_ = 0.0;
 };
 
 /// A lightweight view of one pool pair — the successor of the materialized
 /// CandidatePair on all algorithm paths. Copying is two words; accessors
-/// read straight from the columns (quality/existence may materialize the
-/// pair's shared lazy distribution on first touch).
+/// read straight from the columns and tables.
 class PairRef {
  public:
   PairRef(const PairPool* pool, int32_t id) : pool_(pool), id_(id) {}
@@ -379,19 +262,18 @@ inline PairRef PairPool::pair(int32_t id) const { return PairRef(this, id); }
 ///    in the explicit side table;
 ///  * column mode (BuildPairPool): the pair count is known up front,
 ///    columns are allocated from the arena and filled in place (possibly
-///    by several threads, each writing disjoint slots), then Build() adds
-///    the CSR adjacency and, when `lazy_stats` was requested, the
-///    LazyPairStats table.
+///    by several threads, each writing disjoint slots), ComputeCaseStats()
+///    fills the Case 1-3 table from them, then Build() adds the CSR
+///    adjacency.
 class PairPoolBuilder {
  public:
   /// Hand-build mode over `num_workers` x `num_tasks` adjacency slots.
   PairPoolBuilder(size_t num_workers, size_t num_tasks);
 
-  /// Column mode; `arena` null allocates an owned arena. `lazy_stats`
-  /// wires the Case 1-3 table (pass the builder's has_predicted).
+  /// Column mode; `arena` null allocates an owned arena.
   PairPoolBuilder(size_t num_workers, size_t num_tasks,
                   size_t num_current_workers, size_t num_current_tasks,
-                  size_t num_pairs, PairArena* arena, bool lazy_stats);
+                  size_t num_pairs, PairArena* arena);
 
   /// Hand-build mode: appends `pair`, returns its id.
   int32_t Add(const CandidatePair& pair);
@@ -407,8 +289,13 @@ class PairPoolBuilder {
   double* fixed_quality_col() { return pool_.fixed_quality_col_; }
   uint8_t* qkind_col() { return pool_.qkind_col_; }
 
-  /// Finalizes: builds the CSR adjacency (and the lazy table in column
-  /// mode). The builder is consumed.
+  /// Column mode, once every slot is filled: replays PairStatistics over
+  /// the current-current columns and stores one Case 1 entry per current
+  /// task, one Case 2 entry per current worker and the Case 3 entry.
+  /// Required before Build() when any pair involves a predicted entity.
+  void ComputeCaseStats();
+
+  /// Finalizes: builds the CSR adjacency. The builder is consumed.
   PairPool Build() &&;
 
  private:
@@ -418,7 +305,6 @@ class PairPoolBuilder {
   PairPool pool_;
   std::vector<CandidatePair> staged_;  // hand-build mode only
   bool hand_mode_ = false;
-  bool lazy_stats_ = false;
 };
 
 }  // namespace mqa

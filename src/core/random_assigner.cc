@@ -24,8 +24,7 @@ AssignmentResult RunRandom(const ProblemInstance& instance, double delta,
   std::vector<char> task_used(instance.tasks().size(), 0);
   BudgetTracker budget(instance.budget(), delta);
 
-  // Touches only indices and cost moments — a RANDOM run never
-  // materializes any predicted-pair statistics.
+  // Touches only indices and cost moments, never quality.
   std::vector<int32_t> selected;
   for (const int32_t id : order) {
     const PairRef pair = pool.pair(id);

@@ -52,12 +52,10 @@ void CollectCandidates(const ProblemInstance& instance,
   });
 }
 
-/// Fill: writes column slot `at` for worker `i` and candidate `c`. The
-/// cost moments are computed here (same closed-form calls, same order as
-/// the eager builder); quality is the fixed score for current-current
-/// pairs and a lazy-table kind tag otherwise — the expensive Cases 1-3
-/// statistics are *not* computed at build time. Pure given (instance, c)
-/// — byte-identical regardless of the thread (or order) it runs on.
+/// Fill: writes column slot `at` for worker `i` and candidate `c`: the
+/// cost moments, and the fixed score for current-current pairs or the
+/// Case 1-3 kind tag otherwise. Pure given (instance, c) — byte-identical
+/// regardless of the thread (or order) it runs on.
 void FillPairSlot(const ProblemInstance& instance, PairPoolBuilder* builder,
                   size_t at, size_t i, const Candidate& c) {
   const Worker& w = instance.workers()[i];
@@ -211,7 +209,7 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   PairPoolBuilder builder(instance.workers().size(), instance.tasks().size(),
                           instance.num_current_workers(),
                           instance.num_current_tasks(), offsets[num_workers],
-                          arena, has_predicted);
+                          arena);
   {
     MQA_TRACE_SPAN("pool/fill");
     RunItems(exec, num_workers, [&](int64_t wi) {
@@ -223,14 +221,18 @@ PairPool BuildPairPool(const ProblemInstance& instance,
     });
   }
 
-  // 5. The CSR adjacency, in ascending pair-id order.
+  // 5. Case 1-3 statistics: one sequential replay of the current-current
+  // columns in pair-id order, so the moments are the same at any thread
+  // count.
+  if (has_predicted) builder.ComputeCaseStats();
+
+  // 6. The CSR adjacency, in ascending pair-id order.
   PairPool result = std::move(builder).Build();
   result.set_build_seconds(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t_build)
                                .count());
   if (owned_arena != nullptr) result.AdoptArena(std::move(owned_arena));
-  result.set_stats_sink(instance.pool_stats());
-  if (options.eager_stats) result.MaterializeAllStats();
+  if (instance.pool_stats() != nullptr) *instance.pool_stats() = result.Stats();
   return result;
 }
 

@@ -11,7 +11,9 @@ namespace mqa {
 
 /// What BuildPairPool enumerates. The execution context — task index,
 /// thread pool, arena and stats sink — comes from the ProblemInstance
-/// (set_task_index, set_thread_pool, set_pair_arena, set_pool_stats).
+/// (set_task_index, set_thread_pool, set_pair_arena, set_pool_stats);
+/// BuildPairPool writes the finished pool's Stats() to the sink as it
+/// returns.
 struct PairPoolOptions {
   /// When false, only current workers/tasks participate (the paper's WoP
   /// straw man and the exact oracle).
@@ -20,12 +22,6 @@ struct PairPoolOptions {
   /// Index backend used when the instance carries no task index. kAuto
   /// picks the grid above kAutoBruteForceMaxPairs candidate pairs.
   IndexBackend backend = IndexBackend::kAuto;
-
-  /// Materialize every referenced Case 1-3 quality/existence distribution
-  /// at build time instead of on first touch. Values are byte-identical
-  /// either way (property-tested); this knob exists for benchmarks and
-  /// the lazy-vs-eager tests.
-  bool eager_stats = false;
 };
 
 /// Participating workers at/above which BuildPairPool scans and fills on
@@ -40,9 +36,9 @@ inline constexpr size_t kMinParallelWorkers = 32;
 ///  * pairs involving predicted entities (only when include_predicted):
 ///    cost from the closed-form box-distance statistics stored inline;
 ///    quality and existence from PairStatistics Cases 1-3 (paper Section
-///    III-B) — *not* stored, but resolved through the pool's lazy table
-///    on first touch (see core/pair_pool.h). Pairs pruned before any
-///    quality comparison never pay for the sampling.
+///    III-B), computed once after the fill from the current-current
+///    columns into the pool's per-task/per-worker/global table (see
+///    core/pair_pool.h) — not stored per pair.
 /// Validity is the reachability test ProblemInstance::CanReach.
 ///
 /// Candidate tasks per worker come from a radius query over a task index

@@ -11,15 +11,15 @@
 
 namespace mqa {
 
-/// The candidate-task scan shared by BuildPairPool and PairStatistics:
-/// one deadline-aware query (QueryReachable with the worker's velocity,
-/// bounded by max_deadline) dropping entry ids >= `id_limit` (an external
-/// index may cover more tasks than participate), then visiting survivors
-/// as fn(task_index, min_dist) in ascending id order. The sort keeps
-/// pools and statistics bit-identical across backends and matches the
-/// seed's double-loop accumulation order. QueryReachable visits exactly
-/// the tasks within velocity * min(deadline, max_deadline) of the
-/// worker's box; callers still apply the exact
+/// BuildPairPool's candidate-task scan: one deadline-aware query
+/// (QueryReachable with the worker's velocity, bounded by max_deadline)
+/// dropping entry ids >= `id_limit` (an external index may cover more
+/// tasks than participate), then visiting survivors as
+/// fn(task_index, min_dist) in ascending id order. The sort keeps pools
+/// (and the Case 1-3 statistics replayed from them) bit-identical across
+/// backends and matches the seed's double-loop order. QueryReachable
+/// visits exactly the tasks within velocity * min(deadline, max_deadline)
+/// of the worker's box; callers still apply the exact
 /// ProblemInstance::CanReachAtDistance test with the min-distance handed
 /// through, which is stricter only for predicted workers (one instance
 /// less deadline). `scratch` avoids per-worker reallocation.

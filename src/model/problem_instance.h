@@ -87,10 +87,9 @@ class ProblemInstance {
   void set_pair_arena(PairArena* arena) { pair_arena_ = arena; }
 
   /// Optional sink for pair-pool measurements (size, bytes, arena state,
-  /// lazily-skipped sampling fraction). A pool built from this instance
-  /// writes its stats here when it is destroyed — i.e. after the
-  /// assigner consumed it. Non-owning; the simulator wires this into its
-  /// per-epoch metrics.
+  /// build time). BuildPairPool writes the finished pool's stats here as
+  /// it returns. Non-owning; the simulator wires this into its per-epoch
+  /// metrics.
   PairPoolStats* pool_stats() const { return pool_stats_; }
   void set_pool_stats(PairPoolStats* stats) { pool_stats_ = stats; }
 

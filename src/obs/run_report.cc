@@ -153,9 +153,7 @@ void WriteEpochRow(std::ostream& out, const InstanceMetrics& row) {
       << ",\"bytes\":" << row.pool_bytes
       << ",\"arena_slabs\":" << row.pool_arena_slabs
       << ",\"arena_peak_bytes\":" << row.pool_arena_peak_bytes
-      << ",\"lazy_skipped_fraction\":";
-  WriteDouble(out, row.pool_lazy_skipped_fraction);
-  out << "},\"greedy\":{\"iterations\":" << row.greedy_iterations
+      << "},\"greedy\":{\"iterations\":" << row.greedy_iterations
       << ",\"candidates\":" << row.greedy_candidates
       << ",\"max_candidates\":" << row.greedy_max_candidates
       << ",\"retired_pairs\":" << row.greedy_retired_pairs
@@ -225,7 +223,7 @@ std::string RunReport::ProvenanceFragment() {
 
 void RunReport::WriteJson(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  out << "{\n  \"schema\": \"mqa-run-report-v4\",\n  \"git\": "
+  out << "{\n  \"schema\": \"mqa-run-report-v5\",\n  \"git\": "
          "{\"describe\": ";
   WriteJsonString(out, GitDescribe());
   out << "},\n  \"machine\": ";

@@ -68,8 +68,8 @@ struct InstanceMetrics {
   double worker_prediction_error = -1.0;
   double task_prediction_error = -1.0;
 
-  /// Pair-pool measurements of the epoch's assignment (flushed by the
-  /// pool when the assigner finishes with it; see core/pair_pool.h).
+  /// Pair-pool measurements of the epoch's assignment (written by
+  /// BuildPairPool as it returns; see core/pair_pool.h).
   /// Pool size and bytes are deterministic; the arena fields describe
   /// execution state (slab reuse across epochs, per-range arenas) and may
   /// legitimately differ across thread counts — they are excluded from
@@ -80,9 +80,7 @@ struct InstanceMetrics {
   int64_t pool_arena_slabs = 0;
   int64_t pool_arena_peak_bytes = 0;
 
-  /// Fraction of predicted pairs whose Case 1-3 sampling was never
-  /// materialized by the algorithm (1.0 = the whole statistics phase was
-  /// skipped; 0 when the pool had no predicted pairs).
+  /// Never written, always 0: kept only because pbsc_bench reads it.
   double pool_lazy_skipped_fraction = 0.0;
 
   /// The greedy selection loop's work this epoch (core/greedy.h,
@@ -116,7 +114,7 @@ struct InstanceMetrics {
 /// per epoch (results, assignment checksum, phase times, pool, greedy
 /// and process numbers).
 /// scripts/profile_report.py joins it with a trace; check_trace.py
-/// --report validates it. Schema: "mqa-run-report-v4", documented in
+/// --report validates it. Schema: "mqa-run-report-v5", documented in
 /// docs/OBSERVABILITY.md.
 ///
 /// Write-only like the tracer: recording never feeds values back into

@@ -1,63 +1,10 @@
 #include "prediction/pair_stats.h"
 
 #include <algorithm>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "common/logging.h"
-#include "index/brute_force_index.h"
-#include "index/candidate_scan.h"
-#include "quality/quality_model.h"
 
 namespace mqa {
-
-PairStatistics::PairStatistics(const ProblemInstance& instance)
-    : PairStatistics(instance, nullptr, 0.0) {}
-
-PairStatistics::PairStatistics(const ProblemInstance& instance,
-                               const SpatialIndex* task_index,
-                               double max_deadline)
-    : num_current_workers_(instance.num_current_workers()),
-      num_current_tasks_(instance.num_current_tasks()),
-      per_task_(instance.num_current_tasks()),
-      per_worker_(instance.num_current_workers()) {
-  const QualityModel* model = instance.quality_model();
-  MQA_CHECK(model != nullptr) << "instance lacks a quality model";
-
-  std::unique_ptr<SpatialIndex> owned;
-  if (task_index == nullptr) {
-    owned = std::make_unique<BruteForceIndex>();
-    std::vector<IndexEntry> entries;
-    entries.reserve(num_current_tasks_);
-    max_deadline = 0.0;
-    for (size_t j = 0; j < num_current_tasks_; ++j) {
-      entries.push_back({static_cast<int64_t>(j),
-                         instance.tasks()[j].location,
-                         instance.tasks()[j].deadline});
-      max_deadline = std::max(max_deadline, instance.tasks()[j].deadline);
-    }
-    owned->BulkLoad(entries);
-    task_index = owned.get();
-  }
-
-  std::vector<std::pair<int32_t, double>> scratch;
-  for (size_t i = 0; i < num_current_workers_; ++i) {
-    const Worker& w = instance.workers()[i];
-    ForEachReachableCandidate(
-        *task_index, w, max_deadline, num_current_tasks_, &scratch,
-        [&](int32_t jj, double min_dist) {
-          const size_t j = static_cast<size_t>(jj);
-          const Task& t = instance.tasks()[j];
-          if (!instance.CanReachAtDistance(w, t, min_dist)) return;
-          const double q = model->Score(w, t);
-          per_task_[j].Add(q);
-          per_worker_[i].Add(q);
-          global_.Add(q);
-          ++num_valid_pairs_;
-        });
-  }
-}
 
 PairStatistics::PairStatistics(size_t num_current_workers,
                                size_t num_current_tasks,
@@ -122,12 +69,6 @@ double PairStatistics::ExistenceCase3() const {
   return static_cast<double>(num_valid_pairs_) /
          (static_cast<double>(num_current_workers_) *
           static_cast<double>(num_current_tasks_));
-}
-
-double PairStatistics::AvgWorkersPerTask() const {
-  if (num_current_tasks_ == 0) return 0.0;
-  return static_cast<double>(num_valid_pairs_) /
-         static_cast<double>(num_current_tasks_);
 }
 
 }  // namespace mqa

@@ -195,7 +195,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.pool_bytes = pool_stats.pool_bytes;
   metrics.pool_arena_slabs = pool_stats.arena_slabs;
   metrics.pool_arena_peak_bytes = pool_stats.arena_peak_bytes;
-  metrics.pool_lazy_skipped_fraction = pool_stats.lazy_skipped_fraction;
   metrics.greedy_iterations = greedy_stats.iterations;
   metrics.greedy_candidates = greedy_stats.candidates;
   metrics.greedy_max_candidates = greedy_stats.max_candidates;

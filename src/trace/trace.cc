@@ -38,6 +38,20 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+/// A horizon is valid when positive, finite and at most
+/// kMaxTraceHorizon. `where` prefixes the message.
+Status CheckHorizon(const std::string& where, double horizon) {
+  if (!std::isfinite(horizon) || horizon <= 0.0) {
+    return Status::InvalidArgument(where +
+                                   "horizon must be positive and finite");
+  }
+  if (horizon > kMaxTraceHorizon) {
+    return Status::InvalidArgument(where + "horizon " + FormatDouble(horizon) +
+                                   " exceeds 2^20 instances");
+  }
+  return Status::OK();
+}
+
 void AppendRaw(std::string* out, const void* data, size_t n) {
   out->append(static_cast<const char*>(data), n);
 }
@@ -161,10 +175,7 @@ Result<TraceData> ParseCsv(const std::string& bytes) {
                         &horizon)) {
     return Status::InvalidArgument("trace csv: header lacks horizon=<value>");
   }
-  if (!std::isfinite(horizon) || horizon <= 0.0) {
-    return Status::InvalidArgument(
-        "trace csv: horizon must be positive and finite");
-  }
+  MQA_RETURN_NOT_OK(CheckHorizon("trace csv: ", horizon));
 
   if (!std::getline(in, line) || line != "kind,time,id,x,y,attr") {
     return Status::InvalidArgument(
@@ -231,10 +242,7 @@ Result<TraceData> ParseBinary(const std::string& bytes) {
   const uint64_t worker_count = ReadU64(p + 16);
   const uint64_t task_count = ReadU64(p + 24);
   const double horizon = ReadF64(p + 32);
-  if (!std::isfinite(horizon) || horizon <= 0.0) {
-    return Status::InvalidArgument(
-        "trace binary: horizon must be positive and finite");
-  }
+  MQA_RETURN_NOT_OK(CheckHorizon("trace binary: ", horizon));
 
   // Guard the frame-count arithmetic against bogus headers: compare each
   // count against what the payload can actually hold before summing, so
@@ -309,10 +317,7 @@ ArrivalStream TraceData::ToArrivalStream() const {
 TraceWriter::TraceWriter(double horizon) : horizon_(horizon) {}
 
 Status TraceWriter::AddWorker(double time, const Worker& worker) {
-  if (!std::isfinite(horizon_) || horizon_ <= 0.0) {
-    return Status::InvalidArgument(
-        "trace horizon must be positive and finite");
-  }
+  MQA_RETURN_NOT_OK(CheckHorizon("trace ", horizon_));
   if (!std::isfinite(time) || time < 0.0 || time >= horizon_) {
     return Status::InvalidArgument(
         "trace worker time must lie in [0, horizon)");
@@ -340,10 +345,7 @@ Status TraceWriter::AddWorker(double time, const Worker& worker) {
 }
 
 Status TraceWriter::AddTask(double time, const Task& task) {
-  if (!std::isfinite(horizon_) || horizon_ <= 0.0) {
-    return Status::InvalidArgument(
-        "trace horizon must be positive and finite");
-  }
+  MQA_RETURN_NOT_OK(CheckHorizon("trace ", horizon_));
   if (!std::isfinite(time) || time < 0.0 || time >= horizon_) {
     return Status::InvalidArgument("trace task time must lie in [0, horizon)");
   }
@@ -394,10 +396,7 @@ Status TraceWriter::AddArrivalStream(const ArrivalStream& stream) {
 }
 
 Result<std::string> TraceWriter::Serialize(TraceFormat format) const {
-  if (!std::isfinite(horizon_) || horizon_ <= 0.0) {
-    return Status::InvalidArgument(
-        "trace horizon must be positive and finite");
-  }
+  MQA_RETURN_NOT_OK(CheckHorizon("trace ", horizon_));
   std::string out;
   if (format == TraceFormat::kCsv) {
     out += kCsvMagic;

@@ -22,6 +22,11 @@ enum class TraceFormat {
 const char* TraceFormatToString(TraceFormat format);
 Result<TraceFormat> ParseTraceFormat(const std::string& name);
 
+/// The largest horizon a trace may declare: 2^20 instances. Batch replay
+/// buckets the arrivals into ceil(horizon) per-instance batches, so an
+/// unbounded header could overflow the instance count or exhaust memory.
+inline constexpr double kMaxTraceHorizon = 1048576.0;
+
 /// A loaded trace: timestamped worker/task arrivals in file order (times
 /// non-decreasing per list) plus the horizon from the header. The two
 /// replay paths both start here:
@@ -51,7 +56,8 @@ struct TraceData {
 class TraceWriter {
  public:
   /// `horizon` is the trace's continuous-time span (for a recorded
-  /// ArrivalStream, the batch count); must be positive and finite.
+  /// ArrivalStream, the batch count); must be positive, finite and at
+  /// most kMaxTraceHorizon.
   explicit TraceWriter(double horizon);
 
   Status AddWorker(double time, const Worker& worker);
@@ -80,9 +86,9 @@ class TraceWriter {
 };
 
 /// Loads mqa-trace-v1 files, sniffing the encoding from the leading
-/// bytes. Every malformed input — bad magic, truncated frames,
-/// non-finite coordinates, negative velocities, out-of-order timestamps
-/// — yields a clean Status, never a crash (coordinates are checked
+/// bytes. Every malformed input — bad magic, truncated frames, a horizon
+/// past kMaxTraceHorizon, non-finite coordinates, negative velocities,
+/// out-of-order timestamps — yields a clean Status, never a crash (coordinates are checked
 /// before any BBox is constructed; NaN corners would abort there).
 class TraceReader {
  public:

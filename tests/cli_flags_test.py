@@ -3,13 +3,16 @@
 
 Every invocation below must end with exit status 2 (the usage-error
 status) and a message naming the offending flag: never an abort (134)
-and never a run (0).
+and never a run (0). An invalid enumerated value is rejected before any
+work is done, so it leaves no --record-trace file behind.
 
 Usage: cli_flags_test.py PATH/TO/mqa_cli
 """
 
+import os
 import subprocess
 import sys
+import tempfile
 
 # A tiny run, so a flag that is wrongly accepted still finishes quickly.
 BASE = ["--workers=20", "--tasks=20", "--instances=2", "--csv"]
@@ -26,6 +29,13 @@ CASES = [
     ("--v-lo=0.5", "--v-lo/--v-hi"),
     ("--worker-dist=bogus", "--worker-dist"),
     ("--task-dist=unifrom", "--task-dist"),
+    # Every enumerated flag, whether or not this run would read it.
+    ("--scenario=bogus", "invalid value for --scenario: 'bogus'"),
+    ("--workload=bogus", "invalid value for --workload: 'bogus'"),
+    ("--algo=bogus", "invalid value for --algo: 'bogus'"),
+    ("--index=bogus", "invalid value for --index: 'bogus'"),
+    ("--epoch-policy=bogus", "invalid value for --epoch-policy: 'bogus'"),
+    ("--trace-format=bogus", "invalid value for --trace-format: 'bogus'"),
     ("--delta-pool", "--delta-pool"),
     ("--repair", "--repair"),
     # Folded into --run-report: its nested metrics object and epoch rows.
@@ -59,10 +69,19 @@ def main():
         if proc.returncode != 2 or needle not in proc.stderr:
             failures.append(f"{arg}: exit {proc.returncode}, stderr "
                             f"{proc.stderr.strip()[-200:]!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "x.csv")
+        proc = subprocess.run([cli] + BASE + ["--algo=bogus",
+                                              f"--record-trace={trace}"],
+                              capture_output=True, text=True, timeout=120)
+        if proc.returncode != 2 or os.path.exists(trace):
+            failures.append(f"--algo=bogus --record-trace: exit "
+                            f"{proc.returncode}, trace written: "
+                            f"{os.path.exists(trace)}")
     for failure in failures:
         print("FAIL", failure)
-    print(f"{len(CASES) - len(failures)}/{len(CASES)} invocations rejected "
-          "with exit 2")
+    total = len(CASES) + 1
+    print(f"{total - len(failures)}/{total} invocations rejected with exit 2")
     return 1 if failures else 0
 
 

@@ -1,31 +1,22 @@
-// The columnar arena-backed PairPool and its lazy-statistics contract:
+// The columnar arena-backed PairPool:
 //
-//  * lazy vs. eager materialization of the Cases 1-3 quality/existence
-//    statistics is byte-identical at the pool level and at the
-//    assignment level, across {greedy, D&C, random, exact} x {1, 2, 4, 8}
-//    threads x index backends;
 //  * a PairArena reused across "epochs" (Reset between builds, the
 //    simulator's pattern) never leaks stale data into a later pool and
 //    stops allocating once warm;
-//  * the lazy counters report what the consuming algorithm touched.
+//  * the slab guard page faults a write past a slab's end;
+//  * BuildPairPool's stats sink is final when the build returns;
+//  * hand-built pools round-trip their explicit statistics.
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/assigner.h"
-#include "core/divide_conquer.h"
-#include "core/exact_assigner.h"
-#include "core/greedy.h"
-#include "core/random_assigner.h"
 #include "core/valid_pairs.h"
 #include "exec/pair_arena.h"
 #include "exec/parallel_runner.h"
-#include "index/spatial_index.h"
 #include "quality/range_quality.h"
 #include "tests/test_util.h"
 
@@ -61,13 +52,6 @@ void ExpectSamePool(const PairPool& a, const PairPool& b) {
   }
 }
 
-void ExpectSameAssignment(const AssignmentResult& a,
-                          const AssignmentResult& b, const char* what) {
-  EXPECT_EQ(a.pairs, b.pairs) << what;
-  EXPECT_EQ(a.total_quality, b.total_quality) << what;
-  EXPECT_EQ(a.total_cost, b.total_cost) << what;
-}
-
 /// Mixed current/predicted instance (worker and task side both).
 ProblemInstance MixedInstance(Rng* rng, const QualityModel* quality,
                               int num_current, int num_pred, double budget) {
@@ -98,142 +82,6 @@ ProblemInstance MixedInstance(Rng* rng, const QualityModel* quality,
   return ProblemInstance(std::move(workers), static_cast<size_t>(num_current),
                          std::move(tasks), static_cast<size_t>(num_current),
                          quality, 1.0, budget);
-}
-
-// ------------------------------------------------- lazy == eager, pools
-
-TEST(LazyStatsProperty, PoolValuesMatchEagerAcrossBackends) {
-  const RangeQualityModel quality(1.0, 2.0, 7);
-  Rng rng(211);
-  for (int trial = 0; trial < 10; ++trial) {
-    const ProblemInstance inst =
-        MixedInstance(&rng, &quality, static_cast<int>(rng.UniformInt(5, 40)),
-                      static_cast<int>(rng.UniformInt(0, 12)),
-                      rng.Uniform(1.0, 10.0));
-    for (const IndexBackend backend :
-         {IndexBackend::kBruteForce, IndexBackend::kGrid}) {
-      PairPoolOptions lazy_options;
-      lazy_options.backend = backend;
-      PairPoolOptions eager_options = lazy_options;
-      eager_options.eager_stats = true;
-      const PairPool lazy = BuildPairPool(inst, lazy_options);
-      const PairPool eager = BuildPairPool(inst, eager_options);
-      ExpectSamePool(lazy, eager);
-    }
-  }
-}
-
-// -------------------------------------- lazy == eager, all assigners
-
-class LazyVsEagerAssignerProperty
-    : public ::testing::TestWithParam<AssignerKind> {};
-
-TEST_P(LazyVsEagerAssignerProperty, AssignmentsByteIdentical) {
-  const RangeQualityModel quality(1.0, 2.0, 13);
-  Rng rng(47);
-  const bool exact = GetParam() == AssignerKind::kExact;
-  for (int trial = 0; trial < (exact ? 6 : 4); ++trial) {
-    // The exact oracle is exponential: keep its instances tiny.
-    const int num_current =
-        exact ? static_cast<int>(rng.UniformInt(2, 8))
-              : static_cast<int>(rng.UniformInt(40, 120));
-    const int num_pred =
-        exact ? 0 : static_cast<int>(rng.UniformInt(0, 25));
-    const ProblemInstance base_inst = MixedInstance(
-        &rng, &quality, num_current, num_pred, rng.Uniform(1.0, 10.0));
-
-    for (const IndexBackend backend :
-         {IndexBackend::kBruteForce, IndexBackend::kGrid}) {
-      for (const int threads : {1, 2, 4, 8}) {
-        ParallelRunner runner(threads);
-        ProblemInstance inst = base_inst;
-        inst.set_thread_pool(runner.pool());
-        PairPoolOptions lazy_options;
-        lazy_options.backend = backend;
-        PairPoolOptions eager_options = lazy_options;
-        eager_options.eager_stats = true;
-
-        AssignmentResult lazy;
-        AssignmentResult eager;
-        switch (GetParam()) {
-          case AssignerKind::kGreedy:
-            lazy = RunGreedy(inst, 0.5, lazy_options);
-            eager = RunGreedy(inst, 0.5, eager_options);
-            break;
-          case AssignerKind::kDivideConquer:
-            lazy = RunDivideConquer(inst, 0.5, 0, lazy_options);
-            eager = RunDivideConquer(inst, 0.5, 0, eager_options);
-            break;
-          case AssignerKind::kRandom:
-            lazy = RunRandom(inst, 0.5, 99, lazy_options);
-            eager = RunRandom(inst, 0.5, 99, eager_options);
-            break;
-          case AssignerKind::kExact: {
-            const auto lazy_r = RunExact(inst, kExactMaxEntities,
-                                         lazy_options);
-            const auto eager_r = RunExact(inst, kExactMaxEntities,
-                                          eager_options);
-            ASSERT_TRUE(lazy_r.ok()) << lazy_r.status();
-            ASSERT_TRUE(eager_r.ok()) << eager_r.status();
-            lazy = lazy_r.value();
-            eager = eager_r.value();
-            break;
-          }
-        }
-        ExpectSameAssignment(lazy, eager, AssignerKindToString(GetParam()));
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Algorithms, LazyVsEagerAssignerProperty,
-                         ::testing::Values(AssignerKind::kGreedy,
-                                           AssignerKind::kDivideConquer,
-                                           AssignerKind::kRandom,
-                                           AssignerKind::kExact),
-                         [](const ::testing::TestParamInfo<AssignerKind>& i) {
-                           std::string name = AssignerKindToString(i.param);
-                           for (char& c : name) {
-                             if (c == '&') c = 'n';
-                           }
-                           return name;
-                         });
-
-// ------------------------------------------------------- lazy counters
-
-TEST(LazyStatsCounters, RandomNeverSamples) {
-  const RangeQualityModel quality(1.0, 2.0, 7);
-  Rng rng(5);
-  ProblemInstance inst = MixedInstance(&rng, &quality, 40, 10, 8.0);
-  PairPoolStats stats;
-  inst.set_pool_stats(&stats);
-  {
-    // RANDOM touches only indices and cost moments.
-    const AssignmentResult result = RunRandom(inst, 0.5, 7);
-    (void)result;
-  }
-  ASSERT_GT(stats.predicted_pairs, 0);
-  EXPECT_FALSE(stats.stats_materialized);
-  EXPECT_DOUBLE_EQ(stats.lazy_skipped_fraction, 1.0);
-}
-
-TEST(LazyStatsCounters, GreedySamplesWhatItCompares) {
-  const RangeQualityModel quality(1.0, 2.0, 7);
-  Rng rng(6);
-  ProblemInstance inst = MixedInstance(&rng, &quality, 40, 10, 8.0);
-  PairPoolStats stats;
-  inst.set_pool_stats(&stats);
-  {
-    const AssignmentResult result = RunGreedy(inst, 0.5);
-    (void)result;
-  }
-  ASSERT_GT(stats.predicted_pairs, 0);
-  // The greedy quality sort touches the distribution of every pair the
-  // quick budget check keeps (here all of them).
-  EXPECT_TRUE(stats.stats_materialized);
-  EXPECT_DOUBLE_EQ(stats.lazy_skipped_fraction, 0.0);
-  EXPECT_GT(stats.pool_bytes, 0);
-  EXPECT_GT(stats.arena_slabs, 0);
 }
 
 // ----------------------------------------------------- arena lifecycle
@@ -305,11 +153,6 @@ TEST(ArenaReuse, NoStaleDataAcrossEpochs) {
     const PairPool fresh = BuildPairPool(inst_b, PairPoolOptions{});
     ExpectSamePool(reused, fresh);
 
-    // Also exercise the lazy path fully on the reused pool.
-    reused.MaterializeAllStats();
-    fresh.MaterializeAllStats();
-    ExpectSamePool(reused, fresh);
-
     if (epoch == 5) warm_capacity = arena.capacity_bytes();
     if (epoch > 5) {
       EXPECT_GE(arena.capacity_bytes(), warm_capacity);
@@ -335,7 +178,6 @@ TEST(ArenaReuse, SteadyStateStopsAllocating) {
     for (int epoch = 0; epoch < 5; ++epoch) {
       arena.Reset();
       const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
-      pool.MaterializeAllStats();
       if (epoch == 0) {
         capacity_after_first = arena.capacity_bytes();
         EXPECT_EQ(arena.num_sub_arenas(), static_cast<size_t>(threads));
@@ -348,25 +190,28 @@ TEST(ArenaReuse, SteadyStateStopsAllocating) {
   }
 }
 
-// -------------------------------------------------- pool move + sink
+// ---------------------------------------------------------- stats sink
 
-TEST(PairPoolTest, MoveTransfersSinkOnce) {
+TEST(PairPoolTest, StatsFinalWhenBuildReturns) {
   const RangeQualityModel quality(1.0, 2.0, 7);
   Rng rng(17);
   ProblemInstance inst = MixedInstance(&rng, &quality, 20, 4, 6.0);
   PairPoolStats stats;
   inst.set_pool_stats(&stats);
-  int64_t pairs = 0;
-  {
-    PairPool pool = BuildPairPool(inst, PairPoolOptions{});
-    pairs = static_cast<int64_t>(pool.size());
-    PairPool moved = std::move(pool);
-    // The moved-from pool dying must not clobber the sink...
-    EXPECT_EQ(stats.pairs, 0);
-    (void)moved;
+  const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
+
+  // The sink is filled while the pool is still alive.
+  int64_t predicted = 0;
+  for (size_t k = 0; k < pool.size(); ++k) {
+    if (pool.InvolvesPredicted(static_cast<int32_t>(k))) ++predicted;
   }
-  // ...the owner flushes it exactly once, at destruction.
-  EXPECT_EQ(stats.pairs, pairs);
+  ASSERT_GT(predicted, 0);
+  EXPECT_EQ(stats.pairs, static_cast<int64_t>(pool.size()));
+  EXPECT_EQ(stats.predicted_pairs, predicted);
+  EXPECT_EQ(stats.pool_bytes, pool.Stats().pool_bytes);
+  EXPECT_GT(stats.pool_bytes, 0);
+  EXPECT_GT(stats.arena_slabs, 0);
+  EXPECT_GT(stats.build_seconds, 0.0);
 }
 
 TEST(PairPoolTest, HandBuiltPoolRoundTrips) {

@@ -1,12 +1,13 @@
-// The run report is the one post-mortem artifact: an mqa-run-report-v4
+// The run report is the one post-mortem artifact: an mqa-run-report-v5
 // JSON file whose epoch rows are the simulators' InstanceMetrics. These
 // tests run a small batch greedy and a small stream D&C simulation at 1
 // and 4 threads and check the written report against the summary each
 // simulator returns: a top level of schema, provenance, config and
 // epochs only, one row per epoch, the same checksums, pool, greedy and
-// prediction numbers, no index object, phase times that add up to the
-// epoch's wall time, and a process footprint whose peak RSS never reads
-// below its RSS and, like CPU time, never decreases.
+// prediction numbers, no index object, a pool object of exactly five
+// keys, phase times that add up to the epoch's wall time,
+// and a process footprint whose peak RSS never reads below its RSS and,
+// like CPU time, never decreases.
 
 #include <gtest/gtest.h>
 
@@ -69,6 +70,18 @@ std::string Object(const std::string& row, const std::string& name) {
                     row.find('}', begin) - begin - open.size() + 2);
 }
 
+/// The keys of the flat `object`, in order.
+std::vector<std::string> Keys(const std::string& object) {
+  std::vector<std::string> keys;
+  for (size_t at = object.find('"'); at != std::string::npos;
+       at = object.find(",\"", at)) {
+    const size_t begin = object.find('"', at) + 1;
+    keys.push_back(object.substr(begin, object.find('"', begin) - begin));
+    at = begin;
+  }
+  return keys;
+}
+
 /// The number after `"key":` in `object`, NaN when the key is absent.
 double Number(const std::string& object, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
@@ -85,7 +98,7 @@ double Number(const std::string& object, const std::string& key) {
 void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
   ASSERT_FALSE(per_epoch.empty());
   const std::string json = RunReport::Get().ToJsonString();
-  EXPECT_NE(json.find("\"schema\": \"mqa-run-report-v4\""),
+  EXPECT_NE(json.find("\"schema\": \"mqa-run-report-v5\""),
             std::string::npos);
   // Every count lives in an epoch row: no process-wide aggregates.
   EXPECT_EQ(TopLevelKeys(json),
@@ -116,6 +129,9 @@ void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
               static_cast<double>(m.predicted_tasks));
 
     const std::string pool = Object(row, "pool");
+    EXPECT_EQ(Keys(pool),
+              (std::vector<std::string>{"pairs", "predicted_pairs", "bytes",
+                                        "arena_slabs", "arena_peak_bytes"}));
     EXPECT_EQ(Number(pool, "pairs"), static_cast<double>(m.pool_pairs));
     EXPECT_EQ(Number(pool, "predicted_pairs"),
               static_cast<double>(m.pool_predicted_pairs));

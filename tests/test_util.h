@@ -124,6 +124,45 @@ inline ProblemInstance RandomInstance(const RandomInstanceOptions& opts,
                          quality, opts.unit_price, opts.budget);
 }
 
+/// A randomized instance with current and (optionally) predicted
+/// entities spanning the given parameter ranges; `quality` must outlive
+/// it.
+inline ProblemInstance RandomMixedInstance(
+    Rng* rng, const QualityModel* quality, int num_current_workers,
+    int num_current_tasks, int num_pred_workers, int num_pred_tasks,
+    double velocity_hi, double deadline_hi, double unit_price,
+    double budget) {
+  std::vector<Worker> workers;
+  for (int i = 0; i < num_current_workers; ++i) {
+    workers.push_back(MakeWorker(i, rng->Uniform(), rng->Uniform(),
+                                 rng->Uniform(0.01, velocity_hi)));
+  }
+  for (int i = 0; i < num_pred_workers; ++i) {
+    workers.push_back(MakePredictedWorker(
+        1000 + i,
+        BBox::KernelBox({rng->Uniform(), rng->Uniform()},
+                        rng->Uniform(0.0, 0.2), rng->Uniform(0.0, 0.2)),
+        rng->Uniform(0.01, velocity_hi)));
+  }
+  std::vector<Task> tasks;
+  for (int j = 0; j < num_current_tasks; ++j) {
+    tasks.push_back(MakeTask(j, rng->Uniform(), rng->Uniform(),
+                             rng->Uniform(0.1, deadline_hi)));
+  }
+  for (int j = 0; j < num_pred_tasks; ++j) {
+    tasks.push_back(MakePredictedTask(
+        1000 + j,
+        BBox::KernelBox({rng->Uniform(), rng->Uniform()},
+                        rng->Uniform(0.0, 0.2), rng->Uniform(0.0, 0.2)),
+        rng->Uniform(0.1, deadline_hi)));
+  }
+  return ProblemInstance(std::move(workers),
+                         static_cast<size_t>(num_current_workers),
+                         std::move(tasks),
+                         static_cast<size_t>(num_current_tasks), quality,
+                         unit_price, budget);
+}
+
 /// Delegating assigner that records every result, so equivalence tests
 /// can compare the raw assignment pairs, not just summary aggregates.
 class RecordingAssigner : public Assigner {

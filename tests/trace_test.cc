@@ -358,6 +358,47 @@ TEST(TraceFuzzTest, MalformedBinaryYieldsCleanStatus) {
       << "negative task time";
 }
 
+// Batch replay buckets a trace into ceil(horizon) instances, so both
+// readers and the writer reject a horizon past 2^20 instances instead of
+// overflowing the instance count or exhausting memory downstream.
+TEST(TraceHorizonTest, RejectedPastTwoToTheTwentyInstances) {
+  const std::string csv = ValidCsv();
+  const auto with_csv_horizon = [&](const std::string& horizon) {
+    std::string bytes = csv;
+    const size_t pos = bytes.find("horizon=2\n");
+    EXPECT_NE(pos, std::string::npos);
+    bytes.replace(pos, 9, "horizon=" + horizon);
+    return bytes;
+  };
+  EXPECT_TRUE(TraceReader::Parse(with_csv_horizon("1048576")).ok());
+  EXPECT_TRUE(TraceReader::Parse(with_csv_horizon("1e6")).ok());
+  for (const char* horizon : {"1048576.5", "2e9", "3e9", "1e15"}) {
+    EXPECT_FALSE(TraceReader::Parse(with_csv_horizon(horizon)).ok())
+        << "csv horizon=" << horizon;
+  }
+
+  const std::string binary = ValidBinary();
+  const auto with_binary_horizon = [&](double horizon) {
+    std::string bytes = binary;
+    std::memcpy(&bytes[32], &horizon, sizeof(horizon));
+    return bytes;
+  };
+  EXPECT_TRUE(TraceReader::Parse(with_binary_horizon(kMaxTraceHorizon)).ok());
+  for (const double horizon : {kMaxTraceHorizon + 0.5, 3e9, 1e15}) {
+    EXPECT_FALSE(TraceReader::Parse(with_binary_horizon(horizon)).ok())
+        << "binary horizon=" << horizon;
+  }
+
+  TraceWriter at_bound(kMaxTraceHorizon);
+  EXPECT_TRUE(at_bound.AddWorker(0.5, MakeWorker(0, 0.1, 0.1, 0.2)).ok());
+  EXPECT_TRUE(at_bound.Serialize(TraceFormat::kCsv).ok());
+  TraceWriter past_bound(3e9);
+  EXPECT_FALSE(past_bound.AddWorker(0.5, MakeWorker(0, 0.1, 0.1, 0.2)).ok());
+  EXPECT_FALSE(past_bound.AddTask(0.5, MakeTask(0, 0.1, 0.1, 1.0)).ok());
+  EXPECT_FALSE(past_bound.Serialize(TraceFormat::kCsv).ok());
+  EXPECT_FALSE(past_bound.Serialize(TraceFormat::kBinary).ok());
+}
+
 // Whatever the reader accepts, ArrivalStream::Validate accepts too: the
 // loader's contract is that a loaded trace feeds the simulators without
 // further checking.
