@@ -50,6 +50,19 @@ void BM_DistanceBetweenBoxes(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceBetweenBoxes);
 
+// The pool fill's path: the same pair from per-entity moments computed
+// once (MomentsOf), so only Eqs. 2-5 and the delta method run per pair.
+void BM_DistanceBetweenMoments(benchmark::State& state) {
+  const BBox a({0.1, 0.2}, {0.3, 0.4});
+  const BBox b({0.6, 0.5}, {0.9, 0.8});
+  const BoxMoments am = MomentsOf(a);
+  const BoxMoments bm = MomentsOf(b);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DistanceBetween(a, am, b, bm));
+  }
+}
+BENCHMARK(BM_DistanceBetweenMoments);
+
 CandidatePair RandomPair(Rng* rng) {
   CandidatePair p;
   const double c = rng->Uniform(0.5, 5.0);
@@ -100,26 +113,39 @@ void BM_GreedySelect(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySelect)->Arg(100)->Arg(1000)->Arg(10000);
 
+// `n` current workers and tasks at points, followed by `num_predicted`
+// predicted workers and tasks on kernel boxes.
 ProblemInstance BenchInstance(int n, const RangeQualityModel* quality,
                               std::vector<Worker>* workers,
-                              std::vector<Task>* tasks) {
+                              std::vector<Task>* tasks,
+                              int num_predicted = 0) {
   Rng rng(13);
+  const auto location = [&rng](bool predicted) {
+    const Point center{rng.Uniform(), rng.Uniform()};
+    if (!predicted) return BBox::FromPoint(center);
+    const double hx = rng.Uniform(0.0, 0.05);
+    const double hy = rng.Uniform(0.0, 0.05);
+    return BBox::KernelBox(center, hx, hy);
+  };
   workers->clear();
   tasks->clear();
-  for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < n + num_predicted; ++i) {
+    const bool predicted = i >= n;
     Worker w;
     w.id = i;
-    w.location = BBox::FromPoint({rng.Uniform(), rng.Uniform()});
+    w.location = location(predicted);
     w.velocity = rng.Uniform(0.2, 0.3);
+    w.predicted = predicted;
     workers->push_back(w);
     Task t;
     t.id = i;
-    t.location = BBox::FromPoint({rng.Uniform(), rng.Uniform()});
+    t.location = location(predicted);
     t.deadline = rng.Uniform(1.0, 2.0);
+    t.predicted = predicted;
     tasks->push_back(t);
   }
-  return ProblemInstance(*workers, workers->size(), *tasks, tasks->size(),
-                         quality, 10.0, 75.0);
+  return ProblemInstance(*workers, static_cast<size_t>(n), *tasks,
+                         static_cast<size_t>(n), quality, 10.0, 75.0);
 }
 
 void BM_BuildPairPool(benchmark::State& state) {
@@ -134,9 +160,24 @@ void BM_BuildPairPool(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildPairPool)->Arg(100)->Arg(300);
 
+// As above plus as many predicted workers and tasks as current ones, so
+// most pairs have a box endpoint and the fill runs the box-moment path.
+void BM_BuildPairPoolPredicted(benchmark::State& state) {
+  const RangeQualityModel quality(1.0, 2.0, 3);
+  std::vector<Worker> workers;
+  std::vector<Task> tasks;
+  const int n = static_cast<int>(state.range(0));
+  const auto inst = BenchInstance(n, &quality, &workers, &tasks, n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildPairPool(inst));
+  }
+}
+BENCHMARK(BM_BuildPairPoolPredicted)->Arg(100)->Arg(300);
+
 // Same pool, but candidate tasks come from each backend explicitly
-// (kAuto switches between them at kAutoBruteForceMaxPairs entities;
-// bench/index_bench.cc covers the large-scale comparison).
+// (kAuto picks brute force below kAutoBruteForceMaxPairs |W| x |T|
+// candidate pairs and the grid from there up; bench/index_bench.cc covers
+// the large-scale comparison).
 void BM_BuildPairPoolBackend(benchmark::State& state) {
   const RangeQualityModel quality(1.0, 2.0, 3);
   std::vector<Worker> workers;

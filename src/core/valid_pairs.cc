@@ -54,9 +54,15 @@ void CollectCandidates(const ProblemInstance& instance,
 
 /// Fill: writes column slot `at` for worker `i` and candidate `c`: the
 /// cost moments, and the fixed score for current-current pairs or the
-/// Case 1-3 kind tag otherwise. Pure given (instance, c) — byte-identical
-/// regardless of the thread (or order) it runs on.
-void FillPairSlot(const ProblemInstance& instance, PairPoolBuilder* builder,
+/// Case 1-3 kind tag otherwise. `worker_moments` is MomentsOf worker i's
+/// box and `task_moments` holds MomentsOf every task's; `task_moments` is
+/// null (and `worker_moments` unused) when the pool has no predicted
+/// entity, as every pair is then a point pair, which needs no moments.
+/// Pure given (instance, c, moments) — byte-identical regardless of the
+/// thread (or order) it runs on.
+void FillPairSlot(const ProblemInstance& instance,
+                  const BoxMoments& worker_moments,
+                  const BoxMoments* task_moments, PairPoolBuilder* builder,
                   size_t at, size_t i, const Candidate& c) {
   const Worker& w = instance.workers()[i];
   const Task& t = instance.tasks()[static_cast<size_t>(c.task)];
@@ -64,8 +70,12 @@ void FillPairSlot(const ProblemInstance& instance, PairPoolBuilder* builder,
   builder->worker_col()[at] = static_cast<int32_t>(i);
   builder->task_col()[at] = c.task;
 
-  const Uncertain cost = DistanceBetween(w.location, t.location)
-                             .AffineTransform(instance.unit_price(), 0.0);
+  const Uncertain distance =
+      task_moments == nullptr
+          ? DistanceBetween(w.location, t.location)
+          : DistanceBetween(w.location, worker_moments, t.location,
+                            task_moments[c.task]);
+  const Uncertain cost = distance.AffineTransform(instance.unit_price(), 0.0);
   builder->cost_mean_col()[at] = cost.mean();
   builder->cost_var_col()[at] = cost.variance();
   builder->cost_lb_col()[at] = cost.lb();
@@ -205,18 +215,32 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   }
 
   // 4. Fill the columns, fanned per worker (one crowded range must not
-  // serialize the heavy part).
+  // serialize the heavy part). With predicted entities, each entity's box
+  // moments (Eqs. 2-5's per-endpoint inputs) are computed once — every
+  // task's here on the calling thread, each worker's once per fill item —
+  // instead of once per pair.
   PairPoolBuilder builder(instance.workers().size(), instance.tasks().size(),
                           instance.num_current_workers(),
                           instance.num_current_tasks(), offsets[num_workers],
                           arena);
   {
     MQA_TRACE_SPAN("pool/fill");
+    BoxMoments* task_moments = nullptr;
+    if (has_predicted) {
+      task_moments = arena->AllocateArray<BoxMoments>(num_tasks);
+      for (size_t j = 0; j < num_tasks; ++j) {
+        task_moments[j] = MomentsOf(instance.tasks()[j].location);
+      }
+    }
     RunItems(exec, num_workers, [&](int64_t wi) {
       const size_t i = static_cast<size_t>(wi);
       const WorkerCandidates& wc = candidates[i];
+      const BoxMoments worker_moments =
+          task_moments != nullptr ? MomentsOf(instance.workers()[i].location)
+                                  : BoxMoments{};
       for (size_t k = 0; k < wc.count; ++k) {
-        FillPairSlot(instance, &builder, offsets[i] + k, i, wc.data[k]);
+        FillPairSlot(instance, worker_moments, task_moments, &builder,
+                     offsets[i] + k, i, wc.data[k]);
       }
     });
   }

@@ -34,7 +34,9 @@ inline constexpr size_t kMinParallelWorkers = 32;
 ///  * current-current: fixed cost C*dist and fixed quality from the
 ///    instance's QualityModel, stored inline in the columns;
 ///  * pairs involving predicted entities (only when include_predicted):
-///    cost from the closed-form box-distance statistics stored inline;
+///    cost from the closed-form box-distance statistics (paper Eqs. 2-5)
+///    stored inline, computed from per-entity box moments that the build
+///    computes once per task and once per worker, not once per pair;
 ///    quality and existence from PairStatistics Cases 1-3 (paper Section
 ///    III-B), computed once after the fill from the current-current
 ///    columns into the pool's per-task/per-worker/global table (see

@@ -9,11 +9,6 @@ namespace mqa {
 
 namespace {
 
-// Raw moments E(X), E(X^2), E(X^3), E(X^4) of one uniform coordinate.
-struct AxisMoments {
-  double m1, m2, m3, m4;
-};
-
 AxisMoments MomentsOf(double lb, double ub) {
   return {UniformRawMoment(lb, ub, 1), UniformRawMoment(lb, ub, 2),
           UniformRawMoment(lb, ub, 3), UniformRawMoment(lb, ub, 4)};
@@ -34,19 +29,12 @@ double AxisFourthMoment(const AxisMoments& w, const AxisMoments& t) {
          t.m4;
 }
 
-}  // namespace
-
-SquaredDistanceMoments ComputeSquaredDistanceMoments(const BBox& w,
-                                                     const BBox& t) {
-  const AxisMoments wx = MomentsOf(w.lo().x, w.hi().x);
-  const AxisMoments wy = MomentsOf(w.lo().y, w.hi().y);
-  const AxisMoments tx = MomentsOf(t.lo().x, t.hi().x);
-  const AxisMoments ty = MomentsOf(t.lo().y, t.hi().y);
-
-  const double e_z1_sq = AxisSecondMoment(wx, tx);
-  const double e_z2_sq = AxisSecondMoment(wy, ty);
-  const double e_z1_4 = AxisFourthMoment(wx, tx);
-  const double e_z2_4 = AxisFourthMoment(wy, ty);
+SquaredDistanceMoments SquaredMoments(const BoxMoments& w,
+                                      const BoxMoments& t) {
+  const double e_z1_sq = AxisSecondMoment(w.x, t.x);
+  const double e_z2_sq = AxisSecondMoment(w.y, t.y);
+  const double e_z1_4 = AxisFourthMoment(w.x, t.x);
+  const double e_z2_4 = AxisFourthMoment(w.y, t.y);
 
   SquaredDistanceMoments out;
   // Eq. (2): E(Z^2) = E(Z_1^2) + E(Z_2^2).
@@ -58,11 +46,32 @@ SquaredDistanceMoments ComputeSquaredDistanceMoments(const BBox& w,
   return out;
 }
 
+}  // namespace
+
+BoxMoments MomentsOf(const BBox& box) {
+  return {MomentsOf(box.lo().x, box.hi().x),
+          MomentsOf(box.lo().y, box.hi().y)};
+}
+
+SquaredDistanceMoments ComputeSquaredDistanceMoments(const BBox& w,
+                                                     const BBox& t) {
+  return SquaredMoments(MomentsOf(w), MomentsOf(t));
+}
+
 Uncertain DistanceBetween(const BBox& w, const BBox& t) {
+  // Point pairs need no moments.
   if (w.IsPoint() && t.IsPoint()) {
     return Uncertain::Fixed(Distance(w.lo(), t.lo()));
   }
-  const SquaredDistanceMoments sq = ComputeSquaredDistanceMoments(w, t);
+  return DistanceBetween(w, MomentsOf(w), t, MomentsOf(t));
+}
+
+Uncertain DistanceBetween(const BBox& w, const BoxMoments& wm, const BBox& t,
+                          const BoxMoments& tm) {
+  if (w.IsPoint() && t.IsPoint()) {
+    return Uncertain::Fixed(Distance(w.lo(), t.lo()));
+  }
+  const SquaredDistanceMoments sq = SquaredMoments(wm, tm);
   const double lb = w.MinDistance(t);
   const double ub = w.MaxDistance(t);
 

@@ -20,6 +20,20 @@ struct SquaredDistanceMoments {
 SquaredDistanceMoments ComputeSquaredDistanceMoments(const BBox& w,
                                                      const BBox& t);
 
+/// Raw moments E(X), E(X^2), E(X^3), E(X^4) of one uniform coordinate.
+struct AxisMoments {
+  double m1, m2, m3, m4;
+};
+
+/// Both axes' raw moments of a point uniform in one box: all that Eqs.
+/// (2)-(5) need from one endpoint. They depend on the box alone, so a
+/// caller that pairs one entity with many computes them once.
+struct BoxMoments {
+  AxisMoments x, y;
+};
+
+BoxMoments MomentsOf(const BBox& box);
+
 /// Distribution summary of the Euclidean distance Z = dist(W, T) between
 /// uniform boxes.
 ///
@@ -29,6 +43,11 @@ SquaredDistanceMoments ComputeSquaredDistanceMoments(const BBox& w,
 /// *hard* support bounds from the boxes' min/max distance (these bounds
 /// are exact, so the Lemma 4.1 dominance pruning remains sound).
 Uncertain DistanceBetween(const BBox& w, const BBox& t);
+
+/// The same, from precomputed moments: `wm` must be MomentsOf(w) and `tm`
+/// MomentsOf(t). Bit-identical to DistanceBetween(w, t).
+Uncertain DistanceBetween(const BBox& w, const BoxMoments& wm, const BBox& t,
+                          const BoxMoments& tm);
 
 }  // namespace mqa
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "stats/uniform_moments.h"
 
 namespace mqa {
 namespace {
@@ -116,6 +117,34 @@ TEST(DistanceStatsTest, AnalyticUnitSquareMean) {
   const BBox u({0.0, 0.0}, {1.0, 1.0});
   const auto m = ComputeSquaredDistanceMoments(u, u);
   EXPECT_NEAR(m.mean, 1.0 / 3.0, 1e-12);
+}
+
+TEST(DistanceStatsTest, MomentsOfHoldsEachAxisRawMoments) {
+  const BBox box({0.1, 0.7}, {0.35, 0.7});  // zero-width y axis
+  const BoxMoments m = MomentsOf(box);
+  const double x[4] = {m.x.m1, m.x.m2, m.x.m3, m.x.m4};
+  const double y[4] = {m.y.m1, m.y.m2, m.y.m3, m.y.m4};
+  for (int k = 1; k <= 4; ++k) {
+    EXPECT_EQ(x[k - 1], UniformRawMoment(0.1, 0.35, k)) << "k=" << k;
+    EXPECT_EQ(y[k - 1], UniformRawMoment(0.7, 0.7, k)) << "k=" << k;
+  }
+}
+
+TEST(DistanceStatsTest, PrecomputedMomentsAreBitIdentical) {
+  const BBox boxes[] = {BBox({0.1, 0.2}, {0.3, 0.4}),
+                        BBox({0.6, 0.5}, {0.9, 0.8}),
+                        BBox({1.0, 0.3}, {1.0, 0.5}),
+                        BBox::FromPoint({0.25, 0.75})};
+  for (const BBox& w : boxes) {
+    for (const BBox& t : boxes) {
+      const Uncertain want = DistanceBetween(w, t);
+      const Uncertain got = DistanceBetween(w, MomentsOf(w), t, MomentsOf(t));
+      EXPECT_EQ(got.mean(), want.mean()) << w << " " << t;
+      EXPECT_EQ(got.variance(), want.variance()) << w << " " << t;
+      EXPECT_EQ(got.lb(), want.lb()) << w << " " << t;
+      EXPECT_EQ(got.ub(), want.ub()) << w << " " << t;
+    }
+  }
 }
 
 }  // namespace

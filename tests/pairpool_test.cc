@@ -5,9 +5,13 @@
 //    stops allocating once warm;
 //  * the slab guard page faults a write past a slab's end;
 //  * BuildPairPool's stats sink is final when the build returns;
+//  * the filled columns match a pinned fingerprint, and every pair's cost
+//    columns are bit-equal to the two-box DistanceBetween, at 1 and 4
+//    threads;
 //  * hand-built pools round-trip their explicit statistics.
 
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "exec/pair_arena.h"
 #include "exec/parallel_runner.h"
 #include "quality/range_quality.h"
+#include "stats/distance_stats.h"
 #include "tests/test_util.h"
 
 namespace mqa {
@@ -212,6 +217,126 @@ TEST(PairPoolTest, StatsFinalWhenBuildReturns) {
   EXPECT_GT(stats.pool_bytes, 0);
   EXPECT_GT(stats.arena_slabs, 0);
   EXPECT_GT(stats.build_seconds, 0.0);
+}
+
+// ------------------------------------------------------ filled columns
+
+/// Folds the bytes of `value` into the FNV-1a hash `*h`.
+template <typename T>
+void FnvMix(uint64_t* h, T value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (const unsigned char b : bytes) {
+    *h ^= b;
+    *h *= 1099511628211ull;
+  }
+}
+
+/// Folds the bit patterns of every column the fill writes into `h`:
+/// worker, task, the four cost columns, fixed quality (0 for pairs with a
+/// predicted endpoint) and kind.
+uint64_t FoldFilledColumns(const PairPool& pool, uint64_t h) {
+  for (size_t k = 0; k < pool.size(); ++k) {
+    const int32_t id = static_cast<int32_t>(k);
+    const PairQualityKind kind = pool.QualityKind(id);
+    FnvMix(&h, pool.WorkerIndex(id));
+    FnvMix(&h, pool.TaskIndex(id));
+    FnvMix(&h, pool.CostMean(id));
+    FnvMix(&h, pool.CostVariance(id));
+    FnvMix(&h, pool.CostLb(id));
+    FnvMix(&h, pool.CostUb(id));
+    FnvMix(&h, kind == PairQualityKind::kCurrent ? pool.QualityMean(id) : 0.0);
+    FnvMix(&h, static_cast<uint8_t>(kind));
+  }
+  return h;
+}
+
+TEST(BuildPairPoolTest, ColumnFingerprintIsPinned) {
+  // Produced by this test (it prints the hash it got on a mismatch) on the
+  // fill that called the two-box DistanceBetween for every pair, before
+  // the fill took per-entity box moments. Any change to a cost, quality
+  // or kind bit of a filled pair moves it.
+  constexpr uint64_t kExpected = 0x7b9e3ecf5e4d18ddull;
+  const RangeQualityModel quality(1.0, 2.0, 7);
+  for (const int threads : {1, 4}) {
+    ParallelRunner runner(threads);
+    Rng rng(20);
+    uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+    int64_t kinds[4] = {0, 0, 0, 0};
+    for (int round = 0; round < 4; ++round) {
+      ProblemInstance inst = testing_util::RandomMixedInstance(
+          &rng, &quality, 40, 40, 12, 12, /*velocity_hi=*/0.5,
+          /*deadline_hi=*/2.0, /*unit_price=*/10.0, /*budget=*/50.0);
+      ASSERT_GE(inst.workers().size(), kMinParallelWorkers);
+      inst.set_thread_pool(runner.pool());
+      const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
+      for (size_t k = 0; k < pool.size(); ++k) {
+        ++kinds[static_cast<size_t>(
+            pool.QualityKind(static_cast<int32_t>(k)))];
+      }
+      h = FoldFilledColumns(pool, h);
+    }
+    for (const int64_t n : kinds) EXPECT_GT(n, 0) << "every kind is pinned";
+    EXPECT_EQ(h, kExpected) << threads << " threads: got 0x" << std::hex << h;
+  }
+}
+
+TEST(BuildPairPoolTest, CostColumnsEqualDistanceBetween) {
+  // Every pair's cost columns are bit-equal to the two-box definition,
+  // including boxes clipped to a zero-width axis at the [0,1] border
+  // (UniformRawMoment's lb == ub branch inside a non-point box).
+  const RangeQualityModel quality(1.0, 2.0, 7);
+  const double unit_price = 10.0;
+  Rng rng(31);
+  const ProblemInstance base = testing_util::RandomMixedInstance(
+      &rng, &quality, 30, 30, 10, 10, /*velocity_hi=*/0.6,
+      /*deadline_hi=*/2.0, unit_price, /*budget=*/50.0);
+  std::vector<Worker> workers = base.workers();
+  std::vector<Task> tasks = base.tasks();
+  const BBox x_at_one = BBox::KernelBox({1.2, 0.4}, 0.2, 0.1);
+  const BBox x_at_zero = BBox::KernelBox({-0.1, 0.6}, 0.1, 0.2);
+  const BBox y_at_one = BBox::KernelBox({0.3, 1.05}, 0.1, 0.05);
+  ASSERT_EQ(x_at_one.WidthX(), 0.0);
+  ASSERT_EQ(x_at_zero.WidthX(), 0.0);
+  ASSERT_EQ(y_at_one.WidthY(), 0.0);
+  ASSERT_FALSE(x_at_one.IsPoint());
+  for (const BBox& box : {x_at_one, x_at_zero, y_at_one}) {
+    workers.push_back(MakePredictedWorker(
+        static_cast<WorkerId>(9000 + workers.size()), box, 2.0));
+    tasks.push_back(MakePredictedTask(
+        static_cast<TaskId>(9000 + tasks.size()), box, 2.5));
+  }
+  ProblemInstance inst(std::move(workers), base.num_current_workers(),
+                       std::move(tasks), base.num_current_tasks(), &quality,
+                       unit_price, 50.0);
+  ASSERT_TRUE(inst.Validate().ok());
+  ASSERT_GE(inst.workers().size(), kMinParallelWorkers);
+
+  for (const int threads : {1, 4}) {
+    ParallelRunner runner(threads);
+    inst.set_thread_pool(runner.pool());
+    const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
+    int64_t clipped_pairs = 0;
+    for (size_t k = 0; k < pool.size(); ++k) {
+      const int32_t id = static_cast<int32_t>(k);
+      const BBox& w =
+          inst.workers()[static_cast<size_t>(pool.WorkerIndex(id))].location;
+      const BBox& t =
+          inst.tasks()[static_cast<size_t>(pool.TaskIndex(id))].location;
+      const Uncertain want =
+          DistanceBetween(w, t).AffineTransform(unit_price, 0.0);
+      EXPECT_EQ(pool.CostMean(id), want.mean()) << "pair " << k;
+      EXPECT_EQ(pool.CostVariance(id), want.variance()) << "pair " << k;
+      EXPECT_EQ(pool.CostLb(id), want.lb()) << "pair " << k;
+      EXPECT_EQ(pool.CostUb(id), want.ub()) << "pair " << k;
+      const bool clipped = (!w.IsPoint() && w.WidthX() * w.WidthY() == 0.0) ||
+                           (!t.IsPoint() && t.WidthX() * t.WidthY() == 0.0);
+      if (clipped) ++clipped_pairs;
+    }
+    // At least the three clipped workers (velocity 2) with the three
+    // clipped tasks (deadline 2.5): that reach spans the unit square.
+    EXPECT_GE(clipped_pairs, 9) << threads << " threads";
+  }
 }
 
 TEST(PairPoolTest, HandBuiltPoolRoundTrips) {
