@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the core primitives: closed-form
 // distance statistics, Eq. 7 comparison probabilities, greedy selection
-// over a prebuilt pool, pair-pool construction, grid prediction, and one
-// greedy assignment round. These quantify the per-operation costs behind the
-// figure-level benches.
+// over a prebuilt pool and over one D&C leaf, the D&C merge, pair-pool
+// construction, grid prediction, and one greedy assignment round. These
+// quantify the per-operation costs behind the figure-level benches.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/comparators.h"
 #include "core/greedy.h"
+#include "core/merge.h"
 #include "core/valid_pairs.h"
 #include "prediction/predictor.h"
 #include "quality/range_quality.h"
@@ -173,6 +174,56 @@ void BM_BuildPairPoolPredicted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildPairPoolPredicted)->Arg(100)->Arg(300);
+
+// A D&C leaf: GreedySelect over one task's PairsByTask row (the longest)
+// of a predicted-entity pool, so its one S_p comes from the scan.
+void BM_GreedySelectLeaf(benchmark::State& state) {
+  const RangeQualityModel quality(1.0, 2.0, 3);
+  std::vector<Worker> workers;
+  std::vector<Task> tasks;
+  const int n = static_cast<int>(state.range(0));
+  const auto inst = BenchInstance(n, &quality, &workers, &tasks, n);
+  const PairPool pool = BuildPairPool(inst);
+  PairIdSpan row;
+  for (size_t t = 0; t < pool.num_tasks(); ++t) {
+    const PairIdSpan candidate = pool.PairsByTask(static_cast<int32_t>(t));
+    if (candidate.size() > row.size()) row = candidate;
+  }
+  const std::vector<int32_t> ids(row.begin(), row.end());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GreedySelect(pool, ids, 75.0, 0.5));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(ids.size()));
+}
+BENCHMARK(BM_GreedySelectLeaf)->Arg(100)->Arg(300);
+
+// The D&C merge of two sibling results on the same predicted-entity pool:
+// GreedySelect over the even tasks' pairs and over the odd tasks', which
+// share workers and so conflict.
+void BM_MergeResults(benchmark::State& state) {
+  const RangeQualityModel quality(1.0, 2.0, 3);
+  std::vector<Worker> workers;
+  std::vector<Task> tasks;
+  const int n = static_cast<int>(state.range(0));
+  const auto inst = BenchInstance(n, &quality, &workers, &tasks, n);
+  const PairPool pool = BuildPairPool(inst);
+  std::vector<int32_t> halves[2];
+  for (size_t t = 0; t < pool.num_tasks(); ++t) {
+    for (const int32_t id : pool.PairsByTask(static_cast<int32_t>(t))) {
+      halves[t % 2].push_back(id);
+    }
+  }
+  const std::vector<int32_t> first = GreedySelect(pool, halves[0], 75.0, 0.5);
+  const std::vector<int32_t> second =
+      GreedySelect(pool, halves[1], 75.0, 0.5);
+  for (auto _ : state) {
+    std::vector<int32_t> merged = first;
+    MergeResults(pool, &merged, second);
+    benchmark::DoNotOptimize(merged.data());
+  }
+}
+BENCHMARK(BM_MergeResults)->Arg(100)->Arg(300);
 
 // Same pool, but candidate tasks come from each backend explicitly
 // (kAuto picks brute force below kAutoBruteForceMaxPairs |W| x |T|

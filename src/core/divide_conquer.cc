@@ -148,7 +148,7 @@ AssignmentResult RunDivideConquer(const ProblemInstance& instance,
     selected = GreedySelect(pool, selected, instance.budget(), delta, &stats);
   }
   if (instance.greedy_stats() != nullptr) *instance.greedy_stats() = stats;
-  return EmitCurrentPairs(instance, pool, selected);
+  return EmitCurrentPairs(pool, selected);
 }
 
 }  // namespace mqa

@@ -80,6 +80,87 @@ bool HasMomentTwin(const PairPool& pool, int32_t id,
   return false;
 }
 
+// An alive pair and its quality mean, read once.
+struct Key {
+  double quality;
+  int32_t id;
+};
+
+// The offer order of paper Fig. 5 lines 4-10: quality mean descending,
+// then cost mean ascending, then id.
+bool Precedes(const PairPool& pool, const Key& a, const Key& b) {
+  if (a.quality != b.quality) return a.quality > b.quality;
+  const double ca = pool.CostMean(a.id);
+  const double cb = pool.CostMean(b.id);
+  if (ca != cb) return ca < cb;
+  return a.id < b.id;
+}
+
+// True when all `keys` share one task or all share one worker: the first
+// selection then uses that endpoint up, so at most one S_p is built.
+bool SharesOneEndpoint(const PairPool& pool, const std::vector<Key>& keys) {
+  if (keys.empty()) return true;
+  const int32_t worker = pool.WorkerIndex(keys[0].id);
+  const int32_t task = pool.TaskIndex(keys[0].id);
+  bool one_worker = true;
+  bool one_task = true;
+  for (const Key& key : keys) {
+    one_worker = one_worker && pool.WorkerIndex(key.id) == worker;
+    one_task = one_task && pool.TaskIndex(key.id) == task;
+    if (!one_worker && !one_task) return false;
+  }
+  return true;
+}
+
+// The one S_p of a call whose `keys` share an endpoint, by scanning the
+// unsorted keys: no sort and no tree. Each round takes the first key in
+// offer order and its tie run (the keys with the same quality and cost
+// means, in id order, minus moment twins), then keeps only the keys
+// strictly cheaper than it. S_p comes out in offer order, as the tree
+// walk emits it: SelectBestPair sums the Eq. 10 logarithms in that order.
+// Consumes `keys`.
+void ScanCandidateSet(const PairPool& pool, std::vector<Key>* keys,
+                      std::vector<int32_t>* sp) {
+  std::vector<int32_t> run;
+  while (!keys->empty()) {
+    const Key first = *std::min_element(
+        keys->begin(), keys->end(),
+        [&pool](const Key& a, const Key& b) { return Precedes(pool, a, b); });
+    const double min_cost = pool.CostMean(first.id);
+    run.clear();
+    size_t kept = 0;
+    for (size_t k = 0; k < keys->size(); ++k) {
+      const Key key = (*keys)[k];
+      const double cost = pool.CostMean(key.id);
+      if (cost == min_cost && key.quality == first.quality) {
+        run.push_back(key.id);
+      } else if (cost < min_cost) {
+        (*keys)[kept++] = key;
+      }
+    }
+    keys->resize(kept);
+    std::sort(run.begin(), run.end());
+    const size_t run_begin = sp->size();
+    for (const int32_t id : run) {
+      if (!HasMomentTwin(pool, id, *sp, run_begin)) sp->push_back(id);
+    }
+  }
+}
+
+// Lines 11-12: the Eq. 9 + Eq. 10 selection from S_p, counted in
+// `counts`; -1 when no member of S_p is admissible.
+int32_t SelectCounted(const PairPool& pool, const std::vector<int32_t>& sp,
+                      const BudgetTracker& tracker, GreedyStats* counts) {
+  ++counts->iterations;
+  counts->candidates += static_cast<int64_t>(sp.size());
+  counts->max_candidates =
+      std::max(counts->max_candidates, static_cast<int64_t>(sp.size()));
+  bool capped = false;
+  const int32_t best = SelectBestPair(pool, sp, tracker, &capped);
+  if (capped) ++counts->eq10_cap_hits;
+  return best;
+}
+
 }  // namespace
 
 void GreedyStats::Add(const GreedyStats& other) {
@@ -99,8 +180,50 @@ std::vector<int32_t> GreedySelect(const PairPool& pool,
   MQA_TRACE_SPAN_IF(pair_ids.size() >= 1024, "greedy/select",
                     static_cast<int64_t>(pair_ids.size()));
   BudgetTracker tracker(budget, delta);
+
+  // The alive pairs. Nothing is used yet, so only the quick budget check
+  // rejects, and the pairs it rejects never read their quality.
+  std::vector<Key> keys;
+  keys.reserve(pair_ids.size());
+  for (const int32_t id : pair_ids) {
+    if (!tracker.QuickReject(pool.pair(id))) {
+      keys.push_back({pool.QualityMean(id), id});
+    }
+  }
+  GreedyStats counts;
+  counts.retired_pairs = static_cast<int64_t>(pair_ids.size() - keys.size());
+  std::vector<int32_t> selected;
+  std::vector<int32_t> sp;
+
+  if (SharesOneEndpoint(pool, keys)) {
+    // A D&C leaf: one S_p, and a selection leaves no pair alive.
+    ScanCandidateSet(pool, &keys, &sp);
+    const int32_t best =
+        sp.empty() ? -1 : SelectCounted(pool, sp, tracker, &counts);
+    if (best >= 0) {
+      selected.push_back(best);
+      counts.retired_pairs = static_cast<int64_t>(pair_ids.size());
+    }
+    if (stats != nullptr) stats->Add(counts);
+    return selected;
+  }
+
   std::vector<char> worker_used(pool.num_workers(), 0);
   std::vector<char> task_used(pool.num_tasks(), 0);
+  // The distinct workers and tasks among the alive pairs, counted by
+  // flagging them in the used arrays, which are then cleared. Each
+  // selection uses one of each.
+  int64_t workers_left = 0;
+  int64_t tasks_left = 0;
+  for (const Key& key : keys) {
+    char& worker = worker_used[static_cast<size_t>(pool.WorkerIndex(key.id))];
+    char& task = task_used[static_cast<size_t>(pool.TaskIndex(key.id))];
+    workers_left += !worker;
+    tasks_left += !task;
+    worker = task = 1;
+  }
+  std::fill(worker_used.begin(), worker_used.end(), 0);
+  std::fill(task_used.begin(), task_used.end(), 0);
   // Once dead, a pair stays dead: used flags are only ever set and each
   // budget pot's spend only grows.
   const auto dead = [&](int32_t id) {
@@ -110,39 +233,17 @@ std::vector<int32_t> GreedySelect(const PairPool& pool,
            tracker.QuickReject(pair);
   };
 
-  // The offer order of paper Fig. 5 lines 4-10: quality mean descending,
-  // then cost mean ascending, then id. Pairs the quick budget check
-  // already rejects are dropped first and never read their quality.
-  // Each quality mean is read once into a sort key; the keys are freed
-  // before the tree is allocated, so the tree can reuse their memory.
+  // The alive pairs in offer order. The keys are freed before the tree is
+  // allocated, so the tree can reuse their memory.
   std::vector<int32_t> order;
-  order.reserve(pair_ids.size());
-  {
-    struct Key {
-      double quality;
-      int32_t id;
-    };
-    std::vector<Key> keys;
-    keys.reserve(pair_ids.size());
-    for (const int32_t id : pair_ids) {
-      if (!dead(id)) keys.push_back({pool.QualityMean(id), id});
-    }
-    std::sort(keys.begin(), keys.end(), [&pool](const Key& a, const Key& b) {
-      if (a.quality != b.quality) return a.quality > b.quality;
-      const double ca = pool.CostMean(a.id);
-      const double cb = pool.CostMean(b.id);
-      if (ca != cb) return ca < cb;
-      return a.id < b.id;
-    });
-    for (const Key& key : keys) order.push_back(key.id);
-  }
+  order.reserve(keys.size());
+  std::sort(keys.begin(), keys.end(), [&pool](const Key& a, const Key& b) {
+    return Precedes(pool, a, b);
+  });
+  for (const Key& key : keys) order.push_back(key.id);
+  std::vector<Key>().swap(keys);
   MinCostTree tree(pool, order);
 
-  GreedyStats counts;
-  counts.retired_pairs = static_cast<int64_t>(pair_ids.size() - order.size());
-
-  std::vector<int32_t> selected;
-  std::vector<int32_t> sp;
   while (true) {
     // Lines 4-10: the candidate set S_p. In offer order a newcomer never
     // prunes an earlier pair, and Lemma 4.1 dominance implies dominance
@@ -181,15 +282,7 @@ std::vector<int32_t> GreedySelect(const PairPool& pool,
       }
     }
     if (sp.empty()) break;
-    ++counts.iterations;
-    counts.candidates += static_cast<int64_t>(sp.size());
-    counts.max_candidates =
-        std::max(counts.max_candidates, static_cast<int64_t>(sp.size()));
-
-    // Lines 11-12: Eq. 9 + Eq. 10 selection.
-    bool capped = false;
-    const int32_t best = SelectBestPair(pool, sp, tracker, &capped);
-    if (capped) ++counts.eq10_cap_hits;
+    const int32_t best = SelectCounted(pool, sp, tracker, &counts);
     if (best < 0) break;
 
     const PairRef chosen = pool.pair(best);
@@ -197,16 +290,22 @@ std::vector<int32_t> GreedySelect(const PairPool& pool,
     worker_used[static_cast<size_t>(chosen.worker_index())] = 1;
     task_used[static_cast<size_t>(chosen.task_index())] = 1;
     selected.push_back(best);
+    // Once every worker or every task is used no pair is alive: count
+    // them all retired rather than walking the tree to retire each.
+    --workers_left;
+    --tasks_left;
+    if (workers_left == 0 || tasks_left == 0) {
+      counts.retired_pairs = static_cast<int64_t>(pair_ids.size());
+      break;
+    }
   }
 
   if (stats != nullptr) stats->Add(counts);
   return selected;
 }
 
-AssignmentResult EmitCurrentPairs(const ProblemInstance& instance,
-                                  const PairPool& pool,
+AssignmentResult EmitCurrentPairs(const PairPool& pool,
                                   const std::vector<int32_t>& selected) {
-  (void)instance;
   AssignmentResult result;
   for (const int32_t id : selected) {
     const PairRef pair = pool.pair(id);
@@ -233,7 +332,7 @@ AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
   const std::vector<int32_t> selected =
       GreedySelect(pool, all_ids, instance.budget(), delta, &stats);
   if (instance.greedy_stats() != nullptr) *instance.greedy_stats() = stats;
-  return EmitCurrentPairs(instance, pool, selected);
+  return EmitCurrentPairs(pool, selected);
 }
 
 }  // namespace mqa

@@ -40,10 +40,15 @@ struct GreedyStats {
 /// S_p is maintained incrementally (src/core/README.md, "Greedy
 /// selection"): the pairs are sorted once in offer order and a min-cost
 /// tree over that order yields each S_p in O(|S_p| log n). Dead pairs are
-/// retired from the tree as they are met. The selections are identical to
-/// rebuilding S_p from every alive pair each iteration
-/// (tests/greedy_property_test.cc). When `stats` is non-null the call's
-/// counts are added to it.
+/// retired from the tree as they are met. Each selection uses one worker
+/// and one task of the alive pairs, so the loop returns as soon as all
+/// their workers or all their tasks are used, counting the pairs still in
+/// the tree as retired without walking them. When all alive pairs share
+/// one task or one worker, as in every D&C leaf, at most one selection is
+/// possible: its S_p comes from a scan of the unsorted pairs, with no sort
+/// and no tree. The selections are identical to rebuilding S_p from every
+/// alive pair each iteration (tests/greedy_property_test.cc). When
+/// `stats` is non-null the call's counts are added to it.
 std::vector<int32_t> GreedySelect(const PairPool& pool,
                                   const std::vector<int32_t>& pair_ids,
                                   double budget, double delta,
@@ -52,17 +57,16 @@ std::vector<int32_t> GreedySelect(const PairPool& pool,
 /// Converts selected pool pairs into an AssignmentResult, keeping only
 /// current-current pairs (paper Fig. 5 line 14) and accumulating their
 /// fixed costs and qualities.
-AssignmentResult EmitCurrentPairs(const ProblemInstance& instance,
-                                  const PairPool& pool,
+AssignmentResult EmitCurrentPairs(const PairPool& pool,
                                   const std::vector<int32_t>& selected);
 
 /// MQA_Greedy end-to-end: build the pair pool over current and predicted
 /// entities, run the greedy loop with a fresh budget tracker (two pots of
 /// B, Eq. 9 confidence `delta`), and emit the current-current pairs.
-/// `pool_options.include_predicted` is overridden to true; the remaining
-/// fields pick the fallback index backend and eager statistics (see
-/// valid_pairs.h). The selection loop's counts go to the instance's
-/// greedy_stats sink when one is wired.
+/// `pool_options.include_predicted` is overridden to true; the backend
+/// field picks the fallback index backend (see valid_pairs.h). The
+/// selection loop's counts go to the instance's greedy_stats sink when
+/// one is wired.
 AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
                            const PairPoolOptions& pool_options = {});
 

@@ -38,7 +38,7 @@ AssignmentResult RunRandom(const ProblemInstance& instance, double delta,
     task_used[static_cast<size_t>(pair.task_index())] = 1;
     selected.push_back(id);
   }
-  return EmitCurrentPairs(instance, pool, selected);
+  return EmitCurrentPairs(pool, selected);
 }
 
 }  // namespace mqa

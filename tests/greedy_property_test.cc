@@ -4,21 +4,27 @@
 // as many candidate sets S_p of the same summed size (its GreedyStats
 // counts against the reference's tallies). A spurious or missing S_p
 // member rarely changes the Eq. 10 winner, so the sizes are what catch
-// it. The pools are drawn to hit every pruning and tie rule: equal
-// (quality, cost) means with equal or differing variances, exact moment
-// duplicates, one quality distribution shared by many predicted pairs
-// (like the global Case-3 entry), both budget pots, pairs the quick budget
-// check rejects on entry, candidate sets past the Eq. 10 cap, and pair-id
-// subsets shaped like the D&C leaves, nodes and budget reselections.
+// it. It also counts every pair retired exactly when the reference ran
+// out of alive pairs. The pools are drawn to hit every pruning and tie
+// rule: equal (quality, cost) means with equal or differing variances,
+// exact moment duplicates, one quality distribution shared by many
+// predicted pairs (like the global Case-3 entry), both budget pots, pairs
+// the quick budget check rejects on entry, candidate sets past the Eq. 10
+// cap, and pair-id subsets shaped like the D&C leaves, nodes and budget
+// reselections. Both of GreedySelect's shortcuts come up: the scan that
+// builds the one S_p of a call whose alive pairs share an endpoint, and
+// the early return once every worker or every task is used.
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/budget.h"
 #include "core/greedy.h"
 #include "tests/greedy_reference.h"
 
@@ -39,9 +45,17 @@ Uncertain Spread(Rng* rng, double mean) {
 
 PairPool DrawPool(Rng* rng) {
   const Uncertain shared_quality(2.0, 0.25, 1.0, 3.0);
-  const bool staircase = rng->Bernoulli(0.05);
+  // Staircases: quality and cost rise together, so no pair prunes another,
+  // S_p holds up to 70 pairs and the Eq. 10 cap of 48 binds. The diagonal
+  // one gives each pair its own worker and task; the single-task one is a
+  // D&C leaf, whose S_p comes from the scan.
+  const bool diagonal = rng->Bernoulli(0.05);
+  const bool one_task = !diagonal && rng->Bernoulli(0.05);
+  const bool staircase = diagonal || one_task;
   const int workers = staircase ? 70 : static_cast<int>(rng->UniformInt(1, 9));
-  const int tasks = staircase ? 70 : static_cast<int>(rng->UniformInt(1, 9));
+  const int tasks = diagonal   ? 70
+                    : one_task ? 1
+                               : static_cast<int>(rng->UniformInt(1, 9));
   const double density = staircase ? 0.0 : 0.3 * rng->UniformInt(1, 3);
 
   PairPoolBuilder builder(static_cast<size_t>(workers),
@@ -52,12 +66,10 @@ PairPool DrawPool(Rng* rng) {
     builder.Add(p);
   };
   if (staircase) {
-    // Quality and cost rise together: no pair prunes another, so S_p
-    // holds up to 70 pairs and the Eq. 10 cap of 48 binds.
     for (int k = 0; k < workers; ++k) {
       CandidatePair p;
       p.worker_index = k;
-      p.task_index = k;
+      p.task_index = diagonal ? k : 0;
       p.cost = Uncertain::Fixed(0.5 + 0.01 * k);
       p.quality = Uncertain::Fixed(1.0 + 0.02 * k);
       add(p);
@@ -98,13 +110,14 @@ PairPool DrawPool(Rng* rng) {
 }
 
 // The pair-id lists GreedySelect is called with: the whole pool (in any
-// order), a D&C leaf (one task's pairs), a D&C node (a task subset's
-// pairs, task by task) or a budget reselection (a merged selection: at
-// most one pair per worker and per task).
+// order), a D&C leaf (one task's pairs), one worker's pairs, a D&C node (a
+// task subset's pairs, task by task) or a budget reselection (a merged
+// selection: at most one pair per worker and per task).
 std::vector<int32_t> DrawPairIds(Rng* rng, const PairPool& pool) {
+  const auto num_workers = static_cast<int32_t>(pool.num_workers());
   const auto num_tasks = static_cast<int32_t>(pool.num_tasks());
   std::vector<int32_t> ids;
-  switch (rng->UniformInt(0, 3)) {
+  switch (rng->UniformInt(0, 4)) {
     case 0:
       for (size_t i = 0; i < pool.size(); ++i) {
         ids.push_back(static_cast<int32_t>(i));
@@ -118,7 +131,14 @@ std::vector<int32_t> DrawPairIds(Rng* rng, const PairPool& pool) {
       }
       break;
     }
-    case 2:
+    case 2: {
+      const int64_t w = rng->UniformInt(0, num_workers - 1);
+      for (const int32_t id : pool.PairsByWorker(static_cast<int32_t>(w))) {
+        ids.push_back(id);
+      }
+      break;
+    }
+    case 3:
       for (int32_t t = 0; t < num_tasks; ++t) {
         if (!rng->Bernoulli(0.5)) continue;
         for (const int32_t id : pool.PairsByTask(t)) ids.push_back(id);
@@ -166,6 +186,32 @@ std::pair<bool, bool> MeanTies(const PairPool& pool,
   return {tie, variance_differs};
 }
 
+// The pairs of `ids` alive on entry (the quick budget check admits them)
+// and their distinct workers and tasks: GreedySelect scans for S_p when
+// either count is 1, and returns early once its selections reach either.
+struct AliveShape {
+  size_t pairs = 0;
+  size_t workers = 0;
+  size_t tasks = 0;
+};
+
+AliveShape ShapeOf(const PairPool& pool, const std::vector<int32_t>& ids,
+                   double budget, double delta) {
+  const BudgetTracker fresh(budget, delta);
+  AliveShape shape;
+  std::set<int32_t> workers;
+  std::set<int32_t> tasks;
+  for (const int32_t id : ids) {
+    if (fresh.QuickReject(pool.pair(id))) continue;
+    ++shape.pairs;
+    workers.insert(pool.WorkerIndex(id));
+    tasks.insert(pool.TaskIndex(id));
+  }
+  shape.workers = workers.size();
+  shape.tasks = tasks.size();
+  return shape;
+}
+
 TEST(GreedyPropertyTest, IncrementalMatchesRebuildOnRandomPools) {
   constexpr int kTrials = 2000;
   constexpr double kBudgets[] = {0.5, 1.5, 3.0, 6.0, 100.0};
@@ -178,6 +224,9 @@ TEST(GreedyPropertyTest, IncrementalMatchesRebuildOnRandomPools) {
   int variance_ties = 0;
   int both_pots = 0;
   int multi_selections = 0;
+  int scans = 0;
+  int64_t scan_cap_hits = 0;
+  int early_returns = 0;
 
   Rng rng(20260412);
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -195,7 +244,21 @@ TEST(GreedyPropertyTest, IncrementalMatchesRebuildOnRandomPools) {
         << budget << ", delta " << delta;
     ASSERT_EQ(stats.iterations, expected.iterations) << "trial " << trial;
     ASSERT_EQ(stats.candidates, expected.candidates) << "trial " << trial;
+    ASSERT_EQ(stats.retired_pairs == static_cast<int64_t>(ids.size()),
+              expected.exhausted)
+        << "trial " << trial << ": " << stats.retired_pairs << " of "
+        << ids.size() << " pairs retired";
     cap_hits += stats.eq10_cap_hits;
+
+    const AliveShape shape = ShapeOf(pool, ids, budget, delta);
+    const size_t picks = expected.selected.size();
+    if (shape.workers == 1 || shape.tasks == 1) {
+      scans += shape.pairs > 1;
+      scan_cap_hits += stats.eq10_cap_hits;
+    } else {
+      early_returns += picks > 0 &&
+                       (picks == shape.workers || picks == shape.tasks);
+    }
 
     const auto [tie, variance_differs] = MeanTies(pool, ids);
     mean_ties += tie;
@@ -217,6 +280,10 @@ TEST(GreedyPropertyTest, IncrementalMatchesRebuildOnRandomPools) {
   EXPECT_GT(multi_selections, kTrials / 4);
   EXPECT_GT(cap_hits, 0)
       << "no staircase pool pushed S_p past the Eq. 10 cap";
+  EXPECT_GT(scans, kTrials / 10);
+  EXPECT_GT(scan_cap_hits, 0)
+      << "no single-task staircase pushed the scan's S_p past the cap";
+  EXPECT_GT(early_returns, kTrials / 10);
 }
 
 }  // namespace

@@ -98,11 +98,14 @@ class CandidateSet {
 
 /// What the reference loop selected, and the work it saw: the number of
 /// candidate sets built and their summed sizes (GreedySelect's
-/// GreedyStats::iterations and GreedyStats::candidates).
+/// GreedyStats::iterations and GreedyStats::candidates), and whether it
+/// stopped because no alive pair was left rather than because no member
+/// of S_p was admissible.
 struct ReferenceSelection {
   std::vector<int32_t> selected;
   int64_t iterations = 0;
   int64_t candidates = 0;
+  bool exhausted = false;
 };
 
 /// GreedySelect's contract, computed the direct way: sort the pairs of
@@ -158,6 +161,7 @@ inline ReferenceSelection ReferenceGreedySelect(
     task_used[static_cast<size_t>(chosen.task_index())] = 1;
     result.selected.push_back(best);
   }
+  result.exhausted = active.empty();
   return result;
 }
 

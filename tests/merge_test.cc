@@ -1,5 +1,6 @@
 #include "core/merge.h"
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "tests/merge_reference.h"
 
 namespace mqa {
 namespace {
@@ -184,6 +186,98 @@ TEST(MergeTest, RandomizedStressNoConflictsEver) {
     // Merging never grows the assignment beyond the input union.
     EXPECT_LE(merged.size(), before) << "trial " << trial;
   }
+}
+
+// Up to 12 workers and tasks with means on a coarse grid, so PairBeats and
+// the replacement rule meet ties; about half the pairs are predicted
+// (uncertain cost and quality, the future pot), the rest current.
+PairPool DrawMixedPool(Rng* rng) {
+  const auto num_workers = static_cast<int>(rng->UniformInt(2, 12));
+  const auto num_tasks = static_cast<int>(rng->UniformInt(2, 12));
+  const double density = rng->Uniform(0.2, 0.7);
+  PairPoolBuilder builder(static_cast<size_t>(num_workers),
+                          static_cast<size_t>(num_tasks));
+  for (int w = 0; w < num_workers; ++w) {
+    for (int t = 0; t < num_tasks; ++t) {
+      if (!rng->Bernoulli(density)) continue;
+      CandidatePair p;
+      p.worker_index = w;
+      p.task_index = t;
+      const double c = 0.5 * static_cast<double>(rng->UniformInt(1, 6));
+      const double q = 0.5 * static_cast<double>(rng->UniformInt(2, 6));
+      if (rng->Bernoulli(0.5)) {
+        p.involves_predicted = true;
+        p.cost = Uncertain(c, 0.1 * static_cast<double>(rng->UniformInt(0, 2)),
+                           std::max(0.0, c - 0.5), c + 0.5);
+        p.quality =
+            Uncertain(q, 0.1 * static_cast<double>(rng->UniformInt(0, 2)),
+                      q - 0.5, q + 0.5);
+        p.existence = rng->Uniform(0.3, 1.0);
+      } else {
+        p.cost = Uncertain::Fixed(c);
+        p.quality = Uncertain::Fixed(q);
+      }
+      builder.Add(p);
+    }
+  }
+  return std::move(builder).Build();
+}
+
+// Sub-results over 2-4 disjoint task sets, like the D&C children of one
+// node: most tasks get a random pair, no worker is used twice within a
+// sub-result, and workers repeat across sub-results.
+std::vector<std::vector<int32_t>> DrawSubResults(Rng* rng,
+                                                 const PairPool& pool) {
+  std::vector<std::vector<int32_t>> results(
+      static_cast<size_t>(rng->UniformInt(2, 4)));
+  std::vector<std::set<int32_t>> workers(results.size());
+  for (int32_t t = 0; t < static_cast<int32_t>(pool.num_tasks()); ++t) {
+    const auto part = static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(results.size()) - 1));
+    const PairIdSpan options = pool.PairsByTask(t);
+    if (options.empty() || rng->Bernoulli(0.2)) continue;
+    const int32_t id = options[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(options.size()) - 1))];
+    if (workers[part].insert(pool.WorkerIndex(id)).second) {
+      results[part].push_back(id);
+    }
+  }
+  for (std::vector<int32_t>& result : results) {
+    std::shuffle(result.begin(), result.end(), rng->engine());
+  }
+  return results;
+}
+
+// Differential test: the flat-array MergeResults returns exactly what the
+// former hash-table one (tests/merge_reference.h) returns, order included,
+// merge after merge.
+TEST(MergeTest, FlatIndexMatchesHashReference) {
+  constexpr int kTrials = 1500;
+  testing_util::MergeCases cases;
+  int both_pots = 0;
+  Rng rng(20261017);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const PairPool pool = DrawMixedPool(&rng);
+    bool current = false;
+    bool predicted = false;
+    std::vector<int32_t> merged;
+    std::vector<int32_t> expected;
+    for (const std::vector<int32_t>& sub : DrawSubResults(&rng, pool)) {
+      for (const int32_t id : sub) {
+        (pool.InvolvesPredicted(id) ? predicted : current) = true;
+      }
+      MergeResults(pool, &merged, sub);
+      testing_util::ReferenceMergeResults(pool, &expected, sub, &cases);
+      ASSERT_EQ(merged, expected) << "trial " << trial;
+    }
+    ExpectNoWorkerConflicts(pool, merged);
+    both_pots += current && predicted;
+  }
+  EXPECT_GT(both_pots, kTrials / 2);
+  EXPECT_GT(cases.incoming_wins, 0);
+  EXPECT_GT(cases.merged_wins, 0);
+  EXPECT_GT(cases.replaced, 0);
+  EXPECT_GT(cases.dropped, 0);
 }
 
 }  // namespace
