@@ -1,23 +1,24 @@
-// Brute-force vs grid-indexed valid-pair generation at 1k/10k/50k
-// workers x tasks, reporting wall time, emitted pairs and pairs/sec.
+// Brute-force vs R-tree valid-pair generation at 1k/10k/50k workers x
+// tasks, reporting wall time, emitted pairs and pairs/sec: the brute pass
+// hands BuildPairPool a BruteForceIndex through set_task_index, the
+// R-tree pass is BuildPairPool's default build.
 //
 // Two reach regimes: "city" (velocity 0.02-0.03, the hyperlocal setting
 // where a worker covers a few blocks per instance — reach radius ~0.05 of
 // the data space) and "paper" (Table IV velocities 0.2-0.3, radius up to
-// 0.6 — most pairs valid, so indexing can only help marginally). The
-// speedup claim in CHANGES.md is the city regime at 10k x 10k.
+// 0.6 — most pairs valid, so indexing can only help marginally).
 //
 // The third phase measures pool *materialization* on the dense "paper"
 // regime (the post-PR-1 bottleneck): columnar build time (Case 1-3
 // statistics included), steady-state arena-reuse build time, bytes/pair
 // and arena footprint, and emits the numbers as BENCH_pairpool.json.
 //
-// The fourth phase benchmarks the raw index backends (brute/grid/rtree)
-// on the paper's Fig. 18/19 location distributions — Uniform, Zipf and
+// The fourth phase benchmarks the raw indexes (brute force and R-tree) on
+// the paper's Fig. 18/19 location distributions — Uniform, Zipf and
 // Gaussian-cluster worker/task combos via src/workload/spatial_dist —
 // timing BulkLoad and the per-worker QueryReachable scan separately,
-// self-checking that every backend visits the identical candidate set,
-// and emitting BENCH_rtree.json.
+// self-checking that both visit the identical candidate set, and
+// emitting BENCH_rtree.json.
 //
 // MQA_INDEX_BENCH_MAX caps the instance size (default 50000);
 // MQA_BENCH_SCALE scales the pool-phase and skew-phase sizes (default 1).
@@ -27,14 +28,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/valid_pairs.h"
 #include "exec/pair_arena.h"
-#include "index/spatial_index.h"
+#include "index/brute_force_index.h"
+#include "index/rtree_index.h"
 #include "bench/bench_util.h"
 #include "quality/range_quality.h"
 #include "tests/test_util.h"
@@ -43,6 +44,7 @@
 namespace mqa {
 namespace {
 
+using testing_util::AttachTaskIndex;
 using testing_util::MakePredictedTask;
 using testing_util::MakePredictedWorker;
 using testing_util::MakeTask;
@@ -108,14 +110,17 @@ ProblemInstance MixedPaperInstance(int n, const QualityModel* quality,
                          /*unit_price=*/10.0, /*budget=*/300.0);
 }
 
-double TimePool(const ProblemInstance& instance, IndexBackend backend,
-                int reps, size_t* num_pairs) {
-  PairPoolOptions options;
-  options.backend = backend;
+/// Best-of-`reps` BuildPairPool time: with candidates from a
+/// BruteForceIndex handed in through set_task_index when `brute`, else
+/// from the R-tree BuildPairPool loads itself.
+double TimePool(ProblemInstance instance, bool brute, int reps,
+                size_t* num_pairs) {
+  BruteForceIndex brute_index;
+  if (brute) AttachTaskIndex(&instance, &brute_index);
   double best = 1e100;
   for (int r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
-    const PairPool pool = BuildPairPool(instance, options);
+    const PairPool pool = BuildPairPool(instance);
     const double s = Now(start);
     if (s < best) best = s;
     *num_pairs = pool.size();
@@ -129,29 +134,29 @@ void RunRegime(const char* name, double v_lo, double v_hi,
   std::printf("-- %s regime (velocity %.2f-%.2f, deadline 1-2) --\n", name,
               v_lo, v_hi);
   std::printf("%8s %12s %12s %14s %12s %14s %9s\n", "n", "pairs",
-              "brute_s", "brute_pairs/s", "grid_s", "grid_pairs/s", "speedup");
+              "brute_s", "brute_pairs/s", "rtree_s", "rtree_pairs/s",
+              "speedup");
   for (const int n : sizes) {
     if (n > max_n) continue;
     Rng rng(42 + n);
     const ProblemInstance instance = UniformInstance(n, v_lo, v_hi, &quality,
                                                      &rng);
     size_t pairs_brute = 0;
-    size_t pairs_grid = 0;
-    // The brute pass is quadratic; run it once. The grid pass is cheap
+    size_t pairs_rtree = 0;
+    // The brute pass is quadratic; run it once. The R-tree pass is cheap
     // enough to take the best of three.
-    const double brute_s =
-        TimePool(instance, IndexBackend::kBruteForce, 1, &pairs_brute);
-    const double grid_s = TimePool(instance, IndexBackend::kGrid,
-                                   n <= 10000 ? 3 : 1, &pairs_grid);
-    if (pairs_brute != pairs_grid) {
+    const double brute_s = TimePool(instance, true, 1, &pairs_brute);
+    const double rtree_s =
+        TimePool(instance, false, n <= 10000 ? 3 : 1, &pairs_rtree);
+    if (pairs_brute != pairs_rtree) {
       std::fprintf(stderr, "FATAL: pair pools diverged (%zu vs %zu)\n",
-                   pairs_brute, pairs_grid);
+                   pairs_brute, pairs_rtree);
       std::exit(1);
     }
     std::printf("%8d %12zu %12.4f %14.3e %12.4f %14.3e %8.1fx\n", n,
                 pairs_brute, brute_s,
-                static_cast<double>(pairs_brute) / brute_s, grid_s,
-                static_cast<double>(pairs_grid) / grid_s, brute_s / grid_s);
+                static_cast<double>(pairs_brute) / brute_s, rtree_s,
+                static_cast<double>(pairs_rtree) / rtree_s, brute_s / rtree_s);
   }
 }
 
@@ -172,13 +177,10 @@ PoolPhaseResult MeasurePoolPhase(const ProblemInstance& instance, int n,
   PoolPhaseResult result;
   result.n = n;
 
-  PairPoolOptions options;
-  options.backend = IndexBackend::kGrid;
-
   result.build_s = 1e100;
   for (int r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
-    const PairPool pool = BuildPairPool(instance, options);
+    const PairPool pool = BuildPairPool(instance);
     result.build_s = std::min(result.build_s, Now(start));
     result.pairs = pool.size();
     const PairPoolStats stats = pool.Stats();
@@ -199,7 +201,7 @@ PoolPhaseResult MeasurePoolPhase(const ProblemInstance& instance, int n,
   for (int r = 0; r < reps + 2; ++r) {
     arena.Reset();
     const auto start = std::chrono::steady_clock::now();
-    const PairPool pool = BuildPairPool(reuse_instance, options);
+    const PairPool pool = BuildPairPool(reuse_instance);
     if (r > 0) {  // skip the cold build that grows the arena
       result.build_reuse_s = std::min(result.build_reuse_s, Now(start));
     }
@@ -273,7 +275,8 @@ struct SkewRegime {
   SpatialDistConfig task_dist;
 };
 
-struct SkewBackendResult {
+struct SkewIndexResult {
+  const char* name = "";
   double build_s = 1e100;
   double query_s = 1e100;
   size_t candidates = 0;
@@ -281,33 +284,34 @@ struct SkewBackendResult {
 };
 
 /// Times BulkLoad and the per-worker QueryReachable scan separately; the
-/// (count, checksum) pair certifies that every backend visited the
+/// (count, checksum) pair certifies that both indexes visited the
 /// identical candidate set.
-SkewBackendResult MeasureSkewBackend(IndexBackend backend,
-                                     const std::vector<IndexEntry>& tasks,
-                                     const std::vector<Worker>& workers,
-                                     double max_deadline, int reps) {
-  SkewBackendResult r;
+template <typename Index>
+SkewIndexResult MeasureSkewIndex(const std::vector<IndexEntry>& tasks,
+                                 const std::vector<Worker>& workers,
+                                 double max_deadline, int reps) {
+  SkewIndexResult r;
   for (int rep = 0; rep < reps; ++rep) {
-    const std::unique_ptr<SpatialIndex> index = CreateSpatialIndex(backend);
+    Index index;
     auto start = std::chrono::steady_clock::now();
-    index->BulkLoad(tasks);
+    index.BulkLoad(tasks);
     r.build_s = std::min(r.build_s, Now(start));
 
     size_t candidates = 0;
     uint64_t checksum = 0;
     start = std::chrono::steady_clock::now();
     for (const Worker& w : workers) {
-      index->QueryReachable(w.location, w.velocity, max_deadline,
-                            [&](int64_t id, const BBox&, double) {
-                              ++candidates;
-                              checksum += static_cast<uint64_t>(id) *
-                                          uint64_t{2654435761};
-                            });
+      index.QueryReachable(w.location, w.velocity, max_deadline,
+                           [&](int64_t id, const BBox&, double) {
+                             ++candidates;
+                             checksum += static_cast<uint64_t>(id) *
+                                         uint64_t{2654435761};
+                           });
     }
     r.query_s = std::min(r.query_s, Now(start));
     r.candidates = candidates;
     r.checksum = checksum;
+    r.name = index.name();
   }
   return r;
 }
@@ -328,21 +332,18 @@ void RunSkewPhase(const std::vector<int>& sizes, int max_n) {
   cluster.gaussian_sigma = 0.05;  // one tight downtown cluster
 
   const SkewRegime regimes[] = {
-      {"U-U", uniform, uniform},  // baseline: grid's home turf
+      {"U-U", uniform, uniform},  // baseline: no skew
       {"U-Z", uniform, zipf},     // uniform demand over clustered supply
       {"U-G", uniform, cluster},
       {"Z-Z", zipf, zipf},  // everything piled into the same corner
       {"G-G", cluster, cluster},
   };
-  const IndexBackend backends[] = {IndexBackend::kBruteForce,
-                                   IndexBackend::kGrid, IndexBackend::kRTree};
 
   std::printf(
       "\n-- skewed-distribution index phase (city reach, worker-dist - "
       "task-dist) --\n");
-  std::printf("%6s %8s %12s %5s %12s %12s %12s %9s\n", "combo", "n",
-              "candidates", "bknd", "build_s", "query_s", "queries/s",
-              "q_speedup");
+  std::printf("%6s %8s %12s %5s %12s %12s %12s\n", "combo", "n",
+              "candidates", "index", "build_s", "query_s", "queries/s");
 
   FILE* json = std::fopen("BENCH_rtree.json", "w");
   if (json == nullptr) {
@@ -373,45 +374,34 @@ void RunSkewPhase(const std::vector<int>& sizes, int max_n) {
         workers.push_back(MakeWorker(i, c.x, c.y, rng.Uniform(0.02, 0.03)));
       }
 
-      // The brute query pass is quadratic; skip it past 10k (like the
-      // city regime's 50k row, it would dominate the whole bench). The
-      // divergence self-check then falls back to grid-vs-rtree, so the
-      // backends are always cross-checked against each other.
-      const int baseline = n <= 10000 ? 0 : 1;
-      SkewBackendResult results[3];
-      for (int b = baseline; b < 3; ++b) {
-        results[b] = MeasureSkewBackend(backends[b], tasks, workers,
-                                        kDeadlineHi, n <= 10000 ? 3 : 2);
-        if (b > baseline &&
-            (results[b].candidates != results[baseline].candidates ||
-             results[b].checksum != results[baseline].checksum)) {
-          std::fprintf(stderr,
-                       "FATAL: %s candidate set diverged from %s "
-                       "(%zu vs %zu)\n",
-                       IndexBackendToString(backends[b]),
-                       IndexBackendToString(backends[baseline]),
-                       results[b].candidates, results[baseline].candidates);
-          std::exit(1);
-        }
+      // The brute query pass is quadratic: past 10k it runs once, but it
+      // always runs, so the R-tree is cross-checked at every size.
+      const SkewIndexResult results[] = {
+          MeasureSkewIndex<BruteForceIndex>(tasks, workers, kDeadlineHi,
+                                            n <= 10000 ? 3 : 1),
+          MeasureSkewIndex<RTreeIndex>(tasks, workers, kDeadlineHi,
+                                       n <= 10000 ? 3 : 2)};
+      if (results[1].candidates != results[0].candidates ||
+          results[1].checksum != results[0].checksum) {
+        std::fprintf(stderr,
+                     "FATAL: RTREE candidate set diverged from BRUTE "
+                     "(%zu vs %zu)\n",
+                     results[1].candidates, results[0].candidates);
+        std::exit(1);
       }
 
-      const double grid_query = results[1].query_s;
-      for (int b = baseline; b < 3; ++b) {
-        const SkewBackendResult& r = results[b];
-        std::printf("%6s %8d %12zu %5s %12.4f %12.4f %12.3e %8.2fx\n",
-                    regime.name, n, r.candidates,
-                    IndexBackendToString(backends[b]), r.build_s, r.query_s,
-                    static_cast<double>(n) / r.query_s,
-                    grid_query / r.query_s);
+      for (const SkewIndexResult& r : results) {
+        std::printf("%6s %8d %12zu %5s %12.4f %12.4f %12.3e\n", regime.name,
+                    n, r.candidates, r.name, r.build_s, r.query_s,
+                    static_cast<double>(n) / r.query_s);
         if (json != nullptr) {
           std::fprintf(
               json,
               "%s    {\"regime\": \"%s\", \"n\": %d, \"backend\": \"%s\", "
               "\"candidates\": %zu, \"build_seconds\": %.6f, "
-              "\"query_seconds\": %.6f, \"query_speedup_vs_grid\": %.3f}",
-              first_row ? "" : ",\n", regime.name, n,
-              IndexBackendToString(backends[b]), r.candidates, r.build_s,
-              r.query_s, grid_query / r.query_s);
+              "\"query_seconds\": %.6f}",
+              first_row ? "" : ",\n", regime.name, n, r.name, r.candidates,
+              r.build_s, r.query_s);
           first_row = false;
         }
       }

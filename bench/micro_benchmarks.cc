@@ -14,10 +14,12 @@
 #include "core/greedy.h"
 #include "core/merge.h"
 #include "core/valid_pairs.h"
+#include "index/brute_force_index.h"
 #include "prediction/predictor.h"
 #include "quality/range_quality.h"
 #include "stats/distance_stats.h"
 #include "stats/normal.h"
+#include "tests/test_util.h"
 #include "workload/synthetic.h"
 
 namespace {
@@ -225,21 +227,20 @@ void BM_MergeResults(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeResults)->Arg(100)->Arg(300);
 
-// Same pool, but candidate tasks come from each backend explicitly
-// (kAuto picks brute force below kAutoBruteForceMaxPairs |W| x |T|
-// candidate pairs and the grid from there up; bench/index_bench.cc covers
-// the large-scale comparison).
+// Same pool, with candidate tasks from a BruteForceIndex handed in
+// through set_task_index (second arg 0) or from the R-tree BuildPairPool
+// loads itself (1); bench/index_bench.cc covers the large-scale
+// comparison.
 void BM_BuildPairPoolBackend(benchmark::State& state) {
   const RangeQualityModel quality(1.0, 2.0, 3);
   std::vector<Worker> workers;
   std::vector<Task> tasks;
-  const auto inst = BenchInstance(static_cast<int>(state.range(0)), &quality,
-                                  &workers, &tasks);
-  PairPoolOptions options;
-  options.backend = state.range(1) == 0 ? IndexBackend::kBruteForce
-                                        : IndexBackend::kGrid;
+  auto inst = BenchInstance(static_cast<int>(state.range(0)), &quality,
+                            &workers, &tasks);
+  BruteForceIndex brute;
+  if (state.range(1) == 0) testing_util::AttachTaskIndex(&inst, &brute);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildPairPool(inst, options));
+    benchmark::DoNotOptimize(BuildPairPool(inst));
   }
 }
 BENCHMARK(BM_BuildPairPoolBackend)

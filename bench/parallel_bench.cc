@@ -93,7 +93,6 @@ Measured MeasureAt(const ProblemInstance& base, int threads, int reps) {
   ParallelRunner runner(threads);
   ProblemInstance instance = base;
   instance.set_thread_pool(runner.pool());
-  const PairPoolOptions options;
 
   Measured m;
   m.pool_s = 1e100;
@@ -101,19 +100,17 @@ Measured MeasureAt(const ProblemInstance& base, int threads, int reps) {
   m.dc_s = 1e100;
   for (int r = 0; r < reps; ++r) {
     double t0 = Now();
-    const PairPool pool = BuildPairPool(instance, options);
+    const PairPool pool = BuildPairPool(instance);
     m.pool_s = std::min(m.pool_s, Now() - t0);
     m.num_pairs = pool.size();
 
     t0 = Now();
-    const AssignmentResult greedy =
-        RunGreedy(instance, /*delta=*/0.5, options);
+    const AssignmentResult greedy = RunGreedy(instance, /*delta=*/0.5);
     m.greedy_s = std::min(m.greedy_s, Now() - t0);
     m.greedy_quality = greedy.total_quality;
 
     t0 = Now();
-    const AssignmentResult dc =
-        RunDivideConquer(instance, /*delta=*/0.5, /*branching=*/0, options);
+    const AssignmentResult dc = RunDivideConquer(instance, /*delta=*/0.5);
     m.dc_s = std::min(m.dc_s, Now() - t0);
     m.dc_quality = dc.total_quality;
   }

@@ -38,12 +38,15 @@ namespace {
 
 using namespace mqa;
 
+/// The most --threads accepts: every pool thread is started up front, so
+/// an unbounded value would ask the OS for that many threads at once.
+constexpr int kMaxThreads = 256;
+
 struct CliOptions {
   std::string workload = "synthetic";  // synthetic | checkin
   std::string scenario = "paper";      // paper | rush-hour | bursty | hotspot-drift
   std::string algo = "greedy";         // greedy | dc | random
   std::string epoch_policy = "instance";  // instance | interval | arrivals | backlog
-  std::string index = "auto";             // auto | brute | grid | rtree
   std::string worker_dist = "gaussian";
   std::string task_dist = "zipf";
   int64_t workers = 1250;
@@ -166,10 +169,7 @@ void PrintUsage() {
       "  --workers=N --tasks=N --instances=R --budget=B --unit-price=C\n"
       "  --q-lo --q-hi --e-lo --e-hi --v-lo --v-hi (paper ranges)\n"
       "  --worker-dist=gaussian|uniform|zipf --task-dist=...\n"
-      "  --index=auto|brute|grid|rtree (spatial-index backend for\n"
-      "      candidate generation; auto loads the grid every epoch,\n"
-      "      rtree suits skewed distributions)\n"
-      "  --gamma=G --window=W --seed=S --threads=T\n"
+      "  --gamma=G --window=W --seed=S --threads=T (T at most %d)\n"
       "  --no-prediction --rejoin --csv\n"
       "  --record-trace=FILE (write the workload as an mqa-trace-v1 trace\n"
       "      before running; --trace-format=csv|binary picks the encoding)\n"
@@ -182,7 +182,8 @@ void PrintUsage() {
       "      provenance + per-epoch rows with phase times, pool, greedy\n"
       "      and process numbers)\n"
       "  --watchdog=SECONDS (flight recorder: dump in-flight span stacks\n"
-      "      when an epoch runs past 3x the expected seconds)\n");
+      "      when an epoch runs past 3x the expected seconds)\n",
+      kMaxThreads);
 }
 
 /// Ends the run with exit status 2, like an unknown flag.
@@ -285,7 +286,6 @@ int main(int argc, char** argv) {
         ParseFlag(a, "--scenario", &opt.scenario) ||
         ParseFlag(a, "--algo", &opt.algo) ||
         ParseFlag(a, "--epoch-policy", &opt.epoch_policy) ||
-        ParseFlag(a, "--index", &opt.index) ||
         ParseFlag(a, "--worker-dist", &opt.worker_dist) ||
         ParseFlag(a, "--task-dist", &opt.task_dist) ||
         ParseFlag(a, "--record-trace", &opt.record_trace) ||
@@ -347,6 +347,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (opt.threads > kMaxThreads) {
+    std::fprintf(stderr, "invalid value for --threads: %d (at most %d)\n",
+                 opt.threads, kMaxThreads);
+    return 2;
+  }
   // Every enumerated flag is checked before any work (or file) is done.
   const bool checkin = ParseChoice<bool>(
       "--workload", opt.workload, {{"synthetic", false}, {"checkin", true}});
@@ -361,12 +366,6 @@ int main(int argc, char** argv) {
       {{"greedy", AssignerKind::kGreedy},
        {"dc", AssignerKind::kDivideConquer},
        {"random", AssignerKind::kRandom}});
-  const IndexBackend index_backend = ParseChoice<IndexBackend>(
-      "--index", opt.index,
-      {{"auto", IndexBackend::kAuto},
-       {"brute", IndexBackend::kBruteForce},
-       {"grid", IndexBackend::kGrid},
-       {"rtree", IndexBackend::kRTree}});
   const EpochPolicyKind policy_kind = ParseChoice<EpochPolicyKind>(
       "--epoch-policy", opt.epoch_policy,
       {{"instance", EpochPolicyKind::kPerInstance},
@@ -410,7 +409,6 @@ int main(int argc, char** argv) {
     report.SetConfig("scenario", opt.scenario);
     report.SetConfig("algo", opt.algo);
     report.SetConfig("epoch_policy", opt.epoch_policy);
-    report.SetConfig("index", opt.index);
     report.SetConfig("workers", opt.workers);
     report.SetConfig("tasks", opt.tasks);
     report.SetConfig("instances", static_cast<int64_t>(opt.instances));
@@ -525,11 +523,9 @@ int main(int argc, char** argv) {
   config.prediction.window = opt.window;
   config.prediction.seed = opt.seed;
   config.workers_rejoin = opt.rejoin;
-  // Results are byte-identical for any thread count and any index
-  // backend (see src/exec/README.md and src/index/README.md); --threads
-  // and --index only change wall-clock time.
+  // Results are byte-identical for any thread count (see
+  // src/exec/README.md); --threads only changes wall-clock time.
   config.num_threads = opt.threads;
-  config.index_backend = index_backend;
 
   AssignerOptions assigner_options;
   assigner_options.seed = opt.seed;

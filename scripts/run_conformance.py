@@ -2,11 +2,11 @@
 """Differential conformance sweep over recorded mqa-trace-v1 traces.
 
 Replays each trace through the built ``mqa_cli`` across every combination
-of assignment algorithm x spatial-index backend x thread count x engine
-({batch, stream}) and asserts the determinism contracts on the per-epoch
-assignment checksums extracted from ``--run-report`` JSON:
+of assignment algorithm x thread count x engine ({batch, stream}) and
+asserts the determinism contracts on the per-epoch assignment checksums
+extracted from ``--run-report`` JSON (contract 1, index-equivalence, is
+checked at the pool level by tests/index_property_test.cc):
 
-  1. backend-equivalence  — brute/grid/rtree replay to identical bits;
   2. thread-equivalence   — 1 and 4 threads replay to identical bits;
   3. batch/stream-equivalence — for integer-time traces (recorded
      arrival streams), the streaming engine under --epoch-policy=instance
@@ -35,7 +35,6 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ALGOS = ["greedy", "dc", "random"]
-BACKENDS = ["brute", "grid", "rtree"]
 THREADS = [1, 4]
 
 # Pinned solver knobs so checksums are a pure function of (trace, algo).
@@ -68,12 +67,11 @@ def trace_times_are_integral(path):
     return True
 
 
-def run_variant(cli, trace, algo, backend, threads, engine, report_path):
+def run_variant(cli, trace, algo, threads, engine, report_path):
     cmd = [
         cli,
         f"--replay-trace={trace}",
         f"--algo={algo}",
-        f"--index={backend}",
         f"--threads={threads}",
         f"--run-report={report_path}",
     ] + BASE_FLAGS
@@ -98,30 +96,27 @@ def sweep_trace(cli, trace, tmpdir):
     for algo in ALGOS:
         reference = {}  # engine-class -> (variant label, checksums)
         runs = 0
-        for backend in BACKENDS:
-            for threads in THREADS:
-                for engine in ("batch", "stream"):
-                    label = f"{algo}/{backend}/t{threads}/{engine}"
-                    report = os.path.join(tmpdir, "report.json")
-                    checksums = run_variant(
-                        cli, trace, algo, backend, threads, engine,
-                        report)
-                    runs += 1
-                    if not checksums:
-                        sys.exit(f"FAIL: {label} produced no epochs")
-                    # The stream engine replays raw timestamps, so it only
-                    # joins the batch contract class for integer-time
-                    # traces.
-                    key = ("batch"
-                           if engine != "stream" or integral else "stream")
-                    if key not in reference:
-                        reference[key] = (label, checksums)
-                    elif reference[key][1] != checksums:
-                        ref_label, ref = reference[key]
-                        print(f"   MISMATCH {label} vs {ref_label}")
-                        print(f"     {ref_label}: {' '.join(ref)}")
-                        print(f"     {label}: {' '.join(checksums)}")
-                        failures += 1
+        for threads in THREADS:
+            for engine in ("batch", "stream"):
+                label = f"{algo}/t{threads}/{engine}"
+                report = os.path.join(tmpdir, "report.json")
+                checksums = run_variant(
+                    cli, trace, algo, threads, engine, report)
+                runs += 1
+                if not checksums:
+                    sys.exit(f"FAIL: {label} produced no epochs")
+                # The stream engine replays raw timestamps, so it only
+                # joins the batch contract class for integer-time traces.
+                key = ("batch"
+                       if engine != "stream" or integral else "stream")
+                if key not in reference:
+                    reference[key] = (label, checksums)
+                elif reference[key][1] != checksums:
+                    ref_label, ref = reference[key]
+                    print(f"   MISMATCH {label} vs {ref_label}")
+                    print(f"     {ref_label}: {' '.join(ref)}")
+                    print(f"     {label}: {' '.join(checksums)}")
+                    failures += 1
         status = "ok" if failures == 0 else "FAILED"
         print(f"   {algo}: {runs} runs, {status}")
     return failures

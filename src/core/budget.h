@@ -2,7 +2,6 @@
 #define MQA_CORE_BUDGET_H_
 
 #include "core/pair_pool.h"
-#include "model/candidate_pair.h"
 
 namespace mqa {
 
@@ -22,8 +21,8 @@ namespace mqa {
 /// Only current-current pairs are ever emitted, so the final output always
 /// satisfies the hard per-instance constraint.
 ///
-/// All checks read only cost moments + the predicted flag, so the PairRef
-/// overloads never touch a pair's quality statistics.
+/// All checks read only cost moments + the predicted flag, so they never
+/// touch a pair's quality statistics.
 class BudgetTracker {
  public:
   /// `budget` is B (per pot); `delta` the Eq. 9 confidence level.
@@ -34,9 +33,6 @@ class BudgetTracker {
   bool QuickReject(const PairRef& pair) const {
     return QuickRejectCost(pair.cost_lb(), pair.involves_predicted());
   }
-  bool QuickReject(const CandidatePair& pair) const {
-    return QuickRejectCost(pair.cost.lb(), pair.involves_predicted);
-  }
 
   /// Full admission test: hard check for fixed-cost pairs, Eq. 9 chance
   /// constraint for uncertain-cost pairs.
@@ -44,17 +40,10 @@ class BudgetTracker {
     return AdmitsCost(pair.cost_mean(), pair.cost_variance(),
                       pair.involves_predicted());
   }
-  bool Admits(const CandidatePair& pair) const {
-    return AdmitsCost(pair.cost.mean(), pair.cost.variance(),
-                      pair.involves_predicted);
-  }
 
   /// Records a selected pair. Requires Admits(pair).
   void Commit(const PairRef& pair) {
     CommitCost(pair.cost_mean(), pair.cost_lb(), pair.involves_predicted());
-  }
-  void Commit(const CandidatePair& pair) {
-    CommitCost(pair.cost.mean(), pair.cost.lb(), pair.involves_predicted);
   }
 
   double budget() const { return budget_; }

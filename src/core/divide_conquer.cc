@@ -118,11 +118,8 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
 }  // namespace
 
 AssignmentResult RunDivideConquer(const ProblemInstance& instance,
-                                  double delta, int branching,
-                                  const PairPoolOptions& pool_options) {
-  PairPoolOptions options = pool_options;
-  options.include_predicted = true;
-  const PairPool pool = BuildPairPool(instance, options);
+                                  double delta, int branching) {
+  const PairPool pool = BuildPairPool(instance);
 
   Subproblem root;
   for (size_t j = 0; j < instance.tasks().size(); ++j) {

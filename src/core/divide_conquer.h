@@ -21,8 +21,7 @@ namespace mqa {
 /// call (leaves and reselections) go to the instance's greedy_stats sink
 /// when one is wired.
 AssignmentResult RunDivideConquer(const ProblemInstance& instance,
-                                  double delta, int branching = 0,
-                                  const PairPoolOptions& pool_options = {});
+                                  double delta, int branching = 0);
 
 }  // namespace mqa
 

@@ -70,8 +70,7 @@ void Search(SearchState* s, size_t task_index) {
 }  // namespace
 
 Result<AssignmentResult> RunExact(const ProblemInstance& instance,
-                                  int max_entities,
-                                  const PairPoolOptions& pool_options) {
+                                  int max_entities) {
   if (instance.num_current_tasks() > static_cast<size_t>(max_entities) ||
       instance.num_current_workers() > static_cast<size_t>(max_entities)) {
     return Status::InvalidArgument(
@@ -79,9 +78,8 @@ Result<AssignmentResult> RunExact(const ProblemInstance& instance,
         " workers/tasks (MQA is NP-hard)");
   }
 
-  PairPoolOptions options = pool_options;
-  options.include_predicted = false;  // the oracle only sees current pairs
-  const PairPool pool = BuildPairPool(instance, options);
+  // The oracle only sees current pairs.
+  const PairPool pool = BuildPairPool(instance, /*include_predicted=*/false);
   SearchState state;
   state.instance = &instance;
   state.pool = &pool;

@@ -18,8 +18,7 @@ inline constexpr int kExactMaxEntities = 12;
 /// test oracle on tiny instances. Returns InvalidArgument when the
 /// instance exceeds `max_entities` on either side.
 Result<AssignmentResult> RunExact(const ProblemInstance& instance,
-                                  int max_entities = kExactMaxEntities,
-                                  const PairPoolOptions& pool_options = {});
+                                  int max_entities = kExactMaxEntities);
 
 }  // namespace mqa
 

@@ -317,11 +317,8 @@ AssignmentResult EmitCurrentPairs(const PairPool& pool,
   return result;
 }
 
-AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
-                           const PairPoolOptions& pool_options) {
-  PairPoolOptions options = pool_options;
-  options.include_predicted = true;
-  const PairPool pool = BuildPairPool(instance, options);
+AssignmentResult RunGreedy(const ProblemInstance& instance, double delta) {
+  const PairPool pool = BuildPairPool(instance);
 
   std::vector<int32_t> all_ids(pool.size());
   for (size_t i = 0; i < all_ids.size(); ++i) {

@@ -62,13 +62,10 @@ AssignmentResult EmitCurrentPairs(const PairPool& pool,
 
 /// MQA_Greedy end-to-end: build the pair pool over current and predicted
 /// entities, run the greedy loop with a fresh budget tracker (two pots of
-/// B, Eq. 9 confidence `delta`), and emit the current-current pairs.
-/// `pool_options.include_predicted` is overridden to true; the backend
-/// field picks the fallback index backend (see valid_pairs.h). The
+/// B, Eq. 9 confidence `delta`), and emit the current-current pairs. The
 /// selection loop's counts go to the instance's greedy_stats sink when
 /// one is wired.
-AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
-                           const PairPoolOptions& pool_options = {});
+AssignmentResult RunGreedy(const ProblemInstance& instance, double delta);
 
 }  // namespace mqa
 

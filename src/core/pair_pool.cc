@@ -85,7 +85,6 @@ PairPoolStats PairPool::Stats() const {
 
   if (arena_ != nullptr) {
     stats.arena_slabs = static_cast<int64_t>(arena_->slab_count());
-    stats.arena_capacity_bytes = static_cast<int64_t>(arena_->capacity_bytes());
     stats.arena_peak_bytes = static_cast<int64_t>(arena_->peak_bytes());
   }
   return stats;

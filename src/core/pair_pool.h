@@ -48,7 +48,6 @@ struct PairPoolStats {
   /// Arena footprint (owned or external; external arenas may also hold
   /// build scratch — that is the point of the per-epoch reuse).
   int64_t arena_slabs = 0;
-  int64_t arena_capacity_bytes = 0;
   int64_t arena_peak_bytes = 0;
 };
 

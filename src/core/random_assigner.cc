@@ -11,10 +11,8 @@
 namespace mqa {
 
 AssignmentResult RunRandom(const ProblemInstance& instance, double delta,
-                           uint64_t seed, const PairPoolOptions& pool_options) {
-  PairPoolOptions options = pool_options;
-  options.include_predicted = true;
-  const PairPool pool = BuildPairPool(instance, options);
+                           uint64_t seed) {
+  const PairPool pool = BuildPairPool(instance);
   std::vector<int32_t> order(pool.size());
   std::iota(order.begin(), order.end(), 0);
   Rng rng(seed);

@@ -16,8 +16,7 @@ namespace mqa {
 /// consume the next-instance pot and are dropped from the output), which
 /// is what the paper's RANDOM_WP variant does.
 AssignmentResult RunRandom(const ProblemInstance& instance, double delta,
-                           uint64_t seed,
-                           const PairPoolOptions& pool_options = {});
+                           uint64_t seed);
 
 }  // namespace mqa
 

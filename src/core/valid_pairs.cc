@@ -11,6 +11,7 @@
 #include "exec/pair_arena.h"
 #include "exec/thread_pool.h"
 #include "index/candidate_scan.h"
+#include "index/rtree_index.h"
 #include "quality/quality_model.h"
 #include "stats/distance_stats.h"
 
@@ -111,16 +112,15 @@ void RunItems(ThreadPool* exec, size_t n,
 }  // namespace
 
 PairPool BuildPairPool(const ProblemInstance& instance,
-                       const PairPoolOptions& options) {
+                       bool include_predicted) {
   const QualityModel* model = instance.quality_model();
   MQA_CHECK(model != nullptr) << "instance lacks a quality model";
 
-  const size_t num_workers = options.include_predicted
+  const size_t num_workers = include_predicted
                                  ? instance.workers().size()
                                  : instance.num_current_workers();
-  const size_t num_tasks = options.include_predicted
-                               ? instance.tasks().size()
-                               : instance.num_current_tasks();
+  const size_t num_tasks = include_predicted ? instance.tasks().size()
+                                             : instance.num_current_tasks();
 
   // The radius bound uses the largest candidate deadline; CanReach then
   // applies each task's exact deadline, so this only over-approximates.
@@ -130,8 +130,8 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   }
 
   const bool has_predicted =
-      options.include_predicted && (instance.num_predicted_workers() > 0 ||
-                                    instance.num_predicted_tasks() > 0);
+      include_predicted && (instance.num_predicted_workers() > 0 ||
+                            instance.num_predicted_tasks() > 0);
 
   // The instance's arena (the simulator's per-epoch arena), or a private
   // arena the pool owns.
@@ -152,17 +152,15 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   MQA_TRACE_SPAN("pool/build");
 
   // 1. The instance's task index (covering *all* tasks; ids past
-  // num_tasks are filtered in the scan), or one built here once. Queries
-  // are const and safe to run concurrently.
+  // num_tasks are filtered in the scan), or an R-tree loaded here over the
+  // participating tasks. Queries are const and safe to run concurrently.
   const SpatialIndex* index = instance.task_index();
-  std::unique_ptr<SpatialIndex> owned_index;
+  RTreeIndex owned_index;
   if (index != nullptr) {
     MQA_CHECK(index->size() == instance.tasks().size())
         << "task index covers " << index->size() << " entries but the "
         << "instance has " << instance.tasks().size() << " tasks";
   } else {
-    owned_index = CreateSpatialIndex(
-        ResolveBackend(options.backend, num_workers, num_tasks));
     std::vector<IndexEntry> entries;
     entries.reserve(num_tasks);
     for (size_t j = 0; j < num_tasks; ++j) {
@@ -170,8 +168,8 @@ PairPool BuildPairPool(const ProblemInstance& instance,
                          instance.tasks()[j].location,
                          instance.tasks()[j].deadline});
     }
-    owned_index->BulkLoad(entries);
-    index = owned_index.get();
+    owned_index.BulkLoad(entries);
+    index = &owned_index;
   }
 
   // 2. Scan: contiguous worker ranges, one per pool thread (a single
@@ -258,13 +256,6 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   if (owned_arena != nullptr) result.AdoptArena(std::move(owned_arena));
   if (instance.pool_stats() != nullptr) *instance.pool_stats() = result.Stats();
   return result;
-}
-
-PairPool BuildPairPool(const ProblemInstance& instance,
-                       bool include_predicted) {
-  PairPoolOptions options;
-  options.include_predicted = include_predicted;
-  return BuildPairPool(instance, options);
 }
 
 }  // namespace mqa

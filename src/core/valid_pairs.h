@@ -4,25 +4,9 @@
 #include <cstddef>
 
 #include "core/pair_pool.h"
-#include "index/spatial_index.h"
 #include "model/problem_instance.h"
 
 namespace mqa {
-
-/// What BuildPairPool enumerates. The execution context — task index,
-/// thread pool, arena and stats sink — comes from the ProblemInstance
-/// (set_task_index, set_thread_pool, set_pair_arena, set_pool_stats);
-/// BuildPairPool writes the finished pool's Stats() to the sink as it
-/// returns.
-struct PairPoolOptions {
-  /// When false, only current workers/tasks participate (the paper's WoP
-  /// straw man and the exact oracle).
-  bool include_predicted = true;
-
-  /// Index backend used when the instance carries no task index. kAuto
-  /// picks the grid above kAutoBruteForceMaxPairs candidate pairs.
-  IndexBackend backend = IndexBackend::kAuto;
-};
 
 /// Participating workers at/above which BuildPairPool scans and fills on
 /// the instance's thread pool; below it the fan-out costs more than it
@@ -43,20 +27,22 @@ inline constexpr size_t kMinParallelWorkers = 32;
 ///    core/pair_pool.h) — not stored per pair.
 /// Validity is the reachability test ProblemInstance::CanReach.
 ///
-/// Candidate tasks per worker come from a radius query over a task index
-/// with radius velocity * max-deadline — a superset of CanReach's
-/// velocity x deadline constraint — then the exact CanReach filter, so
-/// every backend produces the *identical* pool (same pair order, costs,
-/// qualities) as the seed's brute-force double loop; only the work done
-/// differs. The index is instance.task_index() when set, else one built
-/// here per options.backend. The scan splits the workers into contiguous
-/// ranges, one per thread of instance.thread_pool(); candidates are kept
-/// per worker, so the pool is byte-identical for any thread count (see
-/// src/exec/README.md).
-PairPool BuildPairPool(const ProblemInstance& instance,
-                       const PairPoolOptions& options);
-
-/// Back-compat shorthand for {.include_predicted = include_predicted}.
+/// When `include_predicted` is false, only current workers/tasks
+/// participate (the paper's WoP straw man and the exact oracle).
+///
+/// Candidate tasks per worker come from a reachability query over a task
+/// index (radius velocity * max-deadline, each entry bounded by its own
+/// deadline), then the exact CanReach filter, so any index produces the
+/// *identical* pool (same pair order, costs, qualities) as the seed's
+/// brute-force double loop; only the work done differs. The index is
+/// instance.task_index() when set, else an RTreeIndex loaded here over
+/// the participating tasks. The rest of the execution context — thread
+/// pool, arena and stats sink — also comes from the instance
+/// (set_thread_pool, set_pair_arena, set_pool_stats); BuildPairPool
+/// writes the finished pool's Stats() to the sink as it returns. The scan
+/// splits the workers into contiguous ranges, one per thread of
+/// instance.thread_pool(); candidates are kept per worker, so the pool is
+/// byte-identical for any thread count (see src/exec/README.md).
 PairPool BuildPairPool(const ProblemInstance& instance,
                        bool include_predicted = true);
 

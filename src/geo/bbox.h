@@ -67,8 +67,7 @@ class BBox {
   Point hi_;
 };
 
-/// Smallest box covering both `a` and `b`. Shared by the spatial-index
-/// backends (grid cell bounds, R-tree node boxes).
+/// Smallest box covering both `a` and `b` (the R-tree's node boxes).
 BBox Union(const BBox& a, const BBox& b);
 
 std::ostream& operator<<(std::ostream& os, const BBox& box);

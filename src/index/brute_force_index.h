@@ -8,9 +8,9 @@
 namespace mqa {
 
 /// Linear-scan SpatialIndex: queries test every entry. This is the seed's
-/// candidate enumeration expressed through the index interface — used for
-/// tiny instances (where it beats the grid's setup cost) and as the
-/// semantics oracle the GridIndex is cross-checked against.
+/// candidate enumeration expressed through the index interface, kept as
+/// the semantics reference: tests and benches hand it to
+/// ProblemInstance::set_task_index and check RTreeIndex against it.
 ///
 /// Concurrency: queries are const and touch no mutable state — safe to
 /// run from any number of threads as long as no BulkLoad is in flight.

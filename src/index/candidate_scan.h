@@ -16,8 +16,8 @@ namespace mqa {
 /// dropping entry ids >= `id_limit` (an external index may cover more
 /// tasks than participate), then visiting survivors as
 /// fn(task_index, min_dist) in ascending id order. The sort keeps pools
-/// (and the Case 1-3 statistics replayed from them) bit-identical across
-/// backends and matches the seed's double-loop order. QueryReachable
+/// (and the Case 1-3 statistics replayed from them) bit-identical for any
+/// index and matches the seed's double-loop order. QueryReachable
 /// visits exactly the tasks within velocity * min(deadline, max_deadline)
 /// of the worker's box; callers still apply the exact
 /// ProblemInstance::CanReachAtDistance test with the min-distance handed

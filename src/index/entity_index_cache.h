@@ -2,10 +2,9 @@
 #define MQA_INDEX_ENTITY_INDEX_CACHE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "index/spatial_index.h"
+#include "index/rtree_index.h"
 
 namespace mqa {
 
@@ -17,14 +16,13 @@ struct IndexChurnStats {
   int64_t erased = 0;
 };
 
-/// One entity spatial index, bulk-loaded from scratch at every simulation
-/// epoch: the paper's MQA loop derives each time instance's valid pairs
-/// from that instance's entities alone, and the backend object (with its
-/// grid cells or R-tree arena slabs) is the only thing retained between
-/// loads. This is the machinery behind TaskIndexCache (tasks) and
-/// WorkerIndexCache (workers): the two instantiations differ only in how
-/// an entity maps to a (location box, pruning bound) pair, expressed by
-/// `Traits`:
+/// One entity R-tree, bulk-loaded from scratch at every simulation epoch:
+/// the paper's MQA loop derives each time instance's valid pairs from
+/// that instance's entities alone, and the tree's arena slabs are the
+/// only thing retained between loads. This is the machinery behind
+/// TaskIndexCache (tasks) and WorkerIndexCache (workers): the two
+/// instantiations differ only in how an entity maps to a (location box,
+/// pruning bound) pair, expressed by `Traits`:
 ///
 ///   struct Traits {
 ///     static const BBox& box(const Entity&);
@@ -41,17 +39,10 @@ struct IndexChurnStats {
 template <typename Entity, typename Traits>
 class EntityIndexCache {
  public:
-  /// kAuto resolves to the grid backend; any concrete backend — grid,
-  /// brute, R-tree — passes through.
-  explicit EntityIndexCache(IndexBackend backend = IndexBackend::kAuto)
-      : index_(CreateSpatialIndex(backend == IndexBackend::kAuto
-                                      ? IndexBackend::kGrid
-                                      : backend)) {}
-
   /// Loads the index with `entities` (the full epoch vector, current plus
   /// predicted). Invalidates the previous view() contents.
   void BeginInstance(const std::vector<Entity>& entities) {
-    last_churn_.erased = static_cast<int64_t>(index_->size());
+    last_churn_.erased = static_cast<int64_t>(index_.size());
     last_churn_.inserted = static_cast<int64_t>(entities.size());
     entries_.clear();
     entries_.reserve(entities.size());
@@ -59,7 +50,7 @@ class EntityIndexCache {
       entries_.push_back({static_cast<int64_t>(j), Traits::box(entities[j]),
                           Traits::bound(entities[j])});
     }
-    index_->BulkLoad(entries_);
+    index_.BulkLoad(entries_);
   }
 
   /// What the last BeginInstance loaded and replaced.
@@ -67,10 +58,10 @@ class EntityIndexCache {
 
   /// Index over the entities of the last BeginInstance call; entry ids
   /// are indices into that vector. Valid until the next BeginInstance.
-  const SpatialIndex* view() const { return index_.get(); }
+  const SpatialIndex* view() const { return &index_; }
 
  private:
-  std::unique_ptr<SpatialIndex> index_;
+  RTreeIndex index_;
   std::vector<IndexEntry> entries_;  // load scratch, capacity recycled
   IndexChurnStats last_churn_;
 };

@@ -172,9 +172,9 @@ void RTreeIndex::ReachableRec(const Node* n, const BBox& query,
   //   min_dist(query, e.box) >= min_dist(query, n->box) and
   //   e.deadline <= n->max_deadline,
   // so `velocity * n->max_deadline < min_dist(query, n->box)` proves the
-  // whole subtree unreachable — the GridIndex per-cell rule carried up
-  // every internal level. NaN products (velocity 0 with an infinite
-  // deadline) fail the strict comparison and conservatively descend.
+  // whole subtree unreachable, at every internal level. NaN products
+  // (velocity 0 with an infinite deadline) fail the strict comparison and
+  // conservatively descend.
   if (velocity * n->max_deadline < min_dist_node) return;
   if (n->level == 0) {
     const LeafEntry* es = Entries(n);

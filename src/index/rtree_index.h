@@ -9,18 +9,17 @@
 
 namespace mqa {
 
-/// Packed R-tree SpatialIndex for skewed (Zipf / Gaussian-cluster) entity
-/// distributions, where the uniform grid's fixed global resolution goes
-/// unbalanced: dense regions overflow their cells while queries in sparse
-/// regions walk mostly-empty buckets. The tree's node boxes adapt to the
-/// data instead — leaves in a dense cluster cover tiny areas, sparse
-/// space is pruned near the root — so per-query work tracks the entries
-/// *near the query*, whatever the distribution.
+/// Packed R-tree SpatialIndex: the index every epoch loads over its tasks
+/// (and, for the streaming engine, its workers), and the one
+/// BuildPairPool loads when the instance carries none. Node boxes adapt
+/// to the data — leaves in a dense cluster cover tiny areas, sparse space
+/// is pruned near the root — so per-query work tracks the entries *near
+/// the query*, on the uniform, Zipf and Gaussian-cluster distributions
+/// alike.
 ///
 /// Structure: every node holds at most `max_entries` children; leaf slots
 /// are (id, box, deadline) entries, internal slots are child subtrees.
-/// Each node carries the union bounding box of its subtree and —
-/// mirroring GridIndex's per-cell maxima — the max deadline over its
+/// Each node carries the union bounding box and the max deadline of its
 /// subtree, which lets QueryReachable discard a whole subtree when
 /// `velocity * subtree_max_deadline < MinDistance(query, subtree_box)`.
 /// BulkLoad computes both exactly.
@@ -37,9 +36,9 @@ namespace mqa {
 /// permutation is O(n) heap scratch per load.
 ///
 /// Queries visit exactly the entry set the SpatialIndex contract
-/// specifies (identical to BruteForceIndex/GridIndex, property-tested);
-/// visit order is tree order, so callers needing cross-backend
-/// determinism sort ids (which `candidate_scan.h` does).
+/// specifies (identical to BruteForceIndex, property-tested); visit order
+/// is tree order, so callers needing a deterministic order sort ids
+/// (which `candidate_scan.h` does).
 ///
 /// Concurrency: queries are const and touch no mutable state — safe from
 /// any number of threads concurrently, provided no BulkLoad is in flight

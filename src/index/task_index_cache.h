@@ -9,8 +9,7 @@ namespace mqa {
 /// Trait instantiation behind TaskIndexCache: tasks are bucketed by their
 /// location box and carry their remaining deadline at load time as the
 /// QueryReachable bound, so worker-centric reachability scans skip
-/// entries (and whole grid cells or R-tree subtrees) a worker cannot
-/// reach in time.
+/// entries (and whole R-tree subtrees) a worker cannot reach in time.
 struct TaskIndexTraits {
   static const BBox& box(const Task& t) { return t.location; }
   static double bound(const Task& t) { return t.deadline; }

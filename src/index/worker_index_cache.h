@@ -19,9 +19,9 @@ namespace mqa {
 ///   QueryReachable(t.location, /*velocity=*/t.deadline,
 ///                  /*max_deadline=*/max_worker_velocity, visit)
 ///
-/// — the roles of the two factors swap, and GridIndex's per-cell maxima
-/// prune whole cells of slow workers the same way they prune cells of
-/// tight-deadline tasks.
+/// — the roles of the two factors swap, and the R-tree's per-subtree
+/// maxima prune whole subtrees of slow workers the same way they prune
+/// subtrees of tight-deadline tasks.
 struct WorkerIndexTraits {
   static const BBox& box(const Worker& w) { return w.location; }
   static double bound(const Worker& w) { return w.velocity; }

@@ -88,7 +88,7 @@ struct InstanceMetrics {
   /// — one for MQA_Greedy, one per D&C leaf and budget reselection:
   /// candidate sets S_p built, their summed and largest sizes, pairs
   /// retired dead, and S_p that Eq. 10's evaluation cap truncated.
-  /// Deterministic (the same for any thread count or backend); 0 for
+  /// Deterministic (the same for any thread count); 0 for
   /// assigners that never run the loop (random, exact).
   int64_t greedy_iterations = 0;
   int64_t greedy_candidates = 0;

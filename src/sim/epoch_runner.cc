@@ -53,12 +53,10 @@ EpochRunner::EpochRunner(const SimulatorConfig& config,
       quality_(quality),
       predictor_(config.prediction,
                  MakeCountPredictor(config.prediction.predictor)),
-      // Loaded from scratch every epoch; only the backend object (grid
-      // cells, R-tree arena slabs) lives across epochs.
-      task_index_cache_(config.index_backend),
+      // The task R-tree (a member) is loaded from scratch every epoch;
+      // only its arena slabs live across epochs.
       worker_index_cache_(config.maintain_worker_index
-                              ? std::make_unique<WorkerIndexCache>(
-                                    config.index_backend)
+                              ? std::make_unique<WorkerIndexCache>()
                               : nullptr),
       // Pool shared by all epochs of the run (threads spin up once); the
       // assigner sees it through ProblemInstance::thread_pool, like the

@@ -1,7 +1,6 @@
 #ifndef MQA_SIM_SIMULATOR_CONFIG_H_
 #define MQA_SIM_SIMULATOR_CONFIG_H_
 
-#include "index/spatial_index.h"
 #include "prediction/predictor.h"
 
 namespace mqa {
@@ -32,13 +31,6 @@ struct SimulatorConfig {
   /// Validate every assignment against the Def. 3/4 invariants (cheap
   /// relative to assignment; keep on except in microbenchmarks).
   bool validate_assignments = true;
-
-  /// Spatial-index backend for valid-pair generation; the simulator
-  /// loads a task index every time instance and hands it to the assigner
-  /// through ProblemInstance::task_index (kAuto loads the grid; pick
-  /// kRTree for skewed Zipf/Gaussian-cluster workloads — see
-  /// src/index/README.md).
-  IndexBackend index_backend = IndexBackend::kAuto;
 
   /// Also load a *worker* index (WorkerIndexCache) every epoch, exposed
   /// through EpochRunner::worker_index. Off by default — no assigner

@@ -261,9 +261,9 @@ class Engine {
   int64_t CoverableBacklog(size_t num_current_workers) {
     const SpatialIndex* index = runner_.worker_index();
     if (index == nullptr) return -1;
-    // Capping at the pool's max velocity keeps the query radius (and so
-    // GridIndex's cell range) finite; current workers are never pruned
-    // by it since min(v_i, cap) == v_i for all of them.
+    // Capping at the pool's max velocity keeps the query radius finite;
+    // current workers are never pruned by it since min(v_i, cap) == v_i
+    // for all of them.
     const double velocity_cap = MaxWorkerVelocity(workers_);
     const auto covered_by_current = [&](const Task& task) {
       bool covered = false;

@@ -25,6 +25,8 @@ CASES = [
     ("--window=0", "--window"),
     ("--budget=nan", "--budget"),
     ("--threads=abc", "--threads"),
+    # Above the cap: refused while parsing, before any thread starts.
+    ("--threads=100000", "--threads"),
     ("--stats-port=70000", "--stats-port"),
     ("--v-lo=0.5", "--v-lo/--v-hi"),
     ("--worker-dist=bogus", "--worker-dist"),
@@ -33,7 +35,6 @@ CASES = [
     ("--scenario=bogus", "invalid value for --scenario: 'bogus'"),
     ("--workload=bogus", "invalid value for --workload: 'bogus'"),
     ("--algo=bogus", "invalid value for --algo: 'bogus'"),
-    ("--index=bogus", "invalid value for --index: 'bogus'"),
     ("--epoch-policy=bogus", "invalid value for --epoch-policy: 'bogus'"),
     ("--trace-format=bogus", "invalid value for --trace-format: 'bogus'"),
     ("--delta-pool", "--delta-pool"),
@@ -55,6 +56,8 @@ CASES = [
     # The retired perf_event_open layer; the greedy loop's counts are in
     # the run report's epoch rows.
     ("--perf-counters", "--perf-counters"),
+    # The retired index-backend knob; every index is an R-tree.
+    ("--index=grid", "--index"),
 ]
 
 

@@ -1,13 +1,16 @@
 // Differential conformance harness: every recorded trace in the corpus
-// (tests/data/*.trace.csv) is swept across algorithms x index backends x
-// thread counts x {batch, stream}, and the three determinism contracts
-// are asserted via the per-epoch assignment checksums:
+// (tests/data/*.trace.csv) is swept across algorithms x thread counts x
+// {batch, stream}, and two determinism contracts are asserted via the
+// per-epoch assignment checksums:
 //
-//   1. backend-equivalence   — brute/grid/rtree produce identical bits;
 //   2. thread-equivalence    — any thread count produces identical bits;
 //   3. batch/stream-equivalence — the streaming engine under the
 //      per-instance policy reproduces the batch simulator byte-for-byte
 //      on the trace's bucketed arrival stream.
+//
+// Contract 1 (index-equivalence: the R-tree and the brute-force
+// reference produce identical pools) is checked at the pool level, in
+// index_property_test.cc.
 //
 // Continuous-time traces additionally assert that streaming replay of
 // the raw timestamps is self-consistent across the whole sweep (the
@@ -62,42 +65,18 @@ const RangeQualityModel& Quality() {
   return quality;
 }
 
-struct Variant {
-  IndexBackend backend;
-  int threads;
-
-  std::string Name() const {
-    std::string name = IndexBackendToString(backend);
-    name += "_t" + std::to_string(threads);
-    return name;
-  }
-};
-
-std::vector<Variant> SweepVariants() {
-  std::vector<Variant> variants;
-  for (const IndexBackend backend :
-       {IndexBackend::kBruteForce, IndexBackend::kGrid,
-        IndexBackend::kRTree}) {
-    for (const int threads : {1, 4}) {
-      variants.push_back({backend, threads});
-    }
-  }
-  return variants;
-}
-
-SimulatorConfig VariantConfig(const Variant& v) {
+SimulatorConfig ThreadsConfig(int threads) {
   SimulatorConfig config = PropertySimConfig();
-  config.num_threads = v.threads;
-  config.index_backend = v.backend;
+  config.num_threads = threads;
   return config;
 }
 
-/// The per-epoch assignment checksums of a batch run; `rows` (optional)
-/// collects the epoch rows too.
+/// The per-epoch assignment checksums of a batch run on `threads`
+/// threads; `rows` (optional) collects the epoch rows too.
 std::vector<uint64_t> RunBatch(const ArrivalStream& stream, AssignerKind kind,
-                               const Variant& v,
+                               int threads,
                                std::vector<InstanceMetrics>* rows = nullptr) {
-  Simulator sim(VariantConfig(v), &Quality());
+  Simulator sim(ThreadsConfig(threads), &Quality());
   auto assigner = CreateAssigner(kind, {.seed = 99});
   const auto summary = sim.Run(stream, assigner.get());
   EXPECT_TRUE(summary.ok()) << summary.status();
@@ -113,10 +92,10 @@ std::vector<uint64_t> RunBatch(const ArrivalStream& stream, AssignerKind kind,
 
 /// RunBatch for a per-instance-policy stream run of `queue`.
 std::vector<uint64_t> RunStream(EventQueue queue, double horizon,
-                                AssignerKind kind, const Variant& v,
+                                AssignerKind kind, int threads,
                                 std::vector<InstanceMetrics>* rows = nullptr) {
   StreamingConfig config;
-  config.sim = VariantConfig(v);
+  config.sim = ThreadsConfig(threads);
   config.sim.maintain_worker_index = true;
   config.policy.kind = EpochPolicyKind::kPerInstance;
   config.horizon = horizon;
@@ -158,27 +137,25 @@ TEST_P(ConformanceTest, AllContractsHoldAcrossTheSweep) {
        {AssignerKind::kGreedy, AssignerKind::kDivideConquer,
         AssignerKind::kRandom}) {
     SCOPED_TRACE(AssignerKindToString(kind));
-    // The reference run: batch, brute force, single thread.
-    const Variant reference{IndexBackend::kBruteForce, 1};
-    const std::vector<uint64_t> expected_batch =
-        RunBatch(bucketed, kind, reference);
+    // The reference run: batch, single thread.
+    const std::vector<uint64_t> expected_batch = RunBatch(bucketed, kind, 1);
     ASSERT_FALSE(expected_batch.empty());
-    const std::vector<uint64_t> expected_continuous = RunStream(
-        EventQueue::FromScenario(trace.scenario), trace.horizon, kind,
-        reference);
+    const std::vector<uint64_t> expected_continuous =
+        RunStream(EventQueue::FromScenario(trace.scenario), trace.horizon,
+                  kind, 1);
 
-    for (const Variant& v : SweepVariants()) {
-      SCOPED_TRACE(v.Name());
-      // Contracts 1, 2: batch bits never depend on backend or threads.
-      EXPECT_EQ(RunBatch(bucketed, kind, v), expected_batch);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      // Contract 2: batch bits never depend on threads.
+      EXPECT_EQ(RunBatch(bucketed, kind, threads), expected_batch);
       // Contract 3: streaming the bucketed arrivals under the
       // per-instance policy reproduces the batch run byte-for-byte.
       EXPECT_EQ(RunStream(EventQueue::FromArrivalStream(bucketed),
-                          bucketed_horizon, kind, v),
+                          bucketed_horizon, kind, threads),
                 expected_batch);
-      // Continuous replay: same three contracts on the raw timestamps.
+      // Continuous replay: the same contracts on the raw timestamps.
       EXPECT_EQ(RunStream(EventQueue::FromScenario(trace.scenario),
-                          trace.horizon, kind, v),
+                          trace.horizon, kind, threads),
                 expected_continuous);
     }
     if (integral) {
@@ -203,7 +180,6 @@ std::string GoldenBlock(const std::string& name) {
   if (!loaded.ok()) return "";
   const TraceData& trace = loaded.value();
   const ArrivalStream bucketed = trace.ToArrivalStream();
-  const Variant canonical{IndexBackend::kGrid, 1};
 
   std::ostringstream out;
   for (const AssignerKind kind :
@@ -223,9 +199,9 @@ std::string GoldenBlock(const std::string& name) {
       }
       out << "\n";
     };
-    row("batch", RunBatch(bucketed, kind, canonical));
+    row("batch", RunBatch(bucketed, kind, 1));
     row("stream", RunStream(EventQueue::FromScenario(trace.scenario),
-                            trace.horizon, kind, canonical));
+                            trace.horizon, kind, 1));
   }
   return out.str();
 }
@@ -270,7 +246,6 @@ TEST(SeedStabilityGoldenTest, CorpusChecksumsMatchGoldenFile) {
 // batch and stream, the cap never truncates: the largest candidate set
 // S_p in any epoch row has 11 pairs.
 TEST(GreedyCountersTest, Eq10CapNeverBindsOnCorpus) {
-  const Variant canonical{IndexBackend::kGrid, 1};
   std::vector<InstanceMetrics> rows;
   for (const char* name : kCorpus) {
     const auto loaded = TraceReader::ReadFile(DataPath(name));
@@ -278,9 +253,9 @@ TEST(GreedyCountersTest, Eq10CapNeverBindsOnCorpus) {
     const TraceData& trace = loaded.value();
     for (const AssignerKind kind :
          {AssignerKind::kGreedy, AssignerKind::kDivideConquer}) {
-      RunBatch(trace.ToArrivalStream(), kind, canonical, &rows);
+      RunBatch(trace.ToArrivalStream(), kind, 1, &rows);
       RunStream(EventQueue::FromScenario(trace.scenario), trace.horizon,
-                kind, canonical, &rows);
+                kind, 1, &rows);
     }
   }
   int64_t iterations = 0;

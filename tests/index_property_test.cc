@@ -1,10 +1,11 @@
 // Property tests for index-backed candidate generation: on randomized
 // instances across velocity/deadline/budget/gamma ranges, BuildPairPool
 // must produce the *identical* pair pool (same pair order, indices,
-// costs, qualities, existence, adjacency) whichever backend enumerates
-// the candidates — brute force, grid, or R-tree, sequential or split
-// into worker ranges across any thread count — including through the
-// simulator's incrementally maintained TaskIndexCache.
+// costs, qualities, existence, adjacency) whether its default R-tree or
+// the reference BruteForceIndex (handed in through set_task_index)
+// enumerates the candidates, sequential or split into worker ranges
+// across any thread count — including through the simulator's per-epoch
+// TaskIndexCache.
 
 #include <algorithm>
 #include <cstdint>
@@ -15,18 +16,15 @@
 #include "common/rng.h"
 #include "core/valid_pairs.h"
 #include "exec/parallel_runner.h"
-#include "index/grid_index.h"
-#include "index/spatial_index.h"
 #include "index/task_index_cache.h"
 #include "quality/range_quality.h"
-#include "sim/simulator.h"
 #include "tests/test_util.h"
 #include "workload/spatial_dist.h"
-#include "workload/synthetic.h"
 
 namespace mqa {
 namespace {
 
+using testing_util::BuildBrutePool;
 using testing_util::ConstantQualityModel;
 using testing_util::MakePredictedTask;
 using testing_util::MakePredictedWorker;
@@ -70,15 +68,7 @@ void ExpectSamePool(const PairPool& a, const PairPool& b) {
   }
 }
 
-PairPool BuildWith(const ProblemInstance& instance, IndexBackend backend,
-                   bool include_predicted = true) {
-  PairPoolOptions options;
-  options.backend = backend;
-  options.include_predicted = include_predicted;
-  return BuildPairPool(instance, options);
-}
-
-TEST(PairPoolBackendProperty, GridMatchesBruteForceCurrentOnly) {
+TEST(PairPoolIndexProperty, RTreeMatchesBruteForceCurrentOnly) {
   const ConstantQualityModel quality(1.5);
   Rng rng(99);
   for (int trial = 0; trial < 60; ++trial) {
@@ -92,13 +82,11 @@ TEST(PairPoolBackendProperty, GridMatchesBruteForceCurrentOnly) {
         &rng, &quality, static_cast<int>(rng.UniformInt(0, 40)),
         static_cast<int>(rng.UniformInt(0, 40)), 0, 0, velocity_hi,
         deadline_hi, unit_price, budget);
-    const PairPool base = BuildWith(inst, IndexBackend::kBruteForce);
-    ExpectSamePool(base, BuildWith(inst, IndexBackend::kGrid));
-    ExpectSamePool(base, BuildWith(inst, IndexBackend::kRTree));
+    ExpectSamePool(BuildBrutePool(inst), BuildPairPool(inst));
   }
 }
 
-TEST(PairPoolBackendProperty, GridMatchesBruteForceWithPredicted) {
+TEST(PairPoolIndexProperty, RTreeMatchesBruteForceWithPredicted) {
   Rng rng(1234);
   // Sweep the quality range [q-, q+] alongside the geometry parameters.
   for (const double q_hi : {1.5, 2.0, 5.0}) {
@@ -110,23 +98,16 @@ TEST(PairPoolBackendProperty, GridMatchesBruteForceWithPredicted) {
           static_cast<int>(rng.UniformInt(0, 10)),
           static_cast<int>(rng.UniformInt(0, 10)), rng.Uniform(0.05, 0.6),
           rng.Uniform(0.5, 2.5), rng.Uniform(0.5, 5.0), rng.Uniform(1.0, 8.0));
-      const PairPool base = BuildWith(inst, IndexBackend::kBruteForce);
-      ExpectSamePool(base, BuildWith(inst, IndexBackend::kGrid));
-      ExpectSamePool(base, BuildWith(inst, IndexBackend::kRTree));
+      ExpectSamePool(BuildBrutePool(inst), BuildPairPool(inst));
       // WoP variant: only current entities participate.
-      const PairPool base_wop =
-          BuildWith(inst, IndexBackend::kBruteForce, /*include_predicted=*/false);
-      ExpectSamePool(base_wop, BuildWith(inst, IndexBackend::kGrid,
-                                         /*include_predicted=*/false));
-      ExpectSamePool(base_wop, BuildWith(inst, IndexBackend::kRTree,
-                                         /*include_predicted=*/false));
+      ExpectSamePool(BuildBrutePool(inst, /*include_predicted=*/false),
+                     BuildPairPool(inst, /*include_predicted=*/false));
     }
   }
 }
 
 /// A mixed instance whose current locations follow `dist` — uniform,
-/// Zipf or Gaussian-cluster — the Fig. 18/19 regimes the R-tree backend
-/// exists for.
+/// Zipf or Gaussian-cluster — the Fig. 18/19 regimes.
 ProblemInstance SkewedMixedInstance(Rng* rng, const QualityModel* quality,
                                     const SpatialDistConfig& dist,
                                     int num_workers, int num_tasks,
@@ -160,12 +141,12 @@ ProblemInstance SkewedMixedInstance(Rng* rng, const QualityModel* quality,
                          quality, /*unit_price=*/1.0, /*budget=*/5.0);
 }
 
-TEST(PairPoolBackendProperty, AllBackendsMatchOnSkewedWorkloadsAcrossThreads) {
-  // The acceptance property of the R-tree backend: BuildPairPool output is
-  // byte-identical across {brute, grid, rtree} on uniform, Zipf and
-  // Gaussian-cluster workloads, sequential and in worker ranges over
-  // {2, 4, 8} threads (80 workers clears kMinParallelWorkers, so
-  // >1-thread pools take the parallel builder for real).
+TEST(PairPoolIndexProperty, BothIndexesMatchOnSkewedWorkloadsAcrossThreads) {
+  // BuildPairPool output is byte-identical for the brute-force reference
+  // and the R-tree on uniform, Zipf and Gaussian-cluster workloads,
+  // sequential and in worker ranges over {2, 4, 8} threads (80 workers
+  // clears kMinParallelWorkers, so >1-thread pools take the parallel
+  // builder for real).
   const RangeQualityModel quality(1.0, 2.0);
   SpatialDistConfig uniform;
   SpatialDistConfig zipf;
@@ -182,29 +163,28 @@ TEST(PairPoolBackendProperty, AllBackendsMatchOnSkewedWorkloadsAcrossThreads) {
           SkewedMixedInstance(&rng, &quality, dist, 80, 80,
                               static_cast<int>(rng.UniformInt(0, 12)));
       ASSERT_GE(inst.workers().size(), kMinParallelWorkers);
-      const PairPool base = BuildWith(inst, IndexBackend::kBruteForce);
+      const PairPool base = BuildBrutePool(inst);
       for (const int threads : {1, 2, 4, 8}) {
         ParallelRunner runner(threads);
         ProblemInstance threaded = inst;
         threaded.set_thread_pool(runner.pool());
-        for (const IndexBackend backend :
-             {IndexBackend::kBruteForce, IndexBackend::kGrid,
-              IndexBackend::kRTree}) {
-          ExpectSamePool(base, BuildWith(threaded, backend));
-        }
+        ExpectSamePool(base, BuildBrutePool(threaded));
+        ExpectSamePool(base, BuildPairPool(threaded));
       }
     }
   }
 }
 
-TEST(PairPoolBackendProperty, ExternalIndexMatchesInternal) {
+TEST(PairPoolIndexProperty, ExternalIndexMatchesInternal) {
   const ConstantQualityModel quality(1.0);
   Rng rng(555);
   for (int trial = 0; trial < 20; ++trial) {
     ProblemInstance inst = RandomMixedInstance(
         &rng, &quality, 20, 20, 5, 5, rng.Uniform(0.05, 0.5),
         rng.Uniform(0.5, 2.0), 1.0, 5.0);
-    GridIndex external(7);
+    // No deadlines in the entries: the builder's exact CanReach filter
+    // still applies every task's own.
+    BruteForceIndex external;
     std::vector<IndexEntry> entries;
     for (size_t j = 0; j < inst.tasks().size(); ++j) {
       entries.push_back(
@@ -212,12 +192,10 @@ TEST(PairPoolBackendProperty, ExternalIndexMatchesInternal) {
     }
     external.BulkLoad(entries);
 
-    // The brute-force references are built before the external index is
-    // attached, so they never see it.
-    const PairPool with_predicted =
-        BuildWith(inst, IndexBackend::kBruteForce, true);
-    const PairPool current_only =
-        BuildWith(inst, IndexBackend::kBruteForce, false);
+    // The references are built (on their own R-trees) before the external
+    // index is attached, so they never see it.
+    const PairPool with_predicted = BuildPairPool(inst, true);
+    const PairPool current_only = BuildPairPool(inst, false);
     inst.set_task_index(&external);
     // The external index covers predicted tasks too; the builder must
     // filter them out when include_predicted is off.
@@ -228,12 +206,8 @@ TEST(PairPoolBackendProperty, ExternalIndexMatchesInternal) {
 
 TEST(TaskIndexCacheProperty, TracksEvolvingTaskSets) {
   const ConstantQualityModel quality(1.0);
-  // The cache must answer for every backend it can load — the grid and
-  // the R-tree alike.
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kRTree}) {
   Rng rng(777);
-  TaskIndexCache cache(backend);
+  TaskIndexCache cache;
 
   // An evolving task pool: each "instance" removes a random subset
   // (assigned/expired), carries the rest, appends arrivals, and tacks on
@@ -270,10 +244,9 @@ TEST(TaskIndexCacheProperty, TracksEvolvingTaskSets) {
     std::vector<Task> tasks_copy = with_predicted;
     ProblemInstance inst(std::move(workers), 15, std::move(tasks_copy),
                          current.size(), &quality, 1.0, 4.0);
-    const PairPool brute = BuildWith(inst, IndexBackend::kBruteForce);
+    const PairPool brute = BuildBrutePool(inst);
     inst.set_task_index(cache.view());
-    ExpectSamePool(brute, BuildPairPool(inst, PairPoolOptions{}));
-  }
+    ExpectSamePool(brute, BuildPairPool(inst));
   }
 }
 
@@ -285,94 +258,52 @@ TEST(TaskIndexCacheProperty, ViewAnswersByCurrentDeadlines) {
     Point location;
     double deadline;  // remaining at epoch 0
   } seeds[] = {{{0.5, 0.0}, 2.0}, {{0.3, 0.4}, 1.4}, {{0.9, 0.9}, 3.0}};
-  for (const IndexBackend backend :
-       {IndexBackend::kBruteForce, IndexBackend::kGrid,
-        IndexBackend::kRTree}) {
-    SCOPED_TRACE(IndexBackendToString(backend));
-    Rng rng(4242);
-    TaskIndexCache cache(backend);
-    std::vector<Task> tasks;
-    TaskId next_id = 0;
-    for (const auto& seed : seeds) {
-      tasks.push_back(MakeTask(next_id++, seed.location.x, seed.location.y,
-                               seed.deadline));
-    }
-    for (int epoch = 0; epoch < 12; ++epoch) {
-      cache.BeginInstance(tasks);
-      ASSERT_EQ(cache.view()->size(), tasks.size());
-      std::vector<BBox> queries = {BBox::FromPoint({0.0, 0.0})};
-      for (int q = 0; q < 20; ++q) {
-        queries.push_back(BBox::FromPoint({rng.Uniform(), rng.Uniform()}));
-      }
-      for (const BBox& query : queries) {
-        const double velocity = rng.Uniform(0.05, 1.0);
-        for (const double max_deadline : {10.0, rng.Uniform(0.1, 3.0)}) {
-          std::vector<int64_t> got;
-          cache.view()->QueryReachable(
-              query, velocity, max_deadline,
-              [&](int64_t id, const BBox&, double) { got.push_back(id); });
-          std::sort(got.begin(), got.end());
-          std::vector<int64_t> expected;
-          for (size_t j = 0; j < tasks.size(); ++j) {
-            if (query.MinDistance(tasks[j].location) <=
-                velocity * std::min(tasks[j].deadline, max_deadline)) {
-              expected.push_back(static_cast<int64_t>(j));
-            }
-          }
-          ASSERT_EQ(got, expected) << "epoch " << epoch;
-        }
-      }
-      // Next epoch: every task is carried with 0.3 less deadline unless
-      // it expired, and a few tasks arrive — low churn, so most entries
-      // describe carried tasks.
-      std::vector<Task> carried;
-      for (Task t : tasks) {
-        t.deadline -= 0.3;
-        if (t.deadline > 0.0) carried.push_back(t);
-      }
-      for (int a = 0; a < 2; ++a) {
-        carried.push_back(MakeTask(next_id++, rng.Uniform(), rng.Uniform(),
-                                   rng.Uniform(0.5, 3.0)));
-      }
-      tasks = std::move(carried);
-    }
+  Rng rng(4242);
+  TaskIndexCache cache;
+  std::vector<Task> tasks;
+  TaskId next_id = 0;
+  for (const auto& seed : seeds) {
+    tasks.push_back(MakeTask(next_id++, seed.location.x, seed.location.y,
+                             seed.deadline));
   }
-}
-
-TEST(SimulatorIndexProperty, BackendsProduceIdenticalRuns) {
-  SyntheticConfig workload;
-  workload.num_workers = 220;
-  workload.num_tasks = 220;
-  workload.num_instances = 6;
-  workload.seed = 31;
-  const ArrivalStream stream = GenerateSynthetic(workload);
-  const ConstantQualityModel quality(2.0);
-
-  auto run = [&](IndexBackend backend) {
-    SimulatorConfig config;
-    config.budget = 50.0;
-    config.unit_price = 1.0;
-    config.index_backend = backend;
-    Simulator sim(config, &quality);
-    auto assigner = CreateAssigner(AssignerKind::kGreedy);
-    auto summary = sim.Run(stream, assigner.get());
-    EXPECT_TRUE(summary.ok());
-    return summary.value();
-  };
-
-  const SimulationSummary base = run(IndexBackend::kBruteForce);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kRTree, IndexBackend::kAuto}) {
-    const SimulationSummary other = run(backend);
-    EXPECT_EQ(base.total_assigned, other.total_assigned);
-    EXPECT_EQ(base.total_quality, other.total_quality);
-    EXPECT_EQ(base.total_cost, other.total_cost);
-    ASSERT_EQ(base.per_instance.size(), other.per_instance.size());
-    for (size_t p = 0; p < base.per_instance.size(); ++p) {
-      EXPECT_EQ(base.per_instance[p].assigned, other.per_instance[p].assigned);
-      EXPECT_EQ(base.per_instance[p].quality, other.per_instance[p].quality);
-      EXPECT_EQ(base.per_instance[p].cost, other.per_instance[p].cost);
+  for (int epoch = 0; epoch < 12; ++epoch) {
+    cache.BeginInstance(tasks);
+    ASSERT_EQ(cache.view()->size(), tasks.size());
+    std::vector<BBox> queries = {BBox::FromPoint({0.0, 0.0})};
+    for (int q = 0; q < 20; ++q) {
+      queries.push_back(BBox::FromPoint({rng.Uniform(), rng.Uniform()}));
     }
+    for (const BBox& query : queries) {
+      const double velocity = rng.Uniform(0.05, 1.0);
+      for (const double max_deadline : {10.0, rng.Uniform(0.1, 3.0)}) {
+        std::vector<int64_t> got;
+        cache.view()->QueryReachable(
+            query, velocity, max_deadline,
+            [&](int64_t id, const BBox&, double) { got.push_back(id); });
+        std::sort(got.begin(), got.end());
+        std::vector<int64_t> expected;
+        for (size_t j = 0; j < tasks.size(); ++j) {
+          if (query.MinDistance(tasks[j].location) <=
+              velocity * std::min(tasks[j].deadline, max_deadline)) {
+            expected.push_back(static_cast<int64_t>(j));
+          }
+        }
+        ASSERT_EQ(got, expected) << "epoch " << epoch;
+      }
+    }
+    // Next epoch: every task is carried with 0.3 less deadline unless
+    // it expired, and a few tasks arrive — low churn, so most entries
+    // describe carried tasks.
+    std::vector<Task> carried;
+    for (Task t : tasks) {
+      t.deadline -= 0.3;
+      if (t.deadline > 0.0) carried.push_back(t);
+    }
+    for (int a = 0; a < 2; ++a) {
+      carried.push_back(MakeTask(next_id++, rng.Uniform(), rng.Uniform(),
+                                 rng.Uniform(0.5, 3.0)));
+    }
+    tasks = std::move(carried);
   }
 }
 

@@ -1,18 +1,26 @@
-// Unit tests for the spatial-index subsystem: QueryReachable boundary
-// behavior (cell edges, zero radius, empty index), multi-cell dedup,
-// per-entry deadline filtering, repeated BulkLoads, and randomized
-// grid-vs-brute cross-checks at the raw query level.
+// QueryReachable semantics, one typed suite over both SpatialIndex
+// implementations — BruteForceIndex (the reference) and RTreeIndex (the
+// production index): boundary behavior (inclusive radius, zero radius,
+// entries on the quarter lines, entries outside the unit square),
+// one large box visited once, per-entry deadline filtering, repeated
+// BulkLoads, and randomized raw queries checked against the definition on
+// uniform, Zipf and Gaussian-cluster entry sets. The simulator's index
+// caches are pinned to the R-tree.
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "index/brute_force_index.h"
-#include "index/grid_index.h"
-#include "index/spatial_index.h"
+#include "index/rtree_index.h"
+#include "index/task_index_cache.h"
+#include "quality/range_quality.h"
+#include "sim/epoch_runner.h"
+#include "workload/spatial_dist.h"
 
 namespace mqa {
 namespace {
@@ -54,17 +62,47 @@ std::vector<int64_t> ReachableByDefinition(
   return ids;
 }
 
-TEST(GridIndexTest, EmptyIndexReturnsNothing) {
-  GridIndex index;
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_TRUE(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 10.0).empty());
-  index.BulkLoad({});
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_TRUE(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 10.0).empty());
+/// Entry sets with a location distribution, mixed point/kernel boxes and
+/// mixed finite/infinite deadlines — the shapes the simulator feeds in.
+std::vector<IndexEntry> SampleEntries(const SpatialDistConfig& dist, int n,
+                                      Rng* rng) {
+  std::vector<IndexEntry> entries;
+  entries.reserve(static_cast<size_t>(n));
+  for (int64_t id = 0; id < n; ++id) {
+    const Point c = SampleLocation(dist, rng);
+    const BBox box = rng->Bernoulli(0.3)
+                         ? BBox::KernelBox(c, rng->Uniform(0.0, 0.2),
+                                           rng->Uniform(0.0, 0.2))
+                         : BBox::FromPoint(c);
+    if (rng->Bernoulli(0.8)) {
+      entries.push_back({id, box, rng->Uniform(0.05, 2.0)});
+    } else {
+      entries.push_back({id, box});
+    }
+  }
+  return entries;
 }
 
-TEST(GridIndexTest, ZeroRadiusIsInclusive) {
-  GridIndex index(8);
+template <typename Index>
+class SpatialIndexTest : public ::testing::Test {};
+
+using Indexes = ::testing::Types<BruteForceIndex, RTreeIndex>;
+TYPED_TEST_SUITE(SpatialIndexTest, Indexes);
+
+TYPED_TEST(SpatialIndexTest, EmptyIndexReturnsNothing) {
+  TypeParam index;
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_TRUE(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 10.0).empty());
+  // BulkLoad of nothing is a legal reset.
+  index.BulkLoad({{1, BBox::FromPoint({0.5, 0.5})}});
+  index.BulkLoad({});
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_TRUE(CollectReachable(index, BBox::FromPoint({0.5, 0.5}), 1.0, 10.0)
+                  .empty());
+}
+
+TYPED_TEST(SpatialIndexTest, ZeroRadiusIsInclusive) {
+  TypeParam index;
   index.BulkLoad({{1, BBox::FromPoint({0.5, 0.5})},
                   {2, BBox::FromPoint({0.5 + 1e-9, 0.5})}});
   // Radius 0 selects only entries at distance exactly 0.
@@ -78,10 +116,18 @@ TEST(GridIndexTest, ZeroRadiusIsInclusive) {
             (std::vector<int64_t>{1, 3}));
 }
 
-TEST(GridIndexTest, PointsOnCellEdges) {
-  // 4x4 grid: interior edges at 0.25, 0.5, 0.75. Entries exactly on an
-  // edge must be found from queries on either side.
-  GridIndex index(4);
+TYPED_TEST(SpatialIndexTest, RadiusBoundaryIsInclusive) {
+  TypeParam index;
+  index.BulkLoad({{7, BBox::FromPoint({0.25, 0.5})}});
+  const BBox query = BBox::FromPoint({0.75, 0.5});
+  EXPECT_EQ(CollectWithin(index, query, 0.5), (std::vector<int64_t>{7}));
+  EXPECT_TRUE(CollectWithin(index, query, 0.5 - 1e-9).empty());
+}
+
+TYPED_TEST(SpatialIndexTest, PointsOnCellEdges) {
+  // Entries exactly on the quarter lines (0.25, 0.5, 0.75) must be found
+  // from queries on either side.
+  TypeParam index;
   index.BulkLoad({{1, BBox::FromPoint({0.25, 0.25})},
                   {2, BBox::FromPoint({0.5, 0.5})},
                   {3, BBox::FromPoint({0.75, 0.75})}});
@@ -100,33 +146,29 @@ TEST(GridIndexTest, PointsOnCellEdges) {
   }
 }
 
-TEST(GridIndexTest, RadiusBoundaryIsInclusive) {
-  GridIndex index(8);
-  index.BulkLoad({{7, BBox::FromPoint({0.25, 0.5})}});
-  const BBox query = BBox::FromPoint({0.75, 0.5});
-  EXPECT_EQ(CollectWithin(index, query, 0.5), (std::vector<int64_t>{7}));
-  EXPECT_TRUE(CollectWithin(index, query, 0.5 - 1e-9).empty());
-}
-
-TEST(GridIndexTest, MultiCellBoxReportedOnce) {
-  // A box spanning many cells is bucketed into each; queries overlapping
-  // several of those cells must still visit it exactly once.
-  GridIndex index(8);
-  index.BulkLoad({{42, BBox({0.1, 0.1}, {0.9, 0.9})}});
+TYPED_TEST(SpatialIndexTest, MultiCellBoxReportedOnce) {
+  // A box spanning most of the space, among small neighbors: queries that
+  // overlap it over a large area must still visit it exactly once.
+  TypeParam index;
+  std::vector<IndexEntry> entries = {{42, BBox({0.1, 0.1}, {0.9, 0.9})}};
+  for (int64_t id = 0; id < 40; ++id) {
+    const double t = 0.025 * static_cast<double>(id);
+    entries.push_back({id, BBox::FromPoint({t, 1.0 - t})});
+  }
+  index.BulkLoad(entries);
   for (const BBox& query :
        {BBox({0.0, 0.0}, {1.0, 1.0}), BBox({0.2, 0.2}, {0.8, 0.8})}) {
     int visits = 0;
     index.QueryReachable(query, 1.0, 0.5,
                          [&](int64_t id, const BBox&, double) {
-                           EXPECT_EQ(id, 42);
-                           ++visits;
+                           if (id == 42) ++visits;
                          });
     EXPECT_EQ(visits, 1);
   }
 }
 
-TEST(GridIndexTest, EntitiesOutsideUnitSquareAreFound) {
-  GridIndex index(8);
+TYPED_TEST(SpatialIndexTest, EntitiesOutsideUnitSquareAreFound) {
+  TypeParam index;
   index.BulkLoad({{1, BBox::FromPoint({1.4, 0.5})},
                   {2, BBox::FromPoint({-0.3, -0.2})}});
   EXPECT_EQ(CollectWithin(index, BBox::FromPoint({0.9, 0.5}), 0.5),
@@ -136,13 +178,16 @@ TEST(GridIndexTest, EntitiesOutsideUnitSquareAreFound) {
   EXPECT_TRUE(CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 0.2).empty());
 }
 
-TEST(GridIndexTest, AllPointsIdentical) {
-  GridIndex index;
+TYPED_TEST(SpatialIndexTest, AllPointsIdentical) {
+  // Every entry shares one location: the R-tree's packing sees nothing
+  // but ties, and every entry must still be found once.
+  TypeParam index;
   std::vector<IndexEntry> entries;
   for (int64_t id = 0; id < 300; ++id) {
     entries.push_back({id, BBox::FromPoint({0.5, 0.5}), 1.0});
   }
   index.BulkLoad(entries);
+  EXPECT_EQ(index.size(), 300u);
   const std::vector<int64_t> all =
       CollectWithin(index, BBox::FromPoint({0.5, 0.5}), 0.0);
   ASSERT_EQ(all.size(), 300u);
@@ -151,181 +196,113 @@ TEST(GridIndexTest, AllPointsIdentical) {
   }
 }
 
-TEST(GridIndexTest, RepeatedBulkLoadReplacesContents) {
-  // Each load replaces the previous contents and, with auto resolution,
-  // re-picks ~sqrt(n) cells per side for the new entry count.
-  GridIndex index;
+TYPED_TEST(SpatialIndexTest, RepeatedBulkLoadReplacesContents) {
+  TypeParam index;
   Rng rng(7);
   std::vector<IndexEntry> large;
   for (int64_t id = 0; id < 2000; ++id) {
     large.push_back({id, BBox::FromPoint({rng.Uniform(), rng.Uniform()})});
   }
-  const std::vector<IndexEntry> small = {
-      {1, BBox::FromPoint({0.1, 0.1})},
-      {2, BBox({0.2, 0.2}, {0.8, 0.8})}};
   const BBox everywhere({0, 0}, {1, 1});
 
-  index.BulkLoad(small);
+  index.BulkLoad({{1, BBox::FromPoint({0.1, 0.1})},
+                  {2, BBox({0.2, 0.2}, {0.8, 0.8})}});
   EXPECT_EQ(index.size(), 2u);
-  const int small_side = index.cells_per_side();
   EXPECT_EQ(CollectWithin(index, everywhere, 1.0),
             (std::vector<int64_t>{1, 2}));
 
   index.BulkLoad(large);
   EXPECT_EQ(index.size(), 2000u);
-  const int large_side = index.cells_per_side();
-  EXPECT_GT(large_side, small_side);
-  BruteForceIndex brute;
-  brute.BulkLoad(large);
   const BBox query = BBox::FromPoint({0.4, 0.6});
   EXPECT_EQ(CollectWithin(index, query, 0.15),
-            CollectWithin(brute, query, 0.15));
+            ReachableByDefinition(large, query, 1.0, 0.15));
 
   index.BulkLoad({{5, BBox::FromPoint({0.5, 0.5})}});
   EXPECT_EQ(index.size(), 1u);
-  EXPECT_LT(index.cells_per_side(), large_side);
   EXPECT_EQ(CollectWithin(index, everywhere, 1.0),
             (std::vector<int64_t>{5}));
-
-  // A fixed resolution survives every load.
-  GridIndex fixed(4);
-  fixed.BulkLoad(large);
-  fixed.BulkLoad(small);
-  EXPECT_EQ(fixed.cells_per_side(), 4);
-  EXPECT_EQ(CollectWithin(fixed, everywhere, 1.0),
-            (std::vector<int64_t>{1, 2}));
 }
 
-TEST(GridIndexTest, MatchesBruteForceOnRandomQueries) {
-  Rng rng(123);
-  std::vector<IndexEntry> entries;
-  for (int64_t id = 0; id < 500; ++id) {
-    if (rng.Bernoulli(0.3)) {
-      // Kernel boxes like predicted entities.
-      const Point c{rng.Uniform(), rng.Uniform()};
-      entries.push_back(
-          {id, BBox::KernelBox(c, rng.Uniform(0.0, 0.2),
-                               rng.Uniform(0.0, 0.2))});
-    } else {
-      entries.push_back({id, BBox::FromPoint({rng.Uniform(), rng.Uniform()})});
-    }
-  }
-  for (const int side : {0, 1, 3, 16, 100}) {
-    GridIndex grid(side);
-    grid.BulkLoad(entries);
-    BruteForceIndex brute;
-    brute.BulkLoad(entries);
-    for (int q = 0; q < 200; ++q) {
-      const BBox query =
-          q % 2 == 0
-              ? BBox::FromPoint({rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)})
-              : BBox::KernelBox({rng.Uniform(), rng.Uniform()},
-                                rng.Uniform(0.0, 0.3), rng.Uniform(0.0, 0.3));
-      const double radius = rng.Uniform(0.0, 0.4);
-      EXPECT_EQ(CollectWithin(grid, query, radius),
-                CollectWithin(brute, query, radius))
-          << "side=" << side << " q=" << q;
-    }
-  }
-}
-
-TEST(QueryReachableTest, FiltersByPerEntryDeadline) {
+TYPED_TEST(SpatialIndexTest, FiltersByPerEntryDeadline) {
   // Worker at the origin with velocity 1: a task at distance 0.5 is
   // reachable only when its deadline is >= 0.5.
-  for (const int side : {0, 4}) {
-    GridIndex grid(side);
-    grid.BulkLoad({{1, BBox::FromPoint({0.5, 0.0}), /*deadline=*/1.0},
-                   {2, BBox::FromPoint({0.5, 0.0}), /*deadline=*/0.2},
-                   {3, BBox::FromPoint({0.9, 0.0}), /*deadline=*/0.95}});
-    const BBox query = BBox::FromPoint({0.0, 0.0});
-    // max_deadline 1.0 bounds the search radius at velocity 1.
-    EXPECT_EQ(CollectReachable(grid, query, 1.0, 1.0),
-              (std::vector<int64_t>{1, 3}));
-    // A slower worker loses the far entry, then the near one.
-    EXPECT_EQ(CollectReachable(grid, query, 0.6, 1.0),
-              (std::vector<int64_t>{1}));
-    EXPECT_EQ(CollectReachable(grid, query, 0.1, 1.0),
-              (std::vector<int64_t>{}));
-  }
+  TypeParam index;
+  index.BulkLoad({{1, BBox::FromPoint({0.5, 0.0}), /*deadline=*/1.0},
+                  {2, BBox::FromPoint({0.5, 0.0}), /*deadline=*/0.2},
+                  {3, BBox::FromPoint({0.9, 0.0}), /*deadline=*/0.95}});
+  const BBox query = BBox::FromPoint({0.0, 0.0});
+  // max_deadline 1.0 bounds the search radius at velocity 1.
+  EXPECT_EQ(CollectReachable(index, query, 1.0, 1.0),
+            (std::vector<int64_t>{1, 3}));
+  // A slower worker loses the far entry, then the near one.
+  EXPECT_EQ(CollectReachable(index, query, 0.6, 1.0),
+            (std::vector<int64_t>{1}));
+  EXPECT_EQ(CollectReachable(index, query, 0.1, 1.0),
+            (std::vector<int64_t>{}));
 }
 
-TEST(QueryReachableTest, DefaultDeadlineNeverPrunes) {
+TYPED_TEST(SpatialIndexTest, DefaultDeadlineNeverPrunes) {
   // Entries without deadlines (infinity) must behave exactly like a plain
   // radius query — including at velocity 0 (NaN product) and with
-  // negative velocities (degrade to 0).
-  GridIndex grid(5);
-  grid.BulkLoad({{1, BBox::FromPoint({0.3, 0.3})},
-                 {2, BBox({0.2, 0.2}, {0.8, 0.8})}});
-  EXPECT_EQ(CollectReachable(grid, BBox::FromPoint({0.3, 0.3}), 0.0, 2.0),
+  // negative velocities (degrade to 0), at the subtree-pruning level too.
+  TypeParam index;
+  index.BulkLoad({{1, BBox::FromPoint({0.3, 0.3})},
+                  {2, BBox({0.2, 0.2}, {0.8, 0.8})}});
+  EXPECT_EQ(CollectReachable(index, BBox::FromPoint({0.3, 0.3}), 0.0, 2.0),
             (std::vector<int64_t>{1, 2}));
-  EXPECT_EQ(CollectReachable(grid, BBox::FromPoint({0.3, 0.3}), -1.0, 2.0),
+  EXPECT_EQ(CollectReachable(index, BBox::FromPoint({0.3, 0.3}), -1.0, 2.0),
             (std::vector<int64_t>{1, 2}));
   // Radius 0.5: reaches the point at min-dist ~0.42 and the box at ~0.28.
-  EXPECT_EQ(CollectReachable(grid, BBox::FromPoint({0.0, 0.0}), 1.0, 0.5),
+  EXPECT_EQ(CollectReachable(index, BBox::FromPoint({0.0, 0.0}), 1.0, 0.5),
             (std::vector<int64_t>{1, 2}));
   // Radius 0.3: only the box stays in range.
-  EXPECT_EQ(CollectReachable(grid, BBox::FromPoint({0.0, 0.0}), 1.0, 0.3),
+  EXPECT_EQ(CollectReachable(index, BBox::FromPoint({0.0, 0.0}), 1.0, 0.3),
             (std::vector<int64_t>{2}));
 }
 
-TEST(QueryReachableTest, GridMatchesBruteForceOnRandomQueries) {
+TYPED_TEST(SpatialIndexTest, MatchesDefinitionOnRandomQueries) {
+  SpatialDistConfig zipf;
+  zipf.kind = SpatialDistribution::kZipf;
+  zipf.zipf_skew = 0.9;
+  SpatialDistConfig cluster;
+  cluster.kind = SpatialDistribution::kGaussian;
+  cluster.gaussian_sigma = 0.05;
+  const struct {
+    const char* name;
+    SpatialDistConfig dist;
+  } regimes[] = {{"uniform", {}}, {"zipf", zipf}, {"cluster", cluster}};
+
   Rng rng(321);
-  std::vector<IndexEntry> entries;
-  for (int64_t id = 0; id < 400; ++id) {
-    const bool kernel = rng.Bernoulli(0.3);
-    const BBox box =
-        kernel ? BBox::KernelBox({rng.Uniform(), rng.Uniform()},
-                                 rng.Uniform(0.0, 0.2), rng.Uniform(0.0, 0.2))
-               : BBox::FromPoint({rng.Uniform(), rng.Uniform()});
-    // Mix finite deadlines with the infinite default.
-    if (rng.Bernoulli(0.8)) {
-      entries.push_back({id, box, rng.Uniform(0.05, 2.0)});
-    } else {
-      entries.push_back({id, box});
-    }
-  }
-  for (const int side : {0, 1, 3, 16, 100}) {
-    GridIndex grid(side);
-    grid.BulkLoad(entries);
-    BruteForceIndex brute;
-    brute.BulkLoad(entries);
+  for (const auto& regime : regimes) {
+    const std::vector<IndexEntry> entries =
+        SampleEntries(regime.dist, 500, &rng);
+    TypeParam index;
+    index.BulkLoad(entries);
     for (int q = 0; q < 200; ++q) {
       const BBox query =
-          q % 2 == 0
-              ? BBox::FromPoint({rng.Uniform(-0.2, 1.2), rng.Uniform(-0.2, 1.2)})
-              : BBox::KernelBox({rng.Uniform(), rng.Uniform()},
-                                rng.Uniform(0.0, 0.3), rng.Uniform(0.0, 0.3));
+          q % 2 == 0 ? BBox::FromPoint({rng.Uniform(-0.2, 1.2),
+                                        rng.Uniform(-0.2, 1.2)})
+                     : BBox::KernelBox({rng.Uniform(), rng.Uniform()},
+                                       rng.Uniform(0.0, 0.3),
+                                       rng.Uniform(0.0, 0.3));
       const double velocity = rng.Uniform(0.0, 0.6);
       const double max_deadline = rng.Uniform(0.05, 2.5);
-      EXPECT_EQ(CollectReachable(grid, query, velocity, max_deadline),
-                CollectReachable(brute, query, velocity, max_deadline))
-          << "side=" << side << " q=" << q;
-      // And exactly the definition.
-      EXPECT_EQ(CollectReachable(grid, query, velocity, max_deadline),
+      EXPECT_EQ(CollectReachable(index, query, velocity, max_deadline),
                 ReachableByDefinition(entries, query, velocity, max_deadline))
-          << "side=" << side << " q=" << q;
+          << regime.name << " q=" << q;
     }
   }
 }
 
-TEST(SpatialIndexTest, FactoryAndResolve) {
-  EXPECT_EQ(ResolveBackend(IndexBackend::kGrid, 1, 1), IndexBackend::kGrid);
-  EXPECT_EQ(ResolveBackend(IndexBackend::kBruteForce, 100000, 100000),
-            IndexBackend::kBruteForce);
-  EXPECT_EQ(ResolveBackend(IndexBackend::kAuto, 10, 10),
-            IndexBackend::kBruteForce);
-  EXPECT_EQ(ResolveBackend(IndexBackend::kAuto, 1000, 1000),
-            IndexBackend::kGrid);
+TEST(IndexDefaultTest, SimulatorIndexesAreRTrees) {
+  EXPECT_STREQ(TaskIndexCache().view()->name(), "RTREE");
 
-  EXPECT_STREQ(CreateSpatialIndex(IndexBackend::kGrid)->name(), "GRID");
-  EXPECT_STREQ(CreateSpatialIndex(IndexBackend::kBruteForce)->name(), "BRUTE");
-  EXPECT_STREQ(
-      CreateSpatialIndex(ResolveBackend(IndexBackend::kAuto, 10, 10))->name(),
-      "BRUTE");
-  EXPECT_STREQ(CreateSpatialIndex(ResolveBackend(IndexBackend::kAuto, 1000,
-                                                 1000))
-                   ->name(),
-               "GRID");
+  SimulatorConfig config;
+  config.maintain_worker_index = true;
+  const RangeQualityModel quality(1.0, 2.0);
+  const EpochRunner runner(config, &quality);
+  ASSERT_NE(runner.worker_index(), nullptr);
+  EXPECT_STREQ(runner.worker_index()->name(), "RTREE");
 }
 
 }  // namespace

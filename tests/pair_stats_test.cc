@@ -315,7 +315,7 @@ TEST(PairStatisticsDefinition, BuiltPoolsMatchCases1To3) {
       ParallelRunner runner(threads);
       ProblemInstance inst = base;
       inst.set_thread_pool(runner.pool());
-      const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
+      const PairPool pool = BuildPairPool(inst);
       for (size_t id = 0; id < pool.size(); ++id) {
         const CandidatePair pair = pool.GetPair(static_cast<int32_t>(id));
         const bool worker_predicted =

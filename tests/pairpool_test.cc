@@ -154,8 +154,8 @@ TEST(ArenaReuse, NoStaleDataAcrossEpochs) {
 
     arena.Reset();
     inst_a.set_pair_arena(&arena);
-    const PairPool reused = BuildPairPool(inst_a, PairPoolOptions{});
-    const PairPool fresh = BuildPairPool(inst_b, PairPoolOptions{});
+    const PairPool reused = BuildPairPool(inst_a);
+    const PairPool fresh = BuildPairPool(inst_b);
     ExpectSamePool(reused, fresh);
 
     if (epoch == 5) warm_capacity = arena.capacity_bytes();
@@ -182,7 +182,7 @@ TEST(ArenaReuse, SteadyStateStopsAllocating) {
     size_t capacity_after_first = 0;
     for (int epoch = 0; epoch < 5; ++epoch) {
       arena.Reset();
-      const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
+      const PairPool pool = BuildPairPool(inst);
       if (epoch == 0) {
         capacity_after_first = arena.capacity_bytes();
         EXPECT_EQ(arena.num_sub_arenas(), static_cast<size_t>(threads));
@@ -203,7 +203,7 @@ TEST(PairPoolTest, StatsFinalWhenBuildReturns) {
   ProblemInstance inst = MixedInstance(&rng, &quality, 20, 4, 6.0);
   PairPoolStats stats;
   inst.set_pool_stats(&stats);
-  const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
+  const PairPool pool = BuildPairPool(inst);
 
   // The sink is filled while the pool is still alive.
   int64_t predicted = 0;
@@ -269,7 +269,7 @@ TEST(BuildPairPoolTest, ColumnFingerprintIsPinned) {
           /*deadline_hi=*/2.0, /*unit_price=*/10.0, /*budget=*/50.0);
       ASSERT_GE(inst.workers().size(), kMinParallelWorkers);
       inst.set_thread_pool(runner.pool());
-      const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
+      const PairPool pool = BuildPairPool(inst);
       for (size_t k = 0; k < pool.size(); ++k) {
         ++kinds[static_cast<size_t>(
             pool.QualityKind(static_cast<int32_t>(k)))];
@@ -315,7 +315,7 @@ TEST(BuildPairPoolTest, CostColumnsEqualDistanceBetween) {
   for (const int threads : {1, 4}) {
     ParallelRunner runner(threads);
     inst.set_thread_pool(runner.pool());
-    const PairPool pool = BuildPairPool(inst, PairPoolOptions{});
+    const PairPool pool = BuildPairPool(inst);
     int64_t clipped_pairs = 0;
     for (size_t k = 0; k < pool.size(); ++k) {
       const int32_t id = static_cast<int32_t>(k);

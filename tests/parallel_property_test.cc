@@ -16,7 +16,7 @@
 #include "core/assigner.h"
 #include "core/valid_pairs.h"
 #include "exec/parallel_runner.h"
-#include "index/grid_index.h"
+#include "index/task_index_cache.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
@@ -167,39 +167,32 @@ TEST(ParallelPairPoolProperty, PoolIsByteIdenticalAcrossThreadCounts) {
   for (const ProblemInstance& inst : inputs) {
     ASSERT_GE(inst.workers().size(), kMinParallelWorkers)
         << "every input must take the parallel builder at >1 threads";
-    const PairPool sequential = BuildPairPool(inst, PairPoolOptions{});
+    const PairPool sequential = BuildPairPool(inst);
     for (const int threads : kThreadCounts) {
       ParallelRunner runner(threads);
       ExpectSamePool(sequential,
-                     BuildPairPool(WithThreadPool(inst, runner.pool()),
-                                   PairPoolOptions{}));
+                     BuildPairPool(WithThreadPool(inst, runner.pool())));
     }
   }
 }
 
 TEST(ParallelPairPoolProperty, PrebuiltIndexPathMatchesToo) {
-  // The simulator path: a shared (cache-style) index queried concurrently
-  // by every worker range.
+  // The simulator path: the epoch's TaskIndexCache view, queried
+  // concurrently by every worker range.
   const RangeQualityModel quality(1.0, 2.0, 7);
   Rng rng(32);
   ProblemInstance inst =
       MixedInstance(&rng, &quality, 150, 150, 25, 0.3, 10.0);
 
-  GridIndex index;
-  std::vector<IndexEntry> entries;
-  for (size_t j = 0; j < inst.tasks().size(); ++j) {
-    entries.push_back({static_cast<int64_t>(j), inst.tasks()[j].location,
-                       inst.tasks()[j].deadline});
-  }
-  index.BulkLoad(entries);
-  inst.set_task_index(&index);
+  TaskIndexCache cache;
+  cache.BeginInstance(inst.tasks());
+  inst.set_task_index(cache.view());
 
-  const PairPool sequential = BuildPairPool(inst, PairPoolOptions{});
+  const PairPool sequential = BuildPairPool(inst);
   for (const int threads : kThreadCounts) {
     ParallelRunner runner(threads);
     ExpectSamePool(sequential,
-                   BuildPairPool(WithThreadPool(inst, runner.pool()),
-                                 PairPoolOptions{}));
+                   BuildPairPool(WithThreadPool(inst, runner.pool())));
   }
 }
 

@@ -8,6 +8,8 @@
 
 #include "common/rng.h"
 #include "core/assigner.h"
+#include "core/valid_pairs.h"
+#include "index/brute_force_index.h"
 #include "model/problem_instance.h"
 #include "model/task.h"
 #include "model/worker.h"
@@ -161,6 +163,29 @@ inline ProblemInstance RandomMixedInstance(
                          std::move(tasks),
                          static_cast<size_t>(num_current_tasks), quality,
                          unit_price, budget);
+}
+
+/// Loads `index` with every task of `instance` (ids are task positions,
+/// bounds the task deadlines, as TaskIndexCache loads them) and hands it
+/// to the instance through set_task_index. `index` must outlive every
+/// pool built from the instance.
+inline void AttachTaskIndex(ProblemInstance* instance, SpatialIndex* index) {
+  std::vector<IndexEntry> entries;
+  for (size_t j = 0; j < instance->tasks().size(); ++j) {
+    entries.push_back({static_cast<int64_t>(j), instance->tasks()[j].location,
+                       instance->tasks()[j].deadline});
+  }
+  index->BulkLoad(entries);
+  instance->set_task_index(index);
+}
+
+/// BuildPairPool with candidate tasks from a BruteForceIndex, the
+/// semantics reference: the pool every index must reproduce.
+inline PairPool BuildBrutePool(ProblemInstance instance,
+                               bool include_predicted = true) {
+  BruteForceIndex brute;
+  AttachTaskIndex(&instance, &brute);
+  return BuildPairPool(instance, include_predicted);
 }
 
 /// Delegating assigner that records every result, so equivalence tests

@@ -34,11 +34,9 @@ const RangeQualityModel& Quality() {
 }
 
 std::vector<uint64_t> BatchChecksums(const ArrivalStream& stream,
-                                     AssignerKind kind, int threads,
-                                     IndexBackend backend) {
+                                     AssignerKind kind, int threads) {
   SimulatorConfig config = PropertySimConfig();
   config.num_threads = threads;
-  config.index_backend = backend;
   Simulator sim(config, &Quality());
   auto assigner = CreateAssigner(kind, {.seed = 99});
   const auto summary = sim.Run(stream, assigner.get());
@@ -53,13 +51,11 @@ std::vector<uint64_t> BatchChecksums(const ArrivalStream& stream,
 }
 
 std::vector<uint64_t> StreamChecksums(EventQueue queue, double horizon,
-                                      AssignerKind kind, int threads,
-                                      IndexBackend backend) {
+                                      AssignerKind kind, int threads) {
   StreamingConfig config;
   config.sim = PropertySimConfig();
   config.sim.maintain_worker_index = true;
   config.sim.num_threads = threads;
-  config.sim.index_backend = backend;
   config.policy.kind = EpochPolicyKind::kPerInstance;
   config.horizon = horizon;
   StreamingSimulator sim(config, &Quality());
@@ -80,7 +76,6 @@ std::vector<uint64_t> StreamChecksums(EventQueue queue, double horizon,
 struct RoundTripCase {
   AssignerKind kind;
   int threads;
-  IndexBackend backend;
   TraceFormat format;
 };
 
@@ -92,8 +87,6 @@ std::string RoundTripCaseName(
     if (ch == '&') ch = 'n';
   }
   name += "_t" + std::to_string(c.threads);
-  name += "_";
-  name += IndexBackendToString(c.backend);
   name += "_";
   name += TraceFormatToString(c.format);
   return name;
@@ -118,12 +111,12 @@ TEST_P(TraceRoundTripTest, RecordedArrivalStreamReplaysByteIdentically) {
   ASSERT_EQ(trace.num_instances(), 4);
 
   const ArrivalStream replayed = trace.ToArrivalStream();
-  EXPECT_EQ(BatchChecksums(original, c.kind, c.threads, c.backend),
-            BatchChecksums(replayed, c.kind, c.threads, c.backend));
+  EXPECT_EQ(BatchChecksums(original, c.kind, c.threads),
+            BatchChecksums(replayed, c.kind, c.threads));
   EXPECT_EQ(StreamChecksums(EventQueue::FromArrivalStream(original), 4.0,
-                            c.kind, c.threads, c.backend),
+                            c.kind, c.threads),
             StreamChecksums(EventQueue::FromScenario(trace.scenario), 4.0,
-                            c.kind, c.threads, c.backend));
+                            c.kind, c.threads));
 }
 
 // Continuous-time scenarios round-trip through the streaming engine the
@@ -142,31 +135,22 @@ TEST_P(TraceRoundTripTest, RecordedScenarioReplaysByteIdentically) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   EXPECT_EQ(StreamChecksums(EventQueue::FromScenario(original), 4.0, c.kind,
-                            c.threads, c.backend),
+                            c.threads),
             StreamChecksums(EventQueue::FromScenario(loaded.value().scenario),
-                            4.0, c.kind, c.threads, c.backend));
+                            4.0, c.kind, c.threads));
   EXPECT_EQ(
-      BatchChecksums(ScenarioToArrivalStream(original, 4), c.kind, c.threads,
-                     c.backend),
-      BatchChecksums(loaded.value().ToArrivalStream(), c.kind, c.threads,
-                     c.backend));
+      BatchChecksums(ScenarioToArrivalStream(original, 4), c.kind, c.threads),
+      BatchChecksums(loaded.value().ToArrivalStream(), c.kind, c.threads));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, TraceRoundTripTest,
     ::testing::Values(
-        RoundTripCase{AssignerKind::kGreedy, 1, IndexBackend::kGrid,
-                      TraceFormat::kCsv},
-        RoundTripCase{AssignerKind::kGreedy, 4, IndexBackend::kRTree,
-                      TraceFormat::kBinary},
-        RoundTripCase{AssignerKind::kDivideConquer, 1, IndexBackend::kRTree,
-                      TraceFormat::kBinary},
-        RoundTripCase{AssignerKind::kDivideConquer, 4, IndexBackend::kGrid,
-                      TraceFormat::kCsv},
-        RoundTripCase{AssignerKind::kGreedy, 1, IndexBackend::kGrid,
-                      TraceFormat::kBinary},
-        RoundTripCase{AssignerKind::kDivideConquer, 4, IndexBackend::kRTree,
-                      TraceFormat::kCsv}),
+        RoundTripCase{AssignerKind::kGreedy, 1, TraceFormat::kCsv},
+        RoundTripCase{AssignerKind::kGreedy, 4, TraceFormat::kBinary},
+        RoundTripCase{AssignerKind::kDivideConquer, 1, TraceFormat::kBinary},
+        RoundTripCase{AssignerKind::kDivideConquer, 4, TraceFormat::kCsv},
+        RoundTripCase{AssignerKind::kGreedy, 1, TraceFormat::kBinary}),
     RoundTripCaseName);
 
 // The serialized bytes themselves round-trip: parse(serialize(x)) re-
