@@ -261,11 +261,16 @@ void BM_GreedyAssignment(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyAssignment)->Arg(50)->Arg(100)->Arg(200);
 
+// Observe + PredictNext over 10 instances of synthetic arrivals, with the
+// argument's arrivals per side per instance: 13 is stream-rush's rate per
+// epoch, 100 batch-dc's, 400 a dense regime where sampling dominates. The
+// `epoch` counter is the time of one instance.
 void BM_GridPrediction(benchmark::State& state) {
+  constexpr int kInstances = 10;
   SyntheticConfig config;
-  config.num_workers = 2000;
-  config.num_tasks = 2000;
-  config.num_instances = 5;
+  config.num_workers = state.range(0) * kInstances;
+  config.num_tasks = state.range(0) * kInstances;
+  config.num_instances = kInstances;
   const ArrivalStream stream = GenerateSynthetic(config);
   PredictionConfig pconfig;
   pconfig.gamma = 20;
@@ -278,8 +283,11 @@ void BM_GridPrediction(benchmark::State& state) {
       benchmark::DoNotOptimize(predictor.PredictNext());
     }
   }
+  state.counters["epoch"] = benchmark::Counter(
+      kInstances, benchmark::Counter::kIsIterationInvariantRate |
+                      benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_GridPrediction);
+BENCHMARK(BM_GridPrediction)->Arg(13)->Arg(100)->Arg(400);
 
 }  // namespace
 

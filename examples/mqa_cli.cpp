@@ -26,6 +26,7 @@
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
+#include "prediction/grid.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
 #include "stream/streaming_simulator.h"
@@ -169,7 +170,8 @@ void PrintUsage() {
       "  --workers=N --tasks=N --instances=R --budget=B --unit-price=C\n"
       "  --q-lo --q-hi --e-lo --e-hi --v-lo --v-hi (paper ranges)\n"
       "  --worker-dist=gaussian|uniform|zipf --task-dist=...\n"
-      "  --gamma=G --window=W --seed=S --threads=T (T at most %d)\n"
+      "  --gamma=G --window=W --seed=S --threads=T (G at most %d, T at\n"
+      "      most %d)\n"
       "  --no-prediction --rejoin --csv\n"
       "  --record-trace=FILE (write the workload as an mqa-trace-v1 trace\n"
       "      before running; --trace-format=csv|binary picks the encoding)\n"
@@ -183,7 +185,7 @@ void PrintUsage() {
       "      and process numbers)\n"
       "  --watchdog=SECONDS (flight recorder: dump in-flight span stacks\n"
       "      when an epoch runs past 3x the expected seconds)\n",
-      kMaxThreads);
+      Grid::kMaxGamma, kMaxThreads);
 }
 
 /// Ends the run with exit status 2, like an unknown flag.
@@ -350,6 +352,11 @@ int main(int argc, char** argv) {
   if (opt.threads > kMaxThreads) {
     std::fprintf(stderr, "invalid value for --threads: %d (at most %d)\n",
                  opt.threads, kMaxThreads);
+    return 2;
+  }
+  if (opt.gamma > Grid::kMaxGamma) {
+    std::fprintf(stderr, "invalid value for --gamma: %d (at most %d)\n",
+                 opt.gamma, Grid::kMaxGamma);
     return 2;
   }
   // Every enumerated flag is checked before any work (or file) is done.

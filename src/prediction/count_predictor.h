@@ -17,7 +17,10 @@ class CountPredictor {
 
   /// Predicted count for the instance following `series` (oldest first).
   /// Implementations must return a non-negative integer; an empty series
-  /// predicts 0.
+  /// and a series of zeros (of any length) predict 0. GridPredictor relies
+  /// on the latter: it gives a cell whose window is all zeros the count 0
+  /// without calling PredictNext, which keeps a step's cost with the cells
+  /// that saw arrivals. All three built-ins satisfy it.
   virtual int64_t PredictNext(const std::vector<double>& series) const = 0;
 };
 

@@ -8,6 +8,9 @@ namespace mqa {
 
 Grid::Grid(int gamma) : gamma_(gamma), side_(1.0 / gamma) {
   MQA_CHECK(gamma >= 1) << "grid needs at least one cell per side";
+  MQA_CHECK(gamma <= kMaxGamma)
+      << "grid takes at most " << kMaxGamma << " cells per side, got "
+      << gamma;
 }
 
 int Grid::CellOf(const Point& p) const {

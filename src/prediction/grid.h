@@ -14,8 +14,12 @@ namespace mqa {
 /// Points on the upper/right boundary fall into the last cell.
 class Grid {
  public:
-  /// Creates a grid with `gamma` cells per side (gamma >= 1). The paper's
-  /// experiments use 400 cells, i.e. gamma = 20.
+  /// The most cells per side a grid takes: 10^6 cells, far past the
+  /// paper's 400, and small enough that num_cells() cannot overflow.
+  static constexpr int kMaxGamma = 1000;
+
+  /// Creates a grid with `gamma` cells per side (1 <= gamma <= kMaxGamma).
+  /// The paper's experiments use 400 cells, i.e. gamma = 20.
   explicit Grid(int gamma);
 
   int gamma() const { return gamma_; }

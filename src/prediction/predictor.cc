@@ -44,8 +44,16 @@ void GridPredictor::Observe(const std::vector<Worker>& new_workers,
     recent_task_points_.push_back(t.Center());
     deadline_stats_.Add(t.deadline);
   }
-  worker_history_.Push(grid_.Histogram(recent_worker_points_));
-  task_history_.Push(grid_.Histogram(recent_task_points_));
+  last_worker_counts_ = grid_.Histogram(recent_worker_points_);
+  last_task_counts_ = grid_.Histogram(recent_task_points_);
+  worker_history_.Push(last_worker_counts_);
+  task_history_.Push(last_task_counts_);
+}
+
+int64_t GridPredictor::PredictCount(const CountHistory& history, int cell) {
+  if (history.WindowIsZero(cell)) return 0;
+  history.Series(cell, &series_);
+  return predictor_->PredictNext(series_);
 }
 
 void GridPredictor::GenerateSamples(int cell, int64_t count,
@@ -88,9 +96,8 @@ Prediction GridPredictor::PredictNext() {
   std::vector<BBox> worker_boxes;
   std::vector<BBox> task_boxes;
   for (int cell = 0; cell < grid_.num_cells(); ++cell) {
-    const int64_t w_count =
-        predictor_->PredictNext(worker_history_.Series(cell));
-    const int64_t t_count = predictor_->PredictNext(task_history_.Series(cell));
+    const int64_t w_count = PredictCount(worker_history_, cell);
+    const int64_t t_count = PredictCount(task_history_, cell);
     out.worker_cell_counts[static_cast<size_t>(cell)] = w_count;
     out.task_cell_counts[static_cast<size_t>(cell)] = t_count;
     GenerateSamples(cell, w_count, recent_worker_points_, &worker_boxes);

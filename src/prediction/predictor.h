@@ -69,6 +69,13 @@ struct Prediction {
 /// Velocities of predicted workers and deadlines of predicted tasks are
 /// sampled from the empirical range observed so far (the platform's
 /// historical knowledge).
+///
+/// A step costs one O(cells) pass over the histories' window sums, a fit
+/// only for each window that is not all zeros (an all-zero window predicts
+/// 0 by the CountPredictor contract, so it is never fitted), then steps 3
+/// and 4 for each cell with a non-zero forecast, whose bandwidth estimate
+/// scans all the latest arrivals. The fits share one series buffer:
+/// PredictNext allocates nothing per cell.
 class GridPredictor {
  public:
   explicit GridPredictor(const PredictionConfig& config,
@@ -79,6 +86,16 @@ class GridPredictor {
   /// per time instance, before PredictNext.
   void Observe(const std::vector<Worker>& new_workers,
                const std::vector<Task>& new_tasks);
+
+  /// Per-cell counts of the arrivals the last Observe recorded (empty
+  /// before the first) — what the previous step's prediction is scored
+  /// against.
+  const std::vector<int64_t>& last_worker_counts() const {
+    return last_worker_counts_;
+  }
+  const std::vector<int64_t>& last_task_counts() const {
+    return last_task_counts_;
+  }
 
   /// Predicts the arrivals of the next instance from the sliding windows.
   /// Returns empty predictions when nothing has been observed yet.
@@ -94,6 +111,10 @@ class GridPredictor {
                                      const std::vector<int64_t>& actual);
 
  private:
+  // The forecast count of `cell` from `history`: 0 for an all-zero
+  // window, else the count predictor over the window's series.
+  int64_t PredictCount(const CountHistory& history, int cell);
+
   // Generates `count` predicted samples in `cell`, pushing kernel boxes
   // into `boxes`. `recent` holds the most recent arrivals' locations used
   // for the per-cell bandwidth sigma_hat.
@@ -108,9 +129,15 @@ class GridPredictor {
   CountHistory task_history_;
   Rng rng_;
 
-  // Most recent instance's arrival locations (for bandwidth estimation).
+  // Most recent instance's arrival locations (for bandwidth estimation)
+  // and their per-cell counts.
   std::vector<Point> recent_worker_points_;
   std::vector<Point> recent_task_points_;
+  std::vector<int64_t> last_worker_counts_;
+  std::vector<int64_t> last_task_counts_;
+
+  // Buffer PredictCount reads a window's series into.
+  std::vector<double> series_;
 
   // Empirical attribute ranges observed so far.
   RunningStats velocity_stats_;

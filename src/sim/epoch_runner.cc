@@ -13,7 +13,6 @@
 #include "obs/process_stats.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
-#include "prediction/grid.h"
 
 namespace mqa {
 
@@ -103,24 +102,19 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   Prediction prediction;
   if (config_.use_prediction) {
     MQA_TRACE_SPAN("epoch/predict");
-    // Score the previous epoch's prediction against today's actuals.
-    if (!prev_pred_worker_counts_.empty()) {
-      std::vector<Point> worker_points;
-      worker_points.reserve(new_workers.size());
-      for (const Worker& w : new_workers) worker_points.push_back(w.Center());
-      std::vector<Point> task_points;
-      task_points.reserve(new_tasks.size());
-      for (const Task& t : new_tasks) task_points.push_back(t.Center());
-      metrics.worker_prediction_error = GridPredictor::AverageRelativeError(
-          prev_pred_worker_counts_, predictor_.grid().Histogram(worker_points));
-      metrics.task_prediction_error = GridPredictor::AverageRelativeError(
-          prev_pred_task_counts_, predictor_.grid().Histogram(task_points));
-    }
     predictor_.Observe(new_workers, new_tasks);
+    // Score the previous epoch's prediction against today's actuals, the
+    // per-cell counts Observe just took.
+    if (!prev_pred_worker_counts_.empty()) {
+      metrics.worker_prediction_error = GridPredictor::AverageRelativeError(
+          prev_pred_worker_counts_, predictor_.last_worker_counts());
+      metrics.task_prediction_error = GridPredictor::AverageRelativeError(
+          prev_pred_task_counts_, predictor_.last_task_counts());
+    }
     if (predict_next) {
       prediction = predictor_.PredictNext();
-      prev_pred_worker_counts_ = prediction.worker_cell_counts;
-      prev_pred_task_counts_ = prediction.task_cell_counts;
+      prev_pred_worker_counts_ = std::move(prediction.worker_cell_counts);
+      prev_pred_task_counts_ = std::move(prediction.task_cell_counts);
     } else {
       prev_pred_worker_counts_.clear();
       prev_pred_task_counts_.clear();

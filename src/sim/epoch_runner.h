@@ -55,7 +55,7 @@ struct EpochOutcome {
 /// the batch Simulator and the streaming engine so that both drive the
 /// *identical* predict -> assemble -> assign -> validate pipeline:
 ///
-///   score previous prediction -> Observe arrivals -> PredictNext ->
+///   Observe arrivals -> score previous prediction -> PredictNext ->
 ///   assemble ProblemInstance (available entities + predicted) -> load
 ///   the task (and optional worker) index -> Assign -> validate ->
 ///   compute rejoins.
@@ -109,8 +109,9 @@ class EpochRunner {
   // every RunEpoch — steady-state pool construction allocates nothing.
   PairArena pair_arena_;
 
-  // The previous epoch's predicted per-cell counts, compared against the
-  // current epoch's actual arrivals (Fig. 10).
+  // The previous epoch's predicted per-cell counts (moved out of its
+  // Prediction), compared against the current epoch's actual arrivals
+  // (Fig. 10).
   std::vector<int64_t> prev_pred_worker_counts_;
   std::vector<int64_t> prev_pred_task_counts_;
 

@@ -7,13 +7,25 @@ namespace mqa {
 LinearRegression LinearRegression::Fit(const std::vector<double>& xs,
                                        const std::vector<double>& ys) {
   MQA_CHECK(xs.size() == ys.size()) << "x/y size mismatch";
-  MQA_CHECK(!xs.empty()) << "cannot fit over zero samples";
+  return FitOver(xs.data(), ys);
+}
 
-  const double n = static_cast<double>(xs.size());
+LinearRegression LinearRegression::FitSeries(const std::vector<double>& ys) {
+  return FitOver(nullptr, ys);
+}
+
+LinearRegression LinearRegression::FitOver(const double* xs,
+                                           const std::vector<double>& ys) {
+  MQA_CHECK(!ys.empty()) << "cannot fit over zero samples";
+  const auto x_at = [xs](size_t i) {
+    return xs != nullptr ? xs[i] : static_cast<double>(i + 1);
+  };
+
+  const double n = static_cast<double>(ys.size());
   double mean_x = 0.0;
   double mean_y = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    mean_x += xs[i];
+  for (size_t i = 0; i < ys.size(); ++i) {
+    mean_x += x_at(i);
     mean_y += ys[i];
   }
   mean_x /= n;
@@ -21,8 +33,8 @@ LinearRegression LinearRegression::Fit(const std::vector<double>& xs,
 
   double sxx = 0.0;
   double sxy = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mean_x;
+  for (size_t i = 0; i < ys.size(); ++i) {
+    const double dx = x_at(i) - mean_x;
     sxx += dx * dx;
     sxy += dx * (ys[i] - mean_y);
   }
@@ -33,12 +45,6 @@ LinearRegression LinearRegression::Fit(const std::vector<double>& xs,
   }
   const double slope = sxy / sxx;
   return LinearRegression(slope, mean_y - slope * mean_x);
-}
-
-LinearRegression LinearRegression::FitSeries(const std::vector<double>& ys) {
-  std::vector<double> xs(ys.size());
-  for (size_t i = 0; i < ys.size(); ++i) xs[i] = static_cast<double>(i + 1);
-  return Fit(xs, ys);
 }
 
 }  // namespace mqa

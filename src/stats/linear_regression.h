@@ -19,7 +19,8 @@ class LinearRegression {
   static LinearRegression Fit(const std::vector<double>& xs,
                               const std::vector<double>& ys);
 
-  /// Fits over a time series y_1..y_k observed at x = 1..k.
+  /// Fits over a time series y_1..y_k observed at x = 1..k, without
+  /// materializing the x values. Bit-identical to Fit over xs = 1..k.
   static LinearRegression FitSeries(const std::vector<double>& ys);
 
   double slope() const { return slope_; }
@@ -37,6 +38,11 @@ class LinearRegression {
  private:
   LinearRegression(double slope, double intercept)
       : slope_(slope), intercept_(intercept) {}
+
+  // The one body of Fit and FitSeries: x_i is xs[i], or i + 1 when `xs`
+  // is null.
+  static LinearRegression FitOver(const double* xs,
+                                  const std::vector<double>& ys);
 
   double slope_;
   double intercept_;

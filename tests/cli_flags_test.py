@@ -22,6 +22,9 @@ CASES = [
     ("--workers=-5", "--workers"),
     ("--instances=-1", "--instances"),
     ("--gamma=0", "--gamma"),
+    # Above Grid::kMaxGamma; 50000 would overflow the grid's cell count.
+    ("--gamma=1001", "--gamma"),
+    ("--gamma=50000", "--gamma"),
     ("--window=0", "--window"),
     ("--budget=nan", "--budget"),
     ("--threads=abc", "--threads"),
