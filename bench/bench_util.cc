@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 
 namespace mqa {
 namespace bench {
@@ -128,7 +127,6 @@ std::vector<VariantResult> RunAllVariants(const ArrivalStream& stream,
 void InitObservability() {
   Tracer::InitFromEnv();
   RunReport::InitFromEnv();
-  Watchdog::InitFromEnv();
   RunReport::Get().SetConfig("bench_scale", Scale());
 }
 

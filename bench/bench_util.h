@@ -82,10 +82,10 @@ std::vector<VariantResult> RunAllVariants(const ArrivalStream& stream,
                                           bool include_wop);
 
 /// Initializes every environment-driven observability surface in one
-/// place — MQA_TRACE, MQA_RUN_REPORT and MQA_WATCHDOG — so all benches
-/// honor the same variables uniformly. PrintHeader calls this; benches
-/// that print their own headers (index_bench, parallel_bench,
-/// table1_example) call it directly. Idempotent.
+/// place — MQA_TRACE and MQA_RUN_REPORT — so all benches honor the same
+/// variables uniformly. PrintHeader calls this; benches that print their
+/// own headers (index_bench, parallel_bench, table1_example) call it
+/// directly. Idempotent.
 void InitObservability();
 
 /// The run report's {"git": ..., "machine": ...} identity pair as a JSON

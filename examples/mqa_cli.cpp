@@ -25,7 +25,6 @@
 #include "exec/parallel_runner.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 #include "prediction/grid.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
@@ -68,12 +67,10 @@ struct CliOptions {
   bool prediction = true;
   bool rejoin = false;
   bool csv = false;
-  double watchdog_seconds = 0.0;  // 0 = off
   uint64_t seed = 42;
   int threads = 1;
   std::string record_trace;     // write the workload as mqa-trace-v1
   std::string replay_trace;     // replace generation with a loaded trace
-  std::string trace_format = "csv";  // csv | binary (for --record-trace)
   std::string trace_file;       // Chrome trace-event JSON (Perfetto)
   std::string run_report_file;  // unified run-report JSON artifact
 };
@@ -82,9 +79,6 @@ struct CliOptions {
 /// run's exit code, or 1 if a requested export failed (a bad path must
 /// not silently swallow the observability the user asked for).
 int FinishObservability(const CliOptions& opt, int rc) {
-  // Quiesce the watchdog before exports: its poll thread reads the trace
-  // buffers the exporters are about to walk.
-  Watchdog::Get().Stop();
   if (!opt.run_report_file.empty()) {
     const Status status =
         RunReport::Get().WriteJsonFile(opt.run_report_file);
@@ -173,8 +167,8 @@ void PrintUsage() {
       "  --gamma=G --window=W --seed=S --threads=T (G at most %d, T at\n"
       "      most %d)\n"
       "  --no-prediction --rejoin --csv\n"
-      "  --record-trace=FILE (write the workload as an mqa-trace-v1 trace\n"
-      "      before running; --trace-format=csv|binary picks the encoding)\n"
+      "  --record-trace=FILE (write the workload as an mqa-trace-v1 CSV\n"
+      "      trace before running)\n"
       "  --replay-trace=FILE (replace workload generation with a recorded\n"
       "      trace; replays byte-identically through batch and stream —\n"
       "      see src/trace/README.md and docs/TESTING.md)\n"
@@ -182,22 +176,12 @@ void PrintUsage() {
       "      loadable in Perfetto; see docs/OBSERVABILITY.md)\n"
       "  --run-report=FILE (the post-mortem artifact: config + git/machine\n"
       "      provenance + per-epoch rows with phase times, pool, greedy\n"
-      "      and process numbers)\n"
-      "  --watchdog=SECONDS (flight recorder: dump in-flight span stacks\n"
-      "      when an epoch runs past 3x the expected seconds)\n",
+      "      and process numbers)\n",
       Grid::kMaxGamma, kMaxThreads);
 }
 
-/// Ends the run with exit status 2, like an unknown flag.
-[[noreturn]] void InvalidValue(const char* flag, const std::string& value,
-                               const std::string& expected) {
-  std::fprintf(stderr, "invalid value for %s: '%s' (expected %s)\n", flag,
-               value.c_str(), expected.c_str());
-  std::exit(2);
-}
-
-/// Maps an enumerated flag's value to its choice; any other value is an
-/// InvalidValue.
+/// Maps an enumerated flag's value to its choice; any other value ends
+/// the run with exit status 2, like an unknown flag.
 template <typename T>
 T ParseChoice(const char* flag, const std::string& value,
               std::initializer_list<std::pair<const char*, T>> choices) {
@@ -209,7 +193,9 @@ T ParseChoice(const char* flag, const std::string& value,
     expected += name;
     ++k;
   }
-  InvalidValue(flag, value, expected);
+  std::fprintf(stderr, "invalid value for %s: '%s' (expected %s)\n", flag,
+               value.c_str(), expected.c_str());
+  std::exit(2);
 }
 
 int RunStreaming(const CliOptions& opt, const StreamingConfig& config,
@@ -292,10 +278,8 @@ int main(int argc, char** argv) {
         ParseFlag(a, "--task-dist", &opt.task_dist) ||
         ParseFlag(a, "--record-trace", &opt.record_trace) ||
         ParseFlag(a, "--replay-trace", &opt.replay_trace) ||
-        ParseFlag(a, "--trace-format", &opt.trace_format) ||
         ParseFlag(a, "--trace", &opt.trace_file) ||
         ParseFlag(a, "--run-report", &opt.run_report_file) ||
-        ParseNumeric(a, "--watchdog", &opt.watchdog_seconds) ||
         ParseNumeric(a, "--workers", &opt.workers) ||
         ParseNumeric(a, "--tasks", &opt.tasks) ||
         ParseNumeric(a, "--instances", &opt.instances, Domain::kPositive) ||
@@ -379,10 +363,6 @@ int main(int argc, char** argv) {
        {"interval", EpochPolicyKind::kFixedInterval},
        {"arrivals", EpochPolicyKind::kEveryKArrivals},
        {"backlog", EpochPolicyKind::kAdaptiveBacklog}});
-  const auto trace_format = ParseTraceFormat(opt.trace_format);
-  if (!trace_format.ok()) {
-    InvalidValue("--trace-format", opt.trace_format, "csv or binary");
-  }
   const std::initializer_list<std::pair<const char*, SpatialDistribution>>
       dists = {{"gaussian", SpatialDistribution::kGaussian},
                {"uniform", SpatialDistribution::kUniform},
@@ -394,17 +374,10 @@ int main(int argc, char** argv) {
 
   // Tracing must be live before the simulators run; the trusted
   // contract is that enabling it never changes assignments or scores
-  // (tests/obs_property_test.cc). The flight recorder rides on spans, so
-  // it implies span collection (exporting the trace still needs
-  // --trace).
-  if (!opt.trace_file.empty() || opt.watchdog_seconds > 0.0) {
+  // (tests/obs_property_test.cc).
+  if (!opt.trace_file.empty()) {
     Tracer::Get().Enable();
     Tracer::Get().SetCurrentThreadName("main");
-  }
-  if (opt.watchdog_seconds > 0.0) {
-    WatchdogConfig wconfig;
-    wconfig.deadline_seconds = opt.watchdog_seconds;
-    Watchdog::Get().Start(wconfig);
   }
 
   // Stamp the run report's config section (cheap; the report is only
@@ -512,7 +485,7 @@ int main(int argc, char** argv) {
                         ? writer.AddScenario(scenario)
                         : writer.AddArrivalStream(stream);
     if (status.ok()) {
-      status = writer.WriteFile(opt.record_trace, trace_format.value());
+      status = writer.WriteFile(opt.record_trace);
     }
     if (!status.ok()) {
       std::fprintf(stderr, "--record-trace: %s\n",

@@ -18,7 +18,7 @@ Checks, in order:
      epoch's duration — the "the trace explains where the time went"
      acceptance bar.
 
-Also validates an mqa-run-report-v5 file when given via --report:
+Also validates an mqa-run-report-v6 file when given via --report:
   - on every epoch row, the five phases that partition the epoch
     (predict + assemble + index + pool_build + assign) are non-negative
     and add up to wall_seconds, within 5 us or 1e-3 relative;
@@ -26,7 +26,7 @@ Also validates an mqa-run-report-v5 file when given via --report:
     and cpu_seconds are present and non-negative, whose peak_rss_bytes is
     at least its rss_bytes, and whose peak_rss_bytes and cpu_seconds
     never decrease from one row to the next;
-  - every epoch row has a greedy object whose five counts are
+  - every epoch row has a greedy object whose four counts are
     non-negative integers, with max_candidates at most candidates.
 
 Exit 0 when everything holds, 1 otherwise.
@@ -44,7 +44,7 @@ EPOCH_SPAN_NAMES = ("epoch", "stream/epoch")
 # The run-report schema --report accepts, and the epoch-row phases whose
 # sum must equal the row's wall_seconds (validate, apply and the stream
 # phases run outside that clock).
-REPORT_SCHEMA = "mqa-run-report-v5"
+REPORT_SCHEMA = "mqa-run-report-v6"
 WALL_PHASES = ("predict", "assemble", "index", "pool_build", "assign")
 PHASE_SUM_ABS_TOL = 5e-6
 PHASE_SUM_REL_TOL = 1e-3
@@ -56,7 +56,7 @@ PROCESS_MONOTONE_KEYS = ("peak_rss_bytes", "cpu_seconds")
 
 # The epoch row's greedy object: the selection loop's counts.
 GREEDY_KEYS = ("iterations", "candidates", "max_candidates",
-               "retired_pairs", "eq10_cap_hits")
+               "retired_pairs")
 
 
 def fail(msg):

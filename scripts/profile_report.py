@@ -18,9 +18,8 @@ For every span name the table shows:
 The run report also supplies the table's provenance header and, when
 any epoch row ran the greedy selection loop, one line under the table
 summing the rows' greedy objects: iterations, the epochs that ran them,
-mean S_p (candidates per iteration), peak S_p with its epoch, retired
-pairs and Eq. 10 cap hits. --trace alone still produces the timing
-columns.
+mean S_p (candidates per iteration), peak S_p with its epoch and
+retired pairs. --trace alone still produces the timing columns.
 
 The closing "top self-time phases" list names the phases to optimize
 first: the biggest self-time phases.
@@ -127,14 +126,12 @@ def greedy_summary(report):
     iterations = sum(row["greedy"]["iterations"] for row in rows)
     candidates = sum(row["greedy"]["candidates"] for row in rows)
     retired = sum(row["greedy"]["retired_pairs"] for row in rows)
-    cap_hits = sum(row["greedy"]["eq10_cap_hits"] for row in rows)
     peak_row = max(rows, key=lambda row: row["greedy"]["max_candidates"])
     return (
         f"greedy: {iterations} iterations over {len(rows)} epochs, "
         f"mean S_p {candidates / iterations:.1f}, "
         f"peak S_p {peak_row['greedy']['max_candidates']} "
-        f"(epoch {peak_row.get('instance', '?')}), {retired} retired, "
-        f"{cap_hits} Eq. 10 cap hits"
+        f"(epoch {peak_row.get('instance', '?')}), {retired} retired"
     )
 
 

@@ -48,14 +48,7 @@ BASE_FLAGS = [
 
 
 def trace_times_are_integral(path):
-    """True if every record in the CSV trace has an integral timestamp.
-
-    Binary traces are conservatively treated as continuous (the importer
-    and mqa_cli both default to CSV for corpus files).
-    """
-    with open(path, "rb") as fh:
-        if fh.read(8) == b"MQATRCB1":
-            return False
+    """True if every record in the CSV trace has an integral timestamp."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()

@@ -155,10 +155,7 @@ int32_t SelectCounted(const PairPool& pool, const std::vector<int32_t>& sp,
   counts->candidates += static_cast<int64_t>(sp.size());
   counts->max_candidates =
       std::max(counts->max_candidates, static_cast<int64_t>(sp.size()));
-  bool capped = false;
-  const int32_t best = SelectBestPair(pool, sp, tracker, &capped);
-  if (capped) ++counts->eq10_cap_hits;
-  return best;
+  return SelectBestPair(pool, sp, tracker);
 }
 
 }  // namespace
@@ -168,7 +165,6 @@ void GreedyStats::Add(const GreedyStats& other) {
   candidates += other.candidates;
   max_candidates = std::max(max_candidates, other.max_candidates);
   retired_pairs += other.retired_pairs;
-  eq10_cap_hits += other.eq10_cap_hits;
 }
 
 std::vector<int32_t> GreedySelect(const PairPool& pool,

@@ -11,16 +11,14 @@
 namespace mqa {
 
 /// The work one or more GreedySelect calls did: candidate sets S_p built
-/// (iterations), their summed and largest sizes, pairs retired dead (on
-/// entry or when met in the min-cost tree), and S_p whose Eq. 10
-/// evaluation SelectBestPair truncated at its cap (core/selection.h).
-/// A pure function of the inputs, like the selections themselves.
+/// (iterations), their summed and largest sizes, and pairs retired dead
+/// (on entry or when met in the min-cost tree). A pure function of the
+/// inputs, like the selections themselves.
 struct GreedyStats {
   int64_t iterations = 0;
   int64_t candidates = 0;
   int64_t max_candidates = 0;
   int64_t retired_pairs = 0;
-  int64_t eq10_cap_hits = 0;
 
   /// Folds in another call's counts: sums, and the max of max_candidates.
   void Add(const GreedyStats& other);

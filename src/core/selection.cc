@@ -1,6 +1,5 @@
 #include "core/selection.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -10,7 +9,7 @@ namespace mqa {
 
 int32_t SelectBestPair(const PairPool& pool,
                        const std::vector<int32_t>& candidate_ids,
-                       const BudgetTracker& budget, bool* capped) {
+                       const BudgetTracker& budget) {
   // Eq. 9 budget filter.
   std::vector<int32_t> admissible;
   admissible.reserve(candidate_ids.size());
@@ -19,32 +18,8 @@ int32_t SelectBestPair(const PairPool& pool,
       admissible.push_back(id);
     }
   }
-  // The Eq. 10 product is quadratic in the candidate count. Restrict the
-  // evaluation to the strongest candidates by expected quality: a pair
-  // far down the quality ranking accumulates many product terms below
-  // 0.5, so the winner is almost always near the top. Measured, the cap
-  // does not bind: the largest S_p is 17 pairs on the pbsc_bench
-  // batch-greedy and batch-dc workloads and 14 on stream-rush (seed 3; at
-  // most 18 at seed 11), and tests/conformance_test.cc pins the cap-hit
-  // count (the run-report rows' greedy.eq10_cap_hits) over the
-  // conformance corpus at zero.
-  constexpr size_t kMaxEq10Candidates = 48;
-  if (capped != nullptr) *capped = admissible.size() > kMaxEq10Candidates;
   if (admissible.empty()) return -1;
   if (admissible.size() == 1) return admissible[0];
-
-  if (admissible.size() > kMaxEq10Candidates) {
-    std::partial_sort(
-        admissible.begin(),
-        admissible.begin() + static_cast<long>(kMaxEq10Candidates),
-        admissible.end(), [&pool](int32_t a, int32_t b) {
-          const double qa = pool.QualityMean(a);
-          const double qb = pool.QualityMean(b);
-          if (qa != qb) return qa > qb;
-          return a < b;
-        });
-    admissible.resize(kMaxEq10Candidates);
-  }
 
   // Eq. 10 in log space: log Pr_q,max = sum_log Pr{q_i > q_other}.
   int32_t best_id = -1;

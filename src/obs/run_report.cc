@@ -157,7 +157,6 @@ void WriteEpochRow(std::ostream& out, const InstanceMetrics& row) {
       << ",\"candidates\":" << row.greedy_candidates
       << ",\"max_candidates\":" << row.greedy_max_candidates
       << ",\"retired_pairs\":" << row.greedy_retired_pairs
-      << ",\"eq10_cap_hits\":" << row.greedy_eq10_cap_hits
       << "},\"process\":{\"rss_bytes\":" << row.rss_bytes
       << ",\"peak_rss_bytes\":" << row.peak_rss_bytes
       << ",\"cpu_seconds\":";
@@ -223,7 +222,7 @@ std::string RunReport::ProvenanceFragment() {
 
 void RunReport::WriteJson(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  out << "{\n  \"schema\": \"mqa-run-report-v5\",\n  \"git\": "
+  out << "{\n  \"schema\": \"mqa-run-report-v6\",\n  \"git\": "
          "{\"describe\": ";
   WriteJsonString(out, GitDescribe());
   out << "},\n  \"machine\": ";

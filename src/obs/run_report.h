@@ -86,15 +86,13 @@ struct InstanceMetrics {
   /// The greedy selection loop's work this epoch (core/greedy.h,
   /// GreedyStats), summed over every GreedySelect call the assigner made
   /// — one for MQA_Greedy, one per D&C leaf and budget reselection:
-  /// candidate sets S_p built, their summed and largest sizes, pairs
-  /// retired dead, and S_p that Eq. 10's evaluation cap truncated.
-  /// Deterministic (the same for any thread count); 0 for
+  /// candidate sets S_p built, their summed and largest sizes, and pairs
+  /// retired dead. Deterministic (the same for any thread count); 0 for
   /// assigners that never run the loop (random, exact).
   int64_t greedy_iterations = 0;
   int64_t greedy_candidates = 0;
   int64_t greedy_max_candidates = 0;
   int64_t greedy_retired_pairs = 0;
-  int64_t greedy_eq10_cap_hits = 0;
 
   /// The process as the epoch ends (obs/process_stats.h, sampled after
   /// the apply phase): resident bytes, peak resident bytes (never below
@@ -114,7 +112,7 @@ struct InstanceMetrics {
 /// per epoch (results, assignment checksum, phase times, pool, greedy
 /// and process numbers).
 /// scripts/profile_report.py joins it with a trace; check_trace.py
-/// --report validates it. Schema: "mqa-run-report-v5", documented in
+/// --report validates it. Schema: "mqa-run-report-v6", documented in
 /// docs/OBSERVABILITY.md.
 ///
 /// Write-only like the tracer: recording never feeds values back into

@@ -122,62 +122,6 @@ void Tracer::AppendComplete(const char* name, int64_t start_ns,
   tail->count.store(count + 1, std::memory_order_release);
 }
 
-void Tracer::BeginSpan(const char* name, int64_t start_ns) {
-  ThreadBuffer* buffer = CurrentThreadBuffer();
-  const int depth = buffer->open_depth.load(std::memory_order_relaxed);
-  if (depth < ThreadBuffer::kMaxOpenSpans) {
-    OpenSpan& slot = buffer->open_spans[depth];
-    slot.name.store(name, std::memory_order_relaxed);
-    slot.start_ns.store(start_ns, std::memory_order_relaxed);
-  }
-  // Release: the watchdog acquires open_depth and must see the frame.
-  buffer->open_depth.store(depth + 1, std::memory_order_release);
-}
-
-void Tracer::EndSpan(const char* name, int64_t start_ns, int64_t duration_ns,
-                     int64_t arg) {
-  AppendComplete(name, start_ns, duration_ns, arg);
-  ThreadBuffer* buffer = CurrentThreadBuffer();
-  const int depth = buffer->open_depth.load(std::memory_order_relaxed);
-  if (depth > 0) {
-    buffer->open_depth.store(depth - 1, std::memory_order_release);
-  }
-}
-
-int Tracer::open_depth_for_testing() {
-  return CurrentThreadBuffer()->open_depth.load(std::memory_order_relaxed);
-}
-
-void Tracer::DumpOpenSpans(std::ostream& out) const {
-  const int64_t now_ns = NowNs();
-  std::lock_guard<std::mutex> lock(mu_);
-  bool any = false;
-  for (const auto& buffer : buffers_) {
-    const int depth = buffer->open_depth.load(std::memory_order_acquire);
-    if (depth == 0) continue;
-    any = true;
-    out << "  thread " << buffer->tid;
-    if (!buffer->name.empty()) out << " (" << buffer->name << ")";
-    out << ": " << depth << " open span" << (depth == 1 ? "" : "s") << "\n";
-    const int shown = std::min(depth, ThreadBuffer::kMaxOpenSpans);
-    for (int level = 0; level < shown; ++level) {
-      const OpenSpan& span = buffer->open_spans[level];
-      const char* name = span.name.load(std::memory_order_acquire);
-      const int64_t start_ns = span.start_ns.load(std::memory_order_acquire);
-      if (name == nullptr) continue;
-      out << "    ";
-      for (int i = 0; i < level; ++i) out << "  ";
-      out << name << "  +"
-          << static_cast<double>(now_ns - start_ns) * 1e-6 << " ms\n";
-    }
-    if (depth > ThreadBuffer::kMaxOpenSpans) {
-      out << "    ... " << depth - ThreadBuffer::kMaxOpenSpans
-          << " deeper span(s) not recorded\n";
-    }
-  }
-  if (!any) out << "  (no spans in flight)\n";
-}
-
 int64_t Tracer::event_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t total = 0;

@@ -89,23 +89,6 @@ class Tracer {
   void AppendComplete(const char* name, int64_t start_ns, int64_t duration_ns,
                       int64_t arg = TraceEvent::kNoArg);
 
-  /// Span open/close bracket used by TraceSpan. BeginSpan pushes the
-  /// span onto the calling thread's open-span stack (the flight
-  /// recorder's view of what is in flight right now); EndSpan appends
-  /// the finished event and pops the stack.
-  void BeginSpan(const char* name, int64_t start_ns);
-  void EndSpan(const char* name, int64_t start_ns, int64_t duration_ns,
-               int64_t arg);
-
-  /// Flight-recorder dump: every registered thread's stack of in-flight
-  /// spans (name, elapsed time), deepest last. Safe to call from any
-  /// thread while spans open and close concurrently — entries are read
-  /// with acquire loads and a racing frame is at worst one span stale.
-  void DumpOpenSpans(std::ostream& out) const;
-
-  /// Current open-span depth of the calling thread (tests).
-  int open_depth_for_testing();
-
   /// Serializes every thread's published events as Chrome trace-event
   /// JSON ("traceEvents" array of "X" events plus thread_name metadata;
   /// timestamps in microseconds, events sorted by start time per thread).
@@ -136,28 +119,14 @@ class Tracer {
     TraceEvent events[kCapacity];
   };
 
-  // One live (not yet closed) span on a thread's stack. Written by the
-  // owning thread with relaxed stores published by the depth's release
-  // store; read by the watchdog with acquire loads.
-  struct OpenSpan {
-    std::atomic<const char*> name{nullptr};
-    std::atomic<int64_t> start_ns{0};
-  };
-
   // One thread's buffer + identity. Registered once (under mu_) on the
   // thread's first span; never unregistered — a thread that exits leaves
   // its events behind for the shutdown flush.
   struct ThreadBuffer {
-    // Spans deeper than this are counted in open_depth but not recorded
-    // in the stack (no real nesting is anywhere near it).
-    static constexpr int kMaxOpenSpans = 32;
-
     int64_t tid = 0;
     std::string name;  // guarded by Tracer::mu_
     std::unique_ptr<Chunk> head;
     std::atomic<Chunk*> tail{nullptr};
-    OpenSpan open_spans[kMaxOpenSpans];
-    std::atomic<int> open_depth{0};
 
     // Overflow chunks are raw-linked (owner-thread growth); reclaim them
     // here (only Reset() destroys buffers, and only when no thread can be
@@ -200,13 +169,13 @@ class TraceSpan {
       name_ = name;
       arg_ = arg;
       start_ns_ = tracer.NowNs();
-      tracer.BeginSpan(name, start_ns_);
     }
   }
   ~TraceSpan() {
     if (name_ != nullptr) {
       Tracer& tracer = Tracer::Get();
-      tracer.EndSpan(name_, start_ns_, tracer.NowNs() - start_ns_, arg_);
+      tracer.AppendComplete(name_, start_ns_, tracer.NowNs() - start_ns_,
+                            arg_);
     }
   }
 

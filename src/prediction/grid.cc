@@ -14,9 +14,11 @@ Grid::Grid(int gamma) : gamma_(gamma), side_(1.0 / gamma) {
 }
 
 int Grid::CellOf(const Point& p) const {
+  // Clamp the coordinate before scaling: a far-out one (a replayed trace
+  // only checks finiteness) would overflow the int cast.
   const auto clamp_axis = [this](double v) {
-    const int c = static_cast<int>(v * gamma_);
-    return std::clamp(c, 0, gamma_ - 1);
+    const int c = static_cast<int>(std::clamp(v, 0.0, 1.0) * gamma_);
+    return std::min(c, gamma_ - 1);
   };
   return clamp_axis(p.y) * gamma_ + clamp_axis(p.x);
 }

@@ -12,7 +12,6 @@
 #include "model/assignment.h"
 #include "obs/process_stats.h"
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 
 namespace mqa {
 
@@ -84,8 +83,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.instance = epoch_index;
 
   MQA_TRACE_SPAN_ARG("epoch", epoch_index);
-  // Flight recorder: a wedged epoch dumps every thread's open spans.
-  Watchdog::EpochGuard watchdog_guard(epoch_index);
 
   const auto t_start = std::chrono::steady_clock::now();
   // Phase stopwatch: each TakePhase() returns the seconds since the last
@@ -191,7 +188,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.greedy_candidates = greedy_stats.candidates;
   metrics.greedy_max_candidates = greedy_stats.max_candidates;
   metrics.greedy_retired_pairs = greedy_stats.retired_pairs;
-  metrics.greedy_eq10_cap_hits = greedy_stats.eq10_cap_hits;
 
   if (config_.validate_assignments) {
     MQA_TRACE_SPAN("epoch/validate");

@@ -13,22 +13,8 @@ namespace mqa {
 
 namespace {
 
-/// Leading bytes of the two encodings — the reader sniffs on these.
+/// First bytes of every mqa-trace-v1 file.
 constexpr char kCsvMagic[] = "# mqa-trace-v1";
-constexpr char kBinaryMagic[8] = {'M', 'Q', 'A', 'T', 'R', 'C', 'B', '1'};
-constexpr uint32_t kBinaryVersion = 1;
-
-/// Binary layout: 40-byte header (magic, version, reserved, worker and
-/// task counts, horizon), then worker frames, then task frames. Every
-/// frame is 5 little-endian doubles/int64s: time, id, x, y, attr (attr =
-/// velocity for workers, deadline for tasks).
-constexpr size_t kBinaryHeaderBytes = 40;
-constexpr size_t kBinaryFrameBytes = 40;
-
-#if defined(__BYTE_ORDER__) && defined(__ORDER_LITTLE_ENDIAN__)
-static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-              "mqa-trace-v1 binary framing assumes a little-endian host");
-#endif
 
 /// %.17g prints the shortest decimal that strtod maps back to the exact
 /// same IEEE-754 double, so CSV traces round-trip bit-identically.
@@ -52,36 +38,6 @@ Status CheckHorizon(const std::string& where, double horizon) {
   return Status::OK();
 }
 
-void AppendRaw(std::string* out, const void* data, size_t n) {
-  out->append(static_cast<const char*>(data), n);
-}
-
-void AppendU32(std::string* out, uint32_t v) { AppendRaw(out, &v, sizeof(v)); }
-void AppendU64(std::string* out, uint64_t v) { AppendRaw(out, &v, sizeof(v)); }
-void AppendF64(std::string* out, double v) { AppendRaw(out, &v, sizeof(v)); }
-void AppendI64(std::string* out, int64_t v) { AppendRaw(out, &v, sizeof(v)); }
-
-uint32_t ReadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-uint64_t ReadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-int64_t ReadI64(const char* p) {
-  int64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-double ReadF64(const char* p) {
-  double v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
 bool IsPointBox(const BBox& box) {
   return box.lo().x == box.hi().x && box.lo().y == box.hi().y;
 }
@@ -97,8 +53,8 @@ struct RawRecord {
   double attr = 0.0;  // velocity (worker) or deadline (task)
 };
 
-/// Shared record validation + entity construction for both decoders.
-/// `where` names the record for error messages ("csv row 7").
+/// Record validation + entity construction. `where` names the record
+/// for error messages ("trace csv row 7").
 Status AppendRecord(const RawRecord& r, double horizon, double* prev_time,
                     ScenarioStream* out, const std::string& where) {
   if (!std::isfinite(r.time) || r.time < 0.0) {
@@ -160,149 +116,7 @@ bool ParseInt64Field(const std::string& field, int64_t* out) {
   return end == field.c_str() + field.size();
 }
 
-Result<TraceData> ParseCsv(const std::string& bytes) {
-  std::istringstream in(bytes);
-  std::string line;
-
-  if (!std::getline(in, line) ||
-      line.compare(0, std::strlen(kCsvMagic), kCsvMagic) != 0) {
-    return Status::InvalidArgument("trace csv: missing mqa-trace-v1 header");
-  }
-  const size_t hpos = line.find("horizon=");
-  double horizon = 0.0;
-  if (hpos == std::string::npos ||
-      !ParseDoubleField(line.substr(hpos + std::strlen("horizon=")),
-                        &horizon)) {
-    return Status::InvalidArgument("trace csv: header lacks horizon=<value>");
-  }
-  MQA_RETURN_NOT_OK(CheckHorizon("trace csv: ", horizon));
-
-  if (!std::getline(in, line) || line != "kind,time,id,x,y,attr") {
-    return Status::InvalidArgument(
-        "trace csv: expected column header 'kind,time,id,x,y,attr'");
-  }
-
-  TraceData trace;
-  trace.horizon = horizon;
-  double prev_worker_time = 0.0;
-  double prev_task_time = 0.0;
-  size_t row = 2;
-  while (std::getline(in, line)) {
-    ++row;
-    if (line.empty() || line[0] == '#') continue;  // comments/provenance
-    std::string where = "trace csv row " + std::to_string(row);
-
-    std::vector<std::string> fields;
-    size_t start = 0;
-    for (size_t i = 0; i <= line.size(); ++i) {
-      if (i == line.size() || line[i] == ',') {
-        fields.push_back(line.substr(start, i - start));
-        start = i + 1;
-      }
-    }
-    if (fields.size() != 6) {
-      return Status::InvalidArgument(where + ": expected 6 fields, got " +
-                                     std::to_string(fields.size()));
-    }
-
-    RawRecord r;
-    if (fields[0] == "w") {
-      r.is_worker = true;
-    } else if (fields[0] == "t") {
-      r.is_worker = false;
-    } else {
-      return Status::InvalidArgument(where + ": kind must be 'w' or 't'");
-    }
-    if (!ParseDoubleField(fields[1], &r.time) ||
-        !ParseInt64Field(fields[2], &r.id) ||
-        !ParseDoubleField(fields[3], &r.x) ||
-        !ParseDoubleField(fields[4], &r.y) ||
-        !ParseDoubleField(fields[5], &r.attr)) {
-      return Status::InvalidArgument(where + ": malformed numeric field");
-    }
-    double* prev = r.is_worker ? &prev_worker_time : &prev_task_time;
-    MQA_RETURN_NOT_OK(AppendRecord(r, horizon, prev, &trace.scenario, where));
-  }
-  return trace;
-}
-
-Result<TraceData> ParseBinary(const std::string& bytes) {
-  if (bytes.size() < kBinaryHeaderBytes) {
-    return Status::InvalidArgument("trace binary: truncated header");
-  }
-  const char* p = bytes.data();
-  if (std::memcmp(p, kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
-    return Status::InvalidArgument("trace binary: bad magic");
-  }
-  const uint32_t version = ReadU32(p + 8);
-  if (version != kBinaryVersion) {
-    return Status::InvalidArgument("trace binary: unsupported version " +
-                                   std::to_string(version));
-  }
-  const uint64_t worker_count = ReadU64(p + 16);
-  const uint64_t task_count = ReadU64(p + 24);
-  const double horizon = ReadF64(p + 32);
-  MQA_RETURN_NOT_OK(CheckHorizon("trace binary: ", horizon));
-
-  // Guard the frame-count arithmetic against bogus headers: compare each
-  // count against what the payload can actually hold before summing, so
-  // a corrupt 2^63-scale count cannot overflow into "valid".
-  const uint64_t avail_frames =
-      (bytes.size() - kBinaryHeaderBytes) / kBinaryFrameBytes;
-  if (worker_count > avail_frames || task_count > avail_frames - worker_count) {
-    return Status::InvalidArgument(
-        "trace binary: truncated (payload shorter than frame counts)");
-  }
-  if ((bytes.size() - kBinaryHeaderBytes) % kBinaryFrameBytes != 0 ||
-      worker_count + task_count != avail_frames) {
-    return Status::InvalidArgument(
-        "trace binary: trailing bytes after the last frame");
-  }
-
-  TraceData trace;
-  trace.horizon = horizon;
-  trace.scenario.workers.reserve(worker_count);
-  trace.scenario.tasks.reserve(task_count);
-  double prev_worker_time = 0.0;
-  double prev_task_time = 0.0;
-  const char* frame = p + kBinaryHeaderBytes;
-  for (uint64_t i = 0; i < worker_count + task_count;
-       ++i, frame += kBinaryFrameBytes) {
-    RawRecord r;
-    r.is_worker = i < worker_count;
-    r.time = ReadF64(frame);
-    r.id = ReadI64(frame + 8);
-    r.x = ReadF64(frame + 16);
-    r.y = ReadF64(frame + 24);
-    r.attr = ReadF64(frame + 32);
-    const std::string where =
-        r.is_worker ? "trace binary worker frame " + std::to_string(i)
-                    : "trace binary task frame " +
-                          std::to_string(i - worker_count);
-    double* prev = r.is_worker ? &prev_worker_time : &prev_task_time;
-    MQA_RETURN_NOT_OK(AppendRecord(r, horizon, prev, &trace.scenario, where));
-  }
-  return trace;
-}
-
 }  // namespace
-
-const char* TraceFormatToString(TraceFormat format) {
-  switch (format) {
-    case TraceFormat::kCsv:
-      return "csv";
-    case TraceFormat::kBinary:
-      return "binary";
-  }
-  return "?";
-}
-
-Result<TraceFormat> ParseTraceFormat(const std::string& name) {
-  if (name == "csv") return TraceFormat::kCsv;
-  if (name == "binary" || name == "bin") return TraceFormat::kBinary;
-  return Status::InvalidArgument("unknown trace format: " + name +
-                                 " (expected csv or binary)");
-}
 
 int TraceData::num_instances() const {
   const double n = std::ceil(horizon);
@@ -395,75 +209,45 @@ Status TraceWriter::AddArrivalStream(const ArrivalStream& stream) {
   return Status::OK();
 }
 
-Result<std::string> TraceWriter::Serialize(TraceFormat format) const {
+Result<std::string> TraceWriter::Serialize() const {
   MQA_RETURN_NOT_OK(CheckHorizon("trace ", horizon_));
-  std::string out;
-  if (format == TraceFormat::kCsv) {
-    out += kCsvMagic;
-    out += " horizon=" + FormatDouble(horizon_) + "\n";
-    out += "kind,time,id,x,y,attr\n";
-    // Emit the two lists merged chronologically (workers first at equal
-    // times) so the file reads as one arrival log; the reader splits the
-    // rows back by kind, so the merge never changes replay order.
-    size_t iw = 0;
-    size_t it = 0;
-    const auto emit_worker = [&out](const TimedWorker& tw) {
-      out += "w," + FormatDouble(tw.time) + "," +
-             std::to_string(tw.worker.id) + "," +
-             FormatDouble(tw.worker.location.lo().x) + "," +
-             FormatDouble(tw.worker.location.lo().y) + "," +
-             FormatDouble(tw.worker.velocity) + "\n";
-    };
-    const auto emit_task = [&out](const TimedTask& tt) {
-      out += "t," + FormatDouble(tt.time) + "," + std::to_string(tt.task.id) +
-             "," + FormatDouble(tt.task.location.lo().x) + "," +
-             FormatDouble(tt.task.location.lo().y) + "," +
-             FormatDouble(tt.task.deadline) + "\n";
-    };
-    while (iw < scenario_.workers.size() || it < scenario_.tasks.size()) {
-      const bool take_worker =
-          it >= scenario_.tasks.size() ||
-          (iw < scenario_.workers.size() &&
-           scenario_.workers[iw].time <= scenario_.tasks[it].time);
-      if (take_worker) {
-        emit_worker(scenario_.workers[iw++]);
-      } else {
-        emit_task(scenario_.tasks[it++]);
-      }
+  std::string out = kCsvMagic;
+  out += " horizon=" + FormatDouble(horizon_) + "\n";
+  out += "kind,time,id,x,y,attr\n";
+  // Emit the two lists merged chronologically (workers first at equal
+  // times) so the file reads as one arrival log; the reader splits the
+  // rows back by kind, so the merge never changes replay order.
+  size_t iw = 0;
+  size_t it = 0;
+  const auto emit_worker = [&out](const TimedWorker& tw) {
+    out += "w," + FormatDouble(tw.time) + "," + std::to_string(tw.worker.id) +
+           "," + FormatDouble(tw.worker.location.lo().x) + "," +
+           FormatDouble(tw.worker.location.lo().y) + "," +
+           FormatDouble(tw.worker.velocity) + "\n";
+  };
+  const auto emit_task = [&out](const TimedTask& tt) {
+    out += "t," + FormatDouble(tt.time) + "," + std::to_string(tt.task.id) +
+           "," + FormatDouble(tt.task.location.lo().x) + "," +
+           FormatDouble(tt.task.location.lo().y) + "," +
+           FormatDouble(tt.task.deadline) + "\n";
+  };
+  while (iw < scenario_.workers.size() || it < scenario_.tasks.size()) {
+    const bool take_worker =
+        it >= scenario_.tasks.size() ||
+        (iw < scenario_.workers.size() &&
+         scenario_.workers[iw].time <= scenario_.tasks[it].time);
+    if (take_worker) {
+      emit_worker(scenario_.workers[iw++]);
+    } else {
+      emit_task(scenario_.tasks[it++]);
     }
-    return out;
-  }
-
-  out.reserve(kBinaryHeaderBytes +
-              kBinaryFrameBytes *
-                  (scenario_.workers.size() + scenario_.tasks.size()));
-  AppendRaw(&out, kBinaryMagic, sizeof(kBinaryMagic));
-  AppendU32(&out, kBinaryVersion);
-  AppendU32(&out, 0);  // reserved
-  AppendU64(&out, scenario_.workers.size());
-  AppendU64(&out, scenario_.tasks.size());
-  AppendF64(&out, horizon_);
-  for (const TimedWorker& tw : scenario_.workers) {
-    AppendF64(&out, tw.time);
-    AppendI64(&out, tw.worker.id);
-    AppendF64(&out, tw.worker.location.lo().x);
-    AppendF64(&out, tw.worker.location.lo().y);
-    AppendF64(&out, tw.worker.velocity);
-  }
-  for (const TimedTask& tt : scenario_.tasks) {
-    AppendF64(&out, tt.time);
-    AppendI64(&out, tt.task.id);
-    AppendF64(&out, tt.task.location.lo().x);
-    AppendF64(&out, tt.task.location.lo().y);
-    AppendF64(&out, tt.task.deadline);
   }
   return out;
 }
 
-Status TraceWriter::WriteFile(const std::string& path,
-                              TraceFormat format) const {
+Status TraceWriter::WriteFile(const std::string& path) const {
   std::string bytes;
-  MQA_ASSIGN_OR_RETURN(bytes, Serialize(format));
+  MQA_ASSIGN_OR_RETURN(bytes, Serialize());
   std::ofstream out(path, std::ios::out | std::ios::trunc | std::ios::binary);
   if (!out.is_open()) {
     return Status::Internal("cannot open trace file: " + path);
@@ -490,15 +274,70 @@ Result<TraceData> TraceReader::ReadFile(const std::string& path) {
 }
 
 Result<TraceData> TraceReader::Parse(const std::string& bytes) {
-  if (bytes.size() >= sizeof(kBinaryMagic) &&
-      std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) == 0) {
-    return ParseBinary(bytes);
+  std::istringstream in(bytes);
+  std::string line;
+
+  if (!std::getline(in, line) ||
+      line.compare(0, std::strlen(kCsvMagic), kCsvMagic) != 0) {
+    return Status::InvalidArgument(
+        "not an mqa-trace-v1 file (expected a '# mqa-trace-v1' header)");
   }
-  if (bytes.compare(0, std::strlen(kCsvMagic), kCsvMagic) == 0) {
-    return ParseCsv(bytes);
+  const size_t hpos = line.find("horizon=");
+  double horizon = 0.0;
+  if (hpos == std::string::npos ||
+      !ParseDoubleField(line.substr(hpos + std::strlen("horizon=")),
+                        &horizon)) {
+    return Status::InvalidArgument("trace csv: header lacks horizon=<value>");
   }
-  return Status::InvalidArgument(
-      "not an mqa-trace-v1 file (expected '# mqa-trace-v1' or binary magic)");
+  MQA_RETURN_NOT_OK(CheckHorizon("trace csv: ", horizon));
+
+  if (!std::getline(in, line) || line != "kind,time,id,x,y,attr") {
+    return Status::InvalidArgument(
+        "trace csv: expected column header 'kind,time,id,x,y,attr'");
+  }
+
+  TraceData trace;
+  trace.horizon = horizon;
+  double prev_worker_time = 0.0;
+  double prev_task_time = 0.0;
+  size_t row = 2;
+  while (std::getline(in, line)) {
+    ++row;
+    if (line.empty() || line[0] == '#') continue;  // comments/provenance
+    std::string where = "trace csv row " + std::to_string(row);
+
+    std::vector<std::string> fields;
+    size_t start = 0;
+    for (size_t i = 0; i <= line.size(); ++i) {
+      if (i == line.size() || line[i] == ',') {
+        fields.push_back(line.substr(start, i - start));
+        start = i + 1;
+      }
+    }
+    if (fields.size() != 6) {
+      return Status::InvalidArgument(where + ": expected 6 fields, got " +
+                                     std::to_string(fields.size()));
+    }
+
+    RawRecord r;
+    if (fields[0] == "w") {
+      r.is_worker = true;
+    } else if (fields[0] == "t") {
+      r.is_worker = false;
+    } else {
+      return Status::InvalidArgument(where + ": kind must be 'w' or 't'");
+    }
+    if (!ParseDoubleField(fields[1], &r.time) ||
+        !ParseInt64Field(fields[2], &r.id) ||
+        !ParseDoubleField(fields[3], &r.x) ||
+        !ParseDoubleField(fields[4], &r.y) ||
+        !ParseDoubleField(fields[5], &r.attr)) {
+      return Status::InvalidArgument(where + ": malformed numeric field");
+    }
+    double* prev = r.is_worker ? &prev_worker_time : &prev_task_time;
+    MQA_RETURN_NOT_OK(AppendRecord(r, horizon, prev, &trace.scenario, where));
+  }
+  return trace;
 }
 
 }  // namespace mqa

@@ -10,18 +10,6 @@
 
 namespace mqa {
 
-/// On-disk encodings of an mqa-trace-v1 workload trace (format spec in
-/// src/trace/README.md): CSV for authoring/inspection, binary framing
-/// for scale. Both carry the same records; Serialize/Parse round-trip
-/// every double bit-exactly in either encoding.
-enum class TraceFormat {
-  kCsv,
-  kBinary,
-};
-
-const char* TraceFormatToString(TraceFormat format);
-Result<TraceFormat> ParseTraceFormat(const std::string& name);
-
 /// The largest horizon a trace may declare: 2^20 instances. Batch replay
 /// buckets the arrivals into ceil(horizon) per-instance batches, so an
 /// unbounded header could overflow the instance count or exhaust memory.
@@ -48,11 +36,12 @@ struct TraceData {
   ArrivalStream ToArrivalStream() const;
 };
 
-/// Buffers timestamped arrivals and emits an mqa-trace-v1 file. Records
-/// are validated on Add (finite point location, finite non-negative
-/// attributes, non-negative id, times non-decreasing per list within
-/// [0, horizon)), so a writer that accepted every Add always serializes
-/// a trace the reader accepts.
+/// Buffers timestamped arrivals and emits an mqa-trace-v1 CSV file (format
+/// spec in src/trace/README.md); Serialize/Parse round-trip every double
+/// bit-exactly. Records are validated on Add (finite point location,
+/// finite non-negative attributes, non-negative id, times non-decreasing
+/// per list within [0, horizon)), so a writer that accepted every Add
+/// always serializes a trace the reader accepts.
 class TraceWriter {
  public:
   /// `horizon` is the trace's continuous-time span (for a recorded
@@ -74,9 +63,9 @@ class TraceWriter {
   double horizon() const { return horizon_; }
   const ScenarioStream& scenario() const { return scenario_; }
 
-  /// Renders the buffered trace in the given encoding.
-  Result<std::string> Serialize(TraceFormat format) const;
-  Status WriteFile(const std::string& path, TraceFormat format) const;
+  /// Renders the buffered trace as mqa-trace-v1 CSV.
+  Result<std::string> Serialize() const;
+  Status WriteFile(const std::string& path) const;
 
  private:
   double horizon_ = 0.0;
@@ -85,17 +74,18 @@ class TraceWriter {
   ScenarioStream scenario_;
 };
 
-/// Loads mqa-trace-v1 files, sniffing the encoding from the leading
-/// bytes. Every malformed input — bad magic, truncated frames, a horizon
-/// past kMaxTraceHorizon, non-finite coordinates, negative velocities,
-/// out-of-order timestamps — yields a clean Status, never a crash (coordinates are checked
-/// before any BBox is constructed; NaN corners would abort there).
+/// Loads mqa-trace-v1 CSV files. Every malformed input — a missing
+/// '# mqa-trace-v1' header, a horizon past kMaxTraceHorizon, malformed
+/// rows, non-finite coordinates, negative velocities, out-of-order
+/// timestamps — yields a clean Status, never a crash (coordinates are
+/// checked before any BBox is constructed; NaN corners would abort
+/// there).
 class TraceReader {
  public:
   static Result<TraceData> ReadFile(const std::string& path);
 
-  /// Parses an in-memory encoding (what ReadFile read) — also the test
-  /// hook for malformed-input coverage without touching disk.
+  /// Parses in-memory bytes (what ReadFile read) — also the test hook
+  /// for malformed-input coverage without touching disk.
   static Result<TraceData> Parse(const std::string& bytes);
 };
 

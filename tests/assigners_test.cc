@@ -88,7 +88,6 @@ TEST(DivideConquerTest, CountsIncludeBudgetReselection) {
   EXPECT_EQ(stats.candidates, 2 + 2);
   EXPECT_EQ(stats.max_candidates, 2);
   EXPECT_EQ(stats.retired_pairs, 2 + 2);
-  EXPECT_EQ(stats.eq10_cap_hits, 0);
 }
 
 TEST(DivideConquerTest, EmptyInstance) {

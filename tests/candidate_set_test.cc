@@ -162,9 +162,9 @@ TEST(SelectBestPairTest, EmptyCandidates) {
   EXPECT_EQ(SelectBestPair(pool, {}, budget), -1);
 }
 
-TEST(SelectBestPairTest, TopKCapStillFindsMaxQuality) {
-  // More candidates than the Eq. 10 evaluation cap (48): the winner must
-  // still be the highest-quality admissible pair.
+TEST(SelectBestPairTest, LargeCandidateSetFindsMaxQuality) {
+  // Two hundred admissible candidates, ten times the largest S_p measured
+  // on a real run: the winner is still the highest-quality pair.
   std::vector<std::pair<double, double>> specs;
   for (int i = 0; i < 200; ++i) {
     specs.push_back({1.0 + 0.01 * i, 1.0 + 0.01 * i});
@@ -174,14 +174,12 @@ TEST(SelectBestPairTest, TopKCapStillFindsMaxQuality) {
   std::vector<int32_t> ids;
   for (int32_t i = 0; i <= 200; ++i) ids.push_back(i);
   BudgetTracker budget(100.0, 0.5);
-  bool capped = false;
-  EXPECT_EQ(SelectBestPair(pool, ids, budget, &capped), 200);
-  EXPECT_TRUE(capped);
+  EXPECT_EQ(SelectBestPair(pool, ids, budget), 200);
 }
 
-TEST(SelectBestPairTest, CapRespectsBudgetFilterFirst) {
+TEST(SelectBestPairTest, BudgetFilterRunsFirst) {
   // The best-quality candidates violate the budget; the winner is the
-  // best *admissible* one even past the cap boundary.
+  // best *admissible* one.
   std::vector<std::pair<double, double>> specs;
   for (int i = 0; i < 100; ++i) {
     specs.push_back({50.0, 5.0 + 0.01 * i});  // inadmissible (budget 10)
@@ -191,9 +189,7 @@ TEST(SelectBestPairTest, CapRespectsBudgetFilterFirst) {
   std::vector<int32_t> ids;
   for (int32_t i = 0; i <= 100; ++i) ids.push_back(i);
   BudgetTracker budget(10.0, 0.5);
-  bool capped = true;
-  EXPECT_EQ(SelectBestPair(pool, ids, budget, &capped), 100);
-  EXPECT_FALSE(capped) << "the cap counts admissible candidates only";
+  EXPECT_EQ(SelectBestPair(pool, ids, budget), 100);
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ CASES = [
     ("--workload=bogus", "invalid value for --workload: 'bogus'"),
     ("--algo=bogus", "invalid value for --algo: 'bogus'"),
     ("--epoch-policy=bogus", "invalid value for --epoch-policy: 'bogus'"),
-    ("--trace-format=bogus", "invalid value for --trace-format: 'bogus'"),
     ("--delta-pool", "--delta-pool"),
     ("--repair", "--repair"),
     # Folded into --run-report: its nested metrics object and epoch rows.
@@ -61,6 +60,13 @@ CASES = [
     ("--perf-counters", "--perf-counters"),
     # The retired index-backend knob; every index is an R-tree.
     ("--index=grid", "--index"),
+    # The retired stuck-epoch watchdog; the span trace and the run report
+    # are the observability surfaces.
+    ("--watchdog=1", "--watchdog"),
+    # The retired binary trace encoding; every trace is CSV.
+    ("--trace-format=csv", "--trace-format"),
+    ("--trace-format=binary", "--trace-format"),
+    ("--trace-format=bogus", "--trace-format"),
 ]
 
 

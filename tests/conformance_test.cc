@@ -239,13 +239,13 @@ TEST(SeedStabilityGoldenTest, CorpusChecksumsMatchGoldenFile) {
       << " the updated file (docs/TESTING.md).";
 }
 
-// ------------------------------------------------- Eq. 10 evaluation cap
+// ------------------------------------------------------ candidate-set size
 
-// SelectBestPair evaluates Eq. 10 over at most 48 admissible candidates
-// (core/selection.cc). Over the whole corpus, through greedy and D&C in
-// batch and stream, the cap never truncates: the largest candidate set
-// S_p in any epoch row has 11 pairs.
-TEST(GreedyCountersTest, Eq10CapNeverBindsOnCorpus) {
+// SelectBestPair evaluates Eq. 10 over every admissible candidate
+// (core/selection.cc), quadratic in |S_p|. Over the whole corpus, through
+// greedy and D&C in batch and stream, the largest candidate set S_p in
+// any epoch row has 11 pairs.
+TEST(GreedyCountersTest, PeakCandidateSetOnCorpus) {
   std::vector<InstanceMetrics> rows;
   for (const char* name : kCorpus) {
     const auto loaded = TraceReader::ReadFile(DataPath(name));
@@ -259,15 +259,12 @@ TEST(GreedyCountersTest, Eq10CapNeverBindsOnCorpus) {
     }
   }
   int64_t iterations = 0;
-  int64_t cap_hits = 0;
   int64_t max_candidates = 0;
   for (const InstanceMetrics& m : rows) {
     iterations += m.greedy_iterations;
-    cap_hits += m.greedy_eq10_cap_hits;
     max_candidates = std::max(max_candidates, m.greedy_max_candidates);
   }
   EXPECT_GT(iterations, 0);
-  EXPECT_EQ(cap_hits, 0);
   EXPECT_EQ(max_candidates, 11);
 }
 

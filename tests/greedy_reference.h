@@ -112,7 +112,8 @@ struct ReferenceSelection {
 /// `pair_ids` by (quality mean desc, cost mean asc, id), then each
 /// iteration drop the pairs whose worker or task is used or that fail the
 /// quick budget check, offer every survivor to a fresh CandidateSet, and
-/// commit the Eq. 10 best admissible candidate. O(iterations x pairs).
+/// commit the Eq. 10 best admissible candidate (SelectBestPair weighs
+/// every admissible member). O(iterations x pairs).
 inline ReferenceSelection ReferenceGreedySelect(
     const PairPool& pool, const std::vector<int32_t>& pair_ids,
     double budget, double delta) {

@@ -107,7 +107,6 @@ TEST(GreedySelectTest, CountersDescribeTheWork) {
   EXPECT_EQ(stats.candidates, 2);
   EXPECT_EQ(stats.max_candidates, 1);
   EXPECT_EQ(stats.retired_pairs, 3);
-  EXPECT_EQ(stats.eq10_cap_hits, 0);
 
   // A second call adds its counts to the same struct.
   EXPECT_EQ(GreedySelect(pool, ids, 10.0, 0.5, &stats),

@@ -4,11 +4,6 @@
 // {greedy, D&C} x {1, 4} threads x batch/stream. Spans only read the
 // clock and write side buffers; if anything ever feeds back into the
 // computation, these tests catch it.
-//
-// The flight recorder extends the same contract: a run whose watchdog fires
-// mid-epoch — a background thread dumping every thread's open spans
-// while the workers write them — must still be byte-identical to a bare
-// run.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +13,6 @@
 
 #include "core/assigner.h"
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
 #include "stream/streaming_simulator.h"
@@ -146,29 +140,10 @@ class ObsPropertyTest : public ::testing::TestWithParam<ObsCase> {
   void SetUp() override {
     Tracer::Get().Disable();
     Tracer::Get().Reset();
-    Watchdog::Get().Stop();
   }
   void TearDown() override {
     Tracer::Get().Disable();
     Tracer::Get().Reset();
-    Watchdog::Get().Stop();
-  }
-
-  /// Turns the flight recorder on with a deadline every epoch overruns
-  /// and a 1 ms poll, so the watchdog thread dumps open-span stacks
-  /// while the epochs are still running.
-  static void StartFlightRecorder() {
-    Tracer::Get().Enable();
-    WatchdogConfig config;
-    config.deadline_seconds = 1e-6;
-    config.multiple = 1.0;
-    config.poll_interval_seconds = 1e-3;
-    Watchdog::Get().Start(config);
-  }
-
-  static void StopFlightRecorder() {
-    Watchdog::Get().Stop();
-    Tracer::Get().Disable();
   }
 };
 
@@ -194,34 +169,6 @@ TEST_P(ObsPropertyTest, TracedStreamRunIsByteIdentical) {
 #endif
   EXPECT_TRUE(traced == untraced)
       << "enabling the tracer changed streaming results";
-}
-
-TEST_P(ObsPropertyTest, FlightRecorderBatchRunIsByteIdentical) {
-  const ResultFingerprint bare = RunBatch(GetParam());
-  const int64_t fires_before = Watchdog::Get().fire_count();
-  StartFlightRecorder();
-  const ResultFingerprint observed = RunBatch(GetParam());
-  StopFlightRecorder();
-#if !defined(MQA_OBS_DISABLED)
-  EXPECT_GT(Watchdog::Get().fire_count(), fires_before)
-      << "the watchdog never fired during the run";
-#endif
-  EXPECT_TRUE(observed == bare)
-      << "the flight recorder changed batch results";
-}
-
-TEST_P(ObsPropertyTest, FlightRecorderStreamRunIsByteIdentical) {
-  const ResultFingerprint bare = RunStream(GetParam());
-  const int64_t fires_before = Watchdog::Get().fire_count();
-  StartFlightRecorder();
-  const ResultFingerprint observed = RunStream(GetParam());
-  StopFlightRecorder();
-#if !defined(MQA_OBS_DISABLED)
-  EXPECT_GT(Watchdog::Get().fire_count(), fires_before)
-      << "the watchdog never fired during the run";
-#endif
-  EXPECT_TRUE(observed == bare)
-      << "the flight recorder changed streaming results";
 }
 
 std::vector<ObsCase> MakeCases() {

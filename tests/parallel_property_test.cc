@@ -263,8 +263,6 @@ void ExpectSameSummary(const SimulationSummary& a,
         << "instance " << p;
     EXPECT_EQ(ma.greedy_retired_pairs, mb.greedy_retired_pairs)
         << "instance " << p;
-    EXPECT_EQ(ma.greedy_eq10_cap_hits, mb.greedy_eq10_cap_hits)
-        << "instance " << p;
   }
   EXPECT_EQ(a.total_quality, b.total_quality);
   EXPECT_EQ(a.total_cost, b.total_cost);

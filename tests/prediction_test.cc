@@ -37,6 +37,12 @@ TEST(GridTest, BoundaryPointsClampIntoLastCell) {
   EXPECT_EQ(grid.CellOf({0.0, 0.0}), 0);
   // Out-of-space points clamp rather than crash.
   EXPECT_EQ(grid.CellOf({1.5, -0.5}), 3);
+  // Far-out coordinates clamp too, with no overflow on the way.
+  const Grid wide(20);
+  EXPECT_EQ(wide.CellOf({1e12, 0.5}), 219);
+  EXPECT_EQ(wide.CellOf({0.5, 1e12}), 390);
+  EXPECT_EQ(wide.CellOf({-1e12, 0.5}), 200);
+  EXPECT_EQ(wide.CellOf({0.5, -1e12}), 10);
 }
 
 TEST(GridTest, CellBoxRoundTrip) {

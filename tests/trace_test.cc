@@ -1,8 +1,7 @@
 // mqa-trace-v1 record/replay: the round-trip guarantee (a recorded
-// workload replays byte-identically through both simulators, in both
-// encodings) and fuzz-style malformed-input coverage (every corrupt
-// trace yields a clean Status, never a crash — these run under
-// ASan/UBSan and TSan in CI).
+// workload replays byte-identically through both simulators) and
+// fuzz-style malformed-input coverage (every corrupt trace yields a clean
+// Status, never a crash — these run under ASan/UBSan and TSan in CI).
 
 #include <cmath>
 #include <cstring>
@@ -76,7 +75,6 @@ std::vector<uint64_t> StreamChecksums(EventQueue queue, double horizon,
 struct RoundTripCase {
   AssignerKind kind;
   int threads;
-  TraceFormat format;
 };
 
 std::string RoundTripCaseName(
@@ -86,10 +84,7 @@ std::string RoundTripCaseName(
   for (char& ch : name) {
     if (ch == '&') ch = 'n';
   }
-  name += "_t" + std::to_string(c.threads);
-  name += "_";
-  name += TraceFormatToString(c.format);
-  return name;
+  return name + "_t" + std::to_string(c.threads);
 }
 
 class TraceRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
@@ -103,7 +98,7 @@ TEST_P(TraceRoundTripTest, RecordedArrivalStreamReplaysByteIdentically) {
 
   TraceWriter writer(4.0);
   ASSERT_TRUE(writer.AddArrivalStream(original).ok());
-  const auto bytes = writer.Serialize(c.format);
+  const auto bytes = writer.Serialize();
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   const auto loaded = TraceReader::Parse(bytes.value());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -129,7 +124,7 @@ TEST_P(TraceRoundTripTest, RecordedScenarioReplaysByteIdentically) {
 
   TraceWriter writer(4.0);
   ASSERT_TRUE(writer.AddScenario(original).ok());
-  const auto bytes = writer.Serialize(c.format);
+  const auto bytes = writer.Serialize();
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   const auto loaded = TraceReader::Parse(bytes.value());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -145,44 +140,37 @@ TEST_P(TraceRoundTripTest, RecordedScenarioReplaysByteIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, TraceRoundTripTest,
-    ::testing::Values(
-        RoundTripCase{AssignerKind::kGreedy, 1, TraceFormat::kCsv},
-        RoundTripCase{AssignerKind::kGreedy, 4, TraceFormat::kBinary},
-        RoundTripCase{AssignerKind::kDivideConquer, 1, TraceFormat::kBinary},
-        RoundTripCase{AssignerKind::kDivideConquer, 4, TraceFormat::kCsv},
-        RoundTripCase{AssignerKind::kGreedy, 1, TraceFormat::kBinary}),
+    ::testing::Values(RoundTripCase{AssignerKind::kGreedy, 1},
+                      RoundTripCase{AssignerKind::kDivideConquer, 4}),
     RoundTripCaseName);
 
 // The serialized bytes themselves round-trip: parse(serialize(x)) re-
-// serializes to the exact same bytes, in both encodings (this is what
-// lets CI `cmp` a re-recorded replay against the original file).
-TEST(TraceFormatTest, SerializationIsAFixedPoint) {
+// serializes to the exact same bytes (this is what lets CI `cmp` a
+// re-recorded replay against the original file).
+TEST(TraceCsvTest, SerializationIsAFixedPoint) {
   const ScenarioStream scenario =
       SmallScenario(ScenarioKind::kRushHour, 60, 60, 3.0, 77);
-  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
-    TraceWriter writer(3.0);
-    ASSERT_TRUE(writer.AddScenario(scenario).ok());
-    const auto first = writer.Serialize(format);
-    ASSERT_TRUE(first.ok());
-    const auto loaded = TraceReader::Parse(first.value());
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
+  TraceWriter writer(3.0);
+  ASSERT_TRUE(writer.AddScenario(scenario).ok());
+  const auto first = writer.Serialize();
+  ASSERT_TRUE(first.ok());
+  const auto loaded = TraceReader::Parse(first.value());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
 
-    TraceWriter rewriter(loaded.value().horizon);
-    ASSERT_TRUE(rewriter.AddScenario(loaded.value().scenario).ok());
-    const auto second = rewriter.Serialize(format);
-    ASSERT_TRUE(second.ok());
-    EXPECT_EQ(first.value(), second.value())
-        << TraceFormatToString(format) << " bytes drifted across a reparse";
-  }
+  TraceWriter rewriter(loaded.value().horizon);
+  ASSERT_TRUE(rewriter.AddScenario(loaded.value().scenario).ok());
+  const auto second = rewriter.Serialize();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.value(), second.value()) << "bytes drifted across a reparse";
 }
 
 // Doubles survive the CSV text encoding bit-exactly (%.17g + strtod).
-TEST(TraceFormatTest, CsvRoundTripsDoublesBitExactly) {
+TEST(TraceCsvTest, CsvRoundTripsDoublesBitExactly) {
   TraceWriter writer(2.0);
   const double t = 1.0 / 3.0;
   const double x = 0.1 + 0.2;  // famously not 0.3
   ASSERT_TRUE(writer.AddWorker(t, MakeWorker(0, x, 1e-17, 0.25)).ok());
-  const auto bytes = writer.Serialize(TraceFormat::kCsv);
+  const auto bytes = writer.Serialize();
   ASSERT_TRUE(bytes.ok());
   const auto loaded = TraceReader::Parse(bytes.value());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -225,20 +213,11 @@ std::string ValidCsv() {
   EXPECT_TRUE(writer.AddWorker(0.25, MakeWorker(0, 0.1, 0.2, 0.25)).ok());
   EXPECT_TRUE(writer.AddWorker(1.5, MakeWorker(1, 0.3, 0.4, 0.3)).ok());
   EXPECT_TRUE(writer.AddTask(0.5, MakeTask(0, 0.5, 0.6, 1.5)).ok());
-  return writer.Serialize(TraceFormat::kCsv).value();
-}
-
-std::string ValidBinary() {
-  TraceWriter writer(2.0);
-  EXPECT_TRUE(writer.AddWorker(0.25, MakeWorker(0, 0.1, 0.2, 0.25)).ok());
-  EXPECT_TRUE(writer.AddWorker(1.5, MakeWorker(1, 0.3, 0.4, 0.3)).ok());
-  EXPECT_TRUE(writer.AddTask(0.5, MakeTask(0, 0.5, 0.6, 1.5)).ok());
-  return writer.Serialize(TraceFormat::kBinary).value();
+  return writer.Serialize().value();
 }
 
 TEST(TraceFuzzTest, ValidBaselinesParse) {
   EXPECT_TRUE(TraceReader::Parse(ValidCsv()).ok());
-  EXPECT_TRUE(TraceReader::Parse(ValidBinary()).ok());
 }
 
 // Every corrupted CSV must come back as a clean non-OK Status. NaN
@@ -282,68 +261,22 @@ TEST(TraceFuzzTest, MalformedCsvYieldsCleanStatus) {
   }
 }
 
-TEST(TraceFuzzTest, MalformedBinaryYieldsCleanStatus) {
-  const std::string valid = ValidBinary();
-
-  // Truncations at every byte boundary — header cuts, partial frames,
-  // and the empty file all must fail cleanly.
-  for (size_t len = 0; len < valid.size(); ++len) {
-    const auto result = TraceReader::Parse(valid.substr(0, len));
-    EXPECT_FALSE(result.ok()) << "truncation at byte " << len
-                              << " parsed successfully";
-  }
-  {
-    // Trailing garbage after the last frame.
-    EXPECT_FALSE(TraceReader::Parse(valid + std::string(7, '\0')).ok());
-    EXPECT_FALSE(TraceReader::Parse(valid + std::string(40, '\0')).ok());
-  }
-  {
-    std::string bytes = valid;
-    bytes[7] = '2';  // magic version byte
-    EXPECT_FALSE(TraceReader::Parse(bytes).ok());
-  }
-  {
-    std::string bytes = valid;
-    bytes[8] = 9;  // header version field
-    EXPECT_FALSE(TraceReader::Parse(bytes).ok());
-  }
-  {
-    // Bogus worker count engineered to overflow naive size arithmetic.
-    std::string bytes = valid;
-    const uint64_t huge = ~0ull;
-    std::memcpy(&bytes[16], &huge, sizeof(huge));
-    EXPECT_FALSE(TraceReader::Parse(bytes).ok());
-  }
-  const auto corrupt_frame_field = [&](size_t frame, size_t field,
-                                       double value) {
-    std::string bytes = valid;
-    std::memcpy(&bytes[40 + frame * 40 + field * 8], &value, sizeof(value));
-    return bytes;
-  };
-  // Frame layout: time, id, x, y, attr.
-  EXPECT_FALSE(
-      TraceReader::Parse(corrupt_frame_field(0, 0, std::nan(""))).ok())
-      << "nan time";
-  EXPECT_FALSE(TraceReader::Parse(corrupt_frame_field(0, 2, std::nan("")))
-                   .ok())
-      << "nan x";
-  EXPECT_FALSE(TraceReader::Parse(
-                   corrupt_frame_field(
-                       0, 3, std::numeric_limits<double>::infinity()))
-                   .ok())
-      << "inf y";
-  EXPECT_FALSE(TraceReader::Parse(corrupt_frame_field(0, 4, -1.0)).ok())
-      << "negative velocity";
-  EXPECT_FALSE(TraceReader::Parse(corrupt_frame_field(0, 0, 1.75)).ok())
-      << "out-of-order worker times";
-  EXPECT_FALSE(TraceReader::Parse(corrupt_frame_field(1, 0, 9.0)).ok())
-      << "time past horizon";
-  EXPECT_FALSE(TraceReader::Parse(corrupt_frame_field(2, 0, -0.5)).ok())
-      << "negative task time";
+// Bytes that open with any other magic (here a binary one) are not a
+// trace, whatever follows.
+TEST(TraceFuzzTest, ForeignMagicIsNotATrace) {
+  std::string bytes = "MQATRCB1";
+  bytes += std::string(32, '\0');
+  bytes += ValidCsv();
+  const auto result = TraceReader::Parse(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("not an mqa-trace-v1 file"),
+            std::string::npos)
+      << result.status();
 }
 
-// Batch replay buckets a trace into ceil(horizon) instances, so both
-// readers and the writer reject a horizon past 2^20 instances instead of
+// Batch replay buckets a trace into ceil(horizon) instances, so the
+// reader and the writer reject a horizon past 2^20 instances instead of
 // overflowing the instance count or exhausting memory downstream.
 TEST(TraceHorizonTest, RejectedPastTwoToTheTwentyInstances) {
   const std::string csv = ValidCsv();
@@ -361,38 +294,23 @@ TEST(TraceHorizonTest, RejectedPastTwoToTheTwentyInstances) {
         << "csv horizon=" << horizon;
   }
 
-  const std::string binary = ValidBinary();
-  const auto with_binary_horizon = [&](double horizon) {
-    std::string bytes = binary;
-    std::memcpy(&bytes[32], &horizon, sizeof(horizon));
-    return bytes;
-  };
-  EXPECT_TRUE(TraceReader::Parse(with_binary_horizon(kMaxTraceHorizon)).ok());
-  for (const double horizon : {kMaxTraceHorizon + 0.5, 3e9, 1e15}) {
-    EXPECT_FALSE(TraceReader::Parse(with_binary_horizon(horizon)).ok())
-        << "binary horizon=" << horizon;
-  }
-
   TraceWriter at_bound(kMaxTraceHorizon);
   EXPECT_TRUE(at_bound.AddWorker(0.5, MakeWorker(0, 0.1, 0.1, 0.2)).ok());
-  EXPECT_TRUE(at_bound.Serialize(TraceFormat::kCsv).ok());
+  EXPECT_TRUE(at_bound.Serialize().ok());
   TraceWriter past_bound(3e9);
   EXPECT_FALSE(past_bound.AddWorker(0.5, MakeWorker(0, 0.1, 0.1, 0.2)).ok());
   EXPECT_FALSE(past_bound.AddTask(0.5, MakeTask(0, 0.1, 0.1, 1.0)).ok());
-  EXPECT_FALSE(past_bound.Serialize(TraceFormat::kCsv).ok());
-  EXPECT_FALSE(past_bound.Serialize(TraceFormat::kBinary).ok());
+  EXPECT_FALSE(past_bound.Serialize().ok());
 }
 
 // Whatever the reader accepts, ArrivalStream::Validate accepts too: the
 // loader's contract is that a loaded trace feeds the simulators without
 // further checking.
 TEST(TraceFuzzTest, LoadedTracesPassArrivalStreamValidate) {
-  for (const std::string& bytes : {ValidCsv(), ValidBinary()}) {
-    const auto loaded = TraceReader::Parse(bytes);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    const Status status = loaded.value().ToArrivalStream().Validate();
-    EXPECT_TRUE(status.ok()) << status;
-  }
+  const auto loaded = TraceReader::Parse(ValidCsv());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const Status status = loaded.value().ToArrivalStream().Validate();
+  EXPECT_TRUE(status.ok()) << status;
 }
 
 }  // namespace
