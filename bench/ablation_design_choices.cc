@@ -1,8 +1,8 @@
-// Ablation benches for the design choices DESIGN.md calls out:
+// Ablation benches for three design choices:
 //
 //  A1 — per-cell count predictor: the paper's linear regression vs the
 //       last-value and moving-average baselines (end-to-end quality and
-//       prediction error);
+//       prediction error; docs/DEVIATIONS.md, row D9);
 //  A2 — divide-and-conquer branching factor: the Appendix-C cost-model
 //       choice of g vs fixed g in {2, 4, 8, 16, 32};
 //  A3 — Eq. 9 confidence level delta of the chance-constrained budget.

@@ -57,7 +57,7 @@ CheckinConfig MakeCheckinConfig(const PaperDefaults& d);
 /// (clustered check-ins make assignments cheap). A linearly scaled
 /// budget would bind hard and flip the Fig. 12/13 shapes; the unscaled
 /// value preserves the regime and equals the paper's setting at full
-/// scale (see EXPERIMENTS.md).
+/// scale (docs/DEVIATIONS.md, row D10).
 double CheckinBudget();
 
 /// One measured algorithm variant.

@@ -73,7 +73,7 @@ int main() {
       "deliveries that are about to arrive (see examples/quickstart for\n"
       "the mechanism in isolation). When pair qualities carry no\n"
       "predictable signal the two strategies converge — compare the WP\n"
-      "and WoP rows above; EXPERIMENTS.md discusses when prediction\n"
-      "pays off.\n");
+      "and WoP rows above; docs/DEVIATIONS.md (row D12) records when\n"
+      "prediction pays off.\n");
   return 0;
 }

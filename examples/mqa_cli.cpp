@@ -162,6 +162,7 @@ void PrintUsage() {
       "  --epoch-interval=dt --epoch-k=K --backlog-threshold=B\n"
       "  --max-interval=dt (backlog policy failsafe)\n"
       "  --workers=N --tasks=N --instances=R --budget=B --unit-price=C\n"
+      "      (R at most %d)\n"
       "  --q-lo --q-hi --e-lo --e-hi --v-lo --v-hi (paper ranges)\n"
       "  --worker-dist=gaussian|uniform|zipf --task-dist=...\n"
       "  --gamma=G --window=W --seed=S --threads=T (G at most %d, T at\n"
@@ -177,7 +178,7 @@ void PrintUsage() {
       "  --run-report=FILE (the post-mortem artifact: config + git/machine\n"
       "      provenance + per-epoch rows with phase times, pool, greedy\n"
       "      and process numbers)\n",
-      Grid::kMaxGamma, kMaxThreads);
+      kMaxInstances, Grid::kMaxGamma, kMaxThreads);
 }
 
 /// Maps an enumerated flag's value to its choice; any other value ends
@@ -332,6 +333,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "invalid range %s: %g > %g\n", r.flags, r.lo, r.hi);
       return 2;
     }
+  }
+  if (opt.instances > kMaxInstances) {
+    std::fprintf(stderr, "invalid value for --instances: %d (at most %d)\n",
+                 opt.instances, kMaxInstances);
+    return 2;
   }
   if (opt.threads > kMaxThreads) {
     std::fprintf(stderr, "invalid value for --threads: %d (at most %d)\n",

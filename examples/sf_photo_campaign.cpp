@@ -1,6 +1,6 @@
 // A photo-collection campaign over a synthetic San-Francisco-like
-// check-in stream (the paper's Gowalla/Foursquare setting, DESIGN.md
-// "Real-data substitute"): venues cluster around downtown hotspots, task
+// check-in stream (a stand-in for the paper's Gowalla/Foursquare data,
+// docs/DEVIATIONS.md row D7): venues cluster around downtown hotspots, task
 // demand drifts over the day, and the platform assigns photographers to
 // photo tasks every time instance under a per-instance reward budget.
 //

@@ -19,7 +19,9 @@ namespace mqa {
 ///     chance constraint Pr{load + c̃ <= B} > delta evaluated via the CLT
 ///     normal approximation.
 /// Only current-current pairs are ever emitted, so the final output always
-/// satisfies the hard per-instance constraint.
+/// satisfies the hard per-instance constraint. The paper states neither
+/// the two pots nor the lower-bound accounting (docs/DEVIATIONS.md, row
+/// D13).
 ///
 /// All checks read only cost moments + the predicted flag, so they never
 /// touch a pair's quality statistics.

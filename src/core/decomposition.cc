@@ -66,8 +66,7 @@ std::vector<Subproblem> DecomposeTasks(const ProblemInstance& instance,
       ++num_taken;
       const int32_t j = remaining[pos];
       sub.task_indices.push_back(j);
-      const PairIdSpan ids = pool.PairsByTask(j);
-      sub.pair_ids.insert(sub.pair_ids.end(), ids.begin(), ids.end());
+      sub.num_pairs += static_cast<int64_t>(pool.PairsByTask(j).size());
     }
     subproblems.push_back(std::move(sub));
   }

@@ -10,11 +10,13 @@
 namespace mqa {
 
 /// One MQA subproblem M_s: a disjoint group of tasks together with all
-/// their valid worker-and-task pairs (paper Section V-A). Subproblems may
-/// share (conflicting) workers; conflicts are resolved at merge time.
+/// their valid worker-and-task pairs (paper Section V-A), which are the
+/// pool's rows of those tasks (PairPool::PairsByTask); only their count is
+/// kept. Subproblems may share (conflicting) workers; conflicts are
+/// resolved at merge time.
 struct Subproblem {
   std::vector<int32_t> task_indices;
-  std::vector<int32_t> pair_ids;
+  int64_t num_pairs = 0;
 
   size_t num_tasks() const { return task_indices.size(); }
 };

@@ -22,7 +22,7 @@ constexpr size_t kMinParallelTasksPerNode = 16;
 // Average number of valid workers per task within one subproblem.
 double SubproblemDegree(const Subproblem& sub) {
   if (sub.task_indices.empty()) return 0.0;
-  return static_cast<double>(sub.pair_ids.size()) /
+  return static_cast<double>(sub.num_pairs) /
          static_cast<double>(sub.task_indices.size());
 }
 
@@ -62,8 +62,8 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
   if (problem.num_tasks() == 1) {
     // Leaf: pick the best worker for the single task greedily (Fig. 9
     // line 8).
-    return GreedySelect(pool, problem.pair_ids, instance.budget(), delta,
-                        stats);
+    return GreedySelect(pool, pool.PairsByTask(problem.task_indices[0]),
+                        instance.budget(), delta, stats);
   }
 
   const int g =
@@ -83,8 +83,8 @@ std::vector<int32_t> SolveRecursive(const ProblemInstance& instance,
         sub.num_tasks() > 1
             ? SolveRecursive(instance, pool, sub, delta, branching, depth + 1,
                              exec, slot)
-            : GreedySelect(pool, sub.pair_ids, instance.budget(), delta,
-                           slot);
+            : GreedySelect(pool, pool.PairsByTask(sub.task_indices[0]),
+                           instance.budget(), delta, slot);
   };
   if (exec != nullptr && subproblems.size() > 1 &&
       problem.num_tasks() >= kMinParallelTasksPerNode) {
@@ -126,7 +126,7 @@ AssignmentResult RunDivideConquer(const ProblemInstance& instance,
     const PairIdSpan ids = pool.PairsByTask(static_cast<int32_t>(j));
     if (ids.empty()) continue;
     root.task_indices.push_back(static_cast<int32_t>(j));
-    root.pair_ids.insert(root.pair_ids.end(), ids.begin(), ids.end());
+    root.num_pairs += static_cast<int64_t>(ids.size());
   }
 
   // The instance's pool (set by the simulator); null runs the sequential
@@ -140,7 +140,8 @@ AssignmentResult RunDivideConquer(const ProblemInstance& instance,
                      exec, &stats);
 
   // The merge phase does not re-check budgets after replacements; enforce
-  // the hard constraint once at the top before emitting.
+  // the hard constraint once at the top before emitting (a rule the paper
+  // does not state: docs/DEVIATIONS.md, row D14).
   if (!WithinBudgetUpperBound(pool, selected, instance.budget())) {
     selected = GreedySelect(pool, selected, instance.budget(), delta, &stats);
   }

@@ -67,8 +67,9 @@ class MinCostTree {
 
 // True when an S_p member at or after `run_begin` (the members with the
 // same quality and cost means as `id`) also has the same cost and quality
-// variances: `id` is then a moment duplicate and stays out of S_p
-// (WeaklyDominatesForPruning, core/comparators.h).
+// variances: `id` is then a moment duplicate and stays out of S_p (the
+// weak-dominance rule, docs/DEVIATIONS.md row D4; its pair predicate is
+// WeaklyDominatesForPruning in tests/comparators_reference.h).
 bool HasMomentTwin(const PairPool& pool, int32_t id,
                    const std::vector<int32_t>& sp, size_t run_begin) {
   for (size_t k = run_begin; k < sp.size(); ++k) {
@@ -167,8 +168,7 @@ void GreedyStats::Add(const GreedyStats& other) {
   retired_pairs += other.retired_pairs;
 }
 
-std::vector<int32_t> GreedySelect(const PairPool& pool,
-                                  const std::vector<int32_t>& pair_ids,
+std::vector<int32_t> GreedySelect(const PairPool& pool, PairIdSpan pair_ids,
                                   double budget, double delta,
                                   GreedyStats* stats) {
   // Span only above a real working set: GreedySelect is also the D&C leaf

@@ -47,8 +47,7 @@ struct GreedyStats {
 /// and no tree. The selections are identical to rebuilding S_p from every
 /// alive pair each iteration (tests/greedy_property_test.cc). When
 /// `stats` is non-null the call's counts are added to it.
-std::vector<int32_t> GreedySelect(const PairPool& pool,
-                                  const std::vector<int32_t>& pair_ids,
+std::vector<int32_t> GreedySelect(const PairPool& pool, PairIdSpan pair_ids,
                                   double budget, double delta,
                                   GreedyStats* stats = nullptr);
 

@@ -51,12 +51,16 @@ struct PairPoolStats {
   int64_t arena_peak_bytes = 0;
 };
 
-/// A borrowed, immutable range of pair ids (one CSR adjacency row).
+/// A borrowed, immutable range of pair ids: one CSR adjacency row, or a
+/// whole id vector (the conversion is implicit, so functions taking a
+/// span also take a std::vector<int32_t>).
 class PairIdSpan {
  public:
   PairIdSpan() = default;
   PairIdSpan(const int32_t* begin, const int32_t* end)
       : begin_(begin), end_(end) {}
+  PairIdSpan(const std::vector<int32_t>& ids)  // NOLINT(google-explicit-constructor)
+      : begin_(ids.data()), end_(ids.data() + ids.size()) {}
 
   const int32_t* begin() const { return begin_; }
   const int32_t* end() const { return end_; }

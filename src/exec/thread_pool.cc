@@ -55,14 +55,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop(int worker_index) {
-#if !defined(MQA_OBS_DISABLED)
   // Label this thread's track in trace exports (worker 0 is the first
   // *spawned* thread; the calling thread participates under its own name).
   Tracer::Get().SetCurrentThreadName("worker-" +
                                      std::to_string(worker_index));
-#else
-  (void)worker_index;
-#endif
   for (;;) {
     std::function<void()> task;
     {

@@ -18,8 +18,8 @@ struct IndexChurnStats {
 
 /// One entity R-tree, bulk-loaded from scratch at every simulation epoch:
 /// the paper's MQA loop derives each time instance's valid pairs from
-/// that instance's entities alone, and the tree's arena slabs are the
-/// only thing retained between loads. This is the machinery behind
+/// that instance's entities alone, and the capacity of the tree's arrays
+/// is the only thing retained between loads. This is the machinery behind
 /// TaskIndexCache (tasks) and WorkerIndexCache (workers): the two
 /// instantiations differ only in how an entity maps to a (location box,
 /// pruning bound) pair, expressed by `Traits`:

@@ -12,183 +12,109 @@ namespace {
 /// Sort-Tile-Recursive grouping: orders item indices by x-center into
 /// vertical slices, each slice by y-center, and emits consecutive groups
 /// of at most `group` items. Stable sorts keep ties in input order, so
-/// the packing is deterministic even when every box is identical.
+/// the packing is deterministic even when every box is identical. `idx`
+/// is the caller's scratch, so its capacity survives the call.
 template <typename GetBox, typename Emit>
-void TilePack(size_t n, int group, GetBox box_of, Emit emit) {
-  std::vector<int32_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0);
+void TilePack(size_t n, int group, std::vector<int32_t>* idx, GetBox box_of,
+              Emit emit) {
+  idx->resize(n);
+  std::iota(idx->begin(), idx->end(), 0);
   const size_t num_groups = (n + static_cast<size_t>(group) - 1) /
                             static_cast<size_t>(group);
   const size_t slices = static_cast<size_t>(
       std::ceil(std::sqrt(static_cast<double>(num_groups))));
   const size_t slice_items =
       ((num_groups + slices - 1) / slices) * static_cast<size_t>(group);
-
-  std::stable_sort(idx.begin(), idx.end(), [&](int32_t a, int32_t b) {
+  std::stable_sort(idx->begin(), idx->end(), [&](int32_t a, int32_t b) {
     return box_of(a).Center().x < box_of(b).Center().x;
   });
   for (size_t s = 0; s < n; s += slice_items) {
     const size_t e = std::min(n, s + slice_items);
-    std::stable_sort(idx.begin() + static_cast<ptrdiff_t>(s),
-                     idx.begin() + static_cast<ptrdiff_t>(e),
+    std::stable_sort(idx->begin() + static_cast<ptrdiff_t>(s),
+                     idx->begin() + static_cast<ptrdiff_t>(e),
                      [&](int32_t a, int32_t b) {
                        return box_of(a).Center().y < box_of(b).Center().y;
                      });
     for (size_t g = s; g < e; g += static_cast<size_t>(group)) {
-      emit(idx.data() + g,
-           static_cast<int>(std::min(e - g, static_cast<size_t>(group))));
+      emit(idx->data() + g,
+           static_cast<int32_t>(std::min(e - g, static_cast<size_t>(group))));
     }
   }
 }
 
 }  // namespace
 
-// --- node memory -----------------------------------------------------------
-
-RTreeIndex::LeafEntry* RTreeIndex::Entries(Node* n) {
-  return reinterpret_cast<LeafEntry*>(reinterpret_cast<unsigned char*>(n) +
-                                      kNodeHeaderBytes);
-}
-
-const RTreeIndex::LeafEntry* RTreeIndex::Entries(const Node* n) {
-  return reinterpret_cast<const LeafEntry*>(
-      reinterpret_cast<const unsigned char*>(n) + kNodeHeaderBytes);
-}
-
-RTreeIndex::Node** RTreeIndex::Children(Node* n) {
-  return reinterpret_cast<Node**>(reinterpret_cast<unsigned char*>(n) +
-                                  kNodeHeaderBytes);
-}
-
-RTreeIndex::Node* const* RTreeIndex::Children(const Node* n) {
-  return reinterpret_cast<Node* const*>(
-      reinterpret_cast<const unsigned char*>(n) + kNodeHeaderBytes);
-}
-
-size_t RTreeIndex::NodeBytes() const {
-  // Leaf slots are the wider of the two payloads, so one block size fits
-  // both node kinds.
-  static_assert(sizeof(LeafEntry) >= sizeof(Node*), "slot sizing");
-  return kNodeHeaderBytes +
-         static_cast<size_t>(max_entries_) * sizeof(LeafEntry);
-}
-
-RTreeIndex::RTreeIndex(int max_entries)
-    : max_entries_(std::clamp(max_entries, 4, 128)) {}
-
-RTreeIndex::~RTreeIndex() = default;
-
-RTreeIndex::Node* RTreeIndex::AllocNode(int32_t level) {
-  Node* n = new (arena_.Allocate(NodeBytes(), alignof(LeafEntry))) Node();
-  n->box = BBox();
-  n->max_deadline = 0.0;
-  n->count = 0;
-  n->level = level;
-  return n;
-}
-
-int RTreeIndex::height() const { return root_ == nullptr ? 0 : root_->level; }
-
-void RTreeIndex::RecomputeNode(Node* n) {
-  if (n->level == 0) {
-    const LeafEntry* es = Entries(n);
-    BBox box = es[0].box;
-    double dl = es[0].deadline;
-    for (int32_t i = 1; i < n->count; ++i) {
-      box = Union(box, es[i].box);
-      dl = std::max(dl, es[i].deadline);
-    }
-    n->box = box;
-    n->max_deadline = dl;
-  } else {
-    Node* const* cs = Children(n);
-    BBox box = cs[0]->box;
-    double dl = cs[0]->max_deadline;
-    for (int32_t i = 1; i < n->count; ++i) {
-      box = Union(box, cs[i]->box);
-      dl = std::max(dl, cs[i]->max_deadline);
-    }
-    n->box = box;
-    n->max_deadline = dl;
+void RTreeIndex::BulkLoad(const std::vector<IndexEntry>& entries) {
+  entries_.clear();
+  nodes_.clear();
+  num_leaves_ = 0;
+  height_ = 0;
+  if (entries.empty()) return;
+  // Leaves: each tile's entries are appended to entries_ in tile order.
+  const IndexEntry* in = entries.data();
+  TilePack(entries.size(), kFanout, &order_,
+           [&](int32_t i) -> const BBox& { return in[i].box; },
+           [&](const int32_t* group, int32_t count) {
+             Node leaf{in[group[0]].box, in[group[0]].deadline,
+                       static_cast<int32_t>(entries_.size()), count};
+             for (int32_t k = 0; k < count; ++k) {
+               const IndexEntry& e = in[group[k]];
+               leaf.box = Union(leaf.box, e.box);
+               leaf.max_deadline = std::max(leaf.max_deadline, e.deadline);
+               entries_.push_back(e);
+             }
+             nodes_.push_back(leaf);
+           });
+  num_leaves_ = static_cast<int32_t>(nodes_.size());
+  // Each level above: tile the level below, rewrite that level in tile
+  // order so that every parent's children are contiguous, and append the
+  // parents after it.
+  for (size_t begin = 0; nodes_.size() - begin > 1; ++height_) {
+    level_.assign(nodes_.begin() + static_cast<ptrdiff_t>(begin),
+                  nodes_.end());
+    const Node* below = level_.data();
+    auto next = static_cast<int32_t>(begin);
+    begin = nodes_.size();
+    TilePack(level_.size(), kFanout, &order_,
+             [&](int32_t i) -> const BBox& { return below[i].box; },
+             [&](const int32_t* group, int32_t count) {
+               Node parent{below[group[0]].box, below[group[0]].max_deadline,
+                           next, count};
+               for (int32_t k = 0; k < count; ++k) {
+                 const Node& child = below[group[k]];
+                 parent.box = Union(parent.box, child.box);
+                 parent.max_deadline =
+                     std::max(parent.max_deadline, child.max_deadline);
+                 nodes_[static_cast<size_t>(next++)] = child;
+               }
+               nodes_.push_back(parent);
+             });
   }
 }
 
-// --- bulk load ---------------------------------------------------------------
-
-std::vector<RTreeIndex::Node*> RTreeIndex::PackLevel(
-    const std::vector<Node*>& children) {
-  std::vector<Node*> parents;
-  parents.reserve(children.size() / static_cast<size_t>(max_entries_) + 1);
-  TilePack(
-      children.size(), max_entries_,
-      [&](int32_t i) -> const BBox& { return children[static_cast<size_t>(i)]->box; },
-      [&](const int32_t* group, int group_count) {
-        Node* parent = AllocNode(children[static_cast<size_t>(group[0])]->level + 1);
-        Node** cs = Children(parent);
-        for (int i = 0; i < group_count; ++i) {
-          cs[i] = children[static_cast<size_t>(group[i])];
-        }
-        parent->count = group_count;
-        RecomputeNode(parent);
-        parents.push_back(parent);
-      });
-  return parents;
-}
-
-void RTreeIndex::BulkLoad(const std::vector<IndexEntry>& entries) {
-  arena_.Reset();
-  root_ = nullptr;
-  size_ = entries.size();
-  if (entries.empty()) return;
-
-  std::vector<Node*> level;
-  level.reserve(entries.size() / static_cast<size_t>(max_entries_) + 1);
-  TilePack(
-      entries.size(), max_entries_,
-      [&](int32_t i) -> const BBox& { return entries[static_cast<size_t>(i)].box; },
-      [&](const int32_t* group, int group_count) {
-        Node* leaf = AllocNode(0);
-        LeafEntry* es = Entries(leaf);
-        for (int i = 0; i < group_count; ++i) {
-          const IndexEntry& e = entries[static_cast<size_t>(group[i])];
-          es[i] = {e.id, e.box, e.deadline};
-        }
-        leaf->count = group_count;
-        RecomputeNode(leaf);
-        level.push_back(leaf);
-      });
-  while (level.size() > 1) level = PackLevel(level);
-  root_ = level[0];
-}
-
-// --- queries -----------------------------------------------------------------
-
-void RTreeIndex::ReachableRec(const Node* n, const BBox& query,
-                              double velocity, double radius,
-                              const RadiusVisitor& visit) const {
-  const double min_dist_node = query.MinDistance(n->box);
+void RTreeIndex::Visit(int32_t node, const BBox& query, double velocity,
+                       double radius, const RadiusVisitor& visit) const {
+  const Node& n = nodes_[static_cast<size_t>(node)];
+  const double min_dist_node = query.MinDistance(n.box);
   if (min_dist_node > radius) return;
-  // Subtree pruning: every entry below n satisfies
-  //   min_dist(query, e.box) >= min_dist(query, n->box) and
-  //   e.deadline <= n->max_deadline,
-  // so `velocity * n->max_deadline < min_dist(query, n->box)` proves the
-  // whole subtree unreachable, at every internal level. NaN products
-  // (velocity 0 with an infinite deadline) fail the strict comparison and
-  // conservatively descend.
-  if (velocity * n->max_deadline < min_dist_node) return;
-  if (n->level == 0) {
-    const LeafEntry* es = Entries(n);
-    for (int32_t i = 0; i < n->count; ++i) {
-      const double min_dist = query.MinDistance(es[i].box);
-      if (min_dist > radius) continue;
-      if (min_dist > velocity * es[i].deadline) continue;  // expires too soon
-      visit(es[i].id, es[i].box, min_dist);
+  // Subtree pruning: every entry e below n has min_dist(query, e.box) >=
+  // min_dist(query, n.box) and e.deadline <= n.max_deadline, so this
+  // proves the whole subtree unreachable. NaN products (velocity 0 with
+  // an infinite deadline) fail the strict comparison and descend.
+  if (velocity * n.max_deadline < min_dist_node) return;
+  const int32_t end = n.first + n.count;
+  if (node >= num_leaves_) {
+    for (int32_t c = n.first; c < end; ++c) {
+      Visit(c, query, velocity, radius, visit);
     }
     return;
   }
-  Node* const* cs = Children(n);
-  for (int32_t i = 0; i < n->count; ++i) {
-    ReachableRec(cs[i], query, velocity, radius, visit);
+  for (int32_t i = n.first; i < end; ++i) {
+    const IndexEntry& e = entries_[static_cast<size_t>(i)];
+    const double min_dist = query.MinDistance(e.box);
+    if (min_dist > radius) continue;
+    if (min_dist > velocity * e.deadline) continue;  // expires too soon
+    visit(e.id, e.box, min_dist);
   }
 }
 
@@ -197,7 +123,8 @@ void RTreeIndex::QueryReachable(const BBox& query, double velocity,
                                 const RadiusVisitor& visit) const {
   velocity = std::max(velocity, 0.0);
   const double radius = std::max(0.0, velocity * max_deadline);
-  if (root_ != nullptr) ReachableRec(root_, query, velocity, radius, visit);
+  const auto root = static_cast<int32_t>(nodes_.size()) - 1;
+  if (root >= 0) Visit(root, query, velocity, radius, visit);
 }
 
 }  // namespace mqa

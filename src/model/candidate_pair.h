@@ -41,8 +41,8 @@ struct CandidatePair {
   /// unfulfilled reservation only delays a task, which carries over to
   /// the next instance, so thinning would systematically under-rank
   /// predicted pairs and suppress the WP-over-WoP steering effect; see
-  /// DESIGN.md §3.3). ExistenceThinnedQuality() exposes the thinned
-  /// variant for callers that want the conservative ranking.
+  /// docs/DEVIATIONS.md, row D3). ExistenceThinnedQuality() exposes the
+  /// thinned variant for callers that want the conservative ranking.
   const Uncertain& EffectiveQuality() const { return quality; }
 
   /// The quality thinned by an independent Bernoulli(existence) trial —

@@ -111,7 +111,7 @@ class ProblemInstance {
   /// worker's location box can reach the task's location before its
   /// deadline. Predicted boxes use the optimistic (minimum) distance so
   /// that possibly-valid pairs are kept; the existence probability models
-  /// the risk (see DESIGN.md §3).
+  /// the risk (docs/DEVIATIONS.md, rows D5 and D6).
   bool CanReach(const Worker& worker, const Task& task) const;
 
   /// CanReach with the worker-to-task box min-distance already in hand

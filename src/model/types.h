@@ -19,6 +19,13 @@ using Timestamp = int64_t;
 /// Duration of one time instance in continuous-time units.
 inline constexpr double kInstanceDuration = 1.0;
 
+/// The most instances one run may span, and the most epochs a streaming
+/// run may cut: 2^20. Trace headers (kMaxTraceHorizon), `mqa_cli
+/// --instances` and StreamingSimulator::Run are bounded by it, so an
+/// outsized value ends in a clean error, not an overflowed count or an
+/// exhausted memory.
+inline constexpr int kMaxInstances = 1 << 20;
+
 }  // namespace mqa
 
 #endif  // MQA_MODEL_TYPES_H_

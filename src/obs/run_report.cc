@@ -13,38 +13,11 @@
 #include <unistd.h>
 #endif
 
+#include "obs/trace.h"
+
 namespace mqa {
 
 namespace {
-
-void WriteJsonString(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 void WriteDouble(std::ostream& out, double v) {
   if (std::isnan(v) || std::isinf(v)) {

@@ -134,9 +134,6 @@ int64_t Tracer::event_count() const {
   return total;
 }
 
-namespace {
-
-/// Minimal JSON string escaping for event/thread names.
 void WriteJsonString(std::ostream& out, const std::string& s) {
   out << '"';
   for (const char c : s) {
@@ -165,6 +162,8 @@ void WriteJsonString(std::ostream& out, const std::string& s) {
   }
   out << '"';
 }
+
+namespace {
 
 /// Microsecond timestamp with nanosecond precision, printed as a fixed
 /// three-decimal value (Perfetto accepts fractional "ts"/"dur").

@@ -42,9 +42,8 @@ struct TraceEvent {
 /// worker threads are still alive.
 ///
 /// Disabled (the default), the entire layer costs one relaxed atomic load
-/// and a branch per MQA_TRACE_SPAN — and compiles away entirely under
-/// -DMQA_OBS_DISABLED. Tracing never feeds values back into the
-/// computation: spans only read the clock, so traced and untraced runs
+/// and a branch per MQA_TRACE_SPAN. Tracing never feeds values back into
+/// the computation: spans only read the clock, so traced and untraced runs
 /// produce byte-identical assignments/scores (property-tested in
 /// tests/obs_property_test.cc).
 ///
@@ -188,26 +187,19 @@ class TraceSpan {
   int64_t arg_ = TraceEvent::kNoArg;
 };
 
+/// Writes `s` as a JSON string literal, escaping quotes, backslashes and
+/// control characters: the one string writer of the trace and run-report
+/// exporters.
+void WriteJsonString(std::ostream& out, const std::string& s);
+
 }  // namespace mqa
 
 #define MQA_OBS_CONCAT_INNER(a, b) a##b
 #define MQA_OBS_CONCAT(a, b) MQA_OBS_CONCAT_INNER(a, b)
 
 /// Scoped phase span. `name` must be a string literal; the optional arg
-/// form attaches one integer ("args":{"v":N} in the trace). Compiles to
-/// nothing under -DMQA_OBS_DISABLED; otherwise costs one relaxed load
-/// when tracing is off.
-#if defined(MQA_OBS_DISABLED)
-#define MQA_TRACE_SPAN(name) \
-  do {                       \
-  } while (false)
-#define MQA_TRACE_SPAN_ARG(name, arg) \
-  do {                                \
-  } while (false)
-#define MQA_TRACE_SPAN_IF(cond, name, arg) \
-  do {                                     \
-  } while (false)
-#else
+/// form attaches one integer ("args":{"v":N} in the trace). Costs one
+/// relaxed load when tracing is off.
 #define MQA_TRACE_SPAN(name) \
   ::mqa::TraceSpan MQA_OBS_CONCAT(mqa_trace_span_, __LINE__)(name)
 #define MQA_TRACE_SPAN_ARG(name, arg) \
@@ -218,6 +210,5 @@ class TraceSpan {
 #define MQA_TRACE_SPAN_IF(cond, name, arg)                  \
   ::mqa::TraceSpan MQA_OBS_CONCAT(mqa_trace_span_, __LINE__)( \
       (cond) ? (name) : nullptr, (arg))
-#endif
 
 #endif  // MQA_OBS_TRACE_H_

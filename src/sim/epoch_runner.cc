@@ -52,7 +52,7 @@ EpochRunner::EpochRunner(const SimulatorConfig& config,
       predictor_(config.prediction,
                  MakeCountPredictor(config.prediction.predictor)),
       // The task R-tree (a member) is loaded from scratch every epoch;
-      // only its arena slabs live across epochs.
+      // only the capacity of its arrays lives across epochs.
       worker_index_cache_(config.maintain_worker_index
                               ? std::make_unique<WorkerIndexCache>()
                               : nullptr),

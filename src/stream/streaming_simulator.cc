@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -30,6 +31,24 @@ const char* EpochPolicyKindToString(EpochPolicyKind kind) {
 
 namespace {
 
+/// The shortest time between two epochs that the clock alone can fire: a
+/// grid epoch per instance or per interval, or an adaptive failsafe epoch
+/// per max_interval while tasks wait. 0 for the arrival-count policy,
+/// whose epochs follow arrivals.
+double TimeDrivenEpochStep(const EpochPolicy& policy) {
+  switch (policy.kind) {
+    case EpochPolicyKind::kPerInstance:
+      return kInstanceDuration;
+    case EpochPolicyKind::kFixedInterval:
+      return policy.interval;
+    case EpochPolicyKind::kAdaptiveBacklog:
+      return policy.max_interval;
+    case EpochPolicyKind::kEveryKArrivals:
+      break;
+  }
+  return 0.0;
+}
+
 /// The run-scoped state machine behind StreamingSimulator::Run. Pools are
 /// kept in batch-simulator order (carryover preserves relative order, new
 /// arrivals append) so that the per-instance epoch policy replays the
@@ -50,9 +69,7 @@ class Engine {
     switch (policy_.kind) {
       case EpochPolicyKind::kPerInstance:
       case EpochPolicyKind::kFixedInterval: {
-        const double dt = policy_.kind == EpochPolicyKind::kPerInstance
-                              ? kInstanceDuration
-                              : policy_.interval;
+        const double dt = TimeDrivenEpochStep(policy_);
         const auto num_epochs = static_cast<int64_t>(
             std::ceil(horizon_ / dt));
         for (int64_t k = 0; k < num_epochs; ++k) {
@@ -470,6 +487,16 @@ Result<StreamSummary> StreamingSimulator::Run(EventQueue queue,
   }
   if (!std::isfinite(horizon)) {
     return Status::InvalidArgument("horizon must be finite");
+  }
+  // Bound the epoch count in double, before any count is cast.
+  const double step = TimeDrivenEpochStep(policy);
+  if (step > 0.0 && horizon / step > kMaxInstances) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "horizon %g at one epoch per %g time units exceeds %d "
+                  "epochs",
+                  horizon, step, kMaxInstances);
+    return Status::InvalidArgument(msg);
   }
 
   Engine engine(config_, quality_, &queue, assigner);

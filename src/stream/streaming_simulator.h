@@ -83,7 +83,9 @@ class StreamingSimulator {
   /// Drains `queue` (consumed by the run; rejoin/expiry events are pushed
   /// into it as the simulation progresses). Returns an error when the
   /// config or an event payload is malformed or an assignment violates
-  /// the MQA constraints.
+  /// the MQA constraints, and InvalidArgument before any epoch when the
+  /// horizon over the interval (per-instance: 1; adaptive: max_interval)
+  /// exceeds kMaxInstances epochs.
   Result<StreamSummary> Run(EventQueue queue, Assigner* assigner);
 
  private:

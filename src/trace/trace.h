@@ -5,15 +5,16 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "model/types.h"
 #include "sim/arrival_stream.h"
 #include "workload/scenario.h"
 
 namespace mqa {
 
-/// The largest horizon a trace may declare: 2^20 instances. Batch replay
+/// The largest horizon a trace may declare: kMaxInstances. Batch replay
 /// buckets the arrivals into ceil(horizon) per-instance batches, so an
 /// unbounded header could overflow the instance count or exhaust memory.
-inline constexpr double kMaxTraceHorizon = 1048576.0;
+inline constexpr double kMaxTraceHorizon = kMaxInstances;
 
 /// A loaded trace: timestamped worker/task arrivals in file order (times
 /// non-decreasing per list) plus the horizon from the header. The two

@@ -8,8 +8,8 @@
 namespace mqa {
 
 /// Substitute for the paper's real datasets (Gowalla worker check-ins and
-/// Foursquare task check-ins restricted to San Francisco; see DESIGN.md,
-/// "Real-data substitute"). Synthesizes a venue-based LBSN check-in
+/// Foursquare task check-ins restricted to San Francisco; see
+/// docs/DEVIATIONS.md, row D7). Synthesizes a venue-based LBSN check-in
 /// stream reproducing the properties the evaluation relies on:
 ///
 ///  * locations cluster around venues, venues cluster around a handful of

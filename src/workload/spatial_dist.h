@@ -22,7 +22,7 @@ struct SpatialDistConfig {
   /// Gaussian: N((0.5, 0.5), sigma^2 I) truncated to the unit square by
   /// resampling. The paper states N(0.5, 1^2), which after truncation is
   /// nearly uniform; the default 0.25 keeps a visible central cluster
-  /// (see DESIGN.md).
+  /// (docs/DEVIATIONS.md, row D8).
   double gaussian_sigma = 0.25;
 
   /// Zipf: each axis is a Zipf-distributed bin index (skew below) over

@@ -57,7 +57,7 @@ TEST(CandidateSetTest, RejectsDominatedNewcomer) {
 
 TEST(CandidateSetTest, ExactDuplicatesDeduplicate) {
   // Identical moments: the second offer is interchangeable with the first
-  // and is dropped (weak-dominance rule, DESIGN.md §3.8).
+  // and is dropped (weak-dominance rule, docs/DEVIATIONS.md row D4).
   const auto pool = FixedPool({{2.0, 3.0}, {2.0, 3.0}});
   CandidateSet set(pool);
   EXPECT_TRUE(set.Offer(0));

@@ -21,6 +21,10 @@ BASE = ["--workers=20", "--tasks=20", "--instances=2", "--csv"]
 CASES = [
     ("--workers=-5", "--workers"),
     ("--instances=-1", "--instances"),
+    # Above kMaxInstances (2^20): refused before any workload is generated
+    # (10^8 instances would allocate gigabytes of empty batches).
+    ("--instances=1048577", "--instances"),
+    ("--instances=100000000", "--instances"),
     ("--gamma=0", "--gamma"),
     # Above Grid::kMaxGamma; 50000 would overflow the grid's cell count.
     ("--gamma=1001", "--gamma"),

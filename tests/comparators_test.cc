@@ -4,8 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/comparators_reference.h"
+
 namespace mqa {
 namespace {
+
+using testing_util::ProbabilisticallyDominates;
+using testing_util::ProbCostLessEq;
+using testing_util::ProbGreater;
+using testing_util::ProbLessEq;
+using testing_util::WeaklyDominatesForPruning;
 
 CandidatePair FixedPair(double cost, double quality) {
   CandidatePair p;
@@ -78,6 +86,12 @@ TEST(ProbGreaterTest, NormalizationUsesSqrt) {
   const Uncertain a(2.0, 2.0, -10.0, 10.0);
   const Uncertain b(1.0, 2.0, -10.0, 10.0);
   EXPECT_NEAR(ProbGreater(a, b), 0.6914624612740131, 1e-9);
+  // Production's pair comparison normalizes the same way.
+  const PairPool pool =
+      PoolOf(UncertainPair(1.0, 0.0, 1.0, 1.0, 2.0, 2.0, -10.0, 10.0),
+             UncertainPair(1.0, 0.0, 1.0, 1.0, 1.0, 2.0, -10.0, 10.0));
+  EXPECT_NEAR(ProbQualityGreater(pool.pair(0), pool.pair(1)),
+              0.6914624612740131, 1e-9);
 }
 
 TEST(ProbLessEqTest, FixedComparisons) {

@@ -15,6 +15,7 @@
 #include "core/comparators.h"
 #include "core/pair_pool.h"
 #include "core/selection.h"
+#include "tests/comparators_reference.h"
 
 namespace mqa {
 namespace testing_util {

@@ -122,9 +122,9 @@ TEST(IntegrationTest, LooserDeadlinesRaiseQualityOnClusteredData) {
   // and raise the achievable score. The effect needs the real-data
   // regime — clustered check-ins with offset worker/task hotspots, a
   // relatively slack budget, and replayed (non-teleporting) arrivals;
-  // see EXPERIMENTS.md. On spread-out synthetic data under a binding
-  // budget the direction reverses, exactly as the paper itself reports
-  // for velocities (Fig. 14).
+  // see docs/DEVIATIONS.md, row D11. On spread-out synthetic data under a
+  // binding budget the direction reverses, exactly as the paper itself
+  // reports for velocities (Fig. 14).
   const RangeQualityModel quality(1.0, 2.0, 31);
   CheckinConfig tight;
   tight.num_workers = 700;

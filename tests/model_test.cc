@@ -52,7 +52,8 @@ TEST(ProblemInstanceTest, CanReachUsesOptimisticBoxDistance) {
 
 TEST(ProblemInstanceTest, PredictedWorkerCannotServeExpiringTask) {
   // A current task with deadline < one instance is dead before any
-  // predicted worker joins, no matter how close (DESIGN.md §3.9).
+  // predicted worker joins, no matter how close (docs/DEVIATIONS.md,
+  // row D6).
   const ConstantQualityModel q(1.0);
   std::vector<Worker> workers = {
       MakeWorker(0, 0.45, 0.45, 0.5),

@@ -164,7 +164,8 @@ TEST(CountPredictorTest, PaperTableIIIExample) {
   // Table III reports [4,3,4]->4, [2,3,3]->3, [0,1,0]->0, [1,1,1]->1.
   // The least-squares line through (1,2),(2,3),(3,3) evaluated at 4 gives
   // 3.67 -> 4, so the printed example actually matches the window *mean*
-  // (moving average); see DESIGN.md. Both predictors are provided.
+  // (moving average); see docs/DEVIATIONS.md, row D9. Both predictors are
+  // provided.
   const auto ma = MakeMovingAveragePredictor();
   EXPECT_EQ(ma->PredictNext({4, 3, 4}), 4);
   EXPECT_EQ(ma->PredictNext({2, 3, 3}), 3);

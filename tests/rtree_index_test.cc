@@ -1,7 +1,7 @@
-// The packed R-tree's structure: the fan-out clamp, height growth and
-// collapse across BulkLoads, and reloads into the retained arena slabs at
-// several fan-outs answering exactly like the reference BruteForceIndex.
-// Query semantics shared with BruteForceIndex are in index_test.cc.
+// The packed R-tree's structure: height growth and collapse across
+// BulkLoads, and reloads at heights 3, 2 and 1 answering exactly like the
+// reference BruteForceIndex. Query semantics shared with BruteForceIndex
+// are in index_test.cc.
 
 #include <algorithm>
 #include <cstdint>
@@ -30,44 +30,42 @@ std::vector<int64_t> CollectReachable(const SpatialIndex& index,
   return ids;
 }
 
-TEST(RTreeIndexTest, FanoutClampAndHeightGrowth) {
-  RTreeIndex index(4);
-  EXPECT_EQ(index.max_entries(), 4);
+TEST(RTreeIndexTest, HeightGrowth) {
+  RTreeIndex index;
   EXPECT_EQ(index.height(), 0);
   Rng rng(5);
   std::vector<IndexEntry> entries;
-  for (int64_t id = 0; id < 500; ++id) {
+  for (int64_t id = 0; id < 5000; ++id) {
     entries.push_back({id, BBox::FromPoint({rng.Uniform(), rng.Uniform()})});
   }
   const BBox everywhere({0, 0}, {1, 1});
-  // 500 entries at fan-out 4 force several internal levels.
+  // 5,000 entries at fan-out 16 need 313 leaves under three levels.
   index.BulkLoad(entries);
-  EXPECT_GE(index.height(), 3);
-  EXPECT_EQ(CollectReachable(index, everywhere, 1.0, 0.0).size(), 500u);
-  // Reloading one entry into the same arena collapses the tree to a leaf.
+  EXPECT_EQ(index.height(), 3);
+  EXPECT_EQ(CollectReachable(index, everywhere, 1.0, 0.0).size(), 5000u);
+  // Reloading one entry into the same arrays collapses the tree to a leaf.
   index.BulkLoad({entries.back()});
   EXPECT_EQ(index.size(), 1u);
   EXPECT_EQ(index.height(), 0);
   EXPECT_EQ(CollectReachable(index, entries.back().box, 1.0, 0.0),
-            (std::vector<int64_t>{499}));
+            (std::vector<int64_t>{4999}));
   // And growing again rebuilds the levels.
   index.BulkLoad(entries);
-  EXPECT_GE(index.height(), 3);
+  EXPECT_EQ(index.height(), 3);
   EXPECT_EQ(CollectReachable(index, entries.front().box, 1.0, 0.0),
             (std::vector<int64_t>{0}));
   // An empty load leaves no root.
   index.BulkLoad({});
+  EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.height(), 0);
-
-  // Constructor clamps pathological fan-outs.
-  EXPECT_EQ(RTreeIndex(1).max_entries(), 4);
-  EXPECT_EQ(RTreeIndex(1000).max_entries(), 128);
+  EXPECT_TRUE(CollectReachable(index, everywhere, 1.0, 0.0).empty());
 }
 
-TEST(RTreeIndexTest, ReloadsIntoRetainedSlabsMatchBruteForce) {
-  // One tree per fan-out, reloaded with a large set and then a smaller
-  // one (the simulator's load-every-epoch pattern), on uniform, Zipf and
-  // Gaussian-cluster sets of mixed point/kernel boxes and deadlines.
+TEST(RTreeIndexTest, ReloadsMatchBruteForce) {
+  // One tree reloaded with 5,000, 600 and 250 entries (heights 3, 2 and
+  // 1; the simulator's load-every-epoch pattern, shrinking into arrays
+  // sized by the first load), on uniform, Zipf and Gaussian-cluster sets
+  // of mixed point/kernel boxes and deadlines.
   SpatialDistConfig zipf;
   zipf.kind = SpatialDistribution::kZipf;
   zipf.zipf_skew = 0.9;
@@ -79,41 +77,44 @@ TEST(RTreeIndexTest, ReloadsIntoRetainedSlabsMatchBruteForce) {
     SpatialDistConfig dist;
   } regimes[] = {{"uniform", {}}, {"zipf", zipf}, {"cluster", cluster}};
 
+  const struct {
+    int n;
+    int height;
+  } loads[] = {{5000, 3}, {600, 2}, {250, 1}};
+
   for (const auto& regime : regimes) {
-    for (const int fanout : {4, 16}) {
-      Rng rng(1000 + fanout);
-      RTreeIndex rtree(fanout);
-      for (const int n : {600, 250}) {
-        std::vector<IndexEntry> entries;
-        for (int64_t id = 0; id < n; ++id) {
-          const Point c = SampleLocation(regime.dist, &rng);
-          const BBox box = rng.Bernoulli(0.3)
-                               ? BBox::KernelBox(c, rng.Uniform(0.0, 0.1),
-                                                 rng.Uniform(0.0, 0.1))
-                               : BBox::FromPoint(c);
-          entries.push_back({id, box, rng.Bernoulli(0.8)
-                                          ? rng.Uniform(0.05, 2.0)
-                                          : IndexEntry().deadline});
-        }
-        BruteForceIndex brute;
-        brute.BulkLoad(entries);
-        rtree.BulkLoad(entries);
-        SCOPED_TRACE(std::string(regime.name) + " fanout " +
-                     std::to_string(fanout) + " n " + std::to_string(n));
-        ASSERT_EQ(rtree.size(), entries.size());
-        for (int q = 0; q < 100; ++q) {
-          const BBox query =
-              q % 2 == 0 ? BBox::FromPoint({rng.Uniform(-0.2, 1.2),
-                                            rng.Uniform(-0.2, 1.2)})
-                         : BBox::KernelBox({rng.Uniform(), rng.Uniform()},
-                                           rng.Uniform(0.0, 0.3),
-                                           rng.Uniform(0.0, 0.3));
-          const double velocity = rng.Uniform(0.0, 0.6);
-          const double max_deadline = rng.Uniform(0.05, 2.5);
-          EXPECT_EQ(CollectReachable(rtree, query, velocity, max_deadline),
-                    CollectReachable(brute, query, velocity, max_deadline))
-              << "q=" << q;
-        }
+    Rng rng(1016);
+    RTreeIndex rtree;
+    for (const auto& load : loads) {
+      std::vector<IndexEntry> entries;
+      for (int64_t id = 0; id < load.n; ++id) {
+        const Point c = SampleLocation(regime.dist, &rng);
+        const BBox box = rng.Bernoulli(0.3)
+                             ? BBox::KernelBox(c, rng.Uniform(0.0, 0.1),
+                                               rng.Uniform(0.0, 0.1))
+                             : BBox::FromPoint(c);
+        entries.push_back({id, box, rng.Bernoulli(0.8)
+                                        ? rng.Uniform(0.05, 2.0)
+                                        : IndexEntry().deadline});
+      }
+      BruteForceIndex brute;
+      brute.BulkLoad(entries);
+      rtree.BulkLoad(entries);
+      SCOPED_TRACE(std::string(regime.name) + " n " + std::to_string(load.n));
+      ASSERT_EQ(rtree.size(), entries.size());
+      EXPECT_EQ(rtree.height(), load.height);
+      for (int q = 0; q < 100; ++q) {
+        const BBox query =
+            q % 2 == 0 ? BBox::FromPoint({rng.Uniform(-0.2, 1.2),
+                                          rng.Uniform(-0.2, 1.2)})
+                       : BBox::KernelBox({rng.Uniform(), rng.Uniform()},
+                                         rng.Uniform(0.0, 0.3),
+                                         rng.Uniform(0.0, 0.3));
+        const double velocity = rng.Uniform(0.0, 0.6);
+        const double max_deadline = rng.Uniform(0.05, 2.5);
+        EXPECT_EQ(CollectReachable(rtree, query, velocity, max_deadline),
+                  CollectReachable(brute, query, velocity, max_deadline))
+            << "q=" << q;
       }
     }
   }

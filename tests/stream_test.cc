@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -561,6 +562,41 @@ TEST(StreamValidationTest, RejectsBadPolicyConfigs) {
   config = TinyConfig();
   EXPECT_FALSE(
       StreamingSimulator(config, &quality).Run(EventQueue(), nullptr).ok());
+}
+
+TEST(StreamValidationTest, RejectsMoreThanTwoToTheTwentyEpochs) {
+  // Each config asks for more than kMaxInstances epochs over a horizon of
+  // 2; the run is refused before its first epoch, so none of them runs
+  // (or allocates a summary row per epoch).
+  const testing_util::ConstantQualityModel quality(1.0);
+  auto assigner = CreateAssigner(AssignerKind::kGreedy);
+  const auto run = [&](const EpochPolicy& policy) {
+    StreamingConfig config = TinyConfig();
+    config.policy = policy;
+    config.horizon = 2.0;
+    return StreamingSimulator(config, &quality)
+        .Run(TinyQueue(2, 2, 2), assigner.get());
+  };
+  EpochPolicy tiny_interval;
+  tiny_interval.kind = EpochPolicyKind::kFixedInterval;
+  tiny_interval.interval = 1e-300;  // would overflow the epoch-count cast
+  EpochPolicy short_interval = tiny_interval;
+  short_interval.interval = 1e-7;  // 2 * 10^7 epochs
+  EpochPolicy tiny_failsafe;
+  tiny_failsafe.kind = EpochPolicyKind::kAdaptiveBacklog;
+  tiny_failsafe.backlog_threshold = 100000;
+  tiny_failsafe.max_interval = 1e-300;
+  // tiny_interval goes first: without the bound it ends after one epoch,
+  // so the ASSERT stops the test before the two runs that would not end.
+  for (const EpochPolicy& policy :
+       {tiny_interval, short_interval, tiny_failsafe}) {
+    const auto summary = run(policy);
+    ASSERT_FALSE(summary.ok()) << EpochPolicyKindToString(policy.kind);
+    EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(summary.status().message().find("1048576 epochs"),
+              std::string::npos)
+        << summary.status();
+  }
 }
 
 }  // namespace

@@ -43,6 +43,29 @@ TEST(SpatialDistTest, GaussianConcentratesAtCenter) {
   EXPECT_GT(center / static_cast<double>(n), 0.6);
 }
 
+TEST(SpatialDistTest, GaussianDefaultSigmaClusters) {
+  // The default sigma is 0.25, not the paper's 1 (docs/DEVIATIONS.md,
+  // row D8): truncated to the unit square, sigma 1 is nearly uniform,
+  // while 0.25 keeps a central cluster.
+  SpatialDistConfig config;
+  config.kind = SpatialDistribution::kGaussian;
+  EXPECT_EQ(config.gaussian_sigma, 0.25);
+  const auto share_near_center = [](const SpatialDistConfig& c) {
+    Rng rng(4);
+    int center = 0;
+    const int n = 4000;
+    for (int i = 0; i < n; ++i) {
+      if (Distance(SampleLocation(c, &rng), {0.5, 0.5}) < 0.25) ++center;
+    }
+    return center / static_cast<double>(n);
+  };
+  SpatialDistConfig paper = config;
+  paper.gaussian_sigma = 1.0;
+  // Uniform puts 19.6% within 0.25 of the center.
+  EXPECT_GT(share_near_center(config), 0.35);
+  EXPECT_LT(share_near_center(paper), 0.25);
+}
+
 TEST(SpatialDistTest, ZipfSkewsTowardOrigin) {
   Rng rng(3);
   SpatialDistConfig config;
