@@ -10,8 +10,9 @@
 //
 // The third phase measures pool *materialization* on the dense "paper"
 // regime (the post-PR-1 bottleneck): columnar build time (Case 1-3
-// statistics included), steady-state arena-reuse build time, bytes/pair
-// and arena footprint, and emits the numbers as BENCH_pairpool.json.
+// statistics included), the build time into one kept PairPoolStorage
+// (the simulator's per-epoch reuse) and bytes/pair, and emits the
+// numbers as BENCH_pairpool.json.
 //
 // The fourth phase benchmarks the raw indexes (brute force and R-tree) on
 // the paper's Fig. 18/19 location distributions — Uniform, Zipf and
@@ -33,7 +34,6 @@
 
 #include "common/rng.h"
 #include "core/valid_pairs.h"
-#include "exec/pair_arena.h"
 #include "index/brute_force_index.h"
 #include "index/rtree_index.h"
 #include "bench/bench_util.h"
@@ -163,12 +163,10 @@ void RunRegime(const char* name, double v_lo, double v_hi,
 struct PoolPhaseResult {
   int n = 0;
   size_t pairs = 0;
-  double build_s = 0.0;        // fresh arena
-  double build_reuse_s = 0.0;  // steady state: arena reused across builds
+  double build_s = 0.0;        // fresh storage
+  double build_reuse_s = 0.0;  // steady state: storage kept across builds
   int64_t pool_bytes = 0;
   double bytes_per_pair = 0.0;
-  int64_t arena_slabs = 0;
-  int64_t arena_peak_bytes = 0;
 };
 
 /// Measures columnar pool materialization on one mixed instance.
@@ -191,23 +189,18 @@ PoolPhaseResult MeasurePoolPhase(const ProblemInstance& instance, int n,
                            static_cast<double>(pool.size());
   }
 
-  // Steady state: one external arena reused across epochs (the simulator
-  // path). The first build grows the slabs; later builds allocate
-  // nothing.
-  PairArena arena;
+  // Steady state: one storage kept across epochs (the simulator path).
+  // The first build grows its vectors; later builds reuse them.
+  PairPoolStorage storage;
   result.build_reuse_s = 1e100;
   ProblemInstance reuse_instance = instance;
-  reuse_instance.set_pair_arena(&arena);
+  reuse_instance.set_pool_storage(&storage);
   for (int r = 0; r < reps + 2; ++r) {
-    arena.Reset();
     const auto start = std::chrono::steady_clock::now();
     const PairPool pool = BuildPairPool(reuse_instance);
-    if (r > 0) {  // skip the cold build that grows the arena
+    if (r > 0) {  // skip the cold build that grows the storage
       result.build_reuse_s = std::min(result.build_reuse_s, Now(start));
     }
-    const PairPoolStats stats = pool.Stats();
-    result.arena_slabs = stats.arena_slabs;
-    result.arena_peak_bytes = stats.arena_peak_bytes;
   }
 
   return result;
@@ -218,8 +211,8 @@ void RunPoolPhase(const std::vector<int>& sizes, int max_n) {
   std::printf(
       "\n-- pairpool materialization phase (paper regime + 10%% predicted) "
       "--\n");
-  std::printf("%8s %12s %10s %10s %8s %7s %10s\n", "n", "pairs",
-              "build_s", "reuse_s", "B/pair", "slabs", "Mpairs/s");
+  std::printf("%8s %12s %10s %10s %8s %10s\n", "n", "pairs", "build_s",
+              "reuse_s", "B/pair", "Mpairs/s");
 
   std::vector<PoolPhaseResult> results;
   for (const int n : sizes) {
@@ -228,9 +221,8 @@ void RunPoolPhase(const std::vector<int>& sizes, int max_n) {
     const ProblemInstance instance = MixedPaperInstance(n, &quality, &rng);
     const PoolPhaseResult r = MeasurePoolPhase(instance, n, n <= 2000 ? 3 : 1);
     results.push_back(r);
-    std::printf("%8d %12zu %10.4f %10.4f %8.1f %7lld %10.3f\n", r.n,
-                r.pairs, r.build_s, r.build_reuse_s,
-                r.bytes_per_pair, static_cast<long long>(r.arena_slabs),
+    std::printf("%8d %12zu %10.4f %10.4f %8.1f %10.3f\n", r.n, r.pairs,
+                r.build_s, r.build_reuse_s, r.bytes_per_pair,
                 static_cast<double>(r.pairs) / r.build_reuse_s / 1e6);
   }
 
@@ -251,12 +243,9 @@ void RunPoolPhase(const std::vector<int>& sizes, int max_n) {
         "    {\"n\": %d, \"pairs\": %zu, \"build_seconds\": %.6f, "
         "\"build_reuse_seconds\": %.6f, "
         "\"pool_bytes\": %lld, \"bytes_per_pair\": %.2f, "
-        "\"arena_slabs\": %lld, \"arena_peak_bytes\": %lld, "
         "\"pairs_per_second_steady\": %.0f}%s\n",
         r.n, r.pairs, r.build_s, r.build_reuse_s,
         static_cast<long long>(r.pool_bytes), r.bytes_per_pair,
-        static_cast<long long>(r.arena_slabs),
-        static_cast<long long>(r.arena_peak_bytes),
         static_cast<double>(r.pairs) / r.build_reuse_s,
         i + 1 < results.size() ? "," : "");
   }

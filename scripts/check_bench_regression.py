@@ -18,9 +18,8 @@ Field classification (schema-light, so new benches join for free):
   - "*_seconds" numeric fields are timings: fresh > baseline * (1+tol)
     is a regression, but only when the baseline is at least
     --min-seconds (tiny timings are pure noise on shared CI runners).
-  - Fields in EXACT_FIELDS (pairs, candidates, pool_bytes, the pool
-    arena's slab count arena_slabs, and the streaming count fields) must
-    match exactly.
+  - Fields in EXACT_FIELDS (pairs, candidates, pool_bytes, and the
+    streaming count fields) must match exactly.
   - Everything else (derived ratios, throughputs, labels) is ignored.
 
 Rows are matched by the value of their non-numeric fields plus "n", so
@@ -43,14 +42,12 @@ import os
 import shutil
 import sys
 
-# "arena_slabs" comes from BENCH_pairpool.json: the slab count of a pool
-# build is deterministic for a given instance, so a change means the
-# arena's allocation pattern changed. "epochs", "events", "assigned",
-# "expired" and "max_backlog" come from BENCH_stream.json: the streaming
-# engine is deterministic for a given workload and policy, so a change in
-# any of them means the simulated work itself changed.
-EXACT_FIELDS = {"pairs", "candidates", "pool_bytes", "arena_slabs", "epochs",
-                "events", "assigned", "expired", "max_backlog"}
+# "epochs", "events", "assigned", "expired" and "max_backlog" come from
+# BENCH_stream.json: the streaming engine is deterministic for a given
+# workload and policy, so a change in any of them means the simulated work
+# itself changed.
+EXACT_FIELDS = {"pairs", "candidates", "pool_bytes", "epochs", "events",
+                "assigned", "expired", "max_backlog"}
 
 
 def is_timing(field):

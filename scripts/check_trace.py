@@ -18,7 +18,7 @@ Checks, in order:
      epoch's duration — the "the trace explains where the time went"
      acceptance bar.
 
-Also validates an mqa-run-report-v6 file when given via --report:
+Also validates an mqa-run-report-v7 file when given via --report:
   - on every epoch row, the five phases that partition the epoch
     (predict + assemble + index + pool_build + assign) are non-negative
     and add up to wall_seconds, within 5 us or 1e-3 relative;
@@ -44,7 +44,7 @@ EPOCH_SPAN_NAMES = ("epoch", "stream/epoch")
 # The run-report schema --report accepts, and the epoch-row phases whose
 # sum must equal the row's wall_seconds (validate, apply and the stream
 # phases run outside that clock).
-REPORT_SCHEMA = "mqa-run-report-v6"
+REPORT_SCHEMA = "mqa-run-report-v7"
 WALL_PHASES = ("predict", "assemble", "index", "pool_build", "assign")
 PHASE_SUM_ABS_TOL = 5e-6
 PHASE_SUM_REL_TOL = 1e-3

@@ -1,5 +1,8 @@
 #include "core/pair_pool.h"
 
+#include <sys/mman.h>
+
+#include <new>
 #include <utility>
 
 #include "common/logging.h"
@@ -7,6 +10,15 @@
 #include "prediction/pair_stats.h"
 
 namespace mqa {
+
+void* MapPages(size_t bytes) {
+  void* data = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (data == MAP_FAILED) throw std::bad_alloc();
+  return data;
+}
+
+void UnmapPages(void* data, size_t bytes) { munmap(data, bytes); }
 
 // ---------------------------------------------------------------------------
 // PairPool
@@ -57,12 +69,6 @@ CandidatePair PairPool::GetPair(int32_t id) const {
   return pair;
 }
 
-void PairPool::AdoptArena(std::unique_ptr<PairArena> arena) {
-  MQA_CHECK(arena.get() == arena_)
-      << "can only adopt the arena that backs this pool";
-  owned_arena_ = std::move(arena);
-}
-
 PairPoolStats PairPool::Stats() const {
   PairPoolStats stats;
   stats.pairs = static_cast<int64_t>(num_pairs_);
@@ -82,11 +88,6 @@ PairPoolStats PairPool::Stats() const {
   stats.pool_bytes =
       column_bytes + csr_bytes +
       static_cast<int64_t>(explicit_.size() * sizeof(QualityEntry));
-
-  if (arena_ != nullptr) {
-    stats.arena_slabs = static_cast<int64_t>(arena_->slab_count());
-    stats.arena_peak_bytes = static_cast<int64_t>(arena_->peak_bytes());
-  }
   return stats;
 }
 
@@ -94,28 +95,25 @@ PairPoolStats PairPool::Stats() const {
 // PairPoolBuilder
 
 PairPoolBuilder::PairPoolBuilder(size_t num_workers, size_t num_tasks)
-    : hand_mode_(true) {
-  pool_.num_workers_ = num_workers;
-  pool_.num_tasks_ = num_tasks;
-  pool_.num_current_workers_ = num_workers;
-  pool_.num_current_tasks_ = num_tasks;
+    : PairPoolBuilder(num_workers, num_tasks, num_workers, num_tasks,
+                      /*storage=*/nullptr) {
+  hand_mode_ = true;
 }
 
 PairPoolBuilder::PairPoolBuilder(size_t num_workers, size_t num_tasks,
                                  size_t num_current_workers,
-                                 size_t num_current_tasks, size_t num_pairs,
-                                 PairArena* arena) {
+                                 size_t num_current_tasks,
+                                 PairPoolStorage* storage) {
   pool_.num_workers_ = num_workers;
   pool_.num_tasks_ = num_tasks;
   pool_.num_current_workers_ = num_current_workers;
   pool_.num_current_tasks_ = num_current_tasks;
-  if (arena != nullptr) {
-    pool_.arena_ = arena;
-  } else {
-    pool_.owned_arena_ = std::make_unique<PairArena>();
-    pool_.arena_ = pool_.owned_arena_.get();
-  }
-  AllocateColumns(num_pairs, /*with_explicit_refs=*/false);
+  const bool owned = storage == nullptr;
+  if (owned) storage = new PairPoolStorage;
+  MQA_CHECK(!storage->in_use)
+      << "the pool storage still backs a live pool; drop that pool first";
+  storage->in_use = true;
+  pool_.storage_ = {storage, PairPoolStorage::Release{owned}};
 }
 
 int32_t PairPoolBuilder::Add(const CandidatePair& pair) {
@@ -130,34 +128,31 @@ int32_t PairPoolBuilder::Add(const CandidatePair& pair) {
   return static_cast<int32_t>(staged_.size() - 1);
 }
 
-void PairPoolBuilder::AllocateColumns(size_t num_pairs,
-                                      bool with_explicit_refs) {
-  PairArena* arena = pool_.arena_;
+void PairPoolBuilder::AllocateColumns(size_t num_pairs) {
+  PairPoolStorage& s = storage();
   pool_.num_pairs_ = num_pairs;
-  pool_.worker_col_ = arena->AllocateArray<int32_t>(num_pairs);
-  pool_.task_col_ = arena->AllocateArray<int32_t>(num_pairs);
-  pool_.cost_mean_col_ = arena->AllocateArray<double>(num_pairs);
-  pool_.cost_var_col_ = arena->AllocateArray<double>(num_pairs);
-  pool_.cost_lb_col_ = arena->AllocateArray<double>(num_pairs);
-  pool_.cost_ub_col_ = arena->AllocateArray<double>(num_pairs);
-  pool_.fixed_quality_col_ = arena->AllocateArray<double>(num_pairs);
-  pool_.qkind_col_ = arena->AllocateArray<uint8_t>(num_pairs);
-  if (with_explicit_refs) {
-    pool_.explicit_ref_col_ = arena->AllocateArray<int32_t>(num_pairs);
-  }
+  pool_.worker_col_ = PairPoolStorage::Fit(&s.worker, num_pairs);
+  pool_.task_col_ = PairPoolStorage::Fit(&s.task, num_pairs);
+  pool_.cost_mean_col_ = PairPoolStorage::Fit(&s.cost_mean, num_pairs);
+  pool_.cost_var_col_ = PairPoolStorage::Fit(&s.cost_var, num_pairs);
+  pool_.cost_lb_col_ = PairPoolStorage::Fit(&s.cost_lb, num_pairs);
+  pool_.cost_ub_col_ = PairPoolStorage::Fit(&s.cost_ub, num_pairs);
+  pool_.fixed_quality_col_ = PairPoolStorage::Fit(&s.fixed_quality, num_pairs);
+  pool_.qkind_col_ = PairPoolStorage::Fit(&s.qkind, num_pairs);
 }
 
 void PairPoolBuilder::BuildCsr() {
   MQA_TRACE_SPAN("pool/csr");
-  PairArena* arena = pool_.arena_;
+  PairPoolStorage& s = storage();
   const size_t n = pool_.num_pairs_;
   const size_t num_tasks = pool_.num_tasks_;
   const size_t num_workers = pool_.num_workers_;
 
-  pool_.task_offsets_ = arena->AllocateArray<int32_t>(num_tasks + 1);
-  pool_.worker_offsets_ = arena->AllocateArray<int32_t>(num_workers + 1);
-  pool_.by_task_ = arena->AllocateArray<int32_t>(n);
-  pool_.by_worker_ = arena->AllocateArray<int32_t>(n);
+  pool_.task_offsets_ = PairPoolStorage::Fit(&s.task_offsets, num_tasks + 1);
+  pool_.worker_offsets_ =
+      PairPoolStorage::Fit(&s.worker_offsets, num_workers + 1);
+  pool_.by_task_ = PairPoolStorage::Fit(&s.by_task, n);
+  pool_.by_worker_ = PairPoolStorage::Fit(&s.by_worker, n);
 
   for (size_t j = 0; j <= num_tasks; ++j) pool_.task_offsets_[j] = 0;
   for (size_t i = 0; i <= num_workers; ++i) pool_.worker_offsets_[i] = 0;
@@ -174,8 +169,9 @@ void PairPoolBuilder::BuildCsr() {
 
   // Fill in ascending pair-id order: rows end up ascending by id, exactly
   // the order the nested push_back adjacency used to produce.
-  int32_t* task_cursor = arena->AllocateArray<int32_t>(num_tasks);
-  int32_t* worker_cursor = arena->AllocateArray<int32_t>(num_workers);
+  int32_t* task_cursor = PairPoolStorage::Fit(&s.task_cursor, num_tasks);
+  int32_t* worker_cursor =
+      PairPoolStorage::Fit(&s.worker_cursor, num_workers);
   for (size_t j = 0; j < num_tasks; ++j) task_cursor[j] = 0;
   for (size_t i = 0; i < num_workers; ++i) worker_cursor[i] = 0;
   for (size_t k = 0; k < n; ++k) {
@@ -213,9 +209,9 @@ void PairPoolBuilder::ComputeCaseStats() {
 
 PairPool PairPoolBuilder::Build() && {
   if (hand_mode_) {
-    pool_.owned_arena_ = std::make_unique<PairArena>();
-    pool_.arena_ = pool_.owned_arena_.get();
-    AllocateColumns(staged_.size(), /*with_explicit_refs=*/true);
+    AllocateColumns(staged_.size());
+    pool_.explicit_ref_col_ =
+        PairPoolStorage::Fit(&storage().explicit_ref, staged_.size());
     pool_.explicit_.reserve(staged_.size());
     for (size_t k = 0; k < staged_.size(); ++k) {
       const CandidatePair& pair = staged_[k];

@@ -6,8 +6,8 @@
 #include <memory>
 #include <vector>
 
-#include "exec/pair_arena.h"
 #include "model/candidate_pair.h"
+#include "stats/distance_stats.h"
 #include "stats/uncertain.h"
 
 namespace mqa {
@@ -38,17 +38,107 @@ struct PairPoolStats {
   int64_t predicted_pairs = 0;
 
   /// Wall-clock seconds spent inside BuildPairPool (0 for hand-built
-  /// pools). Execution state, like the arena fields — excluded from the
-  /// byte-identity contract.
+  /// pools). Execution state — excluded from the byte-identity contract.
   double build_seconds = 0.0;
 
   /// Bytes of the columns + CSR adjacency (+ explicit side table).
   int64_t pool_bytes = 0;
+};
 
-  /// Arena footprint (owned or external; external arenas may also hold
-  /// build scratch — that is the point of the per-epoch reuse).
-  int64_t arena_slabs = 0;
-  int64_t arena_peak_bytes = 0;
+void* MapPages(size_t bytes);
+void UnmapPages(void* data, size_t bytes);
+
+/// The allocator of PairPoolStorage's vectors. Each block is an anonymous
+/// mapping of its own: a block freed when a vector grows goes back to the
+/// kernel at once instead of staying resident in the C heap, and pages
+/// commit on first write. Elements are default-initialized, so sizing a
+/// vector writes nothing and the build's parallel fill touches its pages
+/// first.
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+  PageAllocator() = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) {}  // NOLINT(google-explicit-constructor)
+  T* allocate(size_t n) { return static_cast<T*>(MapPages(n * sizeof(T))); }
+  void deallocate(T* data, size_t n) { UnmapPages(data, n * sizeof(T)); }
+  template <typename U>
+  void construct(U* slot) { ::new (static_cast<void*>(slot)) U; }
+  bool operator==(const PageAllocator&) const { return true; }
+  bool operator!=(const PageAllocator&) const { return false; }
+};
+
+/// The vectors one pool build writes: the pool's columns and CSR arrays,
+/// and the build's per-worker and per-task scratch. A pool reads its
+/// columns from the storage it was built into, so one storage backs at
+/// most one live pool: BuildPairPool fails an MQA_CHECK on a storage that
+/// is still in use, and a pool hands its storage back when destroyed.
+/// sim/EpochRunner keeps one storage across epochs and lends it through
+/// ProblemInstance::set_pool_storage, so a warm build reuses the
+/// vectors; a standalone BuildPairPool call or a hand-built pool owns a
+/// fresh one. Slots past a pool's live counts hold stale values that the
+/// pool never reads.
+struct PairPoolStorage {
+  template <typename T>
+  using Vector = std::vector<T, PageAllocator<T>>;
+
+  /// One survivor of a worker's reachability scan: the task and — for
+  /// current-current pairs only — the quality score, which doubles as
+  /// the PairStatistics sample.
+  struct Candidate {
+    int32_t task = 0;
+    double score = 0.0;
+  };
+
+  /// Worker i's candidates: a span over one scan range's buffer.
+  struct CandidateSpan {
+    const Candidate* data;
+    size_t count;
+  };
+
+  /// Returns the first `n` slots of `v`. A shorter vector is freed, as
+  /// its contents are dead between builds, and replaced by one of
+  /// kGrowth times the need. Sizing writes nothing, so slots no build has
+  /// written yet cost address space only, while a regrowth faults every
+  /// page it writes again (src/core/README.md, "Pool storage").
+  static constexpr size_t kGrowth = 8;
+  template <typename T>
+  static T* Fit(Vector<T>* v, size_t n) {
+    if (v->size() < n) {
+      Vector<T>().swap(*v);
+      v->resize(kGrowth * n);
+    }
+    return v->data();
+  }
+
+  // Pool columns, one slot per pair.
+  Vector<int32_t> worker, task;
+  Vector<double> cost_mean, cost_var, cost_lb, cost_ub, fixed_quality;
+  Vector<uint8_t> qkind;
+  Vector<int32_t> explicit_ref;  // hand-built pools only
+
+  // CSR adjacency: offsets per task (worker) plus one, ids per pair.
+  Vector<int32_t> task_offsets, by_task, worker_offsets, by_worker;
+
+  // Build scratch: candidate spans and pair-slot offsets per worker,
+  // box moments per task, CSR fill cursors per task and per worker.
+  Vector<CandidateSpan> candidates;
+  Vector<size_t> pair_offsets;
+  Vector<BoxMoments> task_moments;
+  Vector<int32_t> task_cursor, worker_cursor;
+
+  /// True while a pool reads from this storage.
+  bool in_use = false;
+
+  /// A pool's deleter for its storage: hands lent storage back (clears
+  /// in_use) and frees storage the pool owns.
+  struct Release {
+    bool owned = false;
+    void operator()(PairPoolStorage* storage) const {
+      storage->in_use = false;
+      if (owned) delete storage;
+    }
+  };
 };
 
 /// A borrowed, immutable range of pair ids: one CSR adjacency row, or a
@@ -74,11 +164,10 @@ class PairIdSpan {
 };
 
 /// All valid worker-and-task pairs of a ProblemInstance (the list L of
-/// the greedy algorithm, paper Fig. 5 line 2) in a columnar, arena-backed
-/// layout:
+/// the greedy algorithm, paper Fig. 5 line 2) in a columnar layout:
 ///
 ///   * SoA columns (worker, task, cost moments, fixed quality score,
-///     quality kind) allocated from a PairArena — reusable across epochs;
+///     quality kind) in a PairPoolStorage — reusable across epochs;
 ///   * CSR adjacency (offset array + flat id array) per task and per
 ///     worker, replacing nested vector-of-vectors;
 ///   * Case 1-3 statistics: predicted-pair quality/existence is not
@@ -89,7 +178,8 @@ class PairIdSpan {
 ///
 /// Access pairs through pair(id) (a PairRef view) or the scalar fast
 /// paths (CostMean/QualityMean/...). PairPool is move-only; moving keeps
-/// all column pointers valid (slabs never relocate).
+/// all column pointers valid (the storage's vectors stay where they are),
+/// and a moved-from pool holds no storage.
 class PairPool {
  public:
   PairPool() = default;
@@ -167,10 +257,6 @@ class PairPool {
   /// Build wall time, recorded by BuildPairPool and surfaced via Stats().
   void set_build_seconds(double s) { build_seconds_ = s; }
 
-  /// Takes ownership of the arena the columns were allocated from
-  /// (BuildPairPool's private-arena fallback).
-  void AdoptArena(std::unique_ptr<PairArena> arena);
-
  private:
   friend class PairPoolBuilder;
   friend class PairRef;
@@ -182,7 +268,7 @@ class PairPool {
   size_t num_current_tasks_ = 0;
   int64_t predicted_pairs_ = 0;
 
-  // SoA columns (arena storage).
+  // SoA columns (in storage_).
   int32_t* worker_col_ = nullptr;
   int32_t* task_col_ = nullptr;
   double* cost_mean_col_ = nullptr;
@@ -193,7 +279,7 @@ class PairPool {
   uint8_t* qkind_col_ = nullptr;
   int32_t* explicit_ref_col_ = nullptr;  // kExplicit* pairs only
 
-  // CSR adjacency (arena storage). Offsets have num_tasks_ + 1 /
+  // CSR adjacency (in storage_). Offsets have num_tasks_ + 1 /
   // num_workers_ + 1 entries.
   int32_t* task_offsets_ = nullptr;
   int32_t* by_task_ = nullptr;
@@ -214,8 +300,7 @@ class PairPool {
   // task, [nct, nct + ncw) Case 2 per current worker, [nct + ncw] Case 3.
   std::vector<QualityEntry> case_stats_;
 
-  std::unique_ptr<PairArena> owned_arena_;
-  PairArena* arena_ = nullptr;  // owned_arena_.get() or the caller's
+  std::unique_ptr<PairPoolStorage, PairPoolStorage::Release> storage_;
   double build_seconds_ = 0.0;
 };
 
@@ -263,23 +348,32 @@ inline PairRef PairPool::pair(int32_t id) const { return PairRef(this, id); }
 ///  * hand-build (tests, examples, benches): Add() explicit CandidatePairs
 ///    in any order, then Build() — per-pair statistics are stored verbatim
 ///    in the explicit side table;
-///  * column mode (BuildPairPool): the pair count is known up front,
-///    columns are allocated from the arena and filled in place (possibly
-///    by several threads, each writing disjoint slots), ComputeCaseStats()
-///    fills the Case 1-3 table from them, then Build() adds the CSR
-///    adjacency.
+///  * column mode (BuildPairPool): the builder takes its storage first,
+///    so the build can keep its scratch there; once the pair count is
+///    known, AllocateColumns() sizes the columns, which are filled in
+///    place (possibly by several threads, each writing disjoint slots),
+///    ComputeCaseStats() fills the Case 1-3 table from them, then Build()
+///    adds the CSR adjacency.
 class PairPoolBuilder {
  public:
   /// Hand-build mode over `num_workers` x `num_tasks` adjacency slots.
   PairPoolBuilder(size_t num_workers, size_t num_tasks);
 
-  /// Column mode; `arena` null allocates an owned arena.
+  /// Column mode into `storage`, which must not back a live pool; null
+  /// gives the pool a storage of its own.
   PairPoolBuilder(size_t num_workers, size_t num_tasks,
                   size_t num_current_workers, size_t num_current_tasks,
-                  size_t num_pairs, PairArena* arena);
+                  PairPoolStorage* storage);
 
   /// Hand-build mode: appends `pair`, returns its id.
   int32_t Add(const CandidatePair& pair);
+
+  /// The storage the pool is built into (column mode's build scratch
+  /// lives there too).
+  PairPoolStorage& storage() { return *pool_.storage_; }
+
+  /// Column mode: sizes the columns for `num_pairs` pairs.
+  void AllocateColumns(size_t num_pairs);
 
   /// Column mode: mutable columns for in-place filling (all `num_pairs`
   /// slots must be written before Build()).
@@ -302,7 +396,6 @@ class PairPoolBuilder {
   PairPool Build() &&;
 
  private:
-  void AllocateColumns(size_t num_pairs, bool with_explicit_refs);
   void BuildCsr();
 
   PairPool pool_;

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/trace.h"
-#include "exec/pair_arena.h"
 #include "exec/thread_pool.h"
 #include "index/candidate_scan.h"
 #include "index/rtree_index.h"
+#include "obs/trace.h"
 #include "quality/quality_model.h"
 #include "stats/distance_stats.h"
 
@@ -19,19 +17,8 @@ namespace mqa {
 
 namespace {
 
-/// One survivor of a worker's reachability scan: the task and — for
-/// current-current pairs only — the quality score, which doubles as the
-/// PairStatistics sample.
-struct Candidate {
-  int32_t task = 0;
-  double score = 0.0;
-};
-
-/// Worker i's candidates, resolved to a span over an arena buffer.
-struct WorkerCandidates {
-  const Candidate* data = nullptr;
-  size_t count = 0;
-};
+using Candidate = PairPoolStorage::Candidate;
+using CandidateSpan = PairPoolStorage::CandidateSpan;
 
 /// Scan: appends worker `i`'s CanReach-surviving candidates to `out` in
 /// ascending task order, scoring the current-current ones. Pure given
@@ -40,7 +27,7 @@ void CollectCandidates(const ProblemInstance& instance,
                        const QualityModel& model, const SpatialIndex& index,
                        size_t i, double max_deadline, size_t num_tasks,
                        std::vector<std::pair<int32_t, double>>* scratch,
-                       ArenaVector<Candidate>* out) {
+                       std::vector<Candidate>* out) {
   const Worker& w = instance.workers()[i];
   ForEachReachableCandidate(index, w, max_deadline, num_tasks, scratch,
                             [&](int32_t jj, double min_dist) {
@@ -133,15 +120,6 @@ PairPool BuildPairPool(const ProblemInstance& instance,
       include_predicted && (instance.num_predicted_workers() > 0 ||
                             instance.num_predicted_tasks() > 0);
 
-  // The instance's arena (the simulator's per-epoch arena), or a private
-  // arena the pool owns.
-  PairArena* arena = instance.pair_arena();
-  std::unique_ptr<PairArena> owned_arena;
-  if (arena == nullptr) {
-    owned_arena = std::make_unique<PairArena>();
-    arena = owned_arena.get();
-  }
-
   ThreadPool* exec = instance.thread_pool();
   if (exec != nullptr &&
       (exec->num_threads() <= 1 || num_workers < kMinParallelWorkers)) {
@@ -150,6 +128,14 @@ PairPool BuildPairPool(const ProblemInstance& instance,
 
   const auto t_build = std::chrono::steady_clock::now();
   MQA_TRACE_SPAN("pool/build");
+
+  // The instance's storage (the epoch runner's, kept across epochs), or
+  // one the pool owns. The build's scratch lives there too.
+  PairPoolBuilder builder(instance.workers().size(), instance.tasks().size(),
+                          instance.num_current_workers(),
+                          instance.num_current_tasks(),
+                          instance.pool_storage());
+  PairPoolStorage& storage = builder.storage();
 
   // 1. The instance's task index (covering *all* tasks; ids past
   // num_tasks are filtered in the scan), or an R-tree loaded here over the
@@ -174,21 +160,22 @@ PairPool BuildPairPool(const ProblemInstance& instance,
 
   // 2. Scan: contiguous worker ranges, one per pool thread (a single
   // range without one), each appending its workers' candidates to one
-  // buffer in its own scratch sub-arena. Candidates stay per worker, so
-  // the range boundaries only decide which sub-arena holds them.
-  // Sub-arenas are created here on the spine (sub_arena() is not
-  // thread-safe); inside the fan-out each range bumps only its own.
+  // buffer of its own. Candidates stay per worker, so the range
+  // boundaries only decide which buffer holds them. Each range fills a
+  // local vector and moves it into `buffers` once, at its end, which
+  // keeps the data alive for the fill without the ranges writing to
+  // neighbouring vector headers as they grow.
   const size_t num_ranges =
       exec != nullptr ? static_cast<size_t>(exec->num_threads()) : 1;
-  for (size_t r = 0; r < num_ranges; ++r) arena->sub_arena(r);
-  WorkerCandidates* candidates =
-      arena->AllocateArray<WorkerCandidates>(num_workers);
+  CandidateSpan* candidates =
+      PairPoolStorage::Fit(&storage.candidates, num_workers);
+  std::vector<std::vector<Candidate>> buffers(num_ranges);
   RunItems(exec, num_ranges, [&](int64_t r) {
     MQA_TRACE_SPAN_ARG("pool/scan", r);
     const size_t range = static_cast<size_t>(r);
     const size_t lo = num_workers * range / num_ranges;
     const size_t hi = num_workers * (range + 1) / num_ranges;
-    ArenaVector<Candidate> buffer(arena->sub_arena(range));
+    std::vector<Candidate> buffer;
     std::vector<std::pair<int32_t, double>> scratch;
     for (size_t i = lo; i < hi; ++i) {
       CollectCandidates(instance, *model, *index, i, max_deadline, num_tasks,
@@ -202,11 +189,13 @@ PairPool BuildPairPool(const ProblemInstance& instance,
       candidates[i] = {buffer.data() + begin, end - begin};
       begin = end;
     }
+    buffers[range] = std::move(buffer);  // moves the block, not the data
   });
 
   // 3. A prefix sum over per-worker counts positions every pair slot in
   // worker-major order.
-  size_t* offsets = arena->AllocateArray<size_t>(num_workers + 1);
+  size_t* offsets =
+      PairPoolStorage::Fit(&storage.pair_offsets, num_workers + 1);
   offsets[0] = 0;
   for (size_t i = 0; i < num_workers; ++i) {
     offsets[i + 1] = offsets[i] + candidates[i].count;
@@ -217,22 +206,19 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   // moments (Eqs. 2-5's per-endpoint inputs) are computed once — every
   // task's here on the calling thread, each worker's once per fill item —
   // instead of once per pair.
-  PairPoolBuilder builder(instance.workers().size(), instance.tasks().size(),
-                          instance.num_current_workers(),
-                          instance.num_current_tasks(), offsets[num_workers],
-                          arena);
+  builder.AllocateColumns(offsets[num_workers]);
   {
     MQA_TRACE_SPAN("pool/fill");
     BoxMoments* task_moments = nullptr;
     if (has_predicted) {
-      task_moments = arena->AllocateArray<BoxMoments>(num_tasks);
+      task_moments = PairPoolStorage::Fit(&storage.task_moments, num_tasks);
       for (size_t j = 0; j < num_tasks; ++j) {
         task_moments[j] = MomentsOf(instance.tasks()[j].location);
       }
     }
     RunItems(exec, num_workers, [&](int64_t wi) {
       const size_t i = static_cast<size_t>(wi);
-      const WorkerCandidates& wc = candidates[i];
+      const CandidateSpan& wc = candidates[i];
       const BoxMoments worker_moments =
           task_moments != nullptr ? MomentsOf(instance.workers()[i].location)
                                   : BoxMoments{};
@@ -253,7 +239,6 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   result.set_build_seconds(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t_build)
                                .count());
-  if (owned_arena != nullptr) result.AdoptArena(std::move(owned_arena));
   if (instance.pool_stats() != nullptr) *instance.pool_stats() = result.Stats();
   return result;
 }

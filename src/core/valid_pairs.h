@@ -37,8 +37,8 @@ inline constexpr size_t kMinParallelWorkers = 32;
 /// brute-force double loop; only the work done differs. The index is
 /// instance.task_index() when set, else an RTreeIndex loaded here over
 /// the participating tasks. The rest of the execution context — thread
-/// pool, arena and stats sink — also comes from the instance
-/// (set_thread_pool, set_pair_arena, set_pool_stats); BuildPairPool
+/// pool, pool storage and stats sink — also comes from the instance
+/// (set_thread_pool, set_pool_storage, set_pool_stats); BuildPairPool
 /// writes the finished pool's Stats() to the sink as it returns. The scan
 /// splits the workers into contiguous ranges, one per thread of
 /// instance.thread_pool(); candidates are kept per worker, so the pool is

@@ -12,8 +12,8 @@
 namespace mqa {
 
 struct GreedyStats;
-class PairArena;
 struct PairPoolStats;
+struct PairPoolStorage;
 class QualityModel;
 class SpatialIndex;
 class ThreadPool;
@@ -76,20 +76,18 @@ class ProblemInstance {
   ThreadPool* thread_pool() const { return thread_pool_; }
   void set_thread_pool(ThreadPool* pool) { thread_pool_ = pool; }
 
-  /// Optional arena backing the assigner's pair-pool columns and build
-  /// scratch (see exec/pair_arena.h). Non-owning, must outlive every pool
-  /// built from this instance; the simulator points this at its per-epoch
-  /// arena and Resets it between epochs, so steady-state pair-pool
-  /// construction allocates nothing. Null (the default) gives each pool a
-  /// private arena. Like thread_pool, purely an execution hint — it never
-  /// changes results.
-  PairArena* pair_arena() const { return pair_arena_; }
-  void set_pair_arena(PairArena* arena) { pair_arena_ = arena; }
+  /// Optional storage for the assigner's pair-pool columns and build
+  /// scratch (see core/pair_pool.h), backing one live pool at a time.
+  /// Non-owning, must outlive every pool built from this instance; the
+  /// simulator lends the storage it keeps across epochs. Null (the
+  /// default) gives each pool its own. Like thread_pool, purely an
+  /// execution hint — it never changes results.
+  PairPoolStorage* pool_storage() const { return pool_storage_; }
+  void set_pool_storage(PairPoolStorage* storage) { pool_storage_ = storage; }
 
-  /// Optional sink for pair-pool measurements (size, bytes, arena state,
-  /// build time). BuildPairPool writes the finished pool's stats here as
-  /// it returns. Non-owning; the simulator wires this into its per-epoch
-  /// metrics.
+  /// Optional sink for pair-pool measurements (size, bytes, build time).
+  /// BuildPairPool writes the finished pool's stats here as it returns.
+  /// Non-owning; the simulator wires this into its per-epoch metrics.
   PairPoolStats* pool_stats() const { return pool_stats_; }
   void set_pool_stats(PairPoolStats* stats) { pool_stats_ = stats; }
 
@@ -133,7 +131,7 @@ class ProblemInstance {
   const QualityModel* quality_ = nullptr;
   const SpatialIndex* task_index_ = nullptr;
   ThreadPool* thread_pool_ = nullptr;
-  PairArena* pair_arena_ = nullptr;
+  PairPoolStorage* pool_storage_ = nullptr;
   PairPoolStats* pool_stats_ = nullptr;
   GreedyStats* greedy_stats_ = nullptr;
   double unit_price_ = 1.0;

@@ -124,8 +124,6 @@ void WriteEpochRow(std::ostream& out, const InstanceMetrics& row) {
   out << "},\"pool\":{\"pairs\":" << row.pool_pairs
       << ",\"predicted_pairs\":" << row.pool_predicted_pairs
       << ",\"bytes\":" << row.pool_bytes
-      << ",\"arena_slabs\":" << row.pool_arena_slabs
-      << ",\"arena_peak_bytes\":" << row.pool_arena_peak_bytes
       << "},\"greedy\":{\"iterations\":" << row.greedy_iterations
       << ",\"candidates\":" << row.greedy_candidates
       << ",\"max_candidates\":" << row.greedy_max_candidates
@@ -195,7 +193,7 @@ std::string RunReport::ProvenanceFragment() {
 
 void RunReport::WriteJson(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  out << "{\n  \"schema\": \"mqa-run-report-v6\",\n  \"git\": "
+  out << "{\n  \"schema\": \"mqa-run-report-v7\",\n  \"git\": "
          "{\"describe\": ";
   WriteJsonString(out, GitDescribe());
   out << "},\n  \"machine\": ";

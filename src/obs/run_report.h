@@ -46,7 +46,7 @@ struct InstanceMetrics {
   /// Per-phase wall-clock breakdown in epoch lifecycle order (see
   /// docs/OBSERVABILITY.md for the span taxonomy these mirror). The
   /// first five add up to cpu_seconds. Timing fields describe execution,
-  /// not the computed assignment — like the arena fields below they are
+  /// not the computed assignment — like the process fields below they are
   /// excluded from the byte-identity contract.
   double predict_seconds = 0.0;     // prediction scoring + PredictNext
   double assemble_seconds = 0.0;    // instance vector assembly
@@ -69,16 +69,10 @@ struct InstanceMetrics {
   double task_prediction_error = -1.0;
 
   /// Pair-pool measurements of the epoch's assignment (written by
-  /// BuildPairPool as it returns; see core/pair_pool.h).
-  /// Pool size and bytes are deterministic; the arena fields describe
-  /// execution state (slab reuse across epochs, per-range arenas) and may
-  /// legitimately differ across thread counts — they are excluded from
-  /// the byte-identity contract.
+  /// BuildPairPool as it returns; see core/pair_pool.h). Deterministic.
   int64_t pool_pairs = 0;
   int64_t pool_predicted_pairs = 0;
   int64_t pool_bytes = 0;
-  int64_t pool_arena_slabs = 0;
-  int64_t pool_arena_peak_bytes = 0;
 
   /// Never written, always 0: kept only because pbsc_bench reads it.
   double pool_lazy_skipped_fraction = 0.0;
@@ -98,7 +92,7 @@ struct InstanceMetrics {
   /// the apply phase): resident bytes, peak resident bytes (never below
   /// rss_bytes: the larger of getrusage's peak and every RSS the runner
   /// has sampled), and cumulative user + system CPU seconds since
-  /// process start. Execution state like the arena fields — excluded
+  /// process start. Execution state like the timing fields — excluded
   /// from the byte-identity contract. 0 where the platform offers no
   /// reading.
   int64_t rss_bytes = 0;
@@ -112,7 +106,7 @@ struct InstanceMetrics {
 /// per epoch (results, assignment checksum, phase times, pool, greedy
 /// and process numbers).
 /// scripts/profile_report.py joins it with a trace; check_trace.py
-/// --report validates it. Schema: "mqa-run-report-v6", documented in
+/// --report validates it. Schema: "mqa-run-report-v7", documented in
 /// docs/OBSERVABILITY.md.
 ///
 /// Write-only like the tracer: recording never feeds values back into

@@ -156,12 +156,10 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
       num_current_tasks, quality_, config_.unit_price, config_.budget);
   instance.set_task_index(task_index_cache_.view());
   instance.set_thread_pool(runner_.pool());
-  // Recycle the pair-pool arena: slabs survive across epochs, so in the
-  // steady state the assigner's pool construction is allocation-free. The
-  // previous epoch's pool (dropped inside the last Assign) must not
-  // outlive this Reset — assigners never retain pools.
-  pair_arena_.Reset();
-  instance.set_pair_arena(&pair_arena_);
+  // Lend the pool storage: its vectors keep their capacity across epochs.
+  // The previous epoch's pool was dropped inside the last Assign —
+  // assigners never retain pools — so the storage is free again.
+  instance.set_pool_storage(&pool_storage_);
   PairPoolStats pool_stats;
   instance.set_pool_stats(&pool_stats);
   GreedyStats greedy_stats;
@@ -182,8 +180,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.pool_pairs = pool_stats.pairs;
   metrics.pool_predicted_pairs = pool_stats.predicted_pairs;
   metrics.pool_bytes = pool_stats.pool_bytes;
-  metrics.pool_arena_slabs = pool_stats.arena_slabs;
-  metrics.pool_arena_peak_bytes = pool_stats.arena_peak_bytes;
   metrics.greedy_iterations = greedy_stats.iterations;
   metrics.greedy_candidates = greedy_stats.candidates;
   metrics.greedy_max_candidates = greedy_stats.max_candidates;

@@ -7,7 +7,7 @@
 
 #include "common/result.h"
 #include "core/assigner.h"
-#include "exec/pair_arena.h"
+#include "core/pair_pool.h"
 #include "exec/parallel_runner.h"
 #include "index/task_index_cache.h"
 #include "index/worker_index_cache.h"
@@ -62,11 +62,11 @@ struct EpochOutcome {
 ///
 /// The runner owns all cross-epoch state: the grid predictor, the
 /// TaskIndexCache (and optional WorkerIndexCache) it reloads every
-/// epoch, the pair arena and the thread pool. Callers own the entity pools
-/// and the clock — which epochs happen when, and how arrivals, carryover
-/// and expiry feed the pools, is entirely theirs. Byte-determinism
-/// follows: two callers issuing the same sequence of RunEpoch calls with
-/// the same pools get bitwise-identical outcomes.
+/// epoch, the pair-pool storage and the thread pool. Callers own the
+/// entity pools and the clock — which epochs happen when, and how
+/// arrivals, carryover and expiry feed the pools, is entirely theirs.
+/// Byte-determinism follows: two callers issuing the same sequence of
+/// RunEpoch calls with the same pools get bitwise-identical outcomes.
 class EpochRunner {
  public:
   /// `quality` must outlive the runner.
@@ -105,9 +105,9 @@ class EpochRunner {
   std::unique_ptr<WorkerIndexCache> worker_index_cache_;
   ParallelRunner runner_;
 
-  // Per-epoch pair-pool arena, Reset (slabs retained) at the start of
-  // every RunEpoch — steady-state pool construction allocates nothing.
-  PairArena pair_arena_;
+  // The pair-pool storage every epoch's pool build writes into; its
+  // vectors keep their capacity from one epoch to the next.
+  PairPoolStorage pool_storage_;
 
   // The previous epoch's predicted per-cell counts (moved out of its
   // Prediction), compared against the current epoch's actual arrivals

@@ -280,7 +280,8 @@ class Engine {
     if (index == nullptr) return -1;
     // Capping at the pool's max velocity keeps the query radius finite;
     // current workers are never pruned by it since min(v_i, cap) == v_i
-    // for all of them.
+    // for all of them. A worker with velocity 0 covers nothing, not even
+    // a task it stands on: CanReachAtDistance rejects all its pairs.
     const double velocity_cap = MaxWorkerVelocity(workers_);
     const auto covered_by_current = [&](const Task& task) {
       bool covered = false;
@@ -288,7 +289,10 @@ class Engine {
           task.location, /*velocity=*/std::max(task.deadline, 0.0),
           /*max_deadline=*/velocity_cap,
           [&](int64_t id, const BBox&, double) {
-            if (static_cast<size_t>(id) < num_current_workers) covered = true;
+            const size_t i = static_cast<size_t>(id);
+            if (i < num_current_workers && workers_[i].velocity > 0.0) {
+              covered = true;
+            }
           });
       return covered;
     };

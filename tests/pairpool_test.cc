@@ -1,9 +1,9 @@
-// The columnar arena-backed PairPool:
+// The columnar PairPool:
 //
-//  * a PairArena reused across "epochs" (Reset between builds, the
-//    simulator's pattern) never leaks stale data into a later pool and
-//    stops allocating once warm;
-//  * the slab guard page faults a write past a slab's end;
+//  * one PairPoolStorage reused across "epochs" (the simulator's
+//    pattern) never leaks stale data into a later pool, even when the
+//    instances shrink, and a warm rebuild keeps every vector in place;
+//  * a storage backs one live pool at a time (death test);
 //  * BuildPairPool's stats sink is final when the build returns;
 //  * the filled columns match a pinned fingerprint, and every pair's cost
 //    columns are bit-equal to the two-box DistanceBetween, at 1 and 4
@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -19,7 +20,6 @@
 
 #include "common/rng.h"
 #include "core/valid_pairs.h"
-#include "exec/pair_arena.h"
 #include "exec/parallel_runner.h"
 #include "quality/range_quality.h"
 #include "stats/distance_stats.h"
@@ -49,11 +49,28 @@ void ExpectSamePair(const CandidatePair& a, const CandidatePair& b,
   EXPECT_EQ(a.quality.ub(), b.quality.ub()) << "pair " << k;
 }
 
+void ExpectSameIds(PairIdSpan a, PairIdSpan b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]) << "slot " << k;
+}
+
 void ExpectSamePool(const PairPool& a, const PairPool& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t k = 0; k < a.size(); ++k) {
     ExpectSamePair(a.GetPair(static_cast<int32_t>(k)),
                    b.GetPair(static_cast<int32_t>(k)), k);
+  }
+  ASSERT_EQ(a.num_tasks(), b.num_tasks());
+  ASSERT_EQ(a.num_workers(), b.num_workers());
+  for (size_t j = 0; j < a.num_tasks(); ++j) {
+    SCOPED_TRACE(testing::Message() << "task row " << j);
+    ExpectSameIds(a.PairsByTask(static_cast<int32_t>(j)),
+                  b.PairsByTask(static_cast<int32_t>(j)));
+  }
+  for (size_t i = 0; i < a.num_workers(); ++i) {
+    SCOPED_TRACE(testing::Message() << "worker row " << i);
+    ExpectSameIds(a.PairsByWorker(static_cast<int32_t>(i)),
+                  b.PairsByWorker(static_cast<int32_t>(i)));
   }
 }
 
@@ -89,110 +106,92 @@ ProblemInstance MixedInstance(Rng* rng, const QualityModel* quality,
                          quality, 1.0, budget);
 }
 
-// ----------------------------------------------------- arena lifecycle
+// ------------------------------------------------------- storage reuse
 
-TEST(PairArenaTest, AllocateAlignAndReset) {
-  PairArena arena(/*min_slab_bytes=*/128);
-  void* a = arena.Allocate(100, 8);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 8, 0u);
-  // Larger than any slab: gets its own.
-  void* b = arena.Allocate(1000, 8);
-  ASSERT_NE(b, nullptr);
-  const size_t capacity = arena.capacity_bytes();
-  EXPECT_GE(arena.allocated_bytes(), 1100u);
-
-  arena.Reset();
-  EXPECT_EQ(arena.allocated_bytes(), 0u);
-  EXPECT_EQ(arena.capacity_bytes(), capacity) << "slabs are retained";
-  EXPECT_GE(arena.peak_bytes(), 1100u) << "peak survives Reset";
-
-  // Warm re-allocation reuses the retained slabs.
-  (void)arena.Allocate(100, 8);
-  (void)arena.Allocate(1000, 8);
-  EXPECT_EQ(arena.capacity_bytes(), capacity) << "no growth when warm";
+/// `inst` without its lent storage: BuildPairPool on it owns a fresh one.
+ProblemInstance Standalone(ProblemInstance inst) {
+  inst.set_pool_storage(nullptr);
+  return inst;
 }
 
-TEST(PairArenaTest, SubArenasResetWithParent) {
-  PairArena arena(/*min_slab_bytes=*/128);
-  PairArena* sub = arena.sub_arena(2);
-  ASSERT_NE(sub, nullptr);
-  EXPECT_EQ(arena.num_sub_arenas(), 3u);
-  (void)sub->Allocate(64, 8);
-  EXPECT_GT(arena.allocated_bytes(), 0u) << "sub-arena bytes aggregate";
-  arena.Reset();
-  EXPECT_EQ(arena.allocated_bytes(), 0u);
-  EXPECT_EQ(arena.sub_arena(2), sub) << "sub-arenas are stable";
-}
-
-TEST(PairArenaDeathTest, WritePastSlabEndFaults) {
-  // Every slab is followed by a guard page: the slab's last byte is
-  // writable, the next one faults.
-  PairArena arena(/*min_slab_bytes=*/128);
-  auto* first = static_cast<volatile unsigned char*>(arena.Allocate(1, 1));
-  ASSERT_NE(first, nullptr);
-  ASSERT_EQ(arena.slab_count(), 1u);
-  const size_t slab_bytes = arena.capacity_bytes();
-  first[slab_bytes - 1] = 1;
-  EXPECT_DEATH(first[slab_bytes] = 1, "");
-}
-
-TEST(ArenaReuse, NoStaleDataAcrossEpochs) {
-  // The simulator pattern: one arena, Reset between epochs, a different
-  // instance each epoch. Every reused-arena pool must equal a pool built
-  // with a private arena from scratch.
+TEST(PoolStorageReuse, GrowAndShrinkLeaveNoStaleData) {
+  // The simulator pattern: one storage, a different instance each epoch.
+  // The instances grow, shrink, grow and shrink again, so later pools
+  // leave stale slots of earlier ones past their live counts. Every pool
+  // must equal a standalone build, CSR rows included.
   const RangeQualityModel quality(1.0, 2.0, 7);
-  Rng reuse_rng(33);
-  Rng fresh_rng(33);  // identical instance stream
-  PairArena arena;
-  size_t warm_capacity = 0;
-  for (int epoch = 0; epoch < 8; ++epoch) {
-    ProblemInstance inst_a = MixedInstance(
-        &reuse_rng, &quality, 30 + 7 * epoch, 5 + epoch, 6.0);
-    const ProblemInstance inst_b = MixedInstance(
-        &fresh_rng, &quality, 30 + 7 * epoch, 5 + epoch, 6.0);
-
-    arena.Reset();
-    inst_a.set_pair_arena(&arena);
-    const PairPool reused = BuildPairPool(inst_a);
-    const PairPool fresh = BuildPairPool(inst_b);
-    ExpectSamePool(reused, fresh);
-
-    if (epoch == 5) warm_capacity = arena.capacity_bytes();
-    if (epoch > 5) {
-      EXPECT_GE(arena.capacity_bytes(), warm_capacity);
-    }
-  }
-}
-
-TEST(ArenaReuse, SteadyStateStopsAllocating) {
-  // At 4 threads the scan fills one scratch sub-arena per worker range;
-  // those must reach a steady state too.
-  const RangeQualityModel quality(1.0, 2.0, 7);
-  Rng rng(91);
-  const ProblemInstance base_inst =
-      MixedInstance(&rng, &quality, 60, 10, 6.0);
-  ASSERT_GE(base_inst.workers().size(), kMinParallelWorkers);
   for (const int threads : {1, 4}) {
     ParallelRunner runner(threads);
-    PairArena arena;
-    ProblemInstance inst = base_inst;
-    inst.set_thread_pool(runner.pool());
-    inst.set_pair_arena(&arena);
-    size_t capacity_after_first = 0;
-    for (int epoch = 0; epoch < 5; ++epoch) {
-      arena.Reset();
-      const PairPool pool = BuildPairPool(inst);
-      if (epoch == 0) {
-        capacity_after_first = arena.capacity_bytes();
-        EXPECT_EQ(arena.num_sub_arenas(), static_cast<size_t>(threads));
-      } else {
-        EXPECT_EQ(arena.capacity_bytes(), capacity_after_first)
-            << "same workload must not grow a warm arena (epoch " << epoch
-            << ", " << threads << " threads)";
-      }
+    Rng rng(33);
+    PairPoolStorage storage;
+    for (const int workers : {60, 15, 45, 10}) {
+      SCOPED_TRACE(testing::Message()
+                   << threads << " threads, " << workers << " workers");
+      ProblemInstance inst =
+          MixedInstance(&rng, &quality, workers, workers / 5 + 1, 6.0);
+      inst.set_thread_pool(runner.pool());
+      inst.set_pool_storage(&storage);
+      const PairPool reused = BuildPairPool(inst);
+      ASSERT_GT(reused.Stats().predicted_pairs, 0);
+      ExpectSamePool(reused, BuildPairPool(Standalone(inst)));
     }
   }
+}
+
+TEST(PoolStorageReuse, WarmRebuildKeepsEveryVectorInPlace) {
+  // Rebuilding the same instance into a warm storage reallocates nothing:
+  // every column, CSR array and scratch vector keeps its data().
+  const RangeQualityModel quality(1.0, 2.0, 7);
+  Rng rng(91);
+  const ProblemInstance base = MixedInstance(&rng, &quality, 60, 10, 6.0);
+  ASSERT_GE(base.workers().size(), kMinParallelWorkers);
+  const auto addresses = [](const PairPoolStorage& s) {
+    return std::vector<const void*>{
+        s.worker.data(),       s.task.data(),         s.cost_mean.data(),
+        s.cost_var.data(),     s.cost_lb.data(),      s.cost_ub.data(),
+        s.fixed_quality.data(), s.qkind.data(),       s.task_offsets.data(),
+        s.by_task.data(),      s.worker_offsets.data(), s.by_worker.data(),
+        s.candidates.data(),   s.pair_offsets.data(), s.task_moments.data(),
+        s.task_cursor.data(),  s.worker_cursor.data()};
+  };
+  for (const int threads : {1, 4}) {
+    ParallelRunner runner(threads);
+    PairPoolStorage storage;
+    ProblemInstance inst = base;
+    inst.set_thread_pool(runner.pool());
+    inst.set_pool_storage(&storage);
+    (void)BuildPairPool(inst);
+    const std::vector<const void*> warm = addresses(storage);
+    for (const void* data : warm) ASSERT_NE(data, nullptr);
+    for (int epoch = 1; epoch < 4; ++epoch) {
+      const PairPool pool = BuildPairPool(inst);
+      EXPECT_EQ(addresses(storage), warm)
+          << "epoch " << epoch << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(PoolStorageDeathTest, OneLivePoolPerStorage) {
+  // A second build into a storage that still backs a live pool would
+  // overwrite that pool's columns, so it fails a check. The pool hands
+  // the storage back when destroyed; a moved-from pool hands back
+  // nothing.
+  const RangeQualityModel quality(1.0, 2.0, 7);
+  Rng rng(5);
+  ProblemInstance inst = MixedInstance(&rng, &quality, 20, 4, 6.0);
+  PairPoolStorage storage;
+  inst.set_pool_storage(&storage);
+  std::optional<PairPool> live;
+  {
+    PairPool first = BuildPairPool(inst);
+    EXPECT_DEATH((void)BuildPairPool(inst), "still backs a live pool");
+    live.emplace(std::move(first));
+  }  // the moved-from `first` dies here
+  EXPECT_TRUE(storage.in_use);
+  EXPECT_DEATH((void)BuildPairPool(inst), "still backs a live pool");
+  live.reset();
+  EXPECT_FALSE(storage.in_use);
+  ExpectSamePool(BuildPairPool(inst), BuildPairPool(Standalone(inst)));
 }
 
 // ---------------------------------------------------------- stats sink
@@ -215,7 +214,6 @@ TEST(PairPoolTest, StatsFinalWhenBuildReturns) {
   EXPECT_EQ(stats.predicted_pairs, predicted);
   EXPECT_EQ(stats.pool_bytes, pool.Stats().pool_bytes);
   EXPECT_GT(stats.pool_bytes, 0);
-  EXPECT_GT(stats.arena_slabs, 0);
   EXPECT_GT(stats.build_seconds, 0.0);
 }
 

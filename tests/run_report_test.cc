@@ -1,10 +1,10 @@
-// The run report is the one post-mortem artifact: an mqa-run-report-v6
+// The run report is the one post-mortem artifact: an mqa-run-report-v7
 // JSON file whose epoch rows are the simulators' InstanceMetrics. These
 // tests run a small batch greedy and a small stream D&C simulation at 1
 // and 4 threads and check the written report against the summary each
 // simulator returns: a top level of schema, provenance, config and
 // epochs only, one row per epoch, the same checksums, pool, greedy and
-// prediction numbers, no index object, a pool object of exactly five
+// prediction numbers, no index object, a pool object of exactly three
 // keys, a greedy object of exactly four, phase times that add up to the
 // epoch's wall time, and a process footprint whose peak RSS never reads
 // below its RSS and, like CPU time, never decreases.
@@ -98,7 +98,7 @@ double Number(const std::string& object, const std::string& key) {
 void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
   ASSERT_FALSE(per_epoch.empty());
   const std::string json = RunReport::Get().ToJsonString();
-  EXPECT_NE(json.find("\"schema\": \"mqa-run-report-v6\""),
+  EXPECT_NE(json.find("\"schema\": \"mqa-run-report-v7\""),
             std::string::npos);
   // Every count lives in an epoch row: no process-wide aggregates.
   EXPECT_EQ(TopLevelKeys(json),
@@ -130,8 +130,8 @@ void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
 
     const std::string pool = Object(row, "pool");
     EXPECT_EQ(Keys(pool),
-              (std::vector<std::string>{"pairs", "predicted_pairs", "bytes",
-                                        "arena_slabs", "arena_peak_bytes"}));
+              (std::vector<std::string>{"pairs", "predicted_pairs",
+                                        "bytes"}));
     EXPECT_EQ(Number(pool, "pairs"), static_cast<double>(m.pool_pairs));
     EXPECT_EQ(Number(pool, "predicted_pairs"),
               static_cast<double>(m.pool_predicted_pairs));

@@ -349,6 +349,36 @@ TEST(StreamingPolicyTest, CoverableBacklogCountsReachableTasksOnly) {
   EXPECT_EQ(summary.value().per_epoch[0].coverable_backlog, 1);
 }
 
+TEST(StreamingPolicyTest, CoverableBacklogSkipsZeroVelocityWorkers) {
+  // A worker with velocity 0 reaches nothing (CanReachAtDistance), not
+  // even a task at its own location, so it covers no backlog either.
+  const testing_util::ConstantQualityModel quality(1.0);
+  StreamingConfig config = TinyConfig();
+  config.policy.kind = EpochPolicyKind::kPerInstance;
+  config.horizon = 1.0;
+
+  EventQueue queue;
+  StreamEvent w;
+  w.kind = EventKind::kWorkerArrival;
+  w.worker = MakeWorker(0, 0.4, 0.4, 0.0);
+  w.time = 0.0;
+  queue.Push(w);
+  StreamEvent on_worker;
+  on_worker.kind = EventKind::kTaskArrival;
+  on_worker.task = MakeTask(1, 0.4, 0.4, 1.0);
+  on_worker.time = 0.0;
+  queue.Push(on_worker);
+
+  StreamingSimulator sim(config, &quality);
+  auto assigner = CreateAssigner(AssignerKind::kGreedy);
+  const auto summary = sim.Run(std::move(queue), assigner.get());
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  ASSERT_EQ(summary.value().per_epoch.size(), 1u);
+  EXPECT_EQ(summary.value().per_epoch[0].backlog_before, 1);
+  EXPECT_EQ(summary.value().per_epoch[0].instance.pool_pairs, 0);
+  EXPECT_EQ(summary.value().per_epoch[0].coverable_backlog, 0);
+}
+
 // --- Watermark / late-event semantics --------------------------------------
 //
 // The streaming engine's lateness contract (src/stream/README.md): events
