@@ -83,8 +83,7 @@ PairPoolStats PairPool::Stats() const {
                       (explicit_ref_col_ != nullptr ? sizeof(int32_t) : 0)));
   }
   const int64_t csr_bytes = static_cast<int64_t>(
-      (num_tasks_ + num_workers_ + 2) * sizeof(int32_t) +
-      2 * num_pairs_ * sizeof(int32_t));
+      (num_tasks_ + 1 + num_pairs_) * sizeof(int32_t));
   stats.pool_bytes =
       column_bytes + csr_bytes +
       static_cast<int64_t>(explicit_.size() * sizeof(QualityEntry));
@@ -146,40 +145,25 @@ void PairPoolBuilder::BuildCsr() {
   PairPoolStorage& s = storage();
   const size_t n = pool_.num_pairs_;
   const size_t num_tasks = pool_.num_tasks_;
-  const size_t num_workers = pool_.num_workers_;
 
   pool_.task_offsets_ = PairPoolStorage::Fit(&s.task_offsets, num_tasks + 1);
-  pool_.worker_offsets_ =
-      PairPoolStorage::Fit(&s.worker_offsets, num_workers + 1);
   pool_.by_task_ = PairPoolStorage::Fit(&s.by_task, n);
-  pool_.by_worker_ = PairPoolStorage::Fit(&s.by_worker, n);
 
   for (size_t j = 0; j <= num_tasks; ++j) pool_.task_offsets_[j] = 0;
-  for (size_t i = 0; i <= num_workers; ++i) pool_.worker_offsets_[i] = 0;
   for (size_t k = 0; k < n; ++k) {
     ++pool_.task_offsets_[static_cast<size_t>(pool_.task_col_[k]) + 1];
-    ++pool_.worker_offsets_[static_cast<size_t>(pool_.worker_col_[k]) + 1];
   }
   for (size_t j = 0; j < num_tasks; ++j) {
     pool_.task_offsets_[j + 1] += pool_.task_offsets_[j];
-  }
-  for (size_t i = 0; i < num_workers; ++i) {
-    pool_.worker_offsets_[i + 1] += pool_.worker_offsets_[i];
   }
 
   // Fill in ascending pair-id order: rows end up ascending by id, exactly
   // the order the nested push_back adjacency used to produce.
   int32_t* task_cursor = PairPoolStorage::Fit(&s.task_cursor, num_tasks);
-  int32_t* worker_cursor =
-      PairPoolStorage::Fit(&s.worker_cursor, num_workers);
   for (size_t j = 0; j < num_tasks; ++j) task_cursor[j] = 0;
-  for (size_t i = 0; i < num_workers; ++i) worker_cursor[i] = 0;
   for (size_t k = 0; k < n; ++k) {
     const size_t j = static_cast<size_t>(pool_.task_col_[k]);
-    const size_t i = static_cast<size_t>(pool_.worker_col_[k]);
     pool_.by_task_[pool_.task_offsets_[j] + task_cursor[j]++] =
-        static_cast<int32_t>(k);
-    pool_.by_worker_[pool_.worker_offsets_[i] + worker_cursor[i]++] =
         static_cast<int32_t>(k);
   }
 }

@@ -41,7 +41,8 @@ struct PairPoolStats {
   /// pools). Execution state — excluded from the byte-identity contract.
   double build_seconds = 0.0;
 
-  /// Bytes of the columns + CSR adjacency (+ explicit side table).
+  /// Bytes of the columns + by-task CSR adjacency (+ explicit side
+  /// table).
   int64_t pool_bytes = 0;
 };
 
@@ -117,15 +118,15 @@ struct PairPoolStorage {
   Vector<uint8_t> qkind;
   Vector<int32_t> explicit_ref;  // hand-built pools only
 
-  // CSR adjacency: offsets per task (worker) plus one, ids per pair.
-  Vector<int32_t> task_offsets, by_task, worker_offsets, by_worker;
+  // CSR adjacency by task: offsets per task plus one, ids per pair.
+  Vector<int32_t> task_offsets, by_task;
 
   // Build scratch: candidate spans and pair-slot offsets per worker,
-  // box moments per task, CSR fill cursors per task and per worker.
+  // box moments and CSR fill cursors per task.
   Vector<CandidateSpan> candidates;
   Vector<size_t> pair_offsets;
   Vector<BoxMoments> task_moments;
-  Vector<int32_t> task_cursor, worker_cursor;
+  Vector<int32_t> task_cursor;
 
   /// True while a pool reads from this storage.
   bool in_use = false;
@@ -168,8 +169,9 @@ class PairIdSpan {
 ///
 ///   * SoA columns (worker, task, cost moments, fixed quality score,
 ///     quality kind) in a PairPoolStorage — reusable across epochs;
-///   * CSR adjacency (offset array + flat id array) per task and per
-///     worker, replacing nested vector-of-vectors;
+///   * CSR adjacency by task (offset array + flat id array). A built
+///     pool is worker-major, so worker i's pairs are one contiguous run
+///     of ids and need no adjacency of their own;
 ///   * Case 1-3 statistics: predicted-pair quality/existence is not
 ///     stored per pair at all — a Case 1 pair's distribution is keyed by
 ///     its task, Case 2 by its worker, Case 3 is global, so pairs index
@@ -234,16 +236,11 @@ class PairPool {
   /// Materialized copy of one pair (tests, debugging, cold paths).
   CandidatePair GetPair(int32_t id) const;
 
-  /// CSR adjacency rows: ids of the pairs whose task (worker) index is j
-  /// (i), ascending by pair id.
+  /// CSR adjacency row: ids of the pairs whose task index is `task`,
+  /// ascending by pair id.
   PairIdSpan PairsByTask(int32_t task) const {
     const size_t j = static_cast<size_t>(task);
     return {by_task_ + task_offsets_[j], by_task_ + task_offsets_[j + 1]};
-  }
-  PairIdSpan PairsByWorker(int32_t worker) const {
-    const size_t i = static_cast<size_t>(worker);
-    return {by_worker_ + worker_offsets_[i],
-            by_worker_ + worker_offsets_[i + 1]};
   }
 
   /// Adjacency slot counts (the instance's task/worker vector sizes the
@@ -279,12 +276,10 @@ class PairPool {
   uint8_t* qkind_col_ = nullptr;
   int32_t* explicit_ref_col_ = nullptr;  // kExplicit* pairs only
 
-  // CSR adjacency (in storage_). Offsets have num_tasks_ + 1 /
-  // num_workers_ + 1 entries.
+  // CSR adjacency by task (in storage_). Offsets have num_tasks_ + 1
+  // entries.
   int32_t* task_offsets_ = nullptr;
   int32_t* by_task_ = nullptr;
-  int32_t* worker_offsets_ = nullptr;
-  int32_t* by_worker_ = nullptr;
 
   // One quality distribution with its existence probability.
   struct QualityEntry {
@@ -392,7 +387,8 @@ class PairPoolBuilder {
   /// Required before Build() when any pair involves a predicted entity.
   void ComputeCaseStats();
 
-  /// Finalizes: builds the CSR adjacency. The builder is consumed.
+  /// Finalizes: builds the by-task CSR adjacency. The builder is
+  /// consumed.
   PairPool Build() &&;
 
  private:

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <utility>
 
 #include "common/logging.h"
 #include "exec/thread_pool.h"
-#include "index/candidate_scan.h"
 #include "index/rtree_index.h"
 #include "obs/trace.h"
 #include "quality/quality_model.h"
@@ -21,23 +21,45 @@ using Candidate = PairPoolStorage::Candidate;
 using CandidateSpan = PairPoolStorage::CandidateSpan;
 
 /// Scan: appends worker `i`'s CanReach-surviving candidates to `out` in
-/// ascending task order, scoring the current-current ones. Pure given
-/// (instance, index) — safe to run for different workers concurrently.
+/// ascending task order, scoring the current-current ones. The worker's
+/// one QueryReachable call marks each hit below `num_tasks` (an
+/// instance's task index may cover more tasks than participate) in the
+/// `hits` bitmap over task ids and keeps its min-distance in `min_dist`;
+/// reading the set bits back word by word, and clearing them, yields the
+/// hits in ascending id whatever order the index visited them in, and
+/// leaves `hits` all zero. CanReachAtDistance is stricter than the query
+/// only for predicted workers (one instance less deadline). Pure given
+/// (instance, index) — safe to run for different workers concurrently,
+/// each with its own `hits` and `min_dist`.
 void CollectCandidates(const ProblemInstance& instance,
                        const QualityModel& model, const SpatialIndex& index,
                        size_t i, double max_deadline, size_t num_tasks,
-                       std::vector<std::pair<int32_t, double>>* scratch,
+                       uint64_t* hits, double* min_dist,
                        std::vector<Candidate>* out) {
   const Worker& w = instance.workers()[i];
-  ForEachReachableCandidate(index, w, max_deadline, num_tasks, scratch,
-                            [&](int32_t jj, double min_dist) {
-    const Task& t = instance.tasks()[static_cast<size_t>(jj)];
-    if (!instance.CanReachAtDistance(w, t, min_dist)) return;
-    Candidate c;
-    c.task = jj;
-    if (!w.predicted && !t.predicted) c.score = model.Score(w, t);
-    out->push_back(c);
-  });
+  if (w.velocity <= 0.0) return;  // CanReach rejects every task
+  index.QueryReachable(w.location, w.velocity, max_deadline,
+                       [&](int64_t id, const BBox&, double d) {
+                         const auto j = static_cast<size_t>(id);
+                         if (j >= num_tasks) return;
+                         hits[j / 64] |= uint64_t{1} << (j % 64);
+                         min_dist[j] = d;
+                       });
+  const size_t num_words = (num_tasks + 63) / 64;
+  for (size_t word = 0; word < num_words; ++word) {
+    uint64_t bits = hits[word];
+    if (bits == 0) continue;
+    hits[word] = 0;
+    for (; bits != 0; bits &= bits - 1) {
+      const size_t j = word * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+      const Task& t = instance.tasks()[j];
+      if (!instance.CanReachAtDistance(w, t, min_dist[j])) continue;
+      Candidate c;
+      c.task = static_cast<int32_t>(j);
+      if (!w.predicted && !t.predicted) c.score = model.Score(w, t);
+      out->push_back(c);
+    }
+  }
 }
 
 /// Fill: writes column slot `at` for worker `i` and candidate `c`: the
@@ -164,7 +186,8 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   // boundaries only decide which buffer holds them. Each range fills a
   // local vector and moves it into `buffers` once, at its end, which
   // keeps the data alive for the fill without the ranges writing to
-  // neighbouring vector headers as they grow.
+  // neighbouring vector headers as they grow. The hit bitmap and the
+  // min-distance slots are the range's own too.
   const size_t num_ranges =
       exec != nullptr ? static_cast<size_t>(exec->num_threads()) : 1;
   CandidateSpan* candidates =
@@ -176,10 +199,11 @@ PairPool BuildPairPool(const ProblemInstance& instance,
     const size_t lo = num_workers * range / num_ranges;
     const size_t hi = num_workers * (range + 1) / num_ranges;
     std::vector<Candidate> buffer;
-    std::vector<std::pair<int32_t, double>> scratch;
+    std::vector<uint64_t> hits((num_tasks + 63) / 64);
+    std::vector<double> min_dist(num_tasks);
     for (size_t i = lo; i < hi; ++i) {
       CollectCandidates(instance, *model, *index, i, max_deadline, num_tasks,
-                        &scratch, &buffer);
+                        hits.data(), min_dist.data(), &buffer);
       candidates[i].count = buffer.size();  // end offset for now
     }
     // The buffer has stopped growing: resolve end offsets to spans.

@@ -1,7 +1,5 @@
 #include "geo/bbox.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace mqa {
@@ -24,35 +22,6 @@ BBox BBox::KernelBox(const Point& center, double hx, double hy) {
 BBox BBox::Expanded(double r) const {
   MQA_CHECK(r >= 0.0) << "negative expansion radius " << r;
   return BBox({lo_.x - r, lo_.y - r}, {hi_.x + r, hi_.y + r});
-}
-
-namespace {
-
-// Distance between intervals [a1,a2] and [b1,b2] along one axis; 0 if they
-// overlap.
-double IntervalGap(double a1, double a2, double b1, double b2) {
-  if (a2 < b1) return b1 - a2;
-  if (b2 < a1) return a1 - b2;
-  return 0.0;
-}
-
-// Largest coordinate difference achievable between the two intervals.
-double IntervalSpan(double a1, double a2, double b1, double b2) {
-  return std::max(std::abs(a2 - b1), std::abs(b2 - a1));
-}
-
-}  // namespace
-
-double BBox::MinDistance(const BBox& other) const {
-  const double dx = IntervalGap(lo_.x, hi_.x, other.lo_.x, other.hi_.x);
-  const double dy = IntervalGap(lo_.y, hi_.y, other.lo_.y, other.hi_.y);
-  return std::sqrt(dx * dx + dy * dy);
-}
-
-double BBox::MaxDistance(const BBox& other) const {
-  const double dx = IntervalSpan(lo_.x, hi_.x, other.lo_.x, other.hi_.x);
-  const double dy = IntervalSpan(lo_.y, hi_.y, other.lo_.y, other.hi_.y);
-  return std::sqrt(dx * dx + dy * dy);
 }
 
 BBox Union(const BBox& a, const BBox& b) {

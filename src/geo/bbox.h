@@ -2,6 +2,7 @@
 #define MQA_GEO_BBOX_H_
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 
 #include "geo/point.h"
@@ -52,17 +53,38 @@ class BBox {
 
   /// Minimum Euclidean distance between any point of this box and any
   /// point of `other` (0 when they intersect).
-  double MinDistance(const BBox& other) const;
+  double MinDistance(const BBox& other) const {
+    const double dx = IntervalGap(lo_.x, hi_.x, other.lo_.x, other.hi_.x);
+    const double dy = IntervalGap(lo_.y, hi_.y, other.lo_.y, other.hi_.y);
+    return std::sqrt(dx * dx + dy * dy);
+  }
 
   /// Maximum Euclidean distance between any point of this box and any
   /// point of `other`.
-  double MaxDistance(const BBox& other) const;
+  double MaxDistance(const BBox& other) const {
+    const double dx = IntervalSpan(lo_.x, hi_.x, other.lo_.x, other.hi_.x);
+    const double dy = IntervalSpan(lo_.y, hi_.y, other.lo_.y, other.hi_.y);
+    return std::sqrt(dx * dx + dy * dy);
+  }
 
   friend bool operator==(const BBox& a, const BBox& b) {
     return a.lo_ == b.lo_ && a.hi_ == b.hi_;
   }
 
  private:
+  // Distance between intervals [a1,a2] and [b1,b2] along one axis; 0 if
+  // they overlap.
+  static double IntervalGap(double a1, double a2, double b1, double b2) {
+    if (a2 < b1) return b1 - a2;
+    if (b2 < a1) return a1 - b2;
+    return 0.0;
+  }
+
+  // Largest coordinate difference achievable between the two intervals.
+  static double IntervalSpan(double a1, double a2, double b1, double b2) {
+    return std::max(std::abs(a2 - b1), std::abs(b2 - a1));
+  }
+
   Point lo_;
   Point hi_;
 };

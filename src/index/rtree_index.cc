@@ -3,40 +3,54 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <numeric>
 
 namespace mqa {
 
 namespace {
 
-/// Sort-Tile-Recursive grouping: orders item indices by x-center into
+using SortKey = RTreeIndex::SortKey;
+
+/// Sorts `keys` by center, ties by position: the order a stable sort by
+/// center leaves, from std::sort, which allocates nothing.
+void SortByCenter(SortKey* begin, SortKey* end) {
+  std::sort(begin, end, [](const SortKey& a, const SortKey& b) {
+    return a.center != b.center ? a.center < b.center
+                                : a.position < b.position;
+  });
+}
+
+/// Sort-Tile-Recursive grouping: orders the items by x-center into
 /// vertical slices, each slice by y-center, and emits consecutive groups
-/// of at most `group` items. Stable sorts keep ties in input order, so
-/// the packing is deterministic even when every box is identical. `idx`
-/// is the caller's scratch, so its capacity survives the call.
+/// of at most `group` items (as SortKey ranges naming them by `item`).
+/// Ties keep their order: by item index in the x sort, and by their
+/// place in the x order within a slice. So the packing is deterministic
+/// even when every box is identical. `keys` is the caller's scratch, so
+/// its capacity survives the call.
 template <typename GetBox, typename Emit>
-void TilePack(size_t n, int group, std::vector<int32_t>* idx, GetBox box_of,
+void TilePack(size_t n, int group, std::vector<SortKey>* keys, GetBox box_of,
               Emit emit) {
-  idx->resize(n);
-  std::iota(idx->begin(), idx->end(), 0);
+  keys->resize(n);
+  SortKey* k = keys->data();
   const size_t num_groups = (n + static_cast<size_t>(group) - 1) /
                             static_cast<size_t>(group);
   const size_t slices = static_cast<size_t>(
       std::ceil(std::sqrt(static_cast<double>(num_groups))));
   const size_t slice_items =
       ((num_groups + slices - 1) / slices) * static_cast<size_t>(group);
-  std::stable_sort(idx->begin(), idx->end(), [&](int32_t a, int32_t b) {
-    return box_of(a).Center().x < box_of(b).Center().x;
-  });
+  for (size_t i = 0; i < n; ++i) {
+    const auto item = static_cast<int32_t>(i);
+    k[i] = {box_of(item).Center().x, item, item};
+  }
+  SortByCenter(k, k + n);
   for (size_t s = 0; s < n; s += slice_items) {
     const size_t e = std::min(n, s + slice_items);
-    std::stable_sort(idx->begin() + static_cast<ptrdiff_t>(s),
-                     idx->begin() + static_cast<ptrdiff_t>(e),
-                     [&](int32_t a, int32_t b) {
-                       return box_of(a).Center().y < box_of(b).Center().y;
-                     });
+    for (size_t i = s; i < e; ++i) {
+      k[i].center = box_of(k[i].item).Center().y;
+      k[i].position = static_cast<int32_t>(i);
+    }
+    SortByCenter(k + s, k + e);
     for (size_t g = s; g < e; g += static_cast<size_t>(group)) {
-      emit(idx->data() + g,
+      emit(k + g,
            static_cast<int32_t>(std::min(e - g, static_cast<size_t>(group))));
     }
   }
@@ -52,13 +66,13 @@ void RTreeIndex::BulkLoad(const std::vector<IndexEntry>& entries) {
   if (entries.empty()) return;
   // Leaves: each tile's entries are appended to entries_ in tile order.
   const IndexEntry* in = entries.data();
-  TilePack(entries.size(), kFanout, &order_,
+  TilePack(entries.size(), kFanout, &keys_,
            [&](int32_t i) -> const BBox& { return in[i].box; },
-           [&](const int32_t* group, int32_t count) {
-             Node leaf{in[group[0]].box, in[group[0]].deadline,
+           [&](const SortKey* group, int32_t count) {
+             Node leaf{in[group[0].item].box, in[group[0].item].deadline,
                        static_cast<int32_t>(entries_.size()), count};
              for (int32_t k = 0; k < count; ++k) {
-               const IndexEntry& e = in[group[k]];
+               const IndexEntry& e = in[group[k].item];
                leaf.box = Union(leaf.box, e.box);
                leaf.max_deadline = std::max(leaf.max_deadline, e.deadline);
                entries_.push_back(e);
@@ -75,13 +89,13 @@ void RTreeIndex::BulkLoad(const std::vector<IndexEntry>& entries) {
     const Node* below = level_.data();
     auto next = static_cast<int32_t>(begin);
     begin = nodes_.size();
-    TilePack(level_.size(), kFanout, &order_,
+    TilePack(level_.size(), kFanout, &keys_,
              [&](int32_t i) -> const BBox& { return below[i].box; },
-             [&](const int32_t* group, int32_t count) {
-               Node parent{below[group[0]].box, below[group[0]].max_deadline,
-                           next, count};
+             [&](const SortKey* group, int32_t count) {
+               Node parent{below[group[0].item].box,
+                           below[group[0].item].max_deadline, next, count};
                for (int32_t k = 0; k < count; ++k) {
-                 const Node& child = below[group[k]];
+                 const Node& child = below[group[k].item];
                  parent.box = Union(parent.box, child.box);
                  parent.max_deadline =
                      std::max(parent.max_deadline, child.max_deadline);

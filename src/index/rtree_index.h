@@ -23,9 +23,9 @@ namespace mqa {
 /// BulkLoad tiles at most kFanout items per node (sort by x-center into
 /// vertical slices, each slice by y-center) and repeats on the node level
 /// up to one root: O(n log n), balanced on clustered inputs, and
-/// deterministic (stable sorts break ties by entry order). The arrays
-/// keep their capacity, so reloading a tree no larger than an earlier
-/// one allocates only the stable sorts' buffers.
+/// deterministic (each sort key carries its position, which breaks
+/// center ties as a stable sort would). The arrays keep their capacity,
+/// so reloading a tree no larger than an earlier one allocates nothing.
 ///
 /// Queries visit exactly BruteForceIndex's entry set (property-tested),
 /// in tree order; they read no mutable state, so any number of threads
@@ -41,6 +41,15 @@ class RTreeIndex final : public SpatialIndex {
 
   /// Root height: 0 for an empty-or-leaf-only tree.
   int height() const { return height_; }
+
+  /// BulkLoad's sort key: an item's box center on the axis being sorted,
+  /// its position in the order before that sort (the tie-break), and the
+  /// item (an entry or a node of the level below).
+  struct SortKey {
+    double center;
+    int32_t position;
+    int32_t item;
+  };
 
  private:
   /// Children per node (entries per leaf).
@@ -60,8 +69,8 @@ class RTreeIndex final : public SpatialIndex {
   std::vector<Node> nodes_;
   int32_t num_leaves_ = 0;  // nodes_[0, num_leaves_) are the leaves
   int height_ = 0;
-  // BulkLoad scratch: a level's tile order, and a copy of that level.
-  std::vector<int32_t> order_;
+  // BulkLoad scratch: a level's sort keys, and a copy of that level.
+  std::vector<SortKey> keys_;
   std::vector<Node> level_;
 };
 

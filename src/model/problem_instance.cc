@@ -22,28 +22,6 @@ ProblemInstance::ProblemInstance(std::vector<Worker> workers,
   MQA_CHECK(Validate().ok()) << "inconsistent ProblemInstance";
 }
 
-bool ProblemInstance::CanReach(const Worker& worker, const Task& task) const {
-  return CanReachAtDistance(worker, task,
-                            worker.location.MinDistance(task.location));
-}
-
-bool ProblemInstance::CanReachAtDistance(const Worker& worker,
-                                         const Task& task,
-                                         double min_dist) const {
-  if (worker.velocity <= 0.0) return false;
-  // A predicted worker only joins at the next instance; serving a
-  // *current* task leaves it e_j minus one instance of travel budget. A
-  // current task that would expire before the predicted worker exists is
-  // unreachable — without this, the greedy reserves tasks for workers
-  // that arrive too late and the reservation is a pure loss.
-  double deadline = task.deadline;
-  if (worker.predicted && !task.predicted) {
-    deadline -= kInstanceDuration;
-    if (deadline < 0.0) return false;
-  }
-  return min_dist <= worker.velocity * deadline;
-}
-
 Status ProblemInstance::Validate() const {
   if (num_current_workers_ > workers_.size()) {
     return Status::InvalidArgument("num_current_workers exceeds worker count");

@@ -110,14 +110,30 @@ class ProblemInstance {
   /// deadline. Predicted boxes use the optimistic (minimum) distance so
   /// that possibly-valid pairs are kept; the existence probability models
   /// the risk (docs/DEVIATIONS.md, rows D5 and D6).
-  bool CanReach(const Worker& worker, const Task& task) const;
+  bool CanReach(const Worker& worker, const Task& task) const {
+    return CanReachAtDistance(worker, task,
+                              worker.location.MinDistance(task.location));
+  }
 
   /// CanReach with the worker-to-task box min-distance already in hand
   /// (spatial-index radius queries compute it for their filter; this
   /// avoids recomputing it per candidate on the pair-generation hot
   /// path). `min_dist` must equal worker.location.MinDistance(task.location).
   bool CanReachAtDistance(const Worker& worker, const Task& task,
-                          double min_dist) const;
+                          double min_dist) const {
+    if (worker.velocity <= 0.0) return false;
+    // A predicted worker only joins at the next instance; serving a
+    // *current* task leaves it e_j minus one instance of travel budget. A
+    // current task that would expire before the predicted worker exists
+    // is unreachable — without this, the greedy reserves tasks for
+    // workers that arrive too late and the reservation is a pure loss.
+    double deadline = task.deadline;
+    if (worker.predicted && !task.predicted) {
+      deadline -= kInstanceDuration;
+      if (deadline < 0.0) return false;
+    }
+    return min_dist <= worker.velocity * deadline;
+  }
 
   /// Validates internal consistency (ordering of current vs predicted,
   /// non-negative parameters). Returns a descriptive error on violation.

@@ -28,9 +28,9 @@ struct ProcessStats {
   double cpu_seconds() const { return cpu_user_seconds + cpu_system_seconds; }
 };
 
-/// Samples the calling process. Cheap (one /proc read + one getrusage
-/// call, no allocation beyond a small stack buffer) — EpochRunner calls
-/// it once at the end of every epoch.
+/// Samples the calling process. Cheap (one open/read/close of
+/// /proc/self/statm into a small stack buffer + one getrusage call, no
+/// allocation) — EpochRunner calls it once at the end of every epoch.
 ProcessStats ReadProcessStats();
 
 }  // namespace mqa

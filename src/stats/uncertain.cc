@@ -2,26 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "common/logging.h"
 
 namespace mqa {
 
-Uncertain::Uncertain(double mean, double variance, double lb, double ub)
-    : mean_(mean), variance_(variance), lb_(lb), ub_(ub) {
+void Uncertain::FailInvalid(double mean, double variance, double lb,
+                            double ub) {
   MQA_CHECK(variance >= 0.0) << "negative variance " << variance;
   MQA_CHECK(lb <= ub) << "invalid bounds [" << lb << ", " << ub << "]";
-  // Numerical slack: sample means can fall epsilon outside the bounds.
   const double slack = 1e-9 * (1.0 + std::abs(mean));
   MQA_CHECK(mean >= lb - slack && mean <= ub + slack)
       << "mean " << mean << " outside [" << lb << ", " << ub << "]";
-  mean_ = std::clamp(mean, lb, ub);
-}
-
-Uncertain Uncertain::AffineTransform(double a, double b) const {
-  const double lo = a >= 0.0 ? a * lb_ + b : a * ub_ + b;
-  const double hi = a >= 0.0 ? a * ub_ + b : a * lb_ + b;
-  return Uncertain(a * mean_ + b, a * a * variance_, lo, hi);
+  std::abort();  // unreachable: the inline test is these three checks
 }
 
 Uncertain Uncertain::Add(const Uncertain& other) const {

@@ -1,6 +1,8 @@
 #ifndef MQA_STATS_UNCERTAIN_H_
 #define MQA_STATS_UNCERTAIN_H_
 
+#include <algorithm>
+#include <cmath>
 #include <ostream>
 
 namespace mqa {
@@ -19,7 +21,16 @@ class Uncertain {
   }
 
   /// Constructs a random quantity. Requires lb <= mean <= ub, variance >= 0.
-  Uncertain(double mean, double variance, double lb, double ub);
+  Uncertain(double mean, double variance, double lb, double ub)
+      : mean_(mean), variance_(variance), lb_(lb), ub_(ub) {
+    // Numerical slack: sample means can fall epsilon outside the bounds.
+    const double slack = 1e-9 * (1.0 + std::abs(mean));
+    if (!(variance >= 0.0 && lb <= ub && mean >= lb - slack &&
+          mean <= ub + slack)) {
+      FailInvalid(mean, variance, lb, ub);
+    }
+    mean_ = std::clamp(mean, lb, ub);
+  }
 
   Uncertain() : Uncertain(0.0, 0.0, 0.0, 0.0) {}
 
@@ -33,7 +44,11 @@ class Uncertain {
 
   /// Linear transform a*X + b (variance scales by a^2; bounds follow,
   /// flipping when a < 0).
-  Uncertain AffineTransform(double a, double b) const;
+  Uncertain AffineTransform(double a, double b) const {
+    const double lo = a >= 0.0 ? a * lb_ + b : a * ub_ + b;
+    const double hi = a >= 0.0 ? a * ub_ + b : a * lb_ + b;
+    return Uncertain(a * mean_ + b, a * a * variance_, lo, hi);
+  }
 
   /// Sum of two independent quantities.
   Uncertain Add(const Uncertain& other) const;
@@ -45,6 +60,11 @@ class Uncertain {
   Uncertain BernoulliThin(double p) const;
 
  private:
+  // The constructor's checks, out of line with their messages: aborts
+  // naming the first one these arguments fail.
+  [[noreturn]] static void FailInvalid(double mean, double variance,
+                                       double lb, double ub);
+
   double mean_;
   double variance_;
   double lb_;

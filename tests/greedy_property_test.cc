@@ -27,6 +27,7 @@
 #include "core/budget.h"
 #include "core/greedy.h"
 #include "tests/greedy_reference.h"
+#include "tests/test_util.h"
 
 namespace mqa {
 namespace {
@@ -134,9 +135,7 @@ std::vector<int32_t> DrawPairIds(Rng* rng, const PairPool& pool) {
     }
     case 2: {
       const int64_t w = rng->UniformInt(0, num_workers - 1);
-      for (const int32_t id : pool.PairsByWorker(static_cast<int32_t>(w))) {
-        ids.push_back(id);
-      }
+      ids = testing_util::PairIdsOfWorker(pool, static_cast<int32_t>(w));
       break;
     }
     case 3:

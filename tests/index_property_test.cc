@@ -5,10 +5,14 @@
 // the reference BruteForceIndex (handed in through set_task_index)
 // enumerates the candidates, sequential or split into worker ranges
 // across any thread count — including through the simulator's per-epoch
-// TaskIndexCache.
+// TaskIndexCache. The ordered scan (a hit bitmap over task ids read back
+// word by word) is checked against the seed's double CanReach loop at
+// every bitmap-word boundary, for zero-velocity workers, and for indexes
+// that cover more tasks than participate or visit hits out of order.
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "common/rng.h"
 #include "core/valid_pairs.h"
 #include "exec/parallel_runner.h"
+#include "index/rtree_index.h"
 #include "index/task_index_cache.h"
 #include "quality/range_quality.h"
 #include "tests/test_util.h"
@@ -30,6 +35,7 @@ using testing_util::MakePredictedTask;
 using testing_util::MakePredictedWorker;
 using testing_util::MakeTask;
 using testing_util::MakeWorker;
+using testing_util::PairIdsOfWorker;
 using testing_util::RandomMixedInstance;
 
 void ExpectSameUncertain(const Uncertain& a, const Uncertain& b) {
@@ -63,8 +69,8 @@ void ExpectSamePool(const PairPool& a, const PairPool& b) {
   }
   ASSERT_EQ(a.num_workers(), b.num_workers());
   for (size_t i = 0; i < a.num_workers(); ++i) {
-    ExpectSameSpan(a.PairsByWorker(static_cast<int32_t>(i)),
-                   b.PairsByWorker(static_cast<int32_t>(i)));
+    const auto worker = static_cast<int32_t>(i);
+    ExpectSameSpan(PairIdsOfWorker(a, worker), PairIdsOfWorker(b, worker));
   }
 }
 
@@ -201,6 +207,179 @@ TEST(PairPoolIndexProperty, ExternalIndexMatchesInternal) {
     // filter them out when include_predicted is off.
     ExpectSamePool(with_predicted, BuildPairPool(inst, true));
     ExpectSamePool(current_only, BuildPairPool(inst, false));
+  }
+}
+
+// ------------------------------------------------------ the ordered scan
+
+/// (worker, task) index pairs in pool order.
+using IndexPairs = std::vector<std::pair<int32_t, int32_t>>;
+
+/// The seed's double loop: every pair CanReach accepts, worker-major and
+/// tasks ascending — the pairs, in order, that every pool must hold.
+IndexPairs ReachableByDoubleLoop(const ProblemInstance& inst,
+                                 bool include_predicted) {
+  const size_t num_workers = include_predicted ? inst.workers().size()
+                                               : inst.num_current_workers();
+  const size_t num_tasks = include_predicted ? inst.tasks().size()
+                                             : inst.num_current_tasks();
+  IndexPairs pairs;
+  for (size_t i = 0; i < num_workers; ++i) {
+    for (size_t j = 0; j < num_tasks; ++j) {
+      if (inst.CanReach(inst.workers()[i], inst.tasks()[j])) {
+        pairs.emplace_back(static_cast<int32_t>(i), static_cast<int32_t>(j));
+      }
+    }
+  }
+  return pairs;
+}
+
+/// The pool's (worker, task) pairs; checks on the way that every
+/// current-current pair carries the model's score.
+IndexPairs PoolPairs(const ProblemInstance& inst, const PairPool& pool) {
+  IndexPairs pairs;
+  for (size_t k = 0; k < pool.size(); ++k) {
+    const auto id = static_cast<int32_t>(k);
+    const int32_t i = pool.WorkerIndex(id);
+    const int32_t j = pool.TaskIndex(id);
+    pairs.emplace_back(i, j);
+    if (pool.QualityKind(id) == PairQualityKind::kCurrent) {
+      EXPECT_EQ(pool.QualityMean(id),
+                inst.quality_model()->Score(
+                    inst.workers()[static_cast<size_t>(i)],
+                    inst.tasks()[static_cast<size_t>(j)]))
+          << "pair " << k;
+    }
+  }
+  return pairs;
+}
+
+/// Tasks of worker `worker` in `pool`, in pool order.
+std::vector<int32_t> TasksOf(const PairPool& pool, int32_t worker) {
+  std::vector<int32_t> tasks;
+  for (const int32_t id : PairIdsOfWorker(pool, worker)) {
+    tasks.push_back(pool.TaskIndex(id));
+  }
+  return tasks;
+}
+
+/// Builds `inst`'s pool every way the build can get its candidates — its
+/// own R-tree over the participating tasks, an R-tree over every task,
+/// and a BruteForceIndex over every task loaded in shuffled order (so it
+/// visits hits in neither id nor R-tree order), both handed in through
+/// set_task_index — at 1 and 4 threads, with and without predicted
+/// entities (without them, the handed-in indexes cover more tasks than
+/// participate). Each pool must hold the double loop's pairs in its
+/// order.
+void ExpectEveryBuildMatchesDoubleLoop(const ProblemInstance& inst,
+                                       Rng* rng) {
+  std::vector<IndexEntry> entries;
+  for (size_t j = 0; j < inst.tasks().size(); ++j) {
+    entries.push_back({static_cast<int64_t>(j), inst.tasks()[j].location,
+                       inst.tasks()[j].deadline});
+  }
+  RTreeIndex rtree;
+  rtree.BulkLoad(entries);
+  std::shuffle(entries.begin(), entries.end(), rng->engine());
+  BruteForceIndex shuffled;
+  shuffled.BulkLoad(entries);
+  const SpatialIndex* indexes[] = {nullptr, &rtree, &shuffled};
+
+  for (const int threads : {1, 4}) {
+    ParallelRunner runner(threads);
+    ProblemInstance threaded = inst;
+    threaded.set_thread_pool(runner.pool());
+    for (const bool include_predicted : {true, false}) {
+      const IndexPairs want = ReachableByDoubleLoop(inst, include_predicted);
+      for (const SpatialIndex* index : indexes) {
+        SCOPED_TRACE(testing::Message()
+                     << threads << " threads, include_predicted "
+                     << include_predicted << ", index "
+                     << (index == nullptr ? "own" : index->name()));
+        threaded.set_task_index(index);
+        EXPECT_EQ(PoolPairs(inst, BuildPairPool(threaded, include_predicted)),
+                  want);
+      }
+    }
+  }
+}
+
+TEST(OrderedScanTest, HitsSpanningBitmapWordsComeOutInIdOrder) {
+  // 200 current tasks: four bitmap words, the last holding 8 ids. Tasks
+  // 0, 63, 64 and 199 (three different words) and the 6 predicted tasks
+  // sit in one corner; every other task is far from it.
+  const ConstantQualityModel quality(1.5);
+  Rng rng(64);
+  const std::vector<int32_t> corner_ids = {0, 63, 64, 199};
+  const Point corner{0.92, 0.92};
+  std::vector<Task> tasks;
+  for (int32_t j = 0; j < 200; ++j) {
+    const bool in_corner =
+        std::find(corner_ids.begin(), corner_ids.end(), j) != corner_ids.end();
+    tasks.push_back(
+        in_corner ? MakeTask(j, corner.x + rng.Uniform(-0.01, 0.01),
+                             corner.y + rng.Uniform(-0.01, 0.01), 1.5)
+                  : MakeTask(j, rng.Uniform(0.0, 0.6), rng.Uniform(0.0, 0.6),
+                             rng.Uniform(0.5, 2.0)));
+  }
+  for (int32_t q = 0; q < 6; ++q) {
+    tasks.push_back(MakePredictedTask(
+        1000 + q, BBox::KernelBox(corner, 0.01, 0.01), 2.5));
+  }
+  // Worker 0 reaches exactly the corner. Worker 1 stands on task 63 with
+  // velocity 0: the index visits that task (distance 0), CanReach
+  // rejects it. Worker 2 reaches the corner again, after the
+  // zero-velocity worker; worker 3 reaches only tasks near the origin,
+  // so any corner bit left set by worker 2 would show up as its pair.
+  // Worker 4 reaches everything, and 40 random workers fill the pool.
+  std::vector<Worker> workers = {
+      MakeWorker(0, corner.x, corner.y, 0.05),
+      MakeWorker(1, tasks[63].location.lo().x, tasks[63].location.lo().y,
+                 0.0),
+      MakeWorker(2, corner.x, corner.y, 0.05),
+      MakeWorker(3, 0.05, 0.05, 0.05),
+      MakeWorker(4, 0.5, 0.5, 2.0)};
+  for (int i = 5; i < 45; ++i) {
+    workers.push_back(
+        MakeWorker(i, rng.Uniform(), rng.Uniform(), rng.Uniform(0.02, 0.4)));
+  }
+  workers.push_back(MakePredictedWorker(
+      2000, BBox::KernelBox(corner, 0.02, 0.02), 0.05));
+  const ProblemInstance inst(std::move(workers), 45, std::move(tasks), 200,
+                             &quality, 1.0, 5.0);
+  ASSERT_GE(inst.workers().size(), kMinParallelWorkers);
+
+  ExpectEveryBuildMatchesDoubleLoop(inst, &rng);
+  PairPool pool = BuildPairPool(inst, /*include_predicted=*/false);
+  EXPECT_EQ(TasksOf(pool, 0), corner_ids);
+  EXPECT_TRUE(TasksOf(pool, 1).empty()) << "zero velocity reaches nothing";
+  EXPECT_EQ(TasksOf(pool, 2), corner_ids);
+  for (const int32_t j : TasksOf(pool, 3)) {
+    EXPECT_EQ(std::count(corner_ids.begin(), corner_ids.end(), j), 0) << j;
+  }
+  EXPECT_EQ(TasksOf(pool, 4).size(), 200u);
+  pool = BuildPairPool(inst);
+  std::vector<int32_t> with_corner_predicted = corner_ids;
+  for (int32_t j = 200; j < 206; ++j) with_corner_predicted.push_back(j);
+  EXPECT_EQ(TasksOf(pool, 0), with_corner_predicted);
+  EXPECT_TRUE(TasksOf(pool, 1).empty());
+  EXPECT_EQ(TasksOf(pool, 45), with_corner_predicted);
+}
+
+TEST(OrderedScanTest, MatchesDoubleLoopAtEveryWordBoundary) {
+  // Current task counts on and around multiples of 64 (the last bitmap
+  // word full, holding one id, or missing), with predicted tasks past
+  // them, which the handed-in indexes cover even when only current
+  // entities participate.
+  const RangeQualityModel quality(1.0, 2.0, 3);
+  Rng rng(128);
+  for (const int num_tasks : {0, 1, 63, 64, 65, 127, 128, 129, 130, 200, 257}) {
+    SCOPED_TRACE(testing::Message() << num_tasks << " current tasks");
+    ProblemInstance inst = RandomMixedInstance(
+        &rng, &quality, 40, num_tasks, static_cast<int>(rng.UniformInt(0, 8)),
+        static_cast<int>(rng.UniformInt(1, 20)), /*velocity_hi=*/0.4,
+        /*deadline_hi=*/2.0, /*unit_price=*/1.0, /*budget=*/5.0);
+    ExpectEveryBuildMatchesDoubleLoop(inst, &rng);
   }
 }
 

@@ -32,6 +32,7 @@ using testing_util::MakePredictedTask;
 using testing_util::MakePredictedWorker;
 using testing_util::MakeTask;
 using testing_util::MakeWorker;
+using testing_util::PairIdsOfWorker;
 
 void ExpectSamePair(const CandidatePair& a, const CandidatePair& b,
                     size_t k) {
@@ -69,8 +70,8 @@ void ExpectSamePool(const PairPool& a, const PairPool& b) {
   }
   for (size_t i = 0; i < a.num_workers(); ++i) {
     SCOPED_TRACE(testing::Message() << "worker row " << i);
-    ExpectSameIds(a.PairsByWorker(static_cast<int32_t>(i)),
-                  b.PairsByWorker(static_cast<int32_t>(i)));
+    const auto worker = static_cast<int32_t>(i);
+    ExpectSameIds(PairIdsOfWorker(a, worker), PairIdsOfWorker(b, worker));
   }
 }
 
@@ -150,9 +151,8 @@ TEST(PoolStorageReuse, WarmRebuildKeepsEveryVectorInPlace) {
         s.worker.data(),       s.task.data(),         s.cost_mean.data(),
         s.cost_var.data(),     s.cost_lb.data(),      s.cost_ub.data(),
         s.fixed_quality.data(), s.qkind.data(),       s.task_offsets.data(),
-        s.by_task.data(),      s.worker_offsets.data(), s.by_worker.data(),
-        s.candidates.data(),   s.pair_offsets.data(), s.task_moments.data(),
-        s.task_cursor.data(),  s.worker_cursor.data()};
+        s.by_task.data(),      s.candidates.data(),   s.pair_offsets.data(),
+        s.task_moments.data(), s.task_cursor.data()};
   };
   for (const int threads : {1, 4}) {
     ParallelRunner runner(threads);
@@ -353,7 +353,7 @@ TEST(PairPoolTest, HandBuiltPoolRoundTrips) {
   ExpectSamePair(p, back, 0);
   EXPECT_EQ(pool.PairsByTask(1).size(), 1u);
   EXPECT_TRUE(pool.PairsByTask(0).empty());
-  EXPECT_EQ(pool.PairsByWorker(2).size(), 1u);
+  EXPECT_EQ(PairIdsOfWorker(pool, 2), std::vector<int32_t>{0});
   // The thinned variant still works through the view.
   const Uncertain thinned = pool.pair(0).ExistenceThinnedQuality();
   EXPECT_DOUBLE_EQ(thinned.mean(), 1.5 * 0.75);

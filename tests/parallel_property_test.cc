@@ -29,6 +29,7 @@ using testing_util::MakePredictedTask;
 using testing_util::MakePredictedWorker;
 using testing_util::MakeTask;
 using testing_util::MakeWorker;
+using testing_util::PairIdsOfWorker;
 
 constexpr int kThreadCounts[] = {2, 4, 8};
 
@@ -70,9 +71,9 @@ void ExpectSamePool(const PairPool& sequential, const PairPool& parallel) {
   }
   ASSERT_EQ(sequential.num_workers(), parallel.num_workers());
   for (size_t i = 0; i < sequential.num_workers(); ++i) {
-    ExpectSameSpan(sequential.PairsByWorker(static_cast<int32_t>(i)),
-                   parallel.PairsByWorker(static_cast<int32_t>(i)),
-                   "by-worker", i);
+    const auto worker = static_cast<int32_t>(i);
+    ExpectSameSpan(PairIdsOfWorker(sequential, worker),
+                   PairIdsOfWorker(parallel, worker), "by-worker", i);
   }
 }
 

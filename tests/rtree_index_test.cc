@@ -1,7 +1,8 @@
 // The packed R-tree's structure: height growth and collapse across
-// BulkLoads, and reloads at heights 3, 2 and 1 answering exactly like the
-// reference BruteForceIndex. Query semantics shared with BruteForceIndex
-// are in index_test.cc.
+// BulkLoads, reloads at heights 3, 2 and 1 answering exactly like the
+// reference BruteForceIndex, and a pinned visit order on loads full of
+// tied centers. Query semantics shared with BruteForceIndex are in
+// index_test.cc.
 
 #include <algorithm>
 #include <cstdint>
@@ -59,6 +60,57 @@ TEST(RTreeIndexTest, HeightGrowth) {
   EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.height(), 0);
   EXPECT_TRUE(CollectReachable(index, everywhere, 1.0, 0.0).empty());
+}
+
+TEST(RTreeIndexTest, TiedCentersKeepTheirPinnedVisitOrder) {
+  // STR packing breaks center ties by position, so a load full of ties
+  // still packs one fixed tree. The golden was recorded on the packing
+  // that stable-sorted item indices; it folds the full-query visit order
+  // and the height of loads whose centers all coincide, take eight
+  // distinct x-values, or take eight distinct x- and eight distinct
+  // y-values (y ties between different x within a slice). Any change to
+  // how ties fall moves it.
+  constexpr uint64_t kExpected = 0x58fdb375824f3727ull;
+  Rng rng(27);
+  uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+  const auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  // Dyadic centers and half-widths, so every box center is exact and the
+  // ties are real ones.
+  const auto eighth = [&rng] {
+    return static_cast<double>(rng.UniformInt(4, 11)) / 16.0;
+  };
+  RTreeIndex index;
+  const BBox everywhere({0, 0}, {1, 1});
+  for (int load = 0; load < 3; ++load) {
+    for (const int n : {1, 16, 17, 256, 257, 300, 1000, 5000}) {
+      std::vector<IndexEntry> entries;
+      for (int64_t id = 0; id < n; ++id) {
+        Point c{0.5, 0.5};
+        if (load > 0) c.x = eighth();
+        if (load == 1) c.y = rng.Uniform(0.2, 0.8);
+        if (load == 2) c.y = eighth();
+        const double half = static_cast<double>(rng.UniformInt(0, 40)) / 1024.0;
+        const BBox box = BBox::KernelBox(c, half, half);
+        ASSERT_EQ(box.Center().x, c.x);
+        if (load != 1) {
+          ASSERT_EQ(box.Center().y, c.y);
+        }
+        entries.push_back({id, box});
+      }
+      index.BulkLoad(entries);
+      mix(static_cast<uint64_t>(index.height()));
+      index.QueryReachable(everywhere, 1.0, 0.0,
+                           [&](int64_t id, const BBox&, double) {
+                             mix(static_cast<uint64_t>(id));
+                           });
+    }
+  }
+  EXPECT_EQ(h, kExpected) << "got 0x" << std::hex << h;
 }
 
 TEST(RTreeIndexTest, ReloadsMatchBruteForce) {

@@ -7,18 +7,26 @@
 // prediction numbers, no index object, a pool object of exactly three
 // keys, a greedy object of exactly four, phase times that add up to the
 // epoch's wall time, and a process footprint whose peak RSS never reads
-// below its RSS and, like CPU time, never decreases.
+// below its RSS and, like CPU time, never decreases. On Linux the RSS
+// sample itself is a positive whole number of pages, and it is the
+// statm resident field, not the size field.
 
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+
 #include "core/assigner.h"
+#include "obs/process_stats.h"
 #include "obs/run_report.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
@@ -194,6 +202,26 @@ void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
     prev_peak_rss = peak_rss;
     prev_cpu = cpu;
   }
+}
+
+TEST(ProcessStatsTest, RssIsWholeResidentPagesOnLinux) {
+#if defined(__linux__)
+  const int64_t page = sysconf(_SC_PAGESIZE);
+  ASSERT_GT(page, 0);
+  const ProcessStats stats = ReadProcessStats();
+  EXPECT_GT(stats.rss_bytes, 0);
+  EXPECT_EQ(stats.rss_bytes % page, 0) << stats.rss_bytes;
+  // The second statm field (resident), not the first (total size), which
+  // is far larger: a separate parse agrees to within 256 pages.
+  std::ifstream statm("/proc/self/statm");
+  int64_t size_pages = 0;
+  int64_t resident_pages = 0;
+  ASSERT_TRUE(statm >> size_pages >> resident_pages);
+  EXPECT_NEAR(static_cast<double>(stats.rss_bytes / page),
+              static_cast<double>(resident_pages), 256.0);
+#else
+  GTEST_SKIP() << "/proc/self/statm is Linux-only";
+#endif
 }
 
 class RunReportTest : public ::testing::TestWithParam<int> {

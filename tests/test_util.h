@@ -188,6 +188,19 @@ inline PairPool BuildBrutePool(ProblemInstance instance,
   return BuildPairPool(instance, include_predicted);
 }
 
+/// Ids of the pool's pairs whose worker index is `worker`, ascending,
+/// read off the WorkerIndex column: the pool keeps a CSR adjacency by
+/// task only.
+inline std::vector<int32_t> PairIdsOfWorker(const PairPool& pool,
+                                            int32_t worker) {
+  std::vector<int32_t> ids;
+  for (size_t k = 0; k < pool.size(); ++k) {
+    const auto id = static_cast<int32_t>(k);
+    if (pool.WorkerIndex(id) == worker) ids.push_back(id);
+  }
+  return ids;
+}
+
 /// Delegating assigner that records every result, so equivalence tests
 /// can compare the raw assignment pairs, not just summary aggregates.
 class RecordingAssigner : public Assigner {

@@ -1,5 +1,7 @@
 #include "stats/uncertain.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 namespace mqa {
@@ -81,6 +83,17 @@ TEST(UncertainTest, MeanClampedIntoBounds) {
   // A mean epsilon outside the bounds (numerical noise) is clamped.
   const Uncertain u(1.0 + 1e-12, 0.0, 0.0, 1.0);
   EXPECT_LE(u.mean(), u.ub());
+}
+
+TEST(UncertainDeathTest, InvalidArgumentsFailTheirNamedCheck) {
+  // The constructor tests its arguments inline; each failure still
+  // aborts with the message of the first check it fails, NaN included.
+  EXPECT_DEATH(Uncertain(0.0, -1.0, 0.0, 0.0), "negative variance -1");
+  EXPECT_DEATH(Uncertain(0.0, 0.0, 1.0, 0.0), "invalid bounds \\[1, 0\\]");
+  EXPECT_DEATH(Uncertain(2.0, 0.0, 0.0, 1.0), "mean 2 outside \\[0, 1\\]");
+  EXPECT_DEATH(Uncertain(NAN, 0.0, 0.0, 1.0), "mean nan outside \\[0, 1\\]");
+  EXPECT_DEATH(Uncertain(0.0, 0.0, 0.0, 1.0).AffineTransform(1.0, NAN),
+               "invalid bounds \\[nan, nan\\]");
 }
 
 }  // namespace
