@@ -126,7 +126,6 @@ int RunBench() {
     }
     StreamingConfig stream_config;
     stream_config.sim = sim_config;
-    stream_config.sim.maintain_worker_index = true;
     stream_config.policy.kind = EpochPolicyKind::kPerInstance;
     StreamingSimulator streaming(stream_config, &quality);
     auto stream_assigner = CreateAssigner(AssignerKind::kGreedy, {.seed = 3});
@@ -218,7 +217,6 @@ int RunBench() {
   for (const PolicyRow& row : rows) {
     StreamingConfig config;
     config.sim = sim_config;
-    config.sim.maintain_worker_index = true;
     config.policy = row.policy;
     config.horizon = horizon;
     StreamingSimulator sim(config, &quality);

@@ -520,7 +520,6 @@ int main(int argc, char** argv) {
   if (opt.stream) {
     StreamingConfig sconfig;
     sconfig.sim = config;
-    sconfig.sim.maintain_worker_index = true;
     sconfig.horizon = horizon;
     sconfig.policy.kind = policy_kind;
     switch (policy_kind) {

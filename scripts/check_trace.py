@@ -18,10 +18,12 @@ Checks, in order:
      epoch's duration — the "the trace explains where the time went"
      acceptance bar.
 
-Also validates an mqa-run-report-v7 file when given via --report:
+Also validates an mqa-run-report-v8 file when given via --report:
   - on every epoch row, the five phases that partition the epoch
     (predict + assemble + index + pool_build + assign) are non-negative
-    and add up to wall_seconds, within 5 us or 1e-3 relative;
+    and add up to wall_seconds, within 5 us or 1e-3 relative, and
+    phase_seconds names no phase outside those five plus validate,
+    apply and ingest;
   - every epoch row has a process object whose rss_bytes, peak_rss_bytes
     and cpu_seconds are present and non-negative, whose peak_rss_bytes is
     at least its rss_bytes, and whose peak_rss_bytes and cpu_seconds
@@ -41,11 +43,12 @@ REQUIRED_X_KEYS = ("name", "cat", "ph", "ts", "dur", "pid", "tid")
 # Spans treated as epoch roots for the coverage check.
 EPOCH_SPAN_NAMES = ("epoch", "stream/epoch")
 
-# The run-report schema --report accepts, and the epoch-row phases whose
-# sum must equal the row's wall_seconds (validate, apply and the stream
-# phases run outside that clock).
-REPORT_SCHEMA = "mqa-run-report-v7"
+# The run-report schema --report accepts, the epoch-row phases whose
+# sum must equal the row's wall_seconds, and every phase a row may name
+# (validate, apply and the stream's ingest run outside that clock).
+REPORT_SCHEMA = "mqa-run-report-v8"
 WALL_PHASES = ("predict", "assemble", "index", "pool_build", "assign")
+REPORT_PHASES = WALL_PHASES + ("validate", "apply", "ingest")
 PHASE_SUM_ABS_TOL = 5e-6
 PHASE_SUM_REL_TOL = 1e-3
 
@@ -173,12 +176,16 @@ def check_coverage(by_tid, min_coverage):
 
 
 def check_phase_sum(row):
-    """The row's five serial phases must add up to its wall_seconds."""
+    """The row names only known phases, and its five serial phases add up
+    to its wall_seconds."""
     where = f"report: epoch {row.get('instance')}"
     phases = row.get("phase_seconds")
     wall = row.get("wall_seconds")
     if not isinstance(phases, dict) or not isinstance(wall, (int, float)):
         return [f"{where}: missing phase_seconds or wall_seconds"]
+    unknown = sorted(set(phases) - set(REPORT_PHASES))
+    if unknown:
+        return [f"{where}: phase_seconds names unknown phase(s) {unknown}"]
     values = [phases.get(name) for name in WALL_PHASES]
     if not all(isinstance(v, (int, float)) for v in values):
         return [f"{where}: phase_seconds lacks one of {WALL_PHASES}"]

@@ -7,7 +7,10 @@ asserts the determinism contracts on the per-epoch assignment checksums
 extracted from ``--run-report`` JSON (contract 1, index-equivalence, is
 checked at the pool level by tests/index_property_test.cc):
 
-  2. thread-equivalence   — 1 and 4 threads replay to identical bits;
+  2. thread-equivalence   — 1 and 4 threads replay to identical bits, and
+     each stream replay's ``--csv`` rows (backlog, coverable, expired,
+     assigned, quality, cost, queue wait; every column but the latency)
+     are identical at 1 and 4 threads;
   3. batch/stream-equivalence — for integer-time traces (recorded
      arrival streams), the streaming engine under --epoch-policy=instance
      reproduces the batch checksums byte-for-byte. Continuous-time
@@ -37,6 +40,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALGOS = ["greedy", "dc", "random"]
 THREADS = [1, 4]
 
+# The 1-based column of `mqa_cli --stream --csv` that holds the epoch's
+# wall-clock latency, the one column allowed to differ between replays.
+STREAM_LATENCY_FIELD = 12
+
 # Pinned solver knobs so checksums are a pure function of (trace, algo).
 BASE_FLAGS = [
     "--budget=40",
@@ -61,6 +68,8 @@ def trace_times_are_integral(path):
 
 
 def run_variant(cli, trace, algo, threads, engine, report_path):
+    """Returns the run's per-epoch checksums and, for the stream engine,
+    its --csv rows without the latency column (None for batch)."""
     cmd = [
         cli,
         f"--replay-trace={trace}",
@@ -69,7 +78,7 @@ def run_variant(cli, trace, algo, threads, engine, report_path):
         f"--run-report={report_path}",
     ] + BASE_FLAGS
     if engine == "stream":
-        cmd += ["--stream", "--epoch-policy=instance"]
+        cmd += ["--stream", "--epoch-policy=instance", "--csv"]
     elif engine != "batch":
         raise ValueError(engine)
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -78,7 +87,12 @@ def run_variant(cli, trace, algo, threads, engine, report_path):
             f"FAIL: {' '.join(cmd)}\nexit={proc.returncode}\n{proc.stderr}")
     with open(report_path, encoding="utf-8") as fh:
         report = json.load(fh)
-    return [epoch["checksum"] for epoch in report["epochs"]]
+    rows = None
+    if engine == "stream":
+        rows = [",".join(col for k, col in enumerate(line.split(","), 1)
+                         if k != STREAM_LATENCY_FIELD)
+                for line in proc.stdout.splitlines()]
+    return [epoch["checksum"] for epoch in report["epochs"]], rows
 
 
 def sweep_trace(cli, trace, tmpdir):
@@ -88,16 +102,31 @@ def sweep_trace(cli, trace, tmpdir):
     failures = 0
     for algo in ALGOS:
         reference = {}  # engine-class -> (variant label, checksums)
+        stream_reference = None  # (variant label, stream csv rows)
+        failures_before = failures
         runs = 0
         for threads in THREADS:
             for engine in ("batch", "stream"):
                 label = f"{algo}/t{threads}/{engine}"
                 report = os.path.join(tmpdir, "report.json")
-                checksums = run_variant(
+                checksums, rows = run_variant(
                     cli, trace, algo, threads, engine, report)
                 runs += 1
                 if not checksums:
                     sys.exit(f"FAIL: {label} produced no epochs")
+                if rows is not None:
+                    if stream_reference is None:
+                        stream_reference = (label, rows)
+                    elif stream_reference[1] != rows:
+                        ref_label, ref = stream_reference
+                        print(f"   MISMATCH {label} vs {ref_label} "
+                              f"(stream csv rows, latency cut)")
+                        for a, b in zip(ref, rows):
+                            if a != b:
+                                print(f"     {ref_label}: {a}")
+                                print(f"     {label}: {b}")
+                                break
+                        failures += 1
                 # The stream engine replays raw timestamps, so it only
                 # joins the batch contract class for integer-time traces.
                 key = ("batch"
@@ -110,7 +139,7 @@ def sweep_trace(cli, trace, tmpdir):
                     print(f"     {ref_label}: {' '.join(ref)}")
                     print(f"     {label}: {' '.join(checksums)}")
                     failures += 1
-        status = "ok" if failures == 0 else "FAILED"
+        status = "ok" if failures == failures_before else "FAILED"
         print(f"   {algo}: {runs} runs, {status}")
     return failures
 

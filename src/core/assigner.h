@@ -23,8 +23,8 @@ enum class AssignerKind {
 const char* AssignerKindToString(AssignerKind kind);
 
 /// Tunables shared by the assigners. The execution context (task index,
-/// thread pool, pair arena) travels on the ProblemInstance instead; the
-/// simulator sets it every epoch.
+/// thread pool, pool storage and stats sinks) travels on the
+/// ProblemInstance instead; the simulator sets it every epoch.
 struct AssignerOptions {
   /// Eq. 9 confidence level delta for the chance-constrained budget.
   double delta = 0.5;

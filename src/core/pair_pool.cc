@@ -74,6 +74,7 @@ PairPoolStats PairPool::Stats() const {
   stats.pairs = static_cast<int64_t>(num_pairs_);
   stats.predicted_pairs = predicted_pairs_;
   stats.build_seconds = build_seconds_;
+  stats.covered_tasks = covered_tasks_;
 
   int64_t column_bytes = 0;
   if (num_pairs_ > 0) {

@@ -44,6 +44,11 @@ struct PairPoolStats {
   /// Bytes of the columns + by-task CSR adjacency (+ explicit side
   /// table).
   int64_t pool_bytes = 0;
+
+  /// Current tasks that at least one current worker can reach (one
+  /// current-current pair or more), counted by BuildPairPool; -1 until a
+  /// pool is built, and for hand-built pools.
+  int64_t covered_tasks = -1;
 };
 
 void* MapPages(size_t bytes);
@@ -251,8 +256,10 @@ class PairPool {
   /// Current measurements; O(1) in the number of pairs.
   PairPoolStats Stats() const;
 
-  /// Build wall time, recorded by BuildPairPool and surfaced via Stats().
+  /// Build wall time and covered-task count, recorded by BuildPairPool
+  /// and surfaced via Stats().
   void set_build_seconds(double s) { build_seconds_ = s; }
+  void set_covered_tasks(int64_t n) { covered_tasks_ = n; }
 
  private:
   friend class PairPoolBuilder;
@@ -297,6 +304,7 @@ class PairPool {
 
   std::unique_ptr<PairPoolStorage, PairPoolStorage::Release> storage_;
   double build_seconds_ = 0.0;
+  int64_t covered_tasks_ = -1;
 };
 
 /// A lightweight view of one pool pair — the successor of the materialized

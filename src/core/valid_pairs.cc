@@ -260,6 +260,20 @@ PairPool BuildPairPool(const ProblemInstance& instance,
 
   // 6. The CSR adjacency, in ascending pair-id order.
   PairPool result = std::move(builder).Build();
+
+  // 7. Covered current tasks. Pair ids are worker-major with the current
+  // workers first, and each by-task row ascends by id, so a current task
+  // has a current-current pair exactly when its row's first pair does.
+  const size_t num_current_workers = instance.num_current_workers();
+  int64_t covered = 0;
+  for (size_t j = 0; j < instance.num_current_tasks(); ++j) {
+    const PairIdSpan row = result.PairsByTask(static_cast<int32_t>(j));
+    if (!row.empty() && static_cast<size_t>(result.WorkerIndex(row[0])) <
+                            num_current_workers) {
+      ++covered;
+    }
+  }
+  result.set_covered_tasks(covered);
   result.set_build_seconds(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t_build)
                                .count());

@@ -27,10 +27,12 @@ struct WorkerIndexTraits {
   static double bound(const Worker& w) { return w.velocity; }
 };
 
-/// Worker index mirroring TaskIndexCache, loaded once per epoch, for
-/// task-centric candidate-worker queries (the streaming engine's
-/// coverable-backlog scan). Entry ids of view() are positions in the
-/// worker vector most recently passed to BeginInstance. See
+/// Worker index mirroring TaskIndexCache, for task-centric
+/// candidate-worker queries. No epoch loads it; its users count the
+/// streaming engine's coverable backlog independently of the pair pool:
+/// pbsc_bench's layer probe and the reference test in
+/// tests/stream_property_test.cc. Entry ids of view() are positions in
+/// the worker vector most recently passed to BeginInstance. See
 /// EntityIndexCache for the load and concurrency contract.
 using WorkerIndexCache = EntityIndexCache<Worker, WorkerIndexTraits>;
 

@@ -112,8 +112,7 @@ void WriteEpochRow(std::ostream& out, const InstanceMetrics& row) {
       {"assign", row.assign_seconds},
       {"validate", row.validate_seconds},
       {"apply", row.apply_seconds},
-      {"ingest", row.ingest_seconds},
-      {"backlog_scan", row.backlog_scan_seconds}};
+      {"ingest", row.ingest_seconds}};
   char sep = '{';
   out << ",\"phase_seconds\":";
   for (const auto& [name, seconds] : phases) {
@@ -193,7 +192,7 @@ std::string RunReport::ProvenanceFragment() {
 
 void RunReport::WriteJson(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  out << "{\n  \"schema\": \"mqa-run-report-v7\",\n  \"git\": "
+  out << "{\n  \"schema\": \"mqa-run-report-v8\",\n  \"git\": "
          "{\"describe\": ";
   WriteJsonString(out, GitDescribe());
   out << "},\n  \"machine\": ";

@@ -50,17 +50,15 @@ struct InstanceMetrics {
   /// excluded from the byte-identity contract.
   double predict_seconds = 0.0;     // prediction scoring + PredictNext
   double assemble_seconds = 0.0;    // instance vector assembly
-  double index_seconds = 0.0;       // task/worker index loads
+  double index_seconds = 0.0;       // task index load
   double pool_build_seconds = 0.0;  // BuildPairPool inside Assign
   double assign_seconds = 0.0;      // Assigner::Assign minus the pool build
   double validate_seconds = 0.0;    // ValidateAssignment (0 when disabled)
   double apply_seconds = 0.0;       // consumed marking + rejoin computation
 
-  /// Streaming-engine-only phases (0 in batch mode, keeping batch and
-  /// stream reports field-compatible): event-queue drain into the epoch,
-  /// and the coverable-backlog rescan of deferred tasks.
+  /// Streaming-engine-only phase (0 in batch mode, keeping batch and
+  /// stream reports field-compatible): event-queue drain into the epoch.
   double ingest_seconds = 0.0;
-  double backlog_scan_seconds = 0.0;
 
   /// Fig. 10 relative errors of the *previous* instance's prediction
   /// against this instance's actual arrivals (-1 when no prediction was
@@ -106,7 +104,7 @@ struct InstanceMetrics {
 /// per epoch (results, assignment checksum, phase times, pool, greedy
 /// and process numbers).
 /// scripts/profile_report.py joins it with a trace; check_trace.py
-/// --report validates it. Schema: "mqa-run-report-v7", documented in
+/// --report validates it. Schema: "mqa-run-report-v8", documented in
 /// docs/OBSERVABILITY.md.
 ///
 /// Write-only like the tracer: recording never feeds values back into

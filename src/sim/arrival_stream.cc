@@ -27,8 +27,8 @@ Status ValidateTaskShape(const Task& task) {
   if (!FiniteBox(task.location)) {
     return Status::InvalidArgument("task location is not finite");
   }
-  if (!std::isfinite(task.deadline)) {
-    return Status::InvalidArgument("task deadline is not finite");
+  if (!std::isfinite(task.deadline) || task.deadline < 0.0) {
+    return Status::InvalidArgument("task deadline is negative or not finite");
   }
   return Status::OK();
 }

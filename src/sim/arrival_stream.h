@@ -13,7 +13,8 @@ namespace mqa {
 /// streams, the streaming EventQueue, scenario generators): non-finite
 /// coordinates or deadlines and negative velocities would silently
 /// corrupt spatial-index bucketing (NaN compares false against every
-/// cell bound), so malformed inputs must fail fast instead.
+/// cell bound), and a negative deadline fails ProblemInstance::Validate,
+/// so malformed inputs must fail fast instead. A deadline of 0 is valid.
 Status ValidateWorkerShape(const Worker& worker);
 Status ValidateTaskShape(const Task& task);
 

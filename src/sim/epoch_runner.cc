@@ -51,22 +51,11 @@ EpochRunner::EpochRunner(const SimulatorConfig& config,
       quality_(quality),
       predictor_(config.prediction,
                  MakeCountPredictor(config.prediction.predictor)),
-      // The task R-tree (a member) is loaded from scratch every epoch;
-      // only the capacity of its arrays lives across epochs.
-      worker_index_cache_(config.maintain_worker_index
-                              ? std::make_unique<WorkerIndexCache>()
-                              : nullptr),
       // Pool shared by all epochs of the run (threads spin up once); the
       // assigner sees it through ProblemInstance::thread_pool, like the
       // task index. Sequential configs carry a null pool.
       runner_(config.num_threads) {
   MQA_CHECK(quality != nullptr) << "quality model required";
-}
-
-EpochRunner::~EpochRunner() = default;
-
-const SpatialIndex* EpochRunner::worker_index() const {
-  return worker_index_cache_ ? worker_index_cache_->view() : nullptr;
 }
 
 Result<EpochOutcome> EpochRunner::RunEpoch(
@@ -143,11 +132,10 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.assemble_seconds = TakePhase();
 
   {
+    // Loaded from scratch every epoch; only the capacity of the R-tree's
+    // arrays lives across epochs.
     MQA_TRACE_SPAN("epoch/index");
     task_index_cache_.BeginInstance(inst_tasks);
-    if (worker_index_cache_) {
-      worker_index_cache_->BeginInstance(inst_workers);
-    }
   }
   metrics.index_seconds = TakePhase();
 
@@ -180,6 +168,7 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.pool_pairs = pool_stats.pairs;
   metrics.pool_predicted_pairs = pool_stats.predicted_pairs;
   metrics.pool_bytes = pool_stats.pool_bytes;
+  outcome.covered_tasks = pool_stats.covered_tasks;
   metrics.greedy_iterations = greedy_stats.iterations;
   metrics.greedy_candidates = greedy_stats.candidates;
   metrics.greedy_max_candidates = greedy_stats.max_candidates;

@@ -2,7 +2,6 @@
 #define MQA_SIM_EPOCH_RUNNER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -10,7 +9,6 @@
 #include "core/pair_pool.h"
 #include "exec/parallel_runner.h"
 #include "index/task_index_cache.h"
-#include "index/worker_index_cache.h"
 #include "prediction/predictor.h"
 #include "quality/quality_model.h"
 #include "sim/metrics.h"
@@ -32,6 +30,11 @@ struct EpochOutcome {
   /// errors, cpu seconds, assigned/quality/cost) — the batch simulator
   /// records these verbatim as its InstanceMetrics.
   InstanceMetrics metrics;
+
+  /// Current tasks some current worker can reach, before assignment: the
+  /// PairPoolStats::covered_tasks of the epoch's pool, -1 when the
+  /// assigner built none. The streaming engine's coverable backlog.
+  int64_t covered_tasks = -1;
 
   /// worker_assigned[i] / task_assigned[j] flag the available entities
   /// the assignment consumed (sized to the pool sizes passed in).
@@ -57,21 +60,19 @@ struct EpochOutcome {
 ///
 ///   Observe arrivals -> score previous prediction -> PredictNext ->
 ///   assemble ProblemInstance (available entities + predicted) -> load
-///   the task (and optional worker) index -> Assign -> validate ->
-///   compute rejoins.
+///   the task index -> Assign -> validate -> compute rejoins.
 ///
 /// The runner owns all cross-epoch state: the grid predictor, the
-/// TaskIndexCache (and optional WorkerIndexCache) it reloads every
-/// epoch, the pair-pool storage and the thread pool. Callers own the
-/// entity pools and the clock — which epochs happen when, and how
-/// arrivals, carryover and expiry feed the pools, is entirely theirs.
-/// Byte-determinism follows: two callers issuing the same sequence of
-/// RunEpoch calls with the same pools get bitwise-identical outcomes.
+/// TaskIndexCache it reloads every epoch, the pair-pool storage and the
+/// thread pool. Callers own the entity pools and the clock — which epochs
+/// happen when, and how arrivals, carryover and expiry feed the pools, is
+/// entirely theirs. Byte-determinism follows: two callers issuing the
+/// same sequence of RunEpoch calls with the same pools get
+/// bitwise-identical outcomes.
 class EpochRunner {
  public:
   /// `quality` must outlive the runner.
   EpochRunner(const SimulatorConfig& config, const QualityModel* quality);
-  ~EpochRunner();
 
   /// Runs one epoch. `new_workers`/`new_tasks` are this epoch's arrivals
   /// (already appended to the pools) used for prediction bookkeeping;
@@ -86,23 +87,11 @@ class EpochRunner {
                                 const std::vector<Task>& available_tasks,
                                 bool predict_next, Assigner* assigner);
 
-  /// The worker index over the last epoch's instance workers, or nullptr
-  /// unless SimulatorConfig::maintain_worker_index. Entry ids are indices
-  /// into the (available + predicted) worker vector of that epoch; valid
-  /// until the next RunEpoch.
-  const SpatialIndex* worker_index() const;
-
-  /// The runner's thread pool (nullptr when sequential) — shared with
-  /// callers that parallelize their own per-epoch scans (the streaming
-  /// engine's coverable-backlog metric).
-  ThreadPool* thread_pool() const { return runner_.pool(); }
-
  private:
   SimulatorConfig config_;
   const QualityModel* quality_;
   GridPredictor predictor_;
   TaskIndexCache task_index_cache_;
-  std::unique_ptr<WorkerIndexCache> worker_index_cache_;
   ParallelRunner runner_;
 
   // The pair-pool storage every epoch's pool build writes into; its

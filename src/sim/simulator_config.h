@@ -32,10 +32,8 @@ struct SimulatorConfig {
   /// relative to assignment; keep on except in microbenchmarks).
   bool validate_assignments = true;
 
-  /// Also load a *worker* index (WorkerIndexCache) every epoch, exposed
-  /// through EpochRunner::worker_index. Off by default — no assigner
-  /// consumes it; the streaming engine turns it on for task-centric
-  /// backlog-coverage queries.
+  /// Ignored: no epoch loads a worker index. Kept only because
+  /// pbsc_bench/bench_main.cc sets it.
   bool maintain_worker_index = false;
 
   /// Total threads the per-instance assignment work fans across: the

@@ -54,9 +54,9 @@ struct EpochStreamMetrics {
   int64_t expired = 0;
 
   /// Pending tasks (before assignment) with at least one available
-  /// worker in reach, answered by the epoch's WorkerIndexCache; -1
-  /// when the worker index is disabled. backlog_before - coverable is
-  /// the structurally unserveable backlog an epoch policy cannot help.
+  /// worker in reach: the epoch pool's PairPoolStats::covered_tasks, -1
+  /// when the assigner built no pool. backlog_before - coverable is the
+  /// structurally unserveable backlog an epoch policy cannot help.
   int64_t coverable_backlog = -1;
 
   /// Mean arrival -> assignment wait over this epoch's assigned tasks

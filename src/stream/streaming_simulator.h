@@ -50,9 +50,7 @@ struct EpochPolicy {
 
 struct StreamingConfig {
   /// The epoch core's knobs (budget per epoch, prediction, rejoin,
-  /// indexes, threads) — identical meaning to the batch simulator.
-  /// sim.maintain_worker_index additionally enables the per-epoch
-  /// coverable-backlog metric.
+  /// threads) — identical meaning to the batch simulator.
   SimulatorConfig sim;
 
   EpochPolicy policy;
@@ -70,10 +68,10 @@ struct StreamingConfig {
 /// maintains the worker/task pools across epochs, and cuts assignment
 /// epochs by policy, each epoch driving the same EpochRunner
 /// predict -> index -> assign -> validate core as the batch loop (which
-/// loads the task and worker indexes from each epoch's pools). On top of the
-/// batch metrics it measures what only a stream exposes: per-epoch
-/// assignment latency, arrival -> assignment queue waits, and backlog
-/// depth.
+/// loads the task index from each epoch's pools). On top of the batch
+/// metrics it measures what only a stream exposes: per-epoch assignment
+/// latency, arrival -> assignment queue waits, and backlog depth and
+/// coverage (read off the epoch's pair pool).
 class StreamingSimulator {
  public:
   /// `quality` must outlive the simulator.

@@ -96,7 +96,6 @@ std::vector<uint64_t> RunStream(EventQueue queue, double horizon,
                                 std::vector<InstanceMetrics>* rows = nullptr) {
   StreamingConfig config;
   config.sim = ThreadsConfig(threads);
-  config.sim.maintain_worker_index = true;
   config.policy.kind = EpochPolicyKind::kPerInstance;
   config.horizon = horizon;
   StreamingSimulator sim(config, &Quality());

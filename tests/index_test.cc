@@ -4,8 +4,8 @@
 // entries on the quarter lines, entries outside the unit square),
 // one large box visited once, per-entry deadline filtering, repeated
 // BulkLoads, and randomized raw queries checked against the definition on
-// uniform, Zipf and Gaussian-cluster entry sets. The simulator's index
-// caches are pinned to the R-tree.
+// uniform, Zipf and Gaussian-cluster entry sets. The simulator's task
+// index cache is pinned to the R-tree.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,8 +18,6 @@
 #include "index/brute_force_index.h"
 #include "index/rtree_index.h"
 #include "index/task_index_cache.h"
-#include "quality/range_quality.h"
-#include "sim/epoch_runner.h"
 #include "workload/spatial_dist.h"
 
 namespace mqa {
@@ -296,13 +294,6 @@ TYPED_TEST(SpatialIndexTest, MatchesDefinitionOnRandomQueries) {
 
 TEST(IndexDefaultTest, SimulatorIndexesAreRTrees) {
   EXPECT_STREQ(TaskIndexCache().view()->name(), "RTREE");
-
-  SimulatorConfig config;
-  config.maintain_worker_index = true;
-  const RangeQualityModel quality(1.0, 2.0);
-  const EpochRunner runner(config, &quality);
-  ASSERT_NE(runner.worker_index(), nullptr);
-  EXPECT_STREQ(runner.worker_index()->name(), "RTREE");
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
-// The run report is the one post-mortem artifact: an mqa-run-report-v7
+// The run report is the one post-mortem artifact: an mqa-run-report-v8
 // JSON file whose epoch rows are the simulators' InstanceMetrics. These
 // tests run a small batch greedy and a small stream D&C simulation at 1
 // and 4 threads and check the written report against the summary each
 // simulator returns: a top level of schema, provenance, config and
 // epochs only, one row per epoch, the same checksums, pool, greedy and
 // prediction numbers, no index object, a pool object of exactly three
-// keys, a greedy object of exactly four, phase times that add up to the
-// epoch's wall time, and a process footprint whose peak RSS never reads
-// below its RSS and, like CPU time, never decreases. On Linux the RSS
-// sample itself is a positive whole number of pages, and it is the
-// statm resident field, not the size field.
+// keys, a greedy object of exactly four, exactly eight phases whose
+// first five add up to the epoch's wall time, and a process footprint
+// whose peak RSS never reads below its RSS and, like CPU time, never
+// decreases. On Linux the RSS sample itself is a positive whole number
+// of pages, and it is the statm resident field, not the size field.
 
 #include <gtest/gtest.h>
 
@@ -106,7 +106,7 @@ double Number(const std::string& object, const std::string& key) {
 void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
   ASSERT_FALSE(per_epoch.empty());
   const std::string json = RunReport::Get().ToJsonString();
-  EXPECT_NE(json.find("\"schema\": \"mqa-run-report-v7\""),
+  EXPECT_NE(json.find("\"schema\": \"mqa-run-report-v8\""),
             std::string::npos);
   // Every count lives in an epoch row: no process-wide aggregates.
   EXPECT_EQ(TopLevelKeys(json),
@@ -166,8 +166,13 @@ void ExpectReportMatches(const std::vector<InstanceMetrics>& per_epoch) {
     EXPECT_LE(m.greedy_max_candidates, m.greedy_candidates);
 
     // The five serial phases partition the epoch's wall time; the pool
-    // build is its own phase, not part of assign.
+    // build is its own phase, not part of assign. Validate, apply and
+    // ingest run outside that clock.
     const std::string phases = Object(row, "phase_seconds");
+    EXPECT_EQ(Keys(phases),
+              (std::vector<std::string>{"predict", "assemble", "index",
+                                        "pool_build", "assign", "validate",
+                                        "apply", "ingest"}));
     double sum = 0.0;
     for (const char* phase :
          {"predict", "assemble", "index", "pool_build", "assign"}) {
@@ -253,7 +258,6 @@ TEST_P(RunReportTest, StreamDivideConquerRowsMatchSummary) {
   config.sim = testing_util::PropertySimConfig();
   config.sim.prediction.seed = 23;
   config.sim.num_threads = GetParam();
-  config.sim.maintain_worker_index = true;
   config.policy.kind = EpochPolicyKind::kAdaptiveBacklog;
   config.policy.backlog_threshold = 40;
   config.policy.max_interval = 1.0;

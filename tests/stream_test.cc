@@ -109,7 +109,6 @@ StreamingConfig TinyConfig() {
   config.sim.unit_price = 1.0;
   config.sim.use_prediction = false;
   config.sim.workers_rejoin = false;
-  config.sim.maintain_worker_index = true;
   return config;
 }
 
@@ -314,7 +313,7 @@ TEST(StreamingPolicyTest, MidGapExpiryNeverOffersDeadTasks) {
   EXPECT_EQ(summary.value().total_assigned, 0);
 }
 
-TEST(StreamingPolicyTest, CoverableBacklogCountsReachableTasksOnly) {
+TEST(StreamingPolicyTest, CoverableCountsReachableTasksOnly) {
   const testing_util::ConstantQualityModel quality(1.0);
   StreamingConfig config = TinyConfig();
   config.policy.kind = EpochPolicyKind::kPerInstance;
@@ -349,7 +348,7 @@ TEST(StreamingPolicyTest, CoverableBacklogCountsReachableTasksOnly) {
   EXPECT_EQ(summary.value().per_epoch[0].coverable_backlog, 1);
 }
 
-TEST(StreamingPolicyTest, CoverableBacklogSkipsZeroVelocityWorkers) {
+TEST(StreamingPolicyTest, ZeroVelocityWorkersCoverNothing) {
   // A worker with velocity 0 reaches nothing (CanReachAtDistance), not
   // even a task at its own location, so it covers no backlog either.
   const testing_util::ConstantQualityModel quality(1.0);
@@ -542,6 +541,14 @@ TEST(StreamValidationTest, ArrivalStreamRejectsMalformedEntities) {
   EXPECT_FALSE(bad.Validate().ok());
 
   bad = ok;
+  bad.tasks[0][0].deadline = -0.5;
+  EXPECT_FALSE(bad.Validate().ok());
+
+  bad = ok;
+  bad.tasks[0][0].deadline = 0.0;
+  EXPECT_TRUE(bad.Validate().ok());
+
+  bad = ok;
   bad.tasks[0][0].location = BBox::FromPoint({0.5, inf});
   EXPECT_FALSE(bad.Validate().ok());
 }
@@ -551,17 +558,24 @@ TEST(StreamValidationTest, EngineRejectsMalformedEventPayloads) {
   StreamingConfig config = TinyConfig();
   config.horizon = 1.0;
 
-  EventQueue queue;
-  StreamEvent t;
-  t.kind = EventKind::kTaskArrival;
-  t.task = MakeTask(1, 0.5, 0.5, 1.0);
-  t.task.deadline = std::numeric_limits<double>::quiet_NaN();
-  t.time = 0.0;
-  queue.Push(t);
-
-  StreamingSimulator sim(config, &quality);
-  auto assigner = CreateAssigner(AssignerKind::kGreedy);
-  EXPECT_FALSE(sim.Run(std::move(queue), assigner.get()).ok());
+  // One task arriving at time 0 with the given deadline.
+  const auto run = [&](double deadline) {
+    EventQueue queue;
+    StreamEvent t;
+    t.kind = EventKind::kTaskArrival;
+    t.task = MakeTask(1, 0.5, 0.5, deadline);
+    t.time = 0.0;
+    queue.Push(t);
+    StreamingSimulator sim(config, &quality);
+    auto assigner = CreateAssigner(AssignerKind::kGreedy);
+    return sim.Run(std::move(queue), assigner.get()).status();
+  };
+  EXPECT_EQ(run(std::numeric_limits<double>::quiet_NaN()).code(),
+            StatusCode::kInvalidArgument);
+  // Negative: a clean error at ingestion, not a failed check in the
+  // ProblemInstance constructor. Zero: a valid task.
+  EXPECT_EQ(run(-0.5).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(run(0.0).ok());
 }
 
 TEST(StreamValidationTest, RejectsBadPolicyConfigs) {

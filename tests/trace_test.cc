@@ -53,7 +53,6 @@ std::vector<uint64_t> StreamChecksums(EventQueue queue, double horizon,
                                       AssignerKind kind, int threads) {
   StreamingConfig config;
   config.sim = PropertySimConfig();
-  config.sim.maintain_worker_index = true;
   config.sim.num_threads = threads;
   config.policy.kind = EpochPolicyKind::kPerInstance;
   config.horizon = horizon;
@@ -197,6 +196,9 @@ TEST(TraceWriterTest, RejectsMalformedRecords) {
                    .AddTask(0.5, MakeTask(0, 0.1, 0.1,
                                           std::numeric_limits<double>::infinity()))
                    .ok());
+  // A negative deadline is malformed; a deadline of 0 is valid.
+  EXPECT_FALSE(writer.AddTask(0.5, MakeTask(0, 0.1, 0.1, -0.5)).ok());
+  EXPECT_TRUE(writer.AddTask(0.5, MakeTask(0, 0.1, 0.1, 0.0)).ok());
   // Out-of-order times within a list.
   EXPECT_TRUE(writer.AddWorker(1.0, MakeWorker(0, 0.1, 0.1, 0.2)).ok());
   EXPECT_FALSE(writer.AddWorker(0.5, MakeWorker(1, 0.1, 0.1, 0.2)).ok());
@@ -248,6 +250,7 @@ TEST(TraceFuzzTest, MalformedCsvYieldsCleanStatus) {
       {"inf coordinate", corrupt("0.10000000000000001", "inf")},
       {"negative velocity", corrupt(",0.25\n", ",-0.25\n")},
       {"nan deadline", corrupt(",1.5\n", ",nan\n")},
+      {"negative deadline", corrupt(",1.5\n", ",-0.5\n")},
       {"negative id", corrupt("w,1.5,1,", "w,1.5,-1,")},
       {"non-numeric field", corrupt("0.29999999999999999", "zebra")},
       {"truncated row", corrupt(",0.25\n", "\n")},
@@ -259,6 +262,8 @@ TEST(TraceFuzzTest, MalformedCsvYieldsCleanStatus) {
     const auto result = TraceReader::Parse(c.bytes);
     EXPECT_FALSE(result.ok()) << c.label << " parsed successfully";
   }
+  // A deadline of 0 is valid, as ProblemInstance::Validate allows it.
+  EXPECT_TRUE(TraceReader::Parse(corrupt(",1.5\n", ",0\n")).ok());
 }
 
 // Bytes that open with any other magic (here a binary one) are not a
